@@ -19,7 +19,6 @@ from .data import (
     Status,
     Timeline,
     derive_timeline,
-    filter_standard,
     parse_clicks,
     parse_conversions,
     parse_products,
@@ -109,7 +108,6 @@ __all__ = [
     "evaluate_ranking",
     "fairness",
     "feature_table",
-    "filter_standard",
     "fisher_exact_greater",
     "generate_fixture",
     "lar_prior",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import os
 import re
 from collections import Counter
@@ -328,8 +329,15 @@ def _parse_float(cell: str | None) -> float | None:
         return None
 
 
-def _parse_rank(cell: str | None) -> int | None:
+def _parse_finite(cell: str | None) -> float | None:
+    """A finite float, or None: ``nan``, ``inf`` and overflowing text
+    such as ``1e400`` are as unparseable as any other garbage."""
     value = _parse_float(cell)
+    return value if value is not None and math.isfinite(value) else None
+
+
+def _parse_rank(cell: str | None) -> int | None:
+    value = _parse_finite(cell)
     if value is None or value <= 0:
         return None
     return int(value)
@@ -485,7 +493,7 @@ def parse_products(source, config: SchemaConfig | None = None) -> ParseResult:
         if loan_type is None:
             errors.append(RowError(n, "loan_type", f"unmapped loan type {row.get('loan_type')!r}"))
             continue
-        n_reviews_value = _parse_float(row.get("n_reviews"))
+        n_reviews_value = _parse_finite(row.get("n_reviews"))
         n_reviews = int(n_reviews_value) if n_reviews_value is not None and n_reviews_value >= 0 else 0
         rating = _parse_float(row.get("avg_user_rating"))
         if rating is not None and not 1.0 <= rating <= 5.0:
@@ -654,12 +662,6 @@ def derive_timeline(record: ConversionRecord) -> Timeline:
     if (conversion is not None and conversion < 0) or (processing is not None and processing < 0):
         return Timeline(None, None, invalid=True)
     return Timeline(conversion, processing)
-
-
-def filter_standard(records: Sequence) -> list:
-    """Keep only standard-loan records (works for any record type with
-    a loan_type field); order is preserved."""
-    return [r for r in records if r.loan_type is LoanType.STANDARD]
 
 
 def filter_loan_type(records: Sequence, loan_type: LoanType | None) -> list:

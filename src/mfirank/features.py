@@ -21,11 +21,13 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import re
 import statistics
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .data import (
     ClickRecord,
@@ -193,7 +195,7 @@ def declared_sla_seconds(
 
 
 # ---------------------------------------------------------------------------
-# fairness
+# per-MFI running statistics
 
 
 @dataclass(frozen=True)
@@ -206,26 +208,123 @@ class FairnessScore:
     sla_evaluable: bool = True
 
 
-def _raw_periods(records: Sequence[ConversionRecord]) -> tuple[list[float], list[float]]:
-    """Valid (conversion, processing) period lists; invalid records skipped."""
-    conversions: list[float] = []
-    processings: list[float] = []
-    for rec in records:
+class _MfiStats:
+    """What the fairness, service-period and EPC formulas need of one MFI.
+
+    Records are added one at a time and each is read once: its status
+    and income go into counts and a running sum, its timeline (derived
+    here, once) into flat float arrays.  Sale incomes are summed in the
+    order the records arrive.  ``sla_seconds`` is the declared budget
+    that processing periods are counted against as they arrive.
+    """
+
+    __slots__ = (
+        "sla_seconds", "n_apps", "n_sales", "n_rejected", "income", "n_quick",
+        "n_sla_ok", "paid_conversion", "processing", "unpaid_conversion",
+    )
+
+    def __init__(self, sla_seconds: float | None = None):
+        self.sla_seconds = sla_seconds
+        self.n_apps = 0
+        self.n_sales = 0
+        self.n_rejected = 0
+        self.income = 0.0
+        self.n_quick = 0  # valid conversion periods under ON_TIME_LIMIT_SEC
+        self.n_sla_ok = 0  # observed processing periods within sla_seconds
+        # Valid conversion periods, split by whether the application paid
+        # out; paid_conversion[i] pairs with the processing period processing[i].
+        # The formulas only sort or fsum these, so the split loses nothing.
+        self.paid_conversion = array("d")
+        self.processing = array("d")
+        self.unpaid_conversion = array("d")
+
+    @classmethod
+    def of(
+        cls, records: Sequence[ConversionRecord], sla_seconds: float | None = None
+    ) -> _MfiStats:
+        stats = cls(sla_seconds)
+        for rec in records:
+            stats.add(rec)
+        return stats
+
+    def add(self, rec: ConversionRecord) -> None:
+        self.n_apps += 1
+        if rec.status is Status.SALE:
+            self.n_sales += 1
+            if rec.income is not None:
+                self.income += rec.income
+        elif rec.status is Status.REJECTED:
+            self.n_rejected += 1
         tl = derive_timeline(rec)
-        if tl.invalid:
-            continue
-        if tl.conversion_period is not None:
-            conversions.append(tl.conversion_period)
-        if tl.processing_period is not None:
-            processings.append(tl.processing_period)
-    return conversions, processings
+        if tl.invalid or tl.conversion_period is None:
+            return  # a processing period needs a submission, so none is lost
+        if tl.conversion_period < ON_TIME_LIMIT_SEC:
+            self.n_quick += 1
+        if tl.processing_period is None:
+            self.unpaid_conversion.append(tl.conversion_period)
+            return
+        self.paid_conversion.append(tl.conversion_period)
+        self.processing.append(tl.processing_period)
+        if self.sla_seconds is not None and tl.processing_period <= self.sla_seconds:
+            self.n_sla_ok += 1
+
+    def on_time(self) -> bool:
+        n = len(self.paid_conversion) + len(self.unpaid_conversion)
+        return n > 0 and self.n_quick / n >= ON_TIME_MIN_SHARE
+
+    def fairness(self, product: ProductRecord | None) -> FairnessScore:
+        n = self.n_apps
+        status_reporting = (
+            n > 0 and self.n_rejected / n > MIN_REJECT_SHARE and self.n_sales >= 1
+        )
+        on_time = self.on_time()
+        sla_evaluable = self.sla_seconds is not None
+        sla_met = False
+        if sla_evaluable and self.processing:
+            sla_met = self.n_sla_ok / len(self.processing) >= 0.5
+        reliable = product is None or not product.unreliability
+        points = int(status_reporting) + int(on_time) + int(sla_met) + int(reliable)
+        return FairnessScore(
+            points=points,
+            status_reporting=status_reporting,
+            on_time=on_time,
+            sla_met=sla_met,
+            reliable=reliable,
+            sla_evaluable=sla_evaluable,
+        )
+
+    def service_p90(self, global_processing_mean: float | None) -> float:
+        paid, unpaid = self.paid_conversion, self.unpaid_conversion
+        if not paid and not unpaid:
+            raise DataError("no valid submission periods; cannot compute a service period")
+        if self.on_time():
+            replacement = statistics.median(paid + unpaid)
+            paid = [replacement if c > CONVERSION_OUTLIER_SEC else c for c in paid]
+            unpaid = [replacement if c > CONVERSION_OUTLIER_SEC else c for c in unpaid]
+
+        observed = self.processing
+        fill = statistics.fmean(observed) if observed else global_processing_mean
+        if fill is None and unpaid:
+            raise DataError("no processing periods anywhere to impute from")
+
+        service = [c + p for c, p in zip(paid, observed)]
+        service += [c + fill for c in unpaid]
+        service.sort()
+        idx = (9 * len(service) + 9) // 10  # ceil(0.9 n) without float fuzz
+        return service[idx - 1]
+
+    def epc(self, n_clicks: int) -> float:
+        if n_clicks < 0:
+            raise ValueError("click count must be non-negative")
+        if self.n_sales == 0:
+            return 0.0
+        if n_clicks == 0:
+            raise DataError("sales recorded for an MFI with no clicks")
+        return self.income / n_clicks
 
 
-def _on_time(conversion_periods: Sequence[float]) -> bool:
-    if not conversion_periods:
-        return False
-    quick = sum(1 for p in conversion_periods if p < ON_TIME_LIMIT_SEC)
-    return quick / len(conversion_periods) >= ON_TIME_MIN_SHARE
+# ---------------------------------------------------------------------------
+# record-level feature helpers
 
 
 def fairness(
@@ -245,35 +344,7 @@ def fairness(
        and the score is flagged as not fully evaluable.
     4. The card carries no unreliability mark.
     """
-    n = len(records)
-    n_rejected = sum(1 for r in records if r.status is Status.REJECTED)
-    n_sales = sum(1 for r in records if r.status is Status.SALE)
-    status_reporting = n > 0 and n_rejected / n > MIN_REJECT_SHARE and n_sales >= 1
-
-    conversion_periods, processing_periods = _raw_periods(records)
-    on_time = _on_time(conversion_periods)
-
-    sla_evaluable = sla_seconds is not None
-    sla_met = False
-    if sla_evaluable and processing_periods:
-        ok = sum(1 for p in processing_periods if p <= sla_seconds)
-        sla_met = ok / len(processing_periods) >= 0.5
-
-    reliable = product is None or not product.unreliability
-
-    points = int(status_reporting) + int(on_time) + int(sla_met) + int(reliable)
-    return FairnessScore(
-        points=points,
-        status_reporting=status_reporting,
-        on_time=on_time,
-        sla_met=sla_met,
-        reliable=reliable,
-        sla_evaluable=sla_evaluable,
-    )
-
-
-# ---------------------------------------------------------------------------
-# service period
+    return _MfiStats.of(records, sla_seconds).fairness(product)
 
 
 def service_period_p90(
@@ -296,36 +367,7 @@ def service_period_p90(
     periods.  Raises DataError when the population is empty or an
     imputation source is missing.
     """
-    pairs: list[tuple[float, float | None]] = []
-    for rec in records:
-        tl = derive_timeline(rec)
-        if tl.invalid or tl.conversion_period is None:
-            continue
-        pairs.append((tl.conversion_period, tl.processing_period))
-    if not pairs:
-        raise DataError("no valid submission periods; cannot compute a service period")
-
-    raw = [c for c, _ in pairs]
-    if _on_time(raw):
-        replacement = statistics.median(raw)
-        conversions = [replacement if c > CONVERSION_OUTLIER_SEC else c for c in raw]
-    else:
-        conversions = raw
-
-    observed = [p for _, p in pairs if p is not None]
-    fill = statistics.fmean(observed) if observed else global_processing_mean
-    if fill is None and any(p is None for _, p in pairs):
-        raise DataError("no processing periods anywhere to impute from")
-
-    service = sorted(
-        c + (p if p is not None else fill) for c, (_, p) in zip(conversions, pairs)
-    )
-    idx = (9 * len(service) + 9) // 10  # ceil(0.9 n) without float fuzz
-    return service[idx - 1]
-
-
-# ---------------------------------------------------------------------------
-# earnings per click
+    return _MfiStats.of(records).service_p90(global_processing_mean)
 
 
 def epc(records: Sequence[ConversionRecord], n_clicks: int) -> float:
@@ -334,20 +376,7 @@ def epc(records: Sequence[ConversionRecord], n_clicks: int) -> float:
     An MFI nobody clicked earned nothing: zero sales with zero clicks is
     0.0, but sales without any click record is inconsistent input.
     """
-    if n_clicks < 0:
-        raise ValueError("click count must be non-negative")
-    income = 0.0
-    n_sales = 0
-    for rec in records:
-        if rec.status is Status.SALE:
-            n_sales += 1
-            if rec.income is not None:
-                income += rec.income
-    if n_sales == 0:
-        return 0.0
-    if n_clicks == 0:
-        raise DataError("sales recorded for an MFI with no clicks")
-    return income / n_clicks
+    return _MfiStats.of(records).epc(n_clicks)
 
 
 # ---------------------------------------------------------------------------
@@ -426,28 +455,144 @@ def parse_feature_csv(text: str) -> list[FeatureVector]:
         mfi_id = cell("mfi_id")
         if mfi_id is None:
             raise DataError("feature CSV row without an mfi_id")
-        fairness_cell = cell("fairness")
-        try:
-            out.append(
-                FeatureVector(
-                    mfi_id=mfi_id,
-                    rating_norm=float(cell("rating_norm")) if cell("rating_norm") else None,
-                    lar_norm=float(cell("lar_norm")) if cell("lar_norm") else None,
-                    fairness=int(float(fairness_cell)) if fairness_cell else None,
-                    service_p90_sec=float(cell("service_p90_sec"))
-                    if cell("service_p90_sec")
-                    else None,
-                    epc=float(cell("epc")) if cell("epc") else None,
+
+        def number(name: str) -> float | None:
+            text = cell(name)
+            if text is None:
+                return None
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise DataError(
+                    f"feature CSV row for {mfi_id}: {name} is {text!r}, not a finite number"
                 )
+            return value
+
+        fairness_value = number("fairness")
+        out.append(
+            FeatureVector(
+                mfi_id=mfi_id,
+                rating_norm=number("rating_norm"),
+                lar_norm=number("lar_norm"),
+                fairness=int(fairness_value) if fairness_value is not None else None,
+                service_p90_sec=number("service_p90_sec"),
+                epc=number("epc"),
             )
-        except ValueError as exc:
-            raise DataError(f"feature CSV row for {mfi_id}: {exc}") from None
+        )
     return out
 
 
 def _pick_card(cards: list[ProductRecord]) -> ProductRecord:
     # Most-reviewed card represents the MFI; ties go to the smallest id.
     return min(cards, key=lambda p: (-p.n_reviews, p.card_id))
+
+
+class FeatureAccumulator:
+    """Per-MFI running feature inputs over a growing set of records.
+
+    Built once from the product cards of one loan type; conversions and
+    clicks of that loan type are then fed in any number of batches, each
+    record exactly once, and :meth:`table` emits the feature table of
+    everything seen so far.  Feed conversions in the order their sale
+    incomes should be summed: the EPC numerator is a plain running sum.
+
+    The population is the set of MFIs with conversions and a product
+    card, ordered by id; MFIs without a card are excluded with a
+    warning, as are MFIs whose service period or EPC cannot be computed.
+    """
+
+    def __init__(
+        self,
+        products: Sequence[ProductRecord],
+        *,
+        features: Sequence[str] | None = None,
+        duration_rules: Sequence[DurationRule] | None = None,
+    ):
+        active = tuple(features) if features is not None else ALL_FEATURES
+        unknown = [f for f in active if f not in ALL_FEATURES]
+        if unknown:
+            raise ValueError(f"unknown features: {unknown}")
+        if not active:
+            raise ValueError("at least one feature is required")
+        self._active = active
+        cards_by_mfi: dict[str, list[ProductRecord]] = defaultdict(list)
+        for p in products:
+            cards_by_mfi[p.mfi_id].append(p)
+        self._card = {m: _pick_card(cards) for m, cards in cards_by_mfi.items()}
+        self._sla: dict[str, float | None] = {}
+        if "fairness" in active:
+            self._sla = {
+                m: declared_sla_seconds(p, duration_rules) for m, p in self._card.items()
+            }
+        self._stats: dict[str, _MfiStats] = {}
+        self._clicks: Counter = Counter()
+
+    def add_conversions(self, conversions: Iterable[ConversionRecord]) -> None:
+        stats = self._stats
+        for rec in conversions:
+            mfi = stats.get(rec.mfi_id)
+            if mfi is None:
+                mfi = stats[rec.mfi_id] = _MfiStats(self._sla.get(rec.mfi_id))
+            mfi.add(rec)
+
+    def add_clicks(self, clicks: Iterable[ClickRecord]) -> None:
+        self._clicks.update(c.mfi_id for c in clicks)
+
+    def table(self) -> list[FeatureVector]:
+        """The feature vectors of the records fed so far."""
+        population = []
+        for m in sorted(self._stats):
+            if m in self._card:
+                population.append(m)
+            else:
+                logger.warning("MFI %s has conversions but no product card; excluded", m)
+        if not population:
+            return []
+        active = self._active
+        card = self._card
+        stats = {m: self._stats[m] for m in population}
+
+        rprior = rating_prior([card[m] for m in population]) if "rating" in active else None
+        lprior = None
+        if "lar" in active:
+            lprior = LarPrior(
+                total_sales=sum(s.n_sales for s in stats.values()),
+                total_apps=sum(s.n_apps for s in stats.values()),
+            )
+        global_mean: float | None = None
+        if "service_period" in active:
+            all_processing = [p for s in stats.values() for p in s.processing]
+            global_mean = statistics.fmean(all_processing) if all_processing else None
+
+        table: list[FeatureVector] = []
+        for m, s in stats.items():
+            values: dict[str, object] = {}
+            p = card[m]
+            if rprior is not None:
+                has_reviews = p.n_reviews > 0 and p.avg_user_rating is not None
+                values["rating_norm"] = normalize_rating(
+                    rprior,
+                    p.n_reviews if has_reviews else 0,
+                    p.avg_user_rating if has_reviews else 0.0,
+                )
+            if lprior is not None:
+                values["lar_norm"] = normalize_lar(lprior, s.n_sales, s.n_apps)
+            if "fairness" in active:
+                score = s.fairness(p)
+                values["fairness"] = score.points
+                values["fairness_detail"] = score
+            try:
+                if "service_period" in active:
+                    values["service_p90_sec"] = s.service_p90(global_mean)
+                if "epc" in active:
+                    values["epc"] = s.epc(self._clicks.get(m, 0))
+            except DataError as exc:
+                logger.warning("dropping MFI %s from the feature table: %s", m, exc)
+                continue
+            table.append(FeatureVector(mfi_id=m, **values))
+        return table
 
 
 def feature_table(
@@ -461,79 +606,14 @@ def feature_table(
 ) -> list[FeatureVector]:
     """Compute the requested features for every rankable MFI.
 
-    The population is the set of MFIs present in both the loan-filtered
-    conversion log and the product dataset, ordered by id; MFIs without
-    a matching card are excluded with a warning, as are MFIs whose
-    service period or EPC cannot be computed.
+    Feeds the loan-filtered datasets, in input order, to one
+    :class:`FeatureAccumulator` and emits its table once.
     """
-    active = tuple(features) if features is not None else ALL_FEATURES
-    unknown = [f for f in active if f not in ALL_FEATURES]
-    if unknown:
-        raise ValueError(f"unknown features: {unknown}")
-    if not active:
-        raise ValueError("at least one feature is required")
-
-    conversions = filter_loan_type(conversions, loan_type)
-    clicks_f = filter_loan_type(clicks, loan_type)
-    cards_by_mfi: dict[str, list[ProductRecord]] = defaultdict(list)
-    for p in filter_loan_type(products, loan_type):
-        cards_by_mfi[p.mfi_id].append(p)
-
-    by_mfi: dict[str, list[ConversionRecord]] = defaultdict(list)
-    for rec in conversions:
-        by_mfi[rec.mfi_id].append(rec)
-    click_counts = Counter(c.mfi_id for c in clicks_f)
-
-    population = []
-    for m in sorted(by_mfi):
-        if cards_by_mfi.get(m):
-            population.append(m)
-        else:
-            logger.warning("MFI %s has conversions but no product card; excluded", m)
-    if not population:
-        return []
-    card = {m: _pick_card(cards_by_mfi[m]) for m in population}
-    corpus = [r for m in population for r in by_mfi[m]]
-
-    rprior = rating_prior([card[m] for m in population]) if "rating" in active else None
-    lprior = lar_prior(corpus) if "lar" in active else None
-
-    global_mean: float | None = None
-    if "service_period" in active:
-        all_processing = [
-            tl.processing_period
-            for rec in corpus
-            for tl in (derive_timeline(rec),)
-            if not tl.invalid and tl.processing_period is not None
-        ]
-        global_mean = statistics.fmean(all_processing) if all_processing else None
-
-    table: list[FeatureVector] = []
-    for m in population:
-        records = by_mfi[m]
-        values: dict[str, object] = {}
-        p = card[m]
-        if rprior is not None:
-            has_reviews = p.n_reviews > 0 and p.avg_user_rating is not None
-            values["rating_norm"] = normalize_rating(
-                rprior,
-                p.n_reviews if has_reviews else 0,
-                p.avg_user_rating if has_reviews else 0.0,
-            )
-        if lprior is not None:
-            sales = sum(1 for r in records if r.status is Status.SALE)
-            values["lar_norm"] = normalize_lar(lprior, sales, len(records))
-        if "fairness" in active:
-            score = fairness(records, p, declared_sla_seconds(p, duration_rules))
-            values["fairness"] = score.points
-            values["fairness_detail"] = score
-        try:
-            if "service_period" in active:
-                values["service_p90_sec"] = service_period_p90(records, global_mean)
-            if "epc" in active:
-                values["epc"] = epc(records, click_counts.get(m, 0))
-        except DataError as exc:
-            logger.warning("dropping MFI %s from the feature table: %s", m, exc)
-            continue
-        table.append(FeatureVector(mfi_id=m, **values))
-    return table
+    acc = FeatureAccumulator(
+        filter_loan_type(products, loan_type),
+        features=features,
+        duration_rules=duration_rules,
+    )
+    acc.add_conversions(filter_loan_type(conversions, loan_type))
+    acc.add_clicks(filter_loan_type(clicks, loan_type))
+    return acc.table()

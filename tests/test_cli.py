@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from datetime import datetime, timedelta
 
@@ -212,6 +213,31 @@ def test_evaluate_is_deterministic(dataset_dir, tmp_path):
     assert main([*args, "--out", str(second), "--daily-csv", str(d2)]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert d1.read_bytes() == d2.read_bytes()
+
+
+# SHA-256 of the artifacts for `mfirank fixture --seed 0`, recorded before
+# the feature code became incremental.  ranking.json is left out: its pi
+# values come from a BLAS solve and may differ in the last bit across CPUs.
+GOLDEN_SHA256 = {
+    "features.csv": "c73cd7cfd2515a53ea331057e20b404ce1b32bec934896f26ede9d799a5beebd",
+    "evaluation.json": "7de30263d8adc647d5032d8c345ba0c452f43a9022f9368418b644f973780e08",
+    "daily.csv": "b0c3d2f508daeb7c64f97775c666a65addfc49c4447457f2d6e40d48001b6e30",
+}
+
+
+def test_fixture_artifacts_match_the_golden_digests(dataset_dir, tmp_path):
+    flags = dataset_flags(dataset_dir)
+    assert main(["features", *flags, "--out", str(tmp_path / "features.csv")]) == 0
+    assert main([
+        "evaluate", *flags,
+        "--out", str(tmp_path / "evaluation.json"),
+        "--daily-csv", str(tmp_path / "daily.csv"),
+    ]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256
 
 
 def test_report_emits_the_plot_series(evaluation_json, tmp_path):

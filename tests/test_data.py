@@ -14,7 +14,6 @@ from mfirank.data import (
     Status,
     derive_timeline,
     filter_loan_type,
-    filter_standard,
     parse_clicks,
     parse_conversions,
     parse_products,
@@ -134,6 +133,28 @@ def test_products_rating_bounds_and_booleans():
     assert err.column == "avg_user_rating"
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "NaN"])
+def test_non_finite_ranks_and_review_counts_are_unparseable(text):
+    (rec,) = parse_conversions(
+        io.StringIO(
+            "mfi_id,loan_type,click_time,status,client_id,global_rank,page_rank\n"
+            f"18,standard,2021-03-01 10:00:00,sale,c1,{text},{text}\n"
+        )
+    ).records
+    assert rec.global_rank is None and rec.page_rank is None
+    (click,) = parse_clicks(
+        io.StringIO(
+            "mfi_id,click_time,client_id,loan_type,page_rank\n"
+            f"18,2021-03-01 10:00:00,c1,standard,{text}\n"
+        )
+    ).records
+    assert click.page_rank is None
+    (card,) = parse_products(
+        io.StringIO(f"mfi_id,card_id,loan_type,n_reviews\n18,card-1,standard,{text}\n")
+    ).records
+    assert card.n_reviews == 0
+
+
 def test_click_parser_reads_the_superset_log():
     text = io.StringIO(
         "mfi_id,card_id,click_time,client_id,page_id,page_rank,loan_type,income\n"
@@ -200,7 +221,7 @@ def test_loan_type_filters():
         _app(loan_type=LoanType.LONG_TERM),
         _app(loan_type=LoanType.INTEREST_FREE),
     ]
-    assert filter_standard(records) == [records[0]]
+    assert filter_loan_type(records, LoanType.STANDARD) == [records[0]]
     assert filter_loan_type(records, LoanType.LONG_TERM) == [records[1]]
     assert filter_loan_type(records, None) == records
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
+import random
 from collections import defaultdict
 from datetime import date, datetime, timedelta
 
 import pytest
 
-from mfirank.data import ClickRecord, ConversionRecord, LoanType, Status
+from mfirank.data import ClickRecord, ConversionRecord, LoanType, Status, filter_loan_type
+from mfirank.errors import MfiRankError
 from mfirank.evaluate import (
     PairStats,
     ReapprovalTable,
@@ -23,7 +26,9 @@ from mfirank.evaluate import (
     weekly_schedule,
     weekly_totals,
 )
-from mfirank.fixtures import generate_fixture
+from mfirank.features import feature_table
+from mfirank.fixtures import FixtureConfig, generate_fixture
+from mfirank.rank import rank_mfis
 
 T0 = datetime(2021, 3, 1, 10, 0, 0)  # a Monday
 
@@ -280,6 +285,105 @@ def test_weekly_schedule_carries_degenerate_weeks():
     assert [e.source for e in schedule] == ["historical", "carried", "carried"]
     first = schedule[0].ranking
     assert all(e.ranking == first for e in schedule)
+
+
+def prefix_schedule(conversions, products, clicks, *, features, loan_type):
+    """The weekly schedule rebuilt from scratch each week: ``feature_table``
+    on the whole training prefix, then ``rank_mfis``, with the same
+    historical-first and carry-forward rules as ``weekly_schedule``."""
+    conversions = filter_loan_type(conversions, loan_type)
+    clicks = filter_loan_type(clicks, loan_type)
+    if not conversions:
+        return []
+    by_time = sorted(conversions, key=lambda r: r.click_time)
+    clicks_by_time = sorted(clicks, key=lambda c: c.click_time)
+    current = tuple(historical_ranking(conversions))
+    source = "historical"
+    entries = []
+    monday = week_start(by_time[0].click_time)
+    while monday <= week_start(by_time[-1].click_time):
+        training = [r for r in by_time if r.click_time < monday]
+        seen = [c for c in clicks_by_time if c.click_time < monday]
+        if training:
+            try:
+                table = feature_table(
+                    training, products, seen, features=features, loan_type=loan_type
+                )
+                if len(table) < 2:
+                    raise ValueError("fewer than two rankable MFIs")
+                current = tuple(rank_mfis(table, features=features).ranking)
+                source = "ranked"
+            except (ValueError, MfiRankError):
+                source = "carried" if entries else "historical"
+        entries.append(WeekEntry(monday, current, len(training), source))
+        monday += timedelta(days=7)
+    return entries
+
+
+def perturbed(conversions, seed):
+    """Shuffle the rows and bend some timelines, so the differential cases
+    also meet unsorted input, invalid timelines and late submissions:
+    one in twenty everywhere (the outlier repair of on-time MFIs) and
+    all of MFI 10's (an MFI that is not on time)."""
+    rng = random.Random(seed)
+    out = []
+    for i, rec in enumerate(conversions):
+        if rec.conversion_time is not None and (rec.mfi_id == "10" or i % 20 == 0):
+            late = timedelta(hours=3)
+            rec = dataclasses.replace(
+                rec,
+                conversion_time=rec.conversion_time + late,
+                sale_time=rec.sale_time + late if rec.sale_time else None,
+            )
+        elif i % 13 == 0:
+            rec = dataclasses.replace(rec, conversion_time=rec.click_time - timedelta(minutes=1))
+        out.append(rec)
+    rng.shuffle(out)
+    return out
+
+
+# (seed, n_mfis, n_clients, n_weeks); with half the cards removed the
+# two-MFI datasets keep a single rankable MFI, so their weeks carry.
+DIFFERENTIAL_DATASETS = [
+    (0, 2, 30, 4),
+    (1, 6, 150, 5),
+    (2, 10, 400, 8),
+    (3, 5, 80, 6),
+]
+DIFFERENTIAL_FEATURES = [None, ("rating", "lar", "epc"), ("fairness", "service_period")]
+
+
+def differential_variants(seed, n_mfis, n_clients, n_weeks):
+    conversions, products, clicks = generate_fixture(
+        seed, n_mfis=n_mfis, n_clients=n_clients, config=FixtureConfig(n_weeks=n_weeks)
+    )
+    for bent in (False, True):
+        convs = perturbed(conversions, seed) if bent else conversions
+        for half in (False, True):
+            cards = products[: len(products) // 2] if half else products
+            for loan_type in (LoanType.STANDARD, None):
+                yield (bent, half, loan_type), (convs, cards, clicks, loan_type)
+
+
+@pytest.mark.parametrize("features", DIFFERENTIAL_FEATURES)
+@pytest.mark.parametrize("dataset", DIFFERENTIAL_DATASETS)
+def test_weekly_schedule_matches_per_prefix_feature_tables(dataset, features):
+    for variant, (convs, cards, clicks, loan_type) in differential_variants(*dataset):
+        got = weekly_schedule(convs, cards, clicks, features=features, loan_type=loan_type)
+        want = prefix_schedule(convs, cards, clicks, features=features, loan_type=loan_type)
+        assert got == want, variant
+
+
+def test_differential_cases_cover_carried_weeks_and_excluded_mfis():
+    sources = set()
+    excluded = 0
+    for dataset in DIFFERENTIAL_DATASETS:
+        for _, (convs, cards, clicks, loan_type) in differential_variants(*dataset):
+            schedule = weekly_schedule(convs, cards, clicks, loan_type=loan_type)
+            sources.update(e.source for e in schedule)
+            excluded += bool({r.mfi_id for r in convs} - {p.mfi_id for p in cards})
+    assert sources == {"historical", "ranked", "carried"}
+    assert excluded > 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import random
 from datetime import datetime, timedelta
 
 import pytest
@@ -13,6 +14,7 @@ from mfirank.data import ConversionRecord, LoanType, ProductRecord, Status
 from mfirank.errors import DataError
 from mfirank.features import (
     FEATURE_ATTRS,
+    FeatureAccumulator,
     LarPrior,
     RatingPrior,
     declared_sla_seconds,
@@ -28,6 +30,7 @@ from mfirank.features import (
     rating_prior,
     service_period_p90,
 )
+from mfirank.fixtures import FixtureConfig, generate_fixture
 
 T0 = datetime(2021, 3, 1, 10, 0, 0)
 
@@ -488,6 +491,29 @@ def test_feature_table_values_are_reproducible():
     assert prior_mean > v11.rating_norm  # below-average card drags it down
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_accumulator_fed_in_batches_matches_feature_table(seed):
+    conversions, products, clicks = generate_fixture(
+        seed, n_mfis=6, n_clients=150, config=FixtureConfig(n_weeks=5)
+    )
+    rng = random.Random(seed)
+    rng.shuffle(conversions)
+    rng.shuffle(clicks)
+    conv_cuts = sorted(rng.sample(range(1, len(conversions)), 5)) + [len(conversions)]
+    click_cuts = sorted(rng.sample(range(len(clicks)), 5)) + [len(clicks)]
+    acc = FeatureAccumulator([p for p in products if p.loan_type is LoanType.STANDARD])
+    conv_done = click_done = 0
+    for conv_cut, click_cut in zip(conv_cuts, click_cuts):
+        acc.add_conversions(conversions[conv_done:conv_cut])
+        acc.add_clicks(clicks[click_done:click_cut])
+        conv_done, click_done = conv_cut, click_cut
+        want = feature_table(conversions[:conv_cut], products, clicks[:click_cut])
+        # exact equality, floats included; fairness_detail is compare=False
+        assert [(v, v.fairness_detail) for v in acc.table()] == [
+            (v, v.fairness_detail) for v in want
+        ]
+
+
 def test_feature_csv_round_trip(golden_vectors):
     text = feature_csv(golden_vectors, comments=["config_digest=deadbeef"])
     assert text.startswith("# config_digest=deadbeef\n")
@@ -500,3 +526,11 @@ def test_feature_csv_rejects_garbage():
         parse_feature_csv("")
     with pytest.raises(DataError, match="mfi_id"):
         parse_feature_csv("a,b\n1,2\n")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "NaN"])
+@pytest.mark.parametrize("column", ["rating_norm", "fairness", "epc"])
+def test_feature_csv_rejects_non_finite_cells(column, text):
+    csv_text = f"mfi_id,{column}\n18,1.5\n20,{text}\n"
+    with pytest.raises(DataError, match=f"row for 20: {column} is '{text}'"):
+        parse_feature_csv(csv_text)
