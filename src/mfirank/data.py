@@ -7,6 +7,15 @@ click-outs which never converted).  Parsers are lenient about optional
 fields, strict about mandatory ones, and collect row-level problems
 into the parse result instead of failing wholesale.
 
+Each dataset is declared once, as a column table (``_CONVERSIONS``,
+``_PRODUCTS``, ``_CLICKS``): every record field with its canonical
+column name and cell kind, in the order the ``serialize_*`` writers use,
+plus the columns the header must have and the cells that can reject a
+row, in the order they are checked.  One row loop reads all three.  A
+bad mandatory cell drops its row with a ``RowError``; an unparseable
+optional cell becomes empty (None; False for a flag, 0 for a review
+count), and ``nan``, ``inf`` or an overflowing number is unparseable.
+
 All timestamps are naive local times in a single zone; no zone
 conversion is performed anywhere in the package.
 """
@@ -23,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from enum import Enum
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError
 
@@ -275,26 +284,115 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# low-level cell parsing
+# column tables
+
+# Cell kinds.  Every kind has one parser (see _cell_parsers); an unparseable
+# cell reads as None, except that a bool reads as False and a review count
+# as 0.
+_ID = "id"
+_TEXT = "text"
+_LOAN_TYPE = "loan type"
+_STATUS = "status"
+_TIMESTAMP = "timestamp"
+_FLOAT = "float"
+_RATING = "rating"
+_RANK = "rank"
+_BOOL = "bool"
+_COUNT = "review count"
+
+
+@dataclass(frozen=True)
+class _Dataset:
+    """One CSV dataset: its record type, its columns and its row checks."""
+
+    name: str
+    record: type
+    # (canonical column name, cell kind) for every record field, in the
+    # order the serializer writes them.
+    columns: tuple[tuple[str, str], ...]
+    # Columns the header must have.
+    mandatory: tuple[str, ...]
+    # Columns whose cell can reject a row, checked in this order; the rule
+    # comes from the column's kind (see _REJECTS).
+    checks: tuple[str, ...]
+    # A column no two accepted rows may share; checked right after its own
+    # cell, and a repeat is fatal for the whole file.
+    unique: str | None = None
+
+
+_CONVERSIONS = _Dataset(
+    "conversions",
+    ConversionRecord,
+    columns=(
+        ("mfi_id", _ID), ("loan_type", _LOAN_TYPE), ("card_id", _ID), ("page_id", _ID),
+        ("page_rank", _RANK), ("global_rank", _RANK), ("click_time", _TIMESTAMP),
+        ("conversion_time", _TIMESTAMP), ("sale_time", _TIMESTAMP), ("status", _STATUS),
+        ("income", _FLOAT), ("client_id", _ID), ("country", _TEXT), ("region", _TEXT),
+        ("city", _TEXT), ("device_type", _TEXT), ("device", _TEXT), ("os", _TEXT),
+        ("browser", _TEXT), ("connection_type", _TEXT), ("provider", _TEXT),
+    ),
+    mandatory=("mfi_id", "client_id", "click_time", "status", "loan_type"),
+    checks=("click_time", "loan_type", "mfi_id", "client_id"),
+)
+
+_PRODUCTS = _Dataset(
+    "products",
+    ProductRecord,
+    columns=(
+        ("mfi_id", _ID), ("card_id", _ID), ("loan_type", _LOAN_TYPE), ("region", _TEXT),
+        ("work_schedule", _TEXT), ("application_receipt_schedule", _TEXT),
+        ("processing_and_payment_schedule", _TEXT), ("submission_method", _TEXT),
+        ("calls", _TEXT), ("documents", _TEXT), ("identification", _TEXT),
+        ("application_processing", _TEXT), ("consideration_time", _TEXT),
+        ("payment_time", _TEXT), ("payment_method", _TEXT), ("repayment_method", _TEXT),
+        ("avg_user_rating", _RATING), ("n_reviews", _COUNT), ("unreliability", _BOOL),
+        ("bad_credit_score", _BOOL), ("loan_extension", _BOOL),
+        ("loan_amount_min", _FLOAT), ("loan_amount_max", _FLOAT),
+        ("loan_term_min", _FLOAT), ("loan_term_max", _FLOAT),
+        ("interest_min", _FLOAT), ("interest_max", _FLOAT),
+        ("age_min", _FLOAT), ("age_max", _FLOAT),
+    ),
+    mandatory=("mfi_id", "card_id", "loan_type"),
+    checks=("mfi_id", "card_id", "loan_type", "avg_user_rating"),
+    unique="card_id",
+)
+
+_CLICKS = _Dataset(
+    "clicks",
+    ClickRecord,
+    columns=(
+        ("mfi_id", _ID), ("card_id", _ID), ("click_time", _TIMESTAMP), ("client_id", _ID),
+        ("page_id", _ID), ("page_rank", _RANK), ("loan_type", _LOAN_TYPE),
+        ("income", _FLOAT),
+    ),
+    mandatory=("mfi_id", "client_id", "click_time", "loan_type"),
+    checks=("click_time", "loan_type", "mfi_id", "client_id"),
+)
+
+
+# ---------------------------------------------------------------------------
+# cell parsing
 
 
 def _norm_header(name: str) -> str:
     return re.sub(r"[\s\-,]+", "_", name.strip().lower()).strip("_")
 
 
-def _open_rows(source: str | bytes | os.PathLike | IO) -> Iterable[list[str]]:
+def _open_rows(source: str | os.PathLike | IO) -> Iterable[list[str]]:
     if hasattr(source, "read"):
         raw = source.read()
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
+    elif isinstance(source, str) and "\n" in source:
+        raise DataError("a CSV source must be a path or an open text stream, not CSV text")
     else:
         try:
             with open(source, "r", encoding="utf-8", newline="") as fh:
                 text = fh.read()
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc}") from None
-    return csv.reader(io.StringIO(text))
+    # newline="" leaves line breaks to the csv module, as its docs ask: a
+    # bare "\r" ends a row instead of failing the whole file.
+    return csv.reader(io.StringIO(text, newline=""))
 
 
 def _clean(cell: str | None) -> str | None:
@@ -304,24 +402,9 @@ def _clean(cell: str | None) -> str | None:
     return cell or None
 
 
-def _parse_timestamp(cell: str | None, fmt: str) -> datetime | None:
-    cell = _clean(cell)
-    if cell is None:
-        return None
-    if fmt == TIMESTAMP_FORMAT:
-        try:
-            return datetime.fromisoformat(cell)  # fast path for the default format
-        except ValueError:
-            return None
-    try:
-        return datetime.strptime(cell, fmt)
-    except ValueError:
-        return None
-
-
 def _parse_float(cell: str | None) -> float | None:
-    cell = _clean(cell)
-    if cell is None:
+    cell = cell.strip() if cell else None
+    if not cell:
         return None
     try:
         return float(cell)
@@ -337,43 +420,72 @@ def _parse_finite(cell: str | None) -> float | None:
 
 
 def _parse_rank(cell: str | None) -> int | None:
+    """A positive whole number, or None: ``2.7`` is no rank."""
     value = _parse_finite(cell)
-    if value is None or value <= 0:
+    if value is None or value <= 0 or not value.is_integer():
         return None
     return int(value)
 
 
-def _parse_bool(cell: str | None, config: SchemaConfig) -> bool | None:
-    cell = (cell or "").strip().lower()
-    if cell in config.true_strings:
-        return True
-    if cell in config.false_strings:
-        return False
+def _parse_count(cell: str | None) -> int:
+    value = _parse_finite(cell)
+    return int(value) if value is not None and value >= 0 else 0
+
+
+def _cell_parsers(config: SchemaConfig) -> dict[str, Callable[[str | None], object]]:
+    """The parser of each cell kind, bound to ``config`` once per file."""
+    fmt = config.timestamp_format
+    statuses = config.status_map
+    loan_types = config.loan_type_map
+    true_strings = config.true_strings
+    if fmt == TIMESTAMP_FORMAT:
+        to_datetime = datetime.fromisoformat  # fast path for the default format
+    else:
+        def to_datetime(cell: str) -> datetime:
+            return datetime.strptime(cell, fmt)
+
+    def timestamp(cell: str | None) -> datetime | None:
+        cell = _clean(cell)
+        if cell is None:
+            return None
+        try:
+            value = to_datetime(cell)
+        except ValueError:
+            return None
+        # A zone suffix would make this the one aware datetime among naive ones.
+        return value if value.tzinfo is None else None
+
+    return {
+        _ID: _clean,
+        _TEXT: _clean,
+        _LOAN_TYPE: lambda cell: loan_types.get((cell or "").strip().lower()),
+        _STATUS: lambda cell: statuses.get((cell or "").strip().lower(), Status.PENDING),
+        _TIMESTAMP: timestamp,
+        _FLOAT: _parse_finite,
+        _RATING: _parse_finite,
+        _RANK: _parse_rank,
+        # Anything outside the configured true spellings reads as False.
+        _BOOL: lambda cell: (cell or "").strip().lower() in true_strings,
+        _COUNT: _parse_count,
+    }
+
+
+def _rating_outside_range(value: float | None, cell: str | None) -> str | None:
+    # Read the cell again: ``nan`` and ``inf`` are out of range, not absent.
+    rating = _parse_float(cell)
+    if rating is not None and not 1.0 <= rating <= 5.0:
+        return f"rating {rating} outside [1, 5]"
     return None
 
 
-def _parse_status(cell: str | None, config: SchemaConfig) -> Status:
-    cell = (cell or "").strip().lower()
-    return config.status_map.get(cell, Status.PENDING)
-
-
-def _parse_loan_type(cell: str | None, config: SchemaConfig) -> LoanType | None:
-    cell = (cell or "").strip().lower()
-    return config.loan_type_map.get(cell)
-
-
-class _Row:
-    """One CSV row addressed by canonical column names."""
-
-    def __init__(self, header_index: Mapping[str, int], cells: list[str]):
-        self._index = header_index
-        self._cells = cells
-
-    def get(self, column: str) -> str | None:
-        i = self._index.get(column)
-        if i is None or i >= len(self._cells):
-            return None
-        return self._cells[i]
+# Why a checked cell rejects its row, by kind: (parsed value, raw cell) ->
+# message, or None when the cell passes.
+_REJECTS: Mapping[str, Callable[[object, str | None], str | None]] = {
+    _ID: lambda value, cell: None if value is not None else "empty identifier",
+    _TIMESTAMP: lambda value, cell: None if value is not None else f"malformed timestamp {cell!r}",
+    _LOAN_TYPE: lambda value, cell: None if value is not None else f"unmapped loan type {cell!r}",
+    _RATING: _rating_outside_range,
+}
 
 
 def _is_comment(row: list[str]) -> bool:
@@ -381,25 +493,63 @@ def _is_comment(row: list[str]) -> bool:
 
 
 def _read_table(
-    source,
-    config: SchemaConfig,
-    mandatory: Sequence[str],
-    dataset: str,
+    source, config: SchemaConfig, dataset: _Dataset
 ) -> tuple[Mapping[str, int], list[list[str]]]:
-    rows = (row for row in _open_rows(source) if not _is_comment(row))
+    """The header's column index by canonical name, and the data rows."""
     try:
-        header = next(rows)
-    except StopIteration:
-        raise DataError(f"{dataset}: file is empty (no header row)")
+        rows = [row for row in _open_rows(source) if not _is_comment(row)]
+    except csv.Error as exc:
+        raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
+    if not rows:
+        raise DataError(f"{dataset.name}: file is empty (no header row)")
     index: dict[str, int] = {}
-    for i, name in enumerate(header):
+    for i, name in enumerate(rows[0]):
         canon = _norm_header(name)
         canon = config.column_aliases.get(canon, canon)
         index.setdefault(canon, i)
-    for column in mandatory:
+    for column in dataset.mandatory:
         if column not in index:
-            raise DataError(f"{dataset}: missing mandatory column '{column}'")
-    return index, list(rows)
+            raise DataError(f"{dataset.name}: missing mandatory column '{column}'")
+    return index, rows[1:]
+
+
+def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> ParseResult:
+    """Read one dataset: every row becomes a record or a RowError."""
+    config = config or DEFAULT_SCHEMA
+    index, rows = _read_table(source, config, dataset)
+    parsers = _cell_parsers(config)
+    kinds = dict(dataset.columns)
+    present = [(name, index[name], parsers[kind]) for name, kind in dataset.columns if name in index]
+    # A column missing from the header reads as an empty cell in every row.
+    absent = {name: parsers[kind](None) for name, kind in dataset.columns if name not in index}
+    checks = [(name, index.get(name), _REJECTS[kinds[name]]) for name in dataset.checks]
+    width = 1 + max(i for _, i, _ in present)
+    unique = dataset.unique
+    seen: dict[object, int] = {}
+    records = []
+    errors: list[RowError] = []
+    for n, cells in enumerate(rows, start=1):
+        if not "".join(cells).strip():
+            continue
+        if len(cells) < width:
+            cells = cells + [None] * (width - len(cells))
+        values = {name: parse(cells[i]) for name, i, parse in present}
+        values.update(absent)
+        for name, i, reject in checks:
+            message = reject(values[name], None if i is None else cells[i])
+            if message is not None:
+                errors.append(RowError(n, name, message))
+                break
+            if name == unique and values[name] in seen:
+                raise DataError(
+                    f"{dataset.name}: duplicate {name} {values[name]!r} "
+                    f"(rows {seen[values[name]]} and {n})"
+                )
+        else:
+            if unique is not None:
+                seen[values[unique]] = n
+            records.append(dataset.record(**values))
+    return ParseResult(records, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -410,198 +560,32 @@ def parse_conversions(source, config: SchemaConfig | None = None) -> ParseResult
     """Parse the conversion dataset.
 
     Mandatory columns: mfi_id, client_id, click_time, status, loan_type.
-    Rows with a malformed click_time or an unmapped loan type are dropped
-    and reported in ``errors``; unparseable optional fields become None.
+    Rows with a malformed click_time, an unmapped loan type or an empty
+    id are dropped and reported in ``errors``; unparseable optional
+    fields become None, and an unknown status reads as pending.
     """
-    config = config or DEFAULT_SCHEMA
-    index, rows = _read_table(
-        source, config, ("mfi_id", "client_id", "click_time", "status", "loan_type"), "conversions"
-    )
-    records: list[ConversionRecord] = []
-    errors: list[RowError] = []
-    for n, cells in enumerate(rows, start=1):
-        if not any(cell.strip() for cell in cells):
-            continue
-        row = _Row(index, cells)
-        click_time = _parse_timestamp(row.get("click_time"), config.timestamp_format)
-        if click_time is None:
-            errors.append(RowError(n, "click_time", f"malformed timestamp {row.get('click_time')!r}"))
-            continue
-        loan_type = _parse_loan_type(row.get("loan_type"), config)
-        if loan_type is None:
-            errors.append(RowError(n, "loan_type", f"unmapped loan type {row.get('loan_type')!r}"))
-            continue
-        mfi_id = _clean(row.get("mfi_id"))
-        client_id = _clean(row.get("client_id"))
-        if mfi_id is None or client_id is None:
-            errors.append(RowError(n, "mfi_id" if mfi_id is None else "client_id", "empty identifier"))
-            continue
-        records.append(
-            ConversionRecord(
-                mfi_id=mfi_id,
-                loan_type=loan_type,
-                client_id=client_id,
-                click_time=click_time,
-                status=_parse_status(row.get("status"), config),
-                card_id=_clean(row.get("card_id")),
-                page_id=_clean(row.get("page_id")),
-                page_rank=_parse_rank(row.get("page_rank")),
-                global_rank=_parse_rank(row.get("global_rank")),
-                conversion_time=_parse_timestamp(row.get("conversion_time"), config.timestamp_format),
-                sale_time=_parse_timestamp(row.get("sale_time"), config.timestamp_format),
-                income=_parse_float(row.get("income")),
-                country=_clean(row.get("country")),
-                region=_clean(row.get("region")),
-                city=_clean(row.get("city")),
-                device_type=_clean(row.get("device_type")),
-                device=_clean(row.get("device")),
-                os=_clean(row.get("os")),
-                browser=_clean(row.get("browser")),
-                connection_type=_clean(row.get("connection_type")),
-                provider=_clean(row.get("provider")),
-            )
-        )
-    return ParseResult(records, errors)
+    return _parse_rows(source, config, _CONVERSIONS)
 
 
 def parse_products(source, config: SchemaConfig | None = None) -> ParseResult:
     """Parse the product dataset (one row per MFI card).
 
-    Duplicate card ids are a hard error; a rating outside [1, 5] is a
-    row-level error.  Boolean-like cells are mapped through the
-    configured true/false string sets (Russian spellings by default).
+    Duplicate card ids are a hard error; an empty id, an unmapped loan
+    type or a rating outside [1, 5] is a row-level error.  Boolean-like
+    cells are True when they match a configured true string (Russian
+    spellings by default) and False otherwise.
     """
-    config = config or DEFAULT_SCHEMA
-    index, rows = _read_table(source, config, ("mfi_id", "card_id", "loan_type"), "products")
-    records: list[ProductRecord] = []
-    errors: list[RowError] = []
-    seen_cards: dict[str, int] = {}
-    for n, cells in enumerate(rows, start=1):
-        if not any(cell.strip() for cell in cells):
-            continue
-        row = _Row(index, cells)
-        mfi_id = _clean(row.get("mfi_id"))
-        card_id = _clean(row.get("card_id"))
-        if mfi_id is None or card_id is None:
-            errors.append(RowError(n, "mfi_id" if mfi_id is None else "card_id", "empty identifier"))
-            continue
-        if card_id in seen_cards:
-            raise DataError(
-                f"products: duplicate card_id {card_id!r} (rows {seen_cards[card_id]} and {n})"
-            )
-        loan_type = _parse_loan_type(row.get("loan_type"), config)
-        if loan_type is None:
-            errors.append(RowError(n, "loan_type", f"unmapped loan type {row.get('loan_type')!r}"))
-            continue
-        n_reviews_value = _parse_finite(row.get("n_reviews"))
-        n_reviews = int(n_reviews_value) if n_reviews_value is not None and n_reviews_value >= 0 else 0
-        rating = _parse_float(row.get("avg_user_rating"))
-        if rating is not None and not 1.0 <= rating <= 5.0:
-            errors.append(RowError(n, "avg_user_rating", f"rating {rating} outside [1, 5]"))
-            continue
-        seen_cards[card_id] = n
-        records.append(
-            ProductRecord(
-                mfi_id=mfi_id,
-                card_id=card_id,
-                loan_type=loan_type,
-                region=_clean(row.get("region")),
-                work_schedule=_clean(row.get("work_schedule")),
-                application_receipt_schedule=_clean(row.get("application_receipt_schedule")),
-                processing_and_payment_schedule=_clean(row.get("processing_and_payment_schedule")),
-                submission_method=_clean(row.get("submission_method")),
-                calls=_clean(row.get("calls")),
-                documents=_clean(row.get("documents")),
-                identification=_clean(row.get("identification")),
-                application_processing=_clean(row.get("application_processing")),
-                consideration_time=_clean(row.get("consideration_time")),
-                payment_time=_clean(row.get("payment_time")),
-                payment_method=_clean(row.get("payment_method")),
-                repayment_method=_clean(row.get("repayment_method")),
-                avg_user_rating=rating,
-                n_reviews=n_reviews,
-                unreliability=_parse_bool(row.get("unreliability"), config) or False,
-                bad_credit_score=_parse_bool(row.get("bad_credit_score"), config) or False,
-                loan_extension=_parse_bool(row.get("loan_extension"), config) or False,
-                loan_amount_min=_parse_float(row.get("loan_amount_min")),
-                loan_amount_max=_parse_float(row.get("loan_amount_max")),
-                loan_term_min=_parse_float(row.get("loan_term_min")),
-                loan_term_max=_parse_float(row.get("loan_term_max")),
-                interest_min=_parse_float(row.get("interest_min")),
-                interest_max=_parse_float(row.get("interest_max")),
-                age_min=_parse_float(row.get("age_min")),
-                age_max=_parse_float(row.get("age_max")),
-            )
-        )
-    return ParseResult(records, errors)
+    return _parse_rows(source, config, _PRODUCTS)
 
 
 def parse_clicks(source, config: SchemaConfig | None = None) -> ParseResult:
     """Parse the click dataset (8 columns, superset of conversions)."""
-    config = config or DEFAULT_SCHEMA
-    index, rows = _read_table(
-        source, config, ("mfi_id", "client_id", "click_time", "loan_type"), "clicks"
-    )
-    records: list[ClickRecord] = []
-    errors: list[RowError] = []
-    for n, cells in enumerate(rows, start=1):
-        if not any(cell.strip() for cell in cells):
-            continue
-        row = _Row(index, cells)
-        click_time = _parse_timestamp(row.get("click_time"), config.timestamp_format)
-        if click_time is None:
-            errors.append(RowError(n, "click_time", f"malformed timestamp {row.get('click_time')!r}"))
-            continue
-        loan_type = _parse_loan_type(row.get("loan_type"), config)
-        if loan_type is None:
-            errors.append(RowError(n, "loan_type", f"unmapped loan type {row.get('loan_type')!r}"))
-            continue
-        mfi_id = _clean(row.get("mfi_id"))
-        client_id = _clean(row.get("client_id"))
-        if mfi_id is None or client_id is None:
-            errors.append(RowError(n, "mfi_id" if mfi_id is None else "client_id", "empty identifier"))
-            continue
-        records.append(
-            ClickRecord(
-                mfi_id=mfi_id,
-                click_time=click_time,
-                client_id=client_id,
-                loan_type=loan_type,
-                card_id=_clean(row.get("card_id")),
-                page_id=_clean(row.get("page_id")),
-                page_rank=_parse_rank(row.get("page_rank")),
-                income=_parse_float(row.get("income")),
-            )
-        )
-    return ParseResult(records, errors)
+    return _parse_rows(source, config, _CLICKS)
 
 
 # ---------------------------------------------------------------------------
 # serialization (canonical column spellings; used by the fixture generator,
 # the CLI, and round-trip tests)
-
-CONVERSION_COLUMNS = (
-    "mfi_id", "loan_type", "card_id", "page_id", "page_rank", "global_rank",
-    "click_time", "conversion_time", "sale_time", "status", "income", "client_id",
-    "country", "region", "city", "device_type", "device", "os", "browser",
-    "connection_type", "provider",
-)
-
-PRODUCT_COLUMNS = (
-    "mfi_id", "card_id", "loan_type", "region", "work_schedule",
-    "application_receipt_schedule", "processing_and_payment_schedule",
-    "submission_method", "calls", "documents", "identification",
-    "application_processing", "consideration_time", "payment_time",
-    "payment_method", "repayment_method", "avg_user_rating", "n_reviews",
-    "unreliability", "bad_credit_score", "loan_extension",
-    "loan_amount_min", "loan_amount_max", "loan_term_min", "loan_term_max",
-    "interest_min", "interest_max", "age_min", "age_max",
-)
-
-CLICK_COLUMNS = (
-    "mfi_id", "card_id", "click_time", "client_id", "page_id", "page_rank",
-    "loan_type", "income",
-)
 
 
 def _cell(value) -> str:
@@ -616,7 +600,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _serialize(records: Iterable, columns: Sequence[str]) -> str:
+def _serialize(records: Iterable, dataset: _Dataset) -> str:
+    columns = [name for name, _ in dataset.columns]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -626,15 +611,15 @@ def _serialize(records: Iterable, columns: Sequence[str]) -> str:
 
 
 def serialize_conversions(records: Iterable[ConversionRecord]) -> str:
-    return _serialize(records, CONVERSION_COLUMNS)
+    return _serialize(records, _CONVERSIONS)
 
 
 def serialize_products(records: Iterable[ProductRecord]) -> str:
-    return _serialize(records, PRODUCT_COLUMNS)
+    return _serialize(records, _PRODUCTS)
 
 
 def serialize_clicks(records: Iterable[ClickRecord]) -> str:
-    return _serialize(records, CLICK_COLUMNS)
+    return _serialize(records, _CLICKS)
 
 
 # ---------------------------------------------------------------------------

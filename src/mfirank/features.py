@@ -442,6 +442,7 @@ def parse_feature_csv(text: str) -> list[FeatureVector]:
         raise DataError("feature CSV lacks an mfi_id column")
     idx = {name: header.index(name) for name in FEATURE_CSV_COLUMNS if name in header}
     out: list[FeatureVector] = []
+    seen: set[str] = set()
     for row in rows[1:]:
         if not any(c.strip() for c in row):
             continue
@@ -455,6 +456,9 @@ def parse_feature_csv(text: str) -> list[FeatureVector]:
         mfi_id = cell("mfi_id")
         if mfi_id is None:
             raise DataError("feature CSV row without an mfi_id")
+        if mfi_id in seen:
+            raise DataError(f"feature CSV lists mfi_id {mfi_id!r} more than once")
+        seen.add(mfi_id)
 
         def number(name: str) -> float | None:
             text = cell(name)

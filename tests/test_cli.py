@@ -169,6 +169,13 @@ def test_rank_missing_feature_csv_is_a_data_error(tmp_path):
     assert main(["rank", "--features-csv", str(tmp_path / "nope.csv")]) == 2
 
 
+def test_rank_rejects_a_repeated_mfi_id(golden_vectors, tmp_path, capsys):
+    table = tmp_path / "features.csv"
+    table.write_text(feature_csv([*golden_vectors, golden_vectors[2]]))
+    assert main(["rank", "--features-csv", str(table)]) == 2
+    assert f"mfi_id '{golden_vectors[2].mfi_id}' more than once" in capsys.readouterr().err
+
+
 def test_rank_rejects_feature_subset_mismatch(golden_vectors, tmp_path):
     table = tmp_path / "features.csv"
     table.write_text(feature_csv(golden_vectors))
@@ -215,18 +222,24 @@ def test_evaluate_is_deterministic(dataset_dir, tmp_path):
     assert d1.read_bytes() == d2.read_bytes()
 
 
-# SHA-256 of the artifacts for `mfirank fixture --seed 0`, recorded before
-# the feature code became incremental.  ranking.json is left out: its pi
-# values come from a BLAS solve and may differ in the last bit across CPUs.
+# SHA-256 of the `mfirank fixture --seed 0` CSVs and of the artifacts
+# computed from them, recorded before the feature code became incremental
+# (the CSVs before the parsers became table-driven).  ranking.json is left
+# out: its pi values come from a BLAS solve and may differ in the last bit
+# across CPUs.
 GOLDEN_SHA256 = {
+    "conversions.csv": "8dc9b75a9d70df06d9a737eabbc8320f2a4d9dff8240155831a85c21a6d8f186",
+    "products.csv": "0b57cd03e1b6fb36c90c03eaa08bccd6fdf008147ee2299aa09db32a069a9f94",
+    "clicks.csv": "bbaa18445cb6876024ee1e82a42905e1f2e75888e67310ec4b13c596a048785b",
     "features.csv": "c73cd7cfd2515a53ea331057e20b404ce1b32bec934896f26ede9d799a5beebd",
     "evaluation.json": "7de30263d8adc647d5032d8c345ba0c452f43a9022f9368418b644f973780e08",
     "daily.csv": "b0c3d2f508daeb7c64f97775c666a65addfc49c4447457f2d6e40d48001b6e30",
 }
 
 
-def test_fixture_artifacts_match_the_golden_digests(dataset_dir, tmp_path):
-    flags = dataset_flags(dataset_dir)
+def test_fixture_artifacts_match_the_golden_digests(tmp_path):
+    assert main(["fixture", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    flags = dataset_flags(tmp_path)
     assert main(["features", *flags, "--out", str(tmp_path / "features.csv")]) == 0
     assert main([
         "evaluate", *flags,

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import csv
 import io
+import math
+from dataclasses import astuple
 from datetime import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfirank.data import (
     ConversionRecord,
     LoanType,
+    ParseResult,
     SchemaConfig,
     Status,
     derive_timeline,
@@ -23,6 +29,7 @@ from mfirank.data import (
     validate,
 )
 from mfirank.errors import DataError
+from mfirank.features import feature_table
 
 CONV_HEADER = "mfi_id,loan_type,click_time,status,client_id"
 
@@ -85,6 +92,21 @@ def test_malformed_timestamp_is_a_row_error():
     assert err.row == 1
 
 
+def test_zone_suffixed_timestamp_is_a_row_error():
+    result = parse_conversions(conv_csv("18,standard,2021-03-01 10:00:00+03:00,sale,c1"))
+    assert not result.records
+    assert result.errors[0].column == "click_time"
+
+
+def test_csv_framing_faults_are_rows_or_data_errors():
+    # a bare carriage return ends a row, as in files from old Mac tools
+    text = io.StringIO(CONV_HEADER + "\r18,standard,2021-03-01 10:00:00,sale,c1\r")
+    assert len(parse_conversions(text).records) == 1
+    huge = conv_csv("18,standard,2021-03-01 10:00:00,sale," + "c" * 200_000)
+    with pytest.raises(DataError, match="malformed CSV"):
+        parse_conversions(huge)
+
+
 def test_unmapped_loan_type_is_a_row_error():
     result = parse_conversions(conv_csv("18,mortgage,2021-03-01 10:00:00,sale,c1"))
     assert not result.records
@@ -100,6 +122,13 @@ def test_missing_mandatory_column_names_it():
 def test_unreadable_file_is_a_data_error():
     with pytest.raises(DataError, match="cannot read"):
         parse_conversions("/no/such/file.csv")
+
+
+def test_csv_text_passed_as_a_source_is_a_data_error():
+    text = CONV_HEADER + "\n18,standard,2021-03-01 10:00:00,sale,c1\n"
+    with pytest.raises(DataError, match="path or an open text stream") as info:
+        parse_conversions(text)
+    assert "2021-03-01" not in str(info.value)
 
 
 def test_custom_timestamp_format():
@@ -155,6 +184,73 @@ def test_non_finite_ranks_and_review_counts_are_unparseable(text):
     assert card.n_reviews == 0
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "NaN"])
+def test_non_finite_incomes_and_product_floats_are_unparseable(text):
+    (rec,) = parse_conversions(
+        io.StringIO(f"{CONV_HEADER},income\n18,standard,2021-03-01 10:00:00,sale,c1,{text}\n")
+    ).records
+    assert rec.income is None
+    (click,) = parse_clicks(
+        io.StringIO(
+            "mfi_id,click_time,client_id,loan_type,income\n"
+            f"18,2021-03-01 10:00:00,c1,standard,{text}\n"
+        )
+    ).records
+    assert click.income is None
+    result = parse_products(
+        io.StringIO(
+            "mfi_id,card_id,loan_type,loan_amount_min,interest_max,age_max,avg_user_rating\n"
+            f"18,card-1,standard,{text},{text},{text},4\n"
+            f"20,card-2,standard,1000,2,70,{text}\n"
+        )
+    )
+    (card,) = result.records
+    assert (card.loan_amount_min, card.interest_max, card.age_max) == (None, None, None)
+    # a rating that is not a number in [1, 5] still rejects its row
+    (err,) = result.errors
+    assert (err.row, err.column) == (2, "avg_user_rating")
+
+
+def test_a_nan_sale_income_leaves_epc_finite():
+    conversions = parse_conversions(
+        io.StringIO(
+            "mfi_id,loan_type,click_time,conversion_time,sale_time,status,client_id,income\n"
+            "18,standard,2021-03-01 10:00:00,2021-03-01 10:05:00,2021-03-01 12:00:00,sale,c1,nan\n"
+            "18,standard,2021-03-02 10:00:00,2021-03-02 10:05:00,2021-03-02 12:00:00,sale,c2,30\n"
+        )
+    ).records
+    products = parse_products(
+        io.StringIO("mfi_id,card_id,loan_type,avg_user_rating,n_reviews\n18,card-1,standard,4,3\n")
+    ).records
+    clicks = parse_clicks(
+        io.StringIO(
+            "mfi_id,click_time,client_id,loan_type\n"
+            "18,2021-03-01 10:00:00,c1,standard\n"
+            "18,2021-03-02 10:00:00,c2,standard\n"
+        )
+    ).records
+    (vector,) = feature_table(conversions, products, clicks, features=["epc"])
+    assert vector.epc == 15.0
+
+
+@pytest.mark.parametrize("text, rank", [("2.7", None), ("0.5", None), ("3.0", 3), ("4", 4)])
+def test_fractional_ranks_are_unparseable(text, rank):
+    (rec,) = parse_conversions(
+        io.StringIO(
+            f"{CONV_HEADER},page_rank,global_rank\n"
+            f"18,standard,2021-03-01 10:00:00,sale,c1,{text},{text}\n"
+        )
+    ).records
+    assert rec.page_rank == rec.global_rank == rank
+    (click,) = parse_clicks(
+        io.StringIO(
+            "mfi_id,click_time,client_id,loan_type,page_rank\n"
+            f"18,2021-03-01 10:00:00,c1,standard,{text}\n"
+        )
+    ).records
+    assert click.page_rank == rank
+
+
 def test_click_parser_reads_the_superset_log():
     text = io.StringIO(
         "mfi_id,card_id,click_time,client_id,page_id,page_rank,loan_type,income\n"
@@ -174,6 +270,57 @@ def test_serialize_round_trip(fixture_triple):
     assert back_conv.records == conversions
     assert back_prod.records == products
     assert back_clk.records == clicks
+
+
+# Cells that are valid in some column, and text that is valid in none.
+TRICKY_CELLS = [
+    "", " ", "nan", "inf", "-inf", "1e400", "-3", "0", "2.7", "4", "1", "5", "9.7",
+    "\ufeff18", '"', 'a"b', "#", "да", "нет", "sale", "standard", "mortgage",
+    "2021-03-01 10:00:00", "2021-13-45 10:00:00", "2021-03-01 10:00:00+03:00",
+    "2021-03-01", "\x1c7", "1_0", "\r", "a\rb",
+]
+
+PARSERS = (
+    (parse_conversions, serialize_conversions),
+    (parse_products, serialize_products),
+    (parse_clicks, serialize_clicks),
+)
+
+
+def _fuzzed_csv(draw, serialize, record) -> str:
+    """The dataset's canonical header, then up to three copies of a valid
+    row with up to three cells replaced by tricky or arbitrary text; rows
+    may also be ragged."""
+    header, valid = csv.reader(io.StringIO(serialize([record])))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = list(valid)
+        for i in draw(st.sets(st.integers(0, len(row) - 1), min_size=1, max_size=3)):
+            row[i] = draw(st.one_of(st.sampled_from(TRICKY_CELLS), st.text(max_size=8)))
+        rows.append(row[: draw(st.integers(0, len(row)))] if draw(st.booleans()) else row)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+@settings(max_examples=150)
+@given(data=st.data(), which=st.integers(0, 2))
+def test_parsers_survive_arbitrary_cells(fixture_triple, data, which):
+    parse, serialize = PARSERS[which]
+    text = _fuzzed_csv(data.draw, serialize, fixture_triple[which][0])
+    try:
+        result = parse(io.StringIO(text))
+    except DataError:
+        return
+    assert isinstance(result, ParseResult)
+    for record in result.records:
+        for value in astuple(record):
+            if isinstance(value, float):
+                assert math.isfinite(value)
+            if isinstance(value, datetime):
+                assert value.tzinfo is None
+        for rank in (getattr(record, "page_rank", None), getattr(record, "global_rank", None)):
+            assert rank is None or (type(rank) is int and rank > 0)
 
 
 def _app(**kwargs) -> ConversionRecord:
