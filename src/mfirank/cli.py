@@ -8,7 +8,8 @@ weekly re-ranking, ``abtest`` compares two experiment groups,
 evaluation, and ``fixture`` writes a synthetic dataset triple.
 
 Exit codes: 0 success, 1 usage or configuration problems, 2 broken
-input data, 3 violated internal invariants.  All JSON output is sorted
+input data (a stray ``ValueError`` from library code included), 3
+violated internal invariants.  All JSON output is sorted
 and timestamp-free, so identical inputs give identical bytes, and every
 artifact embeds the SHA-256 digest of the resolved configuration.
 """
@@ -16,6 +17,7 @@ artifact embeds the SHA-256 digest of the resolved configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -23,6 +25,9 @@ import math
 import sys
 from datetime import datetime
 from pathlib import Path
+from typing import Iterator, TextIO
+
+import numpy as np
 
 from . import evaluate as ev
 from .config import PipelineConfig, load_config
@@ -60,15 +65,50 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
     if path in (None, "-"):
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+
+
+def _write_text(path: str | None, text: str) -> None:
+    with _output(path) as out:
+        out.write(text)
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
 
 
 def _dump_json(payload, path: str | None) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+    _write_text(path, _json_text(payload) + "\n")
+
+
+def _dump_ranking(payload: dict, counts: np.ndarray, path: str | None) -> None:
+    """Write ``payload`` plus ``"comparison_matrix": counts`` in the bytes
+    :func:`_dump_json` gives for the merged dict, a row at a time.
+
+    The encoder in ``json`` renders a k-by-k integer matrix with indent
+    through its pure-Python path, millions of small strings at k = 2000.
+    Here each row is one ``str.join`` over the cell texts.  The key must
+    sort before every payload key: the matrix then opens the object and
+    the rest of the payload follows as ``json`` renders it.
+    """
+    cells = [str(n) for n in range(int(counts.max(initial=0)) + 1)]
+    rest = _json_text(payload)
+    with _output(path) as out:
+        out.write('{\n  "comparison_matrix": [\n')
+        for i, row in enumerate(counts):
+            if i:
+                out.write(",\n")
+            out.write("    [\n      ")
+            out.write(",\n      ".join([cells[n] for n in row.tolist()]))
+            out.write("\n    ]")
+        # ``rest`` opens with "{\n"; its first key continues this object.
+        out.write("\n  ]," + rest[1:] + "\n")
 
 
 def _split_features(value: str | None) -> list[str] | None:
@@ -180,6 +220,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
         )
     if not vectors:
         raise DataError("empty feature table; nothing to rank")
+    if len(vectors) < 2:
+        raise DataError(
+            f"only one MFI ({vectors[0].mfi_id}) in the feature table; ranking needs two"
+        )
     for name in config.features:
         attr = FEATURE_ATTRS[name]
         if any(getattr(v, attr) is None for v in vectors):
@@ -196,7 +240,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
         "config_digest": config.digest(),
         "features": list(config.features),
         "order": list(result.matrix.order),
-        "comparison_matrix": result.matrix.counts.tolist(),
         "stationary": result.stationary.as_dict(),
         "power_converged": result.stationary.power_converged,
         "method_gap": None if math.isnan(gap) else gap,
@@ -211,7 +254,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    _dump_json(payload, args.out)
+    _dump_ranking(payload, result.matrix.counts, args.out)
     if args.pi_csv is not None:
         mass = result.stationary.as_dict()
         lines = [f"# config_digest={config.digest()}", "mfi_id,pi,rank"]
@@ -527,6 +570,11 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"mfirank: internal error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # A library precondition the subcommand did not check first: the
+        # input data cannot be processed, so report it as a data error.
+        print(f"mfirank: data error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

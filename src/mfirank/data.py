@@ -438,18 +438,30 @@ def _cell_parsers(config: SchemaConfig) -> dict[str, Callable[[str | None], obje
     statuses = config.status_map
     loan_types = config.loan_type_map
     true_strings = config.true_strings
-    if fmt == TIMESTAMP_FORMAT:
-        to_datetime = datetime.fromisoformat  # fast path for the default format
-    else:
-        def to_datetime(cell: str) -> datetime:
-            return datetime.strptime(cell, fmt)
+    # A cell is read as ``strptime(cell, fmt)`` reads it.  With the default
+    # format, ``fromisoformat`` (about fifty times faster) is tried first,
+    # on cells whose separators sit where ``NNNN-NN-NN NN:NN:NN`` has them
+    # (positions 4, 7, 10, 13 and 16, nothing from 19 on): it agrees with
+    # ``strptime`` there and leaves no room for a zone, but elsewhere it
+    # also accepts forms the format rejects, such as ``2021-03-01`` or
+    # ``20210301T100000``.  A shaped cell that it rejects may still be one
+    # ``strptime`` reads, ``2021-03- 1 10:00:00`` say, so that cell goes on
+    # to ``strptime``.
+    iso_shape = "-- ::" if fmt == TIMESTAMP_FORMAT else None
+    fromisoformat = datetime.fromisoformat
+    strptime = datetime.strptime
 
     def timestamp(cell: str | None) -> datetime | None:
         cell = _clean(cell)
         if cell is None:
             return None
+        if cell[4::3] == iso_shape:
+            try:
+                return fromisoformat(cell)
+            except ValueError:
+                pass
         try:
-            value = to_datetime(cell)
+            value = strptime(cell, fmt)
         except ValueError:
             return None
         # A zone suffix would make this the one aware datetime among naive ones.

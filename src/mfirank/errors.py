@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 InternalError -> 3.  Plain ValueError marks misuse of a function
-(precondition violations) and is not translated.
+(precondition violations); one that escapes a subcommand means the
+input could not be processed, and the CLI reports it as a data error.
 """
 
 

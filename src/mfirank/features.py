@@ -395,6 +395,18 @@ class FeatureVector:
     epc: float | None = None
     fairness_detail: FairnessScore | None = field(default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        for attr in FEATURE_ATTRS.values():
+            value = getattr(self, attr)
+            if value is None:
+                continue
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise DataError(f"MFI {self.mfi_id}: {attr} is {value!r}, not a finite number")
+
     def get(self, feature: str) -> float:
         value = getattr(self, FEATURE_ATTRS[feature])
         if value is None:

@@ -68,10 +68,14 @@ def comparison_matrix(
 ) -> ComparisonMatrix:
     """Count pairwise feature wins.
 
-    For every unordered pair and every feature, the better side scores a
-    point in the loser's row; values within ``tie_eps`` of each other
-    score nothing.  Lower is better for the service period, higher for
-    everything else.
+    For every ordered pair (i, j) and every feature, entry (i, j) scores a
+    point when j's value exceeds i's by more than ``tie_eps``; values
+    within ``tie_eps`` of each other score nothing.  Lower is better for
+    the service period (its values are negated first), higher for
+    everything else.  Each feature is one numpy broadcast over all pairs,
+    ``v[None, :] > v[:, None] + tie_eps``: the same float expression per
+    pair as a scalar loop would evaluate, so ties at exactly ``tie_eps``
+    resolve the same way.
     """
     feats = tuple(features) if features is not None else ALL_FEATURES
     unknown = [f for f in feats if f not in ALL_FEATURES]
@@ -79,33 +83,29 @@ def comparison_matrix(
         raise ValueError(f"unknown features: {unknown}")
     if len(vectors) < 2:
         raise ValueError("pairwise comparison needs at least two feature vectors")
+    if not tie_eps >= 0.0:
+        raise ValueError("tie_eps must be non-negative")
     order = tuple(v.mfi_id for v in vectors)
     if len(set(order)) != len(order):
         raise ValueError("duplicate mfi_id in feature vectors")
 
     k = len(vectors)
-    values = {f: [v.get(f) for v in vectors] for f in feats}
     counts = np.zeros((k, k), dtype=np.int64)
     for f in feats:
-        col = values[f]
         sign = -1.0 if f in LOWER_IS_BETTER else 1.0
-        for i in range(k):
-            vi = sign * col[i]
-            for j in range(i + 1, k):
-                vj = sign * col[j]
-                if vj > vi + tie_eps:
-                    counts[i, j] += 1
-                elif vi > vj + tie_eps:
-                    counts[j, i] += 1
+        v = sign * np.array([vec.get(f) for vec in vectors], dtype=float)
+        counts += v[None, :] > v[:, None] + tie_eps
     return ComparisonMatrix(order=order, counts=counts, features=feats)
 
 
 def transition(matrix: ComparisonMatrix, damping: float = 0.0) -> np.ndarray:
     """Row-normalize the comparison counts into a stochastic matrix.
 
-    A zero row (an MFI that loses to nobody on any feature) becomes a
-    uniform jump to the other MFIs.  ``damping`` in [0, 1) mixes in a
-    uniform restart over all MFIs, guaranteeing irreducibility.
+    Every row with a positive sum is divided by that sum, all rows in one
+    operation.  Any other row (an MFI that loses to nobody on any
+    feature) becomes a uniform jump to the other MFIs.  ``damping`` in [0, 1)
+    mixes in a uniform restart over all MFIs, guaranteeing
+    irreducibility.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
@@ -115,14 +115,14 @@ def transition(matrix: ComparisonMatrix, damping: float = 0.0) -> np.ndarray:
         raise ValueError("comparison matrix must be square")
     if k < 2:
         raise ValueError("ranking a single MFI is undefined")
-    p = np.zeros_like(counts)
-    sums = counts.sum(axis=1)
-    for i in range(k):
-        if sums[i] > 0:
-            p[i] = counts[i] / sums[i]
-        else:
-            p[i] = 1.0 / (k - 1)
-            p[i, i] = 0.0
+    sums = counts.sum(axis=1, keepdims=True)
+    jump = np.flatnonzero(~(sums > 0.0))
+    if jump.size:
+        sums[jump] = 1.0  # these rows are overwritten below
+    p = counts / sums
+    if jump.size:
+        p[jump] = 1.0 / (k - 1)
+        p[jump, jump] = 0.0
     if damping > 0.0:
         p = (1.0 - damping) * p + damping / k
     return p

@@ -6,10 +6,11 @@ import hashlib
 import json
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from conftest import PUBLISHED_PI, REFERENCE_RANKING
-from mfirank.cli import SERIES_COLUMNS, main
+from mfirank.cli import SERIES_COLUMNS, _dump_ranking, main
 from mfirank.data import (
     ConversionRecord,
     LoanType,
@@ -174,6 +175,92 @@ def test_rank_rejects_a_repeated_mfi_id(golden_vectors, tmp_path, capsys):
     table.write_text(feature_csv([*golden_vectors, golden_vectors[2]]))
     assert main(["rank", "--features-csv", str(table)]) == 2
     assert f"mfi_id '{golden_vectors[2].mfi_id}' more than once" in capsys.readouterr().err
+
+
+def test_rank_on_a_one_mfi_table_is_a_data_error(golden_vectors, tmp_path, capsys):
+    table = tmp_path / "features.csv"
+    table.write_text(feature_csv(golden_vectors[:1]))
+    assert main(["rank", "--features-csv", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mfirank: data error: only one MFI")
+    assert "Traceback" not in err
+
+
+def test_a_stray_value_error_is_a_one_line_data_error(
+    golden_vectors, tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise ValueError("precondition broken")
+
+    monkeypatch.setattr("mfirank.cli.rank_mfis", refuse)
+    table = tmp_path / "features.csv"
+    table.write_text(feature_csv(golden_vectors))
+    assert main(["rank", "--features-csv", str(table)]) == 2
+    assert capsys.readouterr().err == "mfirank: data error: precondition broken\n"
+
+
+def test_rank_json_is_what_json_dumps_gives(golden_vectors, tmp_path):
+    table = tmp_path / "features.csv"
+    table.write_text(feature_csv(golden_vectors))
+    out = tmp_path / "ranking.json"
+    assert main(["rank", "--features-csv", str(table), "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    again = json.dumps(json.loads(text), sort_keys=True, indent=2, ensure_ascii=False)
+    assert text == again + "\n"
+
+
+def ranking_payload(ids, **extra) -> dict:
+    k = len(ids)
+    payload = {
+        "config_digest": "0" * 64,
+        "features": ["rating", "lar"],
+        "order": list(ids),
+        "stationary": {m: 1.0 / k for m in ids},
+        "power_converged": True,
+        "method_gap": 1.5e-17,
+        "ranking": sorted(ids),
+    }
+    payload.update(extra)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        ("a", "b"),
+        ("18", "20", "29", "56", "64", "87"),
+        ("Сбер", "日本", "é"),
+        ('say "hi"', "back\\slash", "new\nline", "tab\tand\u2028"),
+        ("comparison_matrix", '"comparison_matrix": [', "}"),
+    ],
+)
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {},
+        {"method_gap": None},
+        {"page_ranking": ["20", "日本"]},
+        {"power_converged": False, "page_ranking": []},
+    ],
+)
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_ranking_writer_matches_json_dumps(ids, extra, to_stdout, tmp_path, capsys):
+    payload = ranking_payload(ids, **extra)
+    k = len(ids)
+    counts = np.arange(k * k, dtype=np.int64).reshape(k, k) % 6
+    np.fill_diagonal(counts, 0)
+    want = json.dumps(
+        {**payload, "comparison_matrix": counts.tolist()},
+        sort_keys=True, indent=2, ensure_ascii=False,
+    ) + "\n"
+    if to_stdout:
+        _dump_ranking(payload, counts, None)
+        got = capsys.readouterr().out
+    else:
+        out = tmp_path / "ranking.json"
+        _dump_ranking(payload, counts, str(out))
+        got = out.read_bytes().decode("utf-8")
+    assert got == want
 
 
 def test_rank_rejects_feature_subset_mismatch(golden_vectors, tmp_path):

@@ -9,10 +9,11 @@ from dataclasses import astuple
 from datetime import datetime
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfirank.data import (
+    TIMESTAMP_FORMAT,
     ConversionRecord,
     LoanType,
     ParseResult,
@@ -27,6 +28,7 @@ from mfirank.data import (
     serialize_conversions,
     serialize_products,
     validate,
+    _cell_parsers,
 )
 from mfirank.errors import DataError
 from mfirank.features import feature_table
@@ -96,6 +98,48 @@ def test_zone_suffixed_timestamp_is_a_row_error():
     result = parse_conversions(conv_csv("18,standard,2021-03-01 10:00:00+03:00,sale,c1"))
     assert not result.records
     assert result.errors[0].column == "click_time"
+
+
+@st.composite
+def timestamp_shaped_cells(draw):
+    """A prefix of ``2021-03-01 10:00:00`` with random digits, each
+    position sometimes replaced by a stray digit, separator, sign or
+    letter, and sometimes a tail of such characters."""
+    template = "2021-03-01 10:00:00"[: draw(st.integers(min_value=10, max_value=19))]
+    odd = st.sampled_from("0123456789 -:T+.Z\t٣")
+    head = "".join(
+        draw(odd) if draw(st.integers(min_value=0, max_value=5)) == 0 else
+        (draw(st.sampled_from("0123456789")) if c.isdigit() else c)
+        for c in template
+    )
+    return head + "".join(draw(st.lists(odd, max_size=3)))
+
+
+@given(
+    st.one_of(
+        timestamp_shaped_cells(),
+        st.datetimes().map(str),
+        st.lists(st.sampled_from("0123456789 -:T.+Z"), max_size=24).map("".join),
+        st.text(max_size=24),
+    )
+)
+@example("2021-03-01")
+@example("2021-03-01 10")
+@example("2021-03-01 10:00")
+@example("20210301T100000")
+@example("2021-03-01T10:00:00")
+@example("2021-03-01 10:00:00.5")
+@example("2021-3-1 10:00:00")
+@example("2021-03- 1 10:00:00")
+@example("2021-03-01 10:00:60")
+@example(" 2021-03-01 10:00:00 ")
+def test_default_timestamps_follow_the_declared_format(cell):
+    parse = _cell_parsers(SchemaConfig())["timestamp"]
+    try:
+        expected = datetime.strptime(cell.strip(), TIMESTAMP_FORMAT)
+    except ValueError:
+        expected = None
+    assert parse(cell) == expected
 
 
 def test_csv_framing_faults_are_rows_or_data_errors():

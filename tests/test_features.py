@@ -15,6 +15,7 @@ from mfirank.errors import DataError
 from mfirank.features import (
     FEATURE_ATTRS,
     FeatureAccumulator,
+    FeatureVector,
     LarPrior,
     RatingPrior,
     declared_sla_seconds,
@@ -534,3 +535,12 @@ def test_feature_csv_rejects_non_finite_cells(column, text):
     csv_text = f"mfi_id,{column}\n18,1.5\n20,{text}\n"
     with pytest.raises(DataError, match=f"row for 20: {column} is '{text}'"):
         parse_feature_csv(csv_text)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+@pytest.mark.parametrize("attr", sorted(FEATURE_ATTRS.values()))
+def test_feature_vector_rejects_non_finite_values(attr, value):
+    with pytest.raises(DataError, match=f"MFI 20: {attr} is .*not a finite number"):
+        FeatureVector(mfi_id="20", **{attr: value})
+    FeatureVector(mfi_id="20", **{attr: None})
+    FeatureVector(mfi_id="20", **{attr: -1.5})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import PUBLISHED_PI, REFERENCE_MATRIX, REFERENCE_PI, REFERENCE_RANKING
 from mfirank.data import LoanType, ProductRecord
-from mfirank.features import ALL_FEATURES, FeatureVector
+from mfirank.features import ALL_FEATURES, FEATURE_ATTRS, LOWER_IS_BETTER, FeatureVector
 from mfirank.rank import (
+    TIE_EPS,
+    ComparisonMatrix,
     comparison_matrix,
     page_filter,
     rank_list,
@@ -40,6 +44,121 @@ vector_tables = st.lists(
     min_size=2,
     max_size=8,
 ).map(lambda rows: [vec(str(i), *row) for i, row in enumerate(rows)])
+
+
+# ---------------------------------------------------------------------------
+# the scalar loops that the numpy comparison_matrix and transition replaced,
+# kept as references for the differential tests
+
+
+def loop_comparison_counts(vectors, features=None, tie_eps=TIE_EPS) -> np.ndarray:
+    feats = tuple(features) if features is not None else ALL_FEATURES
+    k = len(vectors)
+    values = {f: [v.get(f) for v in vectors] for f in feats}
+    counts = np.zeros((k, k), dtype=np.int64)
+    for f in feats:
+        col = values[f]
+        sign = -1.0 if f in LOWER_IS_BETTER else 1.0
+        for i in range(k):
+            vi = sign * col[i]
+            for j in range(i + 1, k):
+                vj = sign * col[j]
+                if vj > vi + tie_eps:
+                    counts[i, j] += 1
+                elif vi > vj + tie_eps:
+                    counts[j, i] += 1
+    return counts
+
+
+def loop_transition(counts, damping: float = 0.0) -> np.ndarray:
+    counts = np.asarray(counts, dtype=float)
+    k = counts.shape[0]
+    p = np.zeros_like(counts)
+    sums = counts.sum(axis=1)
+    for i in range(k):
+        if sums[i] > 0:
+            p[i] = counts[i] / sums[i]
+        else:
+            p[i] = 1.0 / (k - 1)
+            p[i, i] = 0.0
+    if damping > 0.0:
+        p = (1.0 - damping) * p + damping / k
+    return p
+
+
+tie_epsilons = st.one_of(
+    st.just(TIE_EPS),
+    st.sampled_from([0.0, 0.125, 1.0]),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+
+
+@st.composite
+def boundary_tables(draw):
+    """Feature tables whose values sit at, or one ulp either side of,
+    ``tie_eps`` from each other, in both directions (so after the sign
+    flip of the service period too), plus integer fairness, negative
+    values and feature subsets."""
+    eps = draw(tie_epsilons)
+    k = draw(st.integers(min_value=2, max_value=7))
+    bases = draw(
+        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=3)
+    )
+    near = set(bases)
+    for base in bases:
+        for edge in (base + eps, base - eps):
+            near |= {edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)}
+    values = st.sampled_from(sorted(near)) | st.floats(min_value=-1e6, max_value=1e6)
+    vectors = [
+        FeatureVector(
+            mfi_id=f"m{i}",
+            rating_norm=draw(values),
+            lar_norm=draw(values),
+            fairness=draw(st.integers(min_value=-3, max_value=4)),
+            service_p90_sec=draw(values),
+            epc=draw(values),
+        )
+        for i in range(k)
+    ]
+    features = draw(
+        st.none()
+        | st.lists(st.sampled_from(ALL_FEATURES), min_size=1, unique=True).map(tuple)
+    )
+    return vectors, features, eps
+
+
+@given(boundary_tables())
+def test_comparison_matrix_matches_the_scalar_loop(case):
+    vectors, features, eps = case
+    matrix = comparison_matrix(vectors, features=features, tie_eps=eps)
+    assert matrix.counts.dtype == np.int64
+    assert np.array_equal(matrix.counts, loop_comparison_counts(vectors, features, eps))
+
+
+@pytest.mark.parametrize("feature", ALL_FEATURES)
+@pytest.mark.parametrize("ulps, wins", [(-1, False), (0, False), (1, True)])
+def test_a_margin_of_exactly_tie_eps_is_a_tie(feature, ulps, wins):
+    base, eps = 0.7, 0.1
+    sign = -1.0 if feature in LOWER_IS_BETTER else 1.0
+    edge = sign * base + eps  # the challenger's signed value at the tie boundary
+    if ulps:
+        edge = math.nextafter(edge, ulps * math.inf)
+    holder = FeatureVector("holder", **{FEATURE_ATTRS[f]: base for f in ALL_FEATURES})
+    challenger = FeatureVector(
+        "challenger",
+        **{FEATURE_ATTRS[f]: sign * edge if f == feature else base for f in ALL_FEATURES},
+    )
+    counts = comparison_matrix([holder, challenger], tie_eps=eps).counts
+    # the holder's row credits the challenger only for a margin beyond eps
+    assert counts.tolist() == [[0, int(wins)], [0, 0]]
+    assert np.array_equal(
+        counts, loop_comparison_counts([holder, challenger], tie_eps=eps)
+    )
+
+
+def test_matrix_rejects_a_negative_tie_eps(golden_vectors):
+    with pytest.raises(ValueError, match="tie_eps"):
+        comparison_matrix(golden_vectors, tie_eps=-1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +277,32 @@ def test_transition_damping_bounds(golden_vectors):
 def test_transition_rows_always_sum_to_one(vectors, damping):
     p = transition(comparison_matrix(vectors), damping=damping)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+
+
+@st.composite
+def count_matrices(draw):
+    """Square count matrices, some rows all zero, any diagonal."""
+    k = draw(st.integers(min_value=2, max_value=7))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=5), min_size=k, max_size=k),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    for i in draw(st.sets(st.integers(min_value=0, max_value=k - 1))):
+        rows[i] = [0] * k
+    return np.array(rows, dtype=np.int64)
+
+
+@given(
+    count_matrices(),
+    st.just(0.0) | st.floats(min_value=0.0, max_value=0.99),
+)
+def test_transition_matches_the_row_loop(counts, damping):
+    k = counts.shape[0]
+    matrix = ComparisonMatrix(order=tuple(map(str, range(k))), counts=counts, features=())
+    assert np.array_equal(transition(matrix, damping=damping), loop_transition(counts, damping))
 
 
 # ---------------------------------------------------------------------------
