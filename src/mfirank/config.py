@@ -109,6 +109,13 @@ def _validated(config: PipelineConfig) -> PipelineConfig:
         raise ConfigError("min_support must be non-negative")
     if not 0.0 < config.confidence_level < 1.0:
         raise ConfigError("confidence_level must lie in (0, 1)")
+    # A flag is true exactly when it matches true_strings; false_strings
+    # only documents the false spellings, so it must not contradict them.
+    both = config.schema.true_strings & config.schema.false_strings
+    if both:
+        raise ConfigError(
+            f"spellings {sorted(both)} are in both true_strings and false_strings"
+        )
     return config
 
 

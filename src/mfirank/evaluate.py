@@ -123,28 +123,42 @@ class ClientOutcome(NamedTuple):
 def client_outcomes(
     conversions: Sequence[ConversionRecord],
 ) -> dict[str, dict[str, ClientOutcome]]:
-    """client -> mfi -> latest final status and its income (pending never counts)."""
-    stamped: dict[str, dict[str, tuple[datetime, ClientOutcome]]] = defaultdict(dict)
+    """client -> mfi -> latest final status and its income (pending never counts).
+
+    On equal click times the later row wins.  Clients and their MFIs
+    keep the order of their first final record.
+    """
+    latest: dict[str, dict[str, ConversionRecord]] = {}
     for rec in conversions:
         if rec.status is Status.PENDING:
             continue
-        per_client = stamped[rec.client_id]
+        per_client = latest.get(rec.client_id)
+        if per_client is None:
+            per_client = latest[rec.client_id] = {}
         seen = per_client.get(rec.mfi_id)
-        if seen is None or rec.click_time >= seen[0]:
-            per_client[rec.mfi_id] = (rec.click_time, ClientOutcome(rec.status, rec.income))
+        if seen is None or rec.click_time >= seen.click_time:
+            per_client[rec.mfi_id] = rec
     return {
-        client: {m: outcome for m, (_, outcome) in mfis.items()}
-        for client, mfis in stamped.items()
+        client: {m: ClientOutcome(r.status, r.income) for m, r in mfis.items()}
+        for client, mfis in latest.items()
     }
 
 
 def reapproval_table(
     conversions: Sequence[ConversionRecord],
     min_support: int = DEFAULT_MIN_SUPPORT,
+    *,
+    outcomes: Mapping[str, Mapping[str, ClientOutcome]] | None = None,
 ) -> ReapprovalTable:
+    """The reapproval table of ``conversions``.
+
+    ``outcomes`` is ``client_outcomes(conversions)`` when the caller has
+    already built it.
+    """
     if min_support < 0:
         raise ValueError("min_support must be non-negative")
-    outcomes = client_outcomes(conversions)
+    if outcomes is None:
+        outcomes = client_outcomes(conversions)
 
     num_sale: Counter = Counter()
     den_sale: Counter = Counter()
@@ -350,6 +364,8 @@ def simulate(
     conversions: Sequence[ConversionRecord],
     schedule: Sequence[WeekEntry],
     table: ReapprovalTable,
+    *,
+    outcomes: Mapping[str, Mapping[str, ClientOutcome]] | None = None,
 ) -> SimulationResult:
     """Replay every application against the scheduled rankings.
 
@@ -360,12 +376,14 @@ def simulate(
     history exactly.  Otherwise the reapproval table keyed by the
     historical outcome estimates the result.  Applications without a
     usable position are skipped and counted, so coverage is visible in
-    the result.
+    the result.  ``outcomes`` is ``client_outcomes(conversions)`` when
+    the caller has already built it.
     """
     weeks = {entry.week_start: entry for entry in schedule}
-    history = client_outcomes(conversions)
+    entry_of_day: dict[date, WeekEntry | None] = {}
+    history = client_outcomes(conversions) if outcomes is None else outcomes
 
-    outcomes: list[AppOutcome] = []
+    replayed: list[AppOutcome] = []
     n_no_rank = n_out_of_range = n_no_week = 0
     n_copied = n_pending = n_low_support = 0
     hist_sales = 0
@@ -375,7 +393,11 @@ def simulate(
         if rec.global_rank is None:
             n_no_rank += 1
             continue
-        entry = weeks.get(week_start(rec.click_time))
+        day = rec.click_time.date()
+        try:
+            entry = entry_of_day[day]
+        except KeyError:
+            entry = entry_of_day[day] = weeks.get(week_start(rec.click_time))
         if entry is None:
             n_no_week += 1
             continue
@@ -414,7 +436,7 @@ def simulate(
 
         sold = rec.status is Status.SALE
         own_income = rec.income if (sold and rec.income is not None) else 0.0
-        outcomes.append(
+        replayed.append(
             AppOutcome(
                 client_id=rec.client_id,
                 mfi_hist=rec.mfi_id,
@@ -434,11 +456,11 @@ def simulate(
         hist_sales += sold
         hist_income += own_income
 
-    n = len(outcomes)
+    n = len(replayed)
     return SimulationResult(
-        outcomes=outcomes,
-        total_lar=sum(o.p_sale for o in outcomes) / n if n else 0.0,
-        avg_income=sum(o.income for o in outcomes) / n if n else 0.0,
+        outcomes=replayed,
+        total_lar=sum(o.p_sale for o in replayed) / n if n else 0.0,
+        avg_income=sum(o.income for o in replayed) / n if n else 0.0,
         historical_lar=hist_sales / n if n else 0.0,
         historical_avg_income=hist_income / n if n else 0.0,
         n_processed=n,
@@ -540,8 +562,9 @@ def evaluate_ranking(
         damping=damping,
         duration_rules=duration_rules,
     )
-    table = reapproval_table(conversions, min_support=min_support)
-    return simulate(conversions, schedule, table), schedule
+    outcomes = client_outcomes(conversions)
+    table = reapproval_table(conversions, min_support=min_support, outcomes=outcomes)
+    return simulate(conversions, schedule, table, outcomes=outcomes), schedule
 
 
 # ---------------------------------------------------------------------------

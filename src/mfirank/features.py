@@ -29,6 +29,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .data import (
     ClickRecord,
     ConversionRecord,
@@ -208,6 +210,15 @@ class FairnessScore:
     sla_evaluable: bool = True
 
 
+def _median(values: np.ndarray) -> float:
+    """``statistics.median`` of a non-empty array, by selection."""
+    mid = len(values) // 2
+    if len(values) % 2:
+        return float(np.partition(values, mid)[mid])
+    low, high = np.partition(values, (mid - 1, mid))[mid - 1 : mid + 1]
+    return float((low + high) / 2)
+
+
 class _MfiStats:
     """What the fairness, service-period and EPC formulas need of one MFI.
 
@@ -233,7 +244,7 @@ class _MfiStats:
         self.n_sla_ok = 0  # observed processing periods within sla_seconds
         # Valid conversion periods, split by whether the application paid
         # out; paid_conversion[i] pairs with the processing period processing[i].
-        # The formulas only sort or fsum these, so the split loses nothing.
+        # The formulas only select from or fsum these, so the split loses nothing.
         self.paid_conversion = array("d")
         self.processing = array("d")
         self.unpaid_conversion = array("d")
@@ -294,24 +305,27 @@ class _MfiStats:
         )
 
     def service_p90(self, global_processing_mean: float | None) -> float:
-        paid, unpaid = self.paid_conversion, self.unpaid_conversion
-        if not paid and not unpaid:
+        n_paid, n_unpaid = len(self.paid_conversion), len(self.unpaid_conversion)
+        if not n_paid and not n_unpaid:
             raise DataError("no valid submission periods; cannot compute a service period")
-        if self.on_time():
-            replacement = statistics.median(paid + unpaid)
-            paid = [replacement if c > CONVERSION_OUTLIER_SEC else c for c in paid]
-            unpaid = [replacement if c > CONVERSION_OUTLIER_SEC else c for c in unpaid]
-
         observed = self.processing
         fill = statistics.fmean(observed) if observed else global_processing_mean
-        if fill is None and unpaid:
+        if fill is None and n_unpaid:
             raise DataError("no processing periods anywhere to impute from")
 
-        service = [c + p for c, p in zip(paid, observed)]
-        service += [c + fill for c in unpaid]
-        service.sort()
+        # Zero-copy views: an array('d') cannot grow while a view of it
+        # is alive, so none may outlive this call.
+        paid = np.frombuffer(self.paid_conversion)
+        unpaid = np.frombuffer(self.unpaid_conversion)
+        if self.on_time():
+            replacement = _median(np.concatenate((paid, unpaid)))
+            paid = np.where(paid > CONVERSION_OUTLIER_SEC, replacement, paid)
+            unpaid = np.where(unpaid > CONVERSION_OUTLIER_SEC, replacement, unpaid)
+        service = paid + np.frombuffer(observed)
+        if n_unpaid:
+            service = np.concatenate((service, unpaid + fill))
         idx = (9 * len(service) + 9) // 10  # ceil(0.9 n) without float fuzz
-        return service[idx - 1]
+        return float(np.partition(service, idx - 1)[idx - 1])
 
     def epc(self, n_clicks: int) -> float:
         if n_clicks < 0:

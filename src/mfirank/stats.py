@@ -6,6 +6,9 @@ one-sided Fisher exact test (computed in log space, no scipy.stats
 dependency), means with a one-sided Welch t test, and binary
 association strength with the Yule colligation coefficient and a
 confidence interval transformed from the log odds ratio.
+
+scipy is imported only when a Welch test needs the Student t tail, so
+importing this module (and the CLI, for any subcommand) stays cheap.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 from statistics import NormalDist, fmean, variance
 from typing import Sequence
-
-from scipy.special import betainc
 
 
 def _log_choose(n: int, k: int) -> float:
@@ -68,6 +69,8 @@ def _student_sf(t: float, df: float) -> float:
     """P(T > t) for Student's t with df degrees of freedom."""
     if math.isinf(t):
         return 0.0 if t > 0 else 1.0
+    from scipy.special import betainc
+
     x = df / (df + t * t)
     half_tail = 0.5 * float(betainc(df / 2.0, 0.5, x))
     return half_tail if t > 0 else 1.0 - half_tail

@@ -516,6 +516,23 @@ def test_unknown_subcommand_exits_with_one():
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"false_strings": ["yes"]},
+        {"true_strings": ["ok", "нет"]},
+        {"true_strings": ["Да"], "false_strings": ["да"]},
+    ],
+)
+def test_a_spelling_in_both_flag_lists_is_a_config_error(dataset_dir, tmp_path, schema):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(schema), encoding="utf-8")
+    args = ["validate", *dataset_flags(dataset_dir), "--out", str(tmp_path / "v.json")]
+    assert main([*args, "--config", str(config)]) == 1
+    config.write_text(json.dumps({"true_strings": ["ok"], "false_strings": ["nope"]}))
+    assert main([*args, "--config", str(config)]) == 0
+
+
 def test_missing_required_flags_exit_with_one():
     with pytest.raises(SystemExit) as err:
         main(["validate"])

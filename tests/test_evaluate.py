@@ -5,16 +5,22 @@ from __future__ import annotations
 import dataclasses
 import logging
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from datetime import date, datetime, timedelta
+from typing import Mapping, Sequence
 
 import pytest
 
+import mfirank.evaluate
 from mfirank.data import ClickRecord, ConversionRecord, LoanType, Status, filter_loan_type
 from mfirank.errors import MfiRankError
 from mfirank.evaluate import (
+    DEFAULT_MIN_SUPPORT,
+    AppOutcome,
+    ClientOutcome,
     PairStats,
     ReapprovalTable,
+    SimulationResult,
     WeekEntry,
     client_outcomes,
     daily_series,
@@ -26,7 +32,7 @@ from mfirank.evaluate import (
     weekly_schedule,
     weekly_totals,
 )
-from mfirank.features import feature_table
+from mfirank.features import LarPrior, feature_table, normalize_lar
 from mfirank.fixtures import FixtureConfig, generate_fixture
 from mfirank.rank import rank_mfis
 
@@ -548,3 +554,347 @@ def test_evaluate_ranking_round_trip(fixture_triple):
     assert coverage["processed"] + coverage["skipped_no_rank"] + coverage[
         "skipped_out_of_range"
     ] + coverage["skipped_no_week"] == len(standard)
+
+
+# ---------------------------------------------------------------------------
+# client_outcomes, reapproval_table and simulate as they were before
+# evaluate_ranking shared one client-outcome map between the last two and
+# simulate memoized the week of each calendar day, kept verbatim as the
+# references of the differential tests below
+
+logger = logging.getLogger(__name__)
+
+
+def reference_client_outcomes(
+    conversions: Sequence[ConversionRecord],
+) -> dict[str, dict[str, ClientOutcome]]:
+    """client -> mfi -> latest final status and its income (pending never counts)."""
+    stamped: dict[str, dict[str, tuple[datetime, ClientOutcome]]] = defaultdict(dict)
+    for rec in conversions:
+        if rec.status is Status.PENDING:
+            continue
+        per_client = stamped[rec.client_id]
+        seen = per_client.get(rec.mfi_id)
+        if seen is None or rec.click_time >= seen[0]:
+            per_client[rec.mfi_id] = (rec.click_time, ClientOutcome(rec.status, rec.income))
+    return {
+        client: {m: outcome for m, (_, outcome) in mfis.items()}
+        for client, mfis in stamped.items()
+    }
+
+
+def reference_reapproval_table(
+    conversions: Sequence[ConversionRecord],
+    min_support: int = DEFAULT_MIN_SUPPORT,
+) -> ReapprovalTable:
+    if min_support < 0:
+        raise ValueError("min_support must be non-negative")
+    outcomes = reference_client_outcomes(conversions)
+
+    num_sale: Counter = Counter()
+    den_sale: Counter = Counter()
+    num_reject: Counter = Counter()
+    den_reject: Counter = Counter()
+    for per_client in outcomes.values():
+        mfis = list(per_client.items())
+        for i, (mfi_a, out_a) in enumerate(mfis):
+            for j, (mfi_b, out_b) in enumerate(mfis):
+                if i == j:
+                    continue
+                if out_b.status is Status.SALE:
+                    den_sale[(mfi_a, mfi_b)] += 1
+                    if out_a.status is Status.SALE:
+                        num_sale[(mfi_a, mfi_b)] += 1
+                elif out_b.status is Status.REJECTED:
+                    den_reject[(mfi_a, mfi_b)] += 1
+                    if out_a.status is Status.REJECTED:
+                        num_reject[(mfi_a, mfi_b)] += 1
+    if not den_sale and not den_reject:
+        logger.warning(
+            "no client dealt with two MFIs; reapproval table is all marginal fallbacks"
+        )
+
+    per_mfi_apps: Counter = Counter(r.mfi_id for r in conversions)
+    per_mfi_sales: Counter = Counter(
+        r.mfi_id for r in conversions if r.status is Status.SALE
+    )
+    prior = LarPrior(
+        total_sales=sum(per_mfi_sales.values()), total_apps=len(conversions)
+    )
+    marginal = {
+        m: normalize_lar(prior, per_mfi_sales.get(m, 0), n)
+        for m, n in per_mfi_apps.items()
+    }
+
+    income_sum: dict[str, float] = defaultdict(float)
+    income_n: Counter = Counter()
+    for rec in conversions:
+        if rec.status is Status.SALE and rec.income is not None:
+            income_sum[rec.mfi_id] += rec.income
+            income_n[rec.mfi_id] += 1
+    mean_income = {
+        m: (income_sum[m] / income_n[m] if income_n[m] else 0.0) for m in per_mfi_apps
+    }
+
+    def build(num: Counter, den: Counter, fallback: Mapping[str, float]) -> dict:
+        out: dict[tuple[str, str], PairStats] = {}
+        for pair, support in den.items():
+            if support >= min_support:
+                out[pair] = PairStats(num.get(pair, 0) / support, support)
+            else:
+                out[pair] = PairStats(fallback.get(pair[0], 0.0), support, fallback=True)
+        return out
+
+    reject_fallback = {m: 1.0 - p for m, p in marginal.items()}
+    return ReapprovalTable(
+        mfis=tuple(sorted(per_mfi_apps)),
+        sale=build(num_sale, den_sale, marginal),
+        reject=build(num_reject, den_reject, reject_fallback),
+        mean_income=mean_income,
+        marginal_lar=marginal,
+        min_support=min_support,
+    )
+
+
+def reference_simulate(
+    conversions: Sequence[ConversionRecord],
+    schedule: Sequence[WeekEntry],
+    table: ReapprovalTable,
+) -> SimulationResult:
+    """Replay every application against the scheduled rankings.
+
+    Each application is re-served by whichever MFI the week's ranking
+    puts at the position the client actually clicked.  When the client
+    really applied there, the actual status and income are copied
+    verbatim, which makes the replay of the historical ranking reproduce
+    history exactly.  Otherwise the reapproval table keyed by the
+    historical outcome estimates the result.  Applications without a
+    usable position are skipped and counted, so coverage is visible in
+    the result.
+    """
+    weeks = {entry.week_start: entry for entry in schedule}
+    history = reference_client_outcomes(conversions)
+
+    outcomes: list[AppOutcome] = []
+    n_no_rank = n_out_of_range = n_no_week = 0
+    n_copied = n_pending = n_low_support = 0
+    hist_sales = 0
+    hist_income = 0.0
+
+    for rec in conversions:
+        if rec.global_rank is None:
+            n_no_rank += 1
+            continue
+        entry = weeks.get(week_start(rec.click_time))
+        if entry is None:
+            n_no_week += 1
+            continue
+        position = rec.global_rank
+        if not 1 <= position <= len(entry.ranking):
+            n_out_of_range += 1
+            continue
+        vra = entry.ranking[position - 1]
+        known = history.get(rec.client_id, {}).get(vra) if vra != rec.mfi_id else None
+
+        if vra == rec.mfi_id:
+            p = 1.0 if rec.status is Status.SALE else 0.0
+            income = rec.income if (rec.status is Status.SALE and rec.income is not None) else 0.0
+            copied, rule = True, "identity"
+        elif known is not None:
+            p = 1.0 if known.status is Status.SALE else 0.0
+            income = known.income if (known.status is Status.SALE and known.income is not None) else 0.0
+            copied, rule = True, "history"
+        else:
+            copied = False
+            if rec.status is Status.SALE:
+                stats = table.p_sale(vra, rec.mfi_id)
+                p = stats.p
+                rule = "table-sale"
+                n_low_support += stats.fallback
+            elif rec.status is Status.REJECTED:
+                stats = table.p_reject(vra, rec.mfi_id)
+                p = 1.0 - stats.p
+                rule = "table-reject"
+                n_low_support += stats.fallback
+            else:
+                p = table.marginal_lar.get(vra, 0.0)
+                rule = "table-pending"
+                n_pending += 1
+            income = table.mean_income.get(vra, 0.0) * p
+
+        sold = rec.status is Status.SALE
+        own_income = rec.income if (sold and rec.income is not None) else 0.0
+        outcomes.append(
+            AppOutcome(
+                client_id=rec.client_id,
+                mfi_hist=rec.mfi_id,
+                mfi_vra=vra,
+                click_time=rec.click_time,
+                week=entry.week_start,
+                position=position,
+                p_sale=p,
+                income=income,
+                copied=copied,
+                rule=rule,
+                hist_sale=sold,
+                hist_income=own_income,
+            )
+        )
+        n_copied += copied
+        hist_sales += sold
+        hist_income += own_income
+
+    n = len(outcomes)
+    return SimulationResult(
+        outcomes=outcomes,
+        total_lar=sum(o.p_sale for o in outcomes) / n if n else 0.0,
+        avg_income=sum(o.income for o in outcomes) / n if n else 0.0,
+        historical_lar=hist_sales / n if n else 0.0,
+        historical_avg_income=hist_income / n if n else 0.0,
+        n_processed=n,
+        n_copied=n_copied,
+        n_skipped_no_rank=n_no_rank,
+        n_skipped_out_of_range=n_out_of_range,
+        n_skipped_no_week=n_no_week,
+        n_pending_fallback=n_pending,
+        n_low_support=n_low_support,
+    )
+
+
+def replay_cases():
+    """(name, conversions, products, clicks) for the differential tests.
+
+    Every fixture comes as generated, with its rows shuffled, and shuffled
+    with edge rows added: a second final row with the same click time as
+    an existing one for the same client and MFI (opposite status, so the
+    tie rule decides), a pending row tied with a final one, and two
+    clients whose every application is pending.
+    """
+    for seed, n_mfis, n_clients, n_weeks in DIFFERENTIAL_DATASETS:
+        conversions, products, clicks = generate_fixture(
+            seed, n_mfis=n_mfis, n_clients=n_clients, config=FixtureConfig(n_weeks=n_weeks)
+        )
+        rng = random.Random(seed)
+        shuffled = list(conversions)
+        rng.shuffle(shuffled)
+        edged = list(shuffled)
+        finals = [r for r in shuffled if r.status is not Status.PENDING]
+        for rec in rng.sample(finals, 3):
+            flipped = Status.REJECTED if rec.status is Status.SALE else Status.SALE
+            twin = dataclasses.replace(
+                rec, status=flipped, income=77.5 if flipped is Status.SALE else None
+            )
+            pending = dataclasses.replace(rec, status=Status.PENDING, income=None)
+            at = edged.index(rec)
+            edged[at + 1 : at + 1] = [twin, pending]
+        mfis = sorted({r.mfi_id for r in shuffled})
+        for n, rec in enumerate(rng.sample(shuffled, 4)):
+            edged.insert(
+                rng.randrange(len(edged)),
+                dataclasses.replace(
+                    rec, client_id=f"pending-only-{n % 2}", mfi_id=mfis[n % len(mfis)],
+                    status=Status.PENDING, income=None,
+                ),
+            )
+        name = f"seed{seed}"
+        yield f"{name}-plain", conversions, products, clicks
+        yield f"{name}-shuffled", shuffled, products, clicks
+        yield f"{name}-edged", edged, products, clicks
+
+
+REPLAY_CASES = list(replay_cases())
+REPLAY_IDS = [case[0] for case in REPLAY_CASES]
+
+
+def replay_schedules(conversions, products, clicks):
+    """A trained schedule, and the historical one with every third week
+    missing so that some applications find no week."""
+    trained = weekly_schedule(conversions, products, clicks, loan_type=None)
+    gappy = [e for i, e in enumerate(identity_schedule(conversions)) if i % 3 != 1]
+    return {"trained": trained, "gappy": gappy}
+
+
+def nested_items(outcomes):
+    return [(client, list(per_client.items())) for client, per_client in outcomes.items()]
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
+def test_client_outcomes_match_the_reference(case):
+    _, conversions, _, _ = case
+    # equal values and the same first-seen order of clients and MFIs
+    assert nested_items(client_outcomes(conversions)) == nested_items(
+        reference_client_outcomes(conversions)
+    )
+
+
+def table_items(table):
+    return (
+        table,
+        list(table.sale.items()),
+        list(table.reject.items()),
+        list(table.mean_income.items()),
+        list(table.marginal_lar.items()),
+    )
+
+
+@pytest.mark.parametrize("min_support", [0, 1, 5])
+@pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
+def test_reapproval_table_matches_the_reference(case, min_support):
+    _, conversions, _, _ = case
+    want = table_items(reference_reapproval_table(conversions, min_support))
+    assert table_items(reapproval_table(conversions, min_support)) == want
+    shared = client_outcomes(conversions)
+    assert table_items(reapproval_table(conversions, min_support, outcomes=shared)) == want
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
+def test_simulate_matches_the_reference(case):
+    _, conversions, products, clicks = case
+    table = reapproval_table(conversions, min_support=1)
+    shared = client_outcomes(conversions)
+    for name, schedule in replay_schedules(conversions, products, clicks).items():
+        want = reference_simulate(conversions, schedule, table)
+        # exact equality: every AppOutcome and every float of the totals
+        assert simulate(conversions, schedule, table) == want, name
+        assert simulate(conversions, schedule, table, outcomes=shared) == want, name
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES[2::3], ids=REPLAY_IDS[2::3])
+def test_evaluate_ranking_matches_the_reference(case):
+    _, conversions, products, clicks = case
+    schedule = weekly_schedule(conversions, products, clicks)
+    standard = filter_loan_type(conversions, LoanType.STANDARD)
+    want = reference_simulate(standard, schedule, reference_reapproval_table(standard))
+    assert evaluate_ranking(conversions, products, clicks) == (want, schedule)
+
+
+def test_replay_cases_cover_the_edge_rows():
+    _, conversions, products, clicks = REPLAY_CASES[-1]
+    pending_only = {r.client_id for r in conversions} - {
+        r.client_id for r in conversions if r.status is not Status.PENDING
+    }
+    assert pending_only >= {"pending-only-0", "pending-only-1"}
+    stamps = Counter(
+        (r.client_id, r.mfi_id, r.click_time) for r in conversions if r.status is not Status.PENDING
+    )
+    assert max(stamps.values()) == 2
+    table = reapproval_table(conversions)
+    results = {
+        name: simulate(conversions, schedule, table)
+        for name, schedule in replay_schedules(conversions, products, clicks).items()
+    }
+    assert results["gappy"].n_skipped_no_week > 0
+    rules = {o.rule for result in results.values() for o in result.outcomes}
+    assert rules == {"identity", "history", "table-sale", "table-reject", "table-pending"}
+
+
+def test_evaluate_ranking_builds_client_outcomes_once(monkeypatch, fixture_triple):
+    calls = []
+
+    def counted(conversions):
+        calls.append(len(conversions))
+        return client_outcomes(conversions)
+
+    monkeypatch.setattr(mfirank.evaluate, "client_outcomes", counted)
+    evaluate_ranking(*fixture_triple)
+    assert len(calls) == 1

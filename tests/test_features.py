@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import random
+import statistics
 from datetime import datetime, timedelta
 
 import pytest
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from mfirank.data import ConversionRecord, LoanType, ProductRecord, Status
 from mfirank.errors import DataError
 from mfirank.features import (
+    CONVERSION_OUTLIER_SEC,
     FEATURE_ATTRS,
+    ON_TIME_LIMIT_SEC,
     FeatureAccumulator,
     FeatureVector,
     LarPrior,
@@ -31,6 +34,7 @@ from mfirank.features import (
     rating_prior,
     service_period_p90,
 )
+from mfirank.features import _MfiStats
 from mfirank.fixtures import FixtureConfig, generate_fixture
 
 T0 = datetime(2021, 3, 1, 10, 0, 0)
@@ -360,6 +364,107 @@ def test_service_period_shifts_with_the_data(periods, shift):
     assert service_period_p90(moved) == pytest.approx(
         service_period_p90(base) + 2.0 * shift, rel=1e-9
     )
+
+
+# the sorting service_p90 that the selection version replaced, kept
+# verbatim (self renamed to stats) as the reference of the tests below
+
+
+def sorted_service_p90(stats: _MfiStats, global_processing_mean: float | None) -> float:
+    paid, unpaid = stats.paid_conversion, stats.unpaid_conversion
+    if not paid and not unpaid:
+        raise DataError("no valid submission periods; cannot compute a service period")
+    if stats.on_time():
+        replacement = statistics.median(paid + unpaid)
+        paid = [replacement if c > CONVERSION_OUTLIER_SEC else c for c in paid]
+        unpaid = [replacement if c > CONVERSION_OUTLIER_SEC else c for c in unpaid]
+
+    observed = stats.processing
+    fill = statistics.fmean(observed) if observed else global_processing_mean
+    if fill is None and unpaid:
+        raise DataError("no processing periods anywhere to impute from")
+
+    service = [c + p for c, p in zip(paid, observed)]
+    service += [c + fill for c in unpaid]
+    service.sort()
+    idx = (9 * len(service) + 9) // 10  # ceil(0.9 n) without float fuzz
+    return service[idx - 1]
+
+
+def p90_outcome(fn, stats, global_mean):
+    try:
+        return fn(stats, global_mean)
+    except DataError as exc:
+        return str(exc)
+
+
+# conversion periods: zero, quick, slow but not outliers, exactly at and
+# beyond CONVERSION_OUTLIER_SEC, and fractional seconds
+conversion_seconds = st.one_of(
+    st.just(0.0),
+    st.integers(min_value=0, max_value=3599).map(float),
+    st.integers(min_value=3600, max_value=int(CONVERSION_OUTLIER_SEC)).map(float),
+    st.integers(min_value=7201, max_value=200_000).map(float),
+    st.integers(min_value=0, max_value=20_000_000).map(lambda us: us / 1000.0),
+)
+processing_seconds = st.one_of(
+    st.none(), st.just(0.0), st.integers(min_value=0, max_value=500_000).map(lambda ms: ms / 8.0)
+)
+
+
+@given(
+    periods=st.lists(st.tuples(conversion_seconds, processing_seconds), max_size=40),
+    quick_share=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+    global_mean=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1e6)),
+)
+def test_service_p90_matches_the_sorting_reference(periods, quick_share, global_mean):
+    # quick_share of the rows get a quick submission, so both on-time and
+    # not-on-time MFIs come up; a None processing period is an application
+    # that never paid out (the fill imputes it)
+    records = []
+    for i, (conv, proc) in enumerate(periods):
+        if i < quick_share * len(periods):
+            conv = conv % ON_TIME_LIMIT_SEC
+        status = Status.PENDING if proc is None else Status.SALE
+        records.append(app(client=f"c{i}", status=status, conv_sec=conv, proc_sec=proc))
+    stats = _MfiStats.of(records)
+    want = p90_outcome(sorted_service_p90, stats, global_mean)
+    assert p90_outcome(_MfiStats.service_p90, stats, global_mean) == want
+    # the selection leaves no view behind: the arrays still grow afterwards
+    stats.add(app(client="late", conv_sec=60.0, proc_sec=60.0))
+    assert p90_outcome(_MfiStats.service_p90, stats, global_mean) == p90_outcome(
+        sorted_service_p90, stats, global_mean
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 20, 21])
+@pytest.mark.parametrize("outliers", [0, 1, 2, 3])
+@pytest.mark.parametrize("paid", ["all", "none", "half"])
+def test_service_p90_matches_the_sorting_reference_on_grids(n, outliers, paid):
+    # odd and even counts, zeros, outliers above CONVERSION_OUTLIER_SEC
+    # (repaired only while the MFI stays on time), and MFIs without any
+    # processing period, which fall back to the global mean.  The slow
+    # submissions sit just below the longest processing period, the last
+    # of them exactly at CONVERSION_OUTLIER_SEC (kept), so that with
+    # 20 or 21 periods and two slow ones the repaired median decides the
+    # percentile.
+    records = []
+    for i in range(n):
+        slow = n - 1 - outliers <= i < n - 1
+        conv = CONVERSION_OUTLIER_SEC + 1.5 * (n - 2 - i) if slow else 12.5 * i
+        paid_out = paid == "all" or (paid == "half" and i % 2 == 0)
+        records.append(
+            app(
+                client=f"c{i}",
+                status=Status.SALE if paid_out else Status.REJECTED,
+                conv_sec=conv,
+                proc_sec=50_000.0 if i == n - 1 else 101.5 * i,
+            )
+        )
+    stats = _MfiStats.of(records)
+    for global_mean in (None, 250.0):
+        want = p90_outcome(sorted_service_p90, stats, global_mean)
+        assert p90_outcome(_MfiStats.service_p90, stats, global_mean) == want
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import statistics
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mfirank
 from conftest import FISHER_CLICK_P, FISHER_CONVERSION_P
 from mfirank.stats import (
     TwoByTwo,
@@ -248,3 +253,18 @@ def test_yule_zero_cell_triggers_the_continuity_correction():
 def test_yule_rejects_negative_counts():
     with pytest.raises(ValueError):
         yule_colligation(TwoByTwo(-1, 1, 1, 1))
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy loads on the first Welch test only, so the subcommands that
+    # never run one do not pay for its import
+    paths = [str(Path(mfirank.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    probe = "import sys, mfirank.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
