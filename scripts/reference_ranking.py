@@ -12,8 +12,15 @@ import argparse
 
 import numpy as np
 
-from mfirank import FeatureVector, comparison_matrix, rank_list, stationary, transition
-from mfirank.rank import _direct_stationary, _power_stationary
+from mfirank.features import FeatureVector
+from mfirank.rank import (
+    _direct_stationary,
+    _power_stationary,
+    comparison_matrix,
+    rank_list,
+    stationary,
+    transition,
+)
 
 REFERENCE_TABLE = {
     "18": (3.8687, 0.1329, 1, 126004.2648, 5.3577),

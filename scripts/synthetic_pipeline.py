@@ -10,8 +10,10 @@ exercise and as a seed-by-seed behaviour probe.
 import argparse
 import logging
 
-from mfirank import feature_table, generate_fixture, rank_mfis
 from mfirank.evaluate import evaluate_ranking
+from mfirank.features import feature_table
+from mfirank.fixtures import generate_fixture
+from mfirank.rank import rank_mfis
 
 
 def main() -> None:

@@ -200,7 +200,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     products = None
     if args.features_csv is not None:
         try:
-            text = Path(args.features_csv).read_text(encoding="utf-8")
+            text = Path(args.features_csv).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise DataError(f"cannot read feature table: {exc}") from None
         vectors = parse_feature_csv(text)
@@ -320,6 +320,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         damping=config.damping,
         min_support=config.min_support,
         duration_rules=config.duration_rules,
+        tie_eps=config.tie_eps,
     )
     daily = ev.daily_series(result, filter_loan_type(clicks, config.loan_type))
     payload = {
@@ -422,7 +423,7 @@ def cmd_abtest(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        payload = json.loads(Path(args.evaluation).read_text(encoding="utf-8"))
+        payload = json.loads(Path(args.evaluation).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise DataError(f"cannot read evaluation file: {exc}") from None
     except json.JSONDecodeError as exc:

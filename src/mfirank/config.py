@@ -169,7 +169,7 @@ def load_config(
     data: dict[str, Any] = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None

@@ -379,14 +379,16 @@ def _norm_header(name: str) -> str:
 
 
 def _open_rows(source: str | os.PathLike | IO) -> Iterable[list[str]]:
+    # "utf-8-sig" and the removeprefix drop the byte-order mark that
+    # spreadsheet exports put before the header.
     if hasattr(source, "read"):
         raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
     elif isinstance(source, str) and "\n" in source:
         raise DataError("a CSV source must be a path or an open text stream, not CSV text")
     else:
         try:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
                 text = fh.read()
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc}") from None

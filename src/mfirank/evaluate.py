@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from typing import Mapping, NamedTuple, Sequence
 
@@ -37,7 +37,7 @@ from .features import (
     feature_table,  # noqa: F401  (perfbench/tracer.py wraps this lookup site)
     normalize_lar,
 )
-from .rank import rank_mfis
+from .rank import TIE_EPS, rank_mfis
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +81,11 @@ class PairStats:
     fallback: bool = False
 
 
+class ClientOutcome(NamedTuple):
+    status: Status
+    income: float | None
+
+
 @dataclass
 class ReapprovalTable:
     """Conditional outcome frequencies between pairs of MFIs.
@@ -89,6 +94,8 @@ class ReapprovalTable:
     over clients with a final status at both; ``reject`` mirrors it for
     rejections.  Sparse pairs (support below ``min_support``) fall back
     to a's marginal approval rate, and identity pairs are certain.
+    ``history`` is the :func:`client_outcomes` map the pairs were counted
+    from; the replay copies a client's own outcome from it.
     """
 
     mfis: tuple[str, ...]
@@ -97,6 +104,9 @@ class ReapprovalTable:
     mean_income: dict[str, float]
     marginal_lar: dict[str, float]
     min_support: int
+    history: dict[str, dict[str, ClientOutcome]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def p_sale(self, target: str, source: str) -> PairStats:
         if target == source:
@@ -113,11 +123,6 @@ class ReapprovalTable:
         if got is not None:
             return got
         return PairStats(1.0 - self.marginal_lar.get(target, 0.0), 0, fallback=True)
-
-
-class ClientOutcome(NamedTuple):
-    status: Status
-    income: float | None
 
 
 def client_outcomes(
@@ -147,18 +152,11 @@ def client_outcomes(
 def reapproval_table(
     conversions: Sequence[ConversionRecord],
     min_support: int = DEFAULT_MIN_SUPPORT,
-    *,
-    outcomes: Mapping[str, Mapping[str, ClientOutcome]] | None = None,
 ) -> ReapprovalTable:
-    """The reapproval table of ``conversions``.
-
-    ``outcomes`` is ``client_outcomes(conversions)`` when the caller has
-    already built it.
-    """
+    """The reapproval table of ``conversions``, carrying their client history."""
     if min_support < 0:
         raise ValueError("min_support must be non-negative")
-    if outcomes is None:
-        outcomes = client_outcomes(conversions)
+    outcomes = client_outcomes(conversions)
 
     num_sale: Counter = Counter()
     den_sale: Counter = Counter()
@@ -183,10 +181,19 @@ def reapproval_table(
             "no client dealt with two MFIs; reapproval table is all marginal fallbacks"
         )
 
-    per_mfi_apps: Counter = Counter(r.mfi_id for r in conversions)
-    per_mfi_sales: Counter = Counter(
-        r.mfi_id for r in conversions if r.status is Status.SALE
-    )
+    # Per-MFI marginals in one pass; keys keep first-seen order, incomes
+    # are summed in input order.
+    per_mfi_apps: Counter = Counter()
+    per_mfi_sales: Counter = Counter()
+    income_sum: dict[str, float] = defaultdict(float)
+    income_n: Counter = Counter()
+    for rec in conversions:
+        per_mfi_apps[rec.mfi_id] += 1
+        if rec.status is Status.SALE:
+            per_mfi_sales[rec.mfi_id] += 1
+            if rec.income is not None:
+                income_sum[rec.mfi_id] += rec.income
+                income_n[rec.mfi_id] += 1
     prior = LarPrior(
         total_sales=sum(per_mfi_sales.values()), total_apps=len(conversions)
     )
@@ -194,13 +201,6 @@ def reapproval_table(
         m: normalize_lar(prior, per_mfi_sales.get(m, 0), n)
         for m, n in per_mfi_apps.items()
     }
-
-    income_sum: dict[str, float] = defaultdict(float)
-    income_n: Counter = Counter()
-    for rec in conversions:
-        if rec.status is Status.SALE and rec.income is not None:
-            income_sum[rec.mfi_id] += rec.income
-            income_n[rec.mfi_id] += 1
     mean_income = {
         m: (income_sum[m] / income_n[m] if income_n[m] else 0.0) for m in per_mfi_apps
     }
@@ -222,6 +222,7 @@ def reapproval_table(
         mean_income=mean_income,
         marginal_lar=marginal,
         min_support=min_support,
+        history=outcomes,
     )
 
 
@@ -246,6 +247,7 @@ def weekly_schedule(
     loan_type: LoanType | None = LoanType.STANDARD,
     damping: float = 0.0,
     duration_rules: Sequence[DurationRule] | None = None,
+    tie_eps: float = TIE_EPS,
 ) -> list[WeekEntry]:
     """One ranking per ISO week of the log, trained on the strict past.
 
@@ -295,7 +297,9 @@ def weekly_schedule(
                 table = acc.table()
                 if len(table) < 2:
                     raise ValueError("fewer than two rankable MFIs")
-                current = tuple(rank_mfis(table, features=features, damping=damping).ranking)
+                current = tuple(
+                    rank_mfis(table, features=features, damping=damping, tie_eps=tie_eps).ranking
+                )
                 source = "ranked"
             except (ValueError, MfiRankError) as exc:
                 source = "carried" if entries else "historical"
@@ -364,8 +368,6 @@ def simulate(
     conversions: Sequence[ConversionRecord],
     schedule: Sequence[WeekEntry],
     table: ReapprovalTable,
-    *,
-    outcomes: Mapping[str, Mapping[str, ClientOutcome]] | None = None,
 ) -> SimulationResult:
     """Replay every application against the scheduled rankings.
 
@@ -374,14 +376,14 @@ def simulate(
     really applied there, the actual status and income are copied
     verbatim, which makes the replay of the historical ranking reproduce
     history exactly.  Otherwise the reapproval table keyed by the
-    historical outcome estimates the result.  Applications without a
-    usable position are skipped and counted, so coverage is visible in
-    the result.  ``outcomes`` is ``client_outcomes(conversions)`` when
-    the caller has already built it.
+    historical outcome estimates the result; the client's own outcome
+    with the substitute comes from ``table.history``.  Applications
+    without a usable position are skipped and counted, so coverage is
+    visible in the result.
     """
     weeks = {entry.week_start: entry for entry in schedule}
     entry_of_day: dict[date, WeekEntry | None] = {}
-    history = client_outcomes(conversions) if outcomes is None else outcomes
+    history = table.history
 
     replayed: list[AppOutcome] = []
     n_no_rank = n_out_of_range = n_no_week = 0
@@ -549,10 +551,10 @@ def evaluate_ranking(
     damping: float = 0.0,
     min_support: int = DEFAULT_MIN_SUPPORT,
     duration_rules: Sequence[DurationRule] | None = None,
+    tie_eps: float = TIE_EPS,
 ) -> tuple[SimulationResult, list[WeekEntry]]:
     """Full replay: weekly rankings, reapproval table, simulation."""
     conversions = filter_loan_type(conversions, loan_type)
-    clicks = filter_loan_type(clicks, loan_type)
     schedule = weekly_schedule(
         conversions,
         products,
@@ -561,10 +563,10 @@ def evaluate_ranking(
         loan_type=loan_type,
         damping=damping,
         duration_rules=duration_rules,
+        tie_eps=tie_eps,
     )
-    outcomes = client_outcomes(conversions)
-    table = reapproval_table(conversions, min_support=min_support, outcomes=outcomes)
-    return simulate(conversions, schedule, table, outcomes=outcomes), schedule
+    table = reapproval_table(conversions, min_support=min_support)
+    return simulate(conversions, schedule, table), schedule
 
 
 # ---------------------------------------------------------------------------

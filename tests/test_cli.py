@@ -121,6 +121,17 @@ def test_features_rejects_unknown_feature(dataset_dir, tmp_path):
     assert rc == 1
 
 
+def test_features_accepts_datasets_with_a_byte_order_mark(dataset_dir, tmp_path):
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for name in ("conversions.csv", "products.csv", "clicks.csv"):
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (dataset_dir / name).read_bytes())
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    assert main(["features", *dataset_flags(dataset_dir), "--out", str(plain)]) == 0
+    assert main(["features", *dataset_flags(marked), "--out", str(bom)]) == 0
+    assert bom.read_bytes() == plain.read_bytes()
+
+
 def test_features_on_broken_csv_is_a_data_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("name,value\nx,1\n")
@@ -160,6 +171,14 @@ def test_rank_reproduces_the_reference_ordering(golden_vectors, tmp_path):
     assert [r[0] for r in rows] == REFERENCE_RANKING
     assert [int(r[2]) for r in rows] == list(range(1, 7))
     assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_rank_accepts_a_feature_csv_with_a_byte_order_mark(golden_vectors, tmp_path):
+    table = tmp_path / "features.csv"
+    table.write_text("\ufeff" + feature_csv(golden_vectors), encoding="utf-8")
+    out = tmp_path / "ranking.json"
+    assert main(["rank", "--features-csv", str(table), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["ranking"] == REFERENCE_RANKING
 
 
 def test_rank_needs_some_input():
@@ -309,6 +328,24 @@ def test_evaluate_is_deterministic(dataset_dir, tmp_path):
     assert d1.read_bytes() == d2.read_bytes()
 
 
+def test_evaluate_ranks_every_week_with_the_configured_tie_eps(
+    dataset_dir, evaluation_json, tmp_path
+):
+    def ranked_weeks(payload):
+        return [w["ranking"] for w in payload["weeks"] if w["source"] == "ranked"]
+
+    # With the default tolerance some week is not in id order ...
+    assert any(r != sorted(r) for r in ranked_weeks(json.loads(evaluation_json.read_text())))
+    # ... and with every feature and mass tied, each week falls back to id order.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tie_eps": 1000}), encoding="utf-8")
+    out = tmp_path / "evaluation.json"
+    args = ["evaluate", *dataset_flags(dataset_dir), "--config", str(config)]
+    assert main([*args, "--out", str(out)]) == 0
+    weeks = ranked_weeks(json.loads(out.read_text()))
+    assert weeks and all(r == sorted(r) for r in weeks)
+
+
 # SHA-256 of the `mfirank fixture --seed 0` CSVs and of the artifacts
 # computed from them, recorded before the feature code became incremental
 # (the CSVs before the parsers became table-driven).  ranking.json is left
@@ -386,6 +423,15 @@ def test_report_weekly_sums_match_the_days(evaluation_json, tmp_path):
             if a == algo and week_start(datetime.fromisoformat(d)) == monday
         )
         assert income == pytest.approx(expected, rel=1e-9), (day, algo)
+
+
+def test_report_reads_an_evaluation_with_a_byte_order_mark(evaluation_json, tmp_path):
+    marked = tmp_path / "evaluation.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + evaluation_json.read_bytes())
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    assert main(["report", "--evaluation", str(evaluation_json), "--out", str(plain)]) == 0
+    assert main(["report", "--evaluation", str(marked), "--out", str(bom)]) == 0
+    assert bom.read_bytes() == plain.read_bytes()
 
 
 def test_report_rejects_json_without_the_series(tmp_path):
@@ -531,6 +577,16 @@ def test_a_spelling_in_both_flag_lists_is_a_config_error(dataset_dir, tmp_path, 
     assert main([*args, "--config", str(config)]) == 1
     config.write_text(json.dumps({"true_strings": ["ok"], "false_strings": ["nope"]}))
     assert main([*args, "--config", str(config)]) == 0
+
+
+def test_a_config_file_with_a_byte_order_mark_is_read(dataset_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("\ufeff" + json.dumps({"damping": 0.25}), encoding="utf-8")
+    out = tmp_path / "v.json"
+    args = ["validate", *dataset_flags(dataset_dir), "--out", str(out)]
+    assert main([*args, "--config", str(config)]) == 0
+    assert main([*args, "--damping", "0.25", "--out", str(tmp_path / "w.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "w.json").read_bytes()
 
 
 def test_missing_required_flags_exit_with_one():

@@ -347,14 +347,26 @@ def _fuzzed_csv(draw, serialize, record) -> str:
     return buf.getvalue()
 
 
+def _parsed_or_error(parse, source) -> ParseResult | str:
+    try:
+        return parse(source)
+    except DataError as exc:
+        return str(exc)
+
+
 @settings(max_examples=150)
-@given(data=st.data(), which=st.integers(0, 2))
-def test_parsers_survive_arbitrary_cells(fixture_triple, data, which):
+@given(data=st.data(), which=st.integers(0, 2), bom=st.sampled_from([None, "text", "bytes"]))
+def test_parsers_survive_arbitrary_cells(fixture_triple, data, which, bom):
     parse, serialize = PARSERS[which]
     text = _fuzzed_csv(data.draw, serialize, fixture_triple[which][0])
-    try:
-        result = parse(io.StringIO(text))
-    except DataError:
+    result = _parsed_or_error(parse, io.StringIO(text))
+    if bom is not None:
+        # A leading byte-order mark, as spreadsheet exports write it, is
+        # not part of the first header cell.
+        marked = "\ufeff" + text
+        source = io.StringIO(marked) if bom == "text" else io.BytesIO(marked.encode("utf-8"))
+        assert _parsed_or_error(parse, source) == result
+    if isinstance(result, str):
         return
     assert isinstance(result, ParseResult)
     for record in result.records:

@@ -767,8 +767,9 @@ def replay_cases():
     Every fixture comes as generated, with its rows shuffled, and shuffled
     with edge rows added: a second final row with the same click time as
     an existing one for the same client and MFI (opposite status, so the
-    tie rule decides), a pending row tied with a final one, and two
-    clients whose every application is pending.
+    tie rule decides), a pending row tied with a final one that carries
+    an income (only sales may count it), and two clients whose every
+    application is pending.
     """
     for seed, n_mfis, n_clients, n_weeks in DIFFERENTIAL_DATASETS:
         conversions, products, clicks = generate_fixture(
@@ -784,7 +785,7 @@ def replay_cases():
             twin = dataclasses.replace(
                 rec, status=flipped, income=77.5 if flipped is Status.SALE else None
             )
-            pending = dataclasses.replace(rec, status=Status.PENDING, income=None)
+            pending = dataclasses.replace(rec, status=Status.PENDING, income=12.5)
             at = edged.index(rec)
             edged[at + 1 : at + 1] = [twin, pending]
         mfis = sorted({r.mfi_id for r in shuffled})
@@ -843,20 +844,25 @@ def test_reapproval_table_matches_the_reference(case, min_support):
     _, conversions, _, _ = case
     want = table_items(reference_reapproval_table(conversions, min_support))
     assert table_items(reapproval_table(conversions, min_support)) == want
-    shared = client_outcomes(conversions)
-    assert table_items(reapproval_table(conversions, min_support, outcomes=shared)) == want
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
+def test_reapproval_table_carries_the_client_outcomes(case):
+    _, conversions, _, _ = case
+    # equal values and the same first-seen order of clients and MFIs
+    assert nested_items(reapproval_table(conversions).history) == nested_items(
+        client_outcomes(conversions)
+    )
 
 
 @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
 def test_simulate_matches_the_reference(case):
     _, conversions, products, clicks = case
     table = reapproval_table(conversions, min_support=1)
-    shared = client_outcomes(conversions)
     for name, schedule in replay_schedules(conversions, products, clicks).items():
         want = reference_simulate(conversions, schedule, table)
         # exact equality: every AppOutcome and every float of the totals
         assert simulate(conversions, schedule, table) == want, name
-        assert simulate(conversions, schedule, table, outcomes=shared) == want, name
 
 
 @pytest.mark.parametrize("case", REPLAY_CASES[2::3], ids=REPLAY_IDS[2::3])
