@@ -10,6 +10,7 @@ exercise and as a seed-by-seed behaviour probe.
 import argparse
 import logging
 
+from mfirank.data import LoanType, filter_loan_type
 from mfirank.evaluate import evaluate_ranking
 from mfirank.features import feature_table
 from mfirank.fixtures import generate_fixture
@@ -26,11 +27,14 @@ def main() -> None:
     args = parser.parse_args()
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
 
-    conversions, products, clicks = generate_fixture(
-        args.seed, n_mfis=args.n_mfis, n_clients=args.n_clients
-    )
+    fixture = generate_fixture(args.seed, n_mfis=args.n_mfis, n_clients=args.n_clients)
+    conversions, products, clicks = fixture
     print(f"fixture: {len(conversions)} applications, {len(products)} cards, "
           f"{len(clicks)} clicks")
+    # Standard loans only, as the CLI selects them by default.
+    conversions, products, clicks = (
+        filter_loan_type(records, LoanType.STANDARD) for records in fixture
+    )
 
     table = feature_table(conversions, products, clicks)
     print("\nfeature table:")

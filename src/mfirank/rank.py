@@ -14,7 +14,6 @@ numerical drift is treated as an internal error rather than tolerated.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -197,6 +196,20 @@ def stationary(
     )
 
 
+def _tie_groups(ids: Sequence[str], value: Mapping, tie_eps: float, within=None) -> dict:
+    """Number the tie groups of ``ids`` from the best: sorted by (``within``
+    group, descending value), a group ends where the ``within`` group does
+    or the next value is more than ``tie_eps`` lower.  Input order is moot."""
+    outer = within or {}
+    ordered = sorted(ids, key=value.__getitem__, reverse=True)
+    ordered.sort(key=lambda m: outer.get(m, 0))  # stable: values stay descending
+    groups = dict.fromkeys(ordered[:1], 0)
+    for above, m in zip(ordered, ordered[1:]):
+        cut = outer.get(above) != outer.get(m) or value[above] > value[m] + tie_eps
+        groups[m] = groups[above] + cut
+    return groups
+
+
 def rank_list(
     dist: StationaryDistribution,
     vectors: Sequence[FeatureVector] | None = None,
@@ -204,29 +217,17 @@ def rank_list(
 ) -> list[str]:
     """Order MFI ids by stationary mass, best first.
 
-    Ties within ``tie_eps`` fall back to the normalized approval rate
-    (when available), then to the lexicographic id, so the ranking is
-    fully deterministic.
+    The masses are cut into tie groups (:func:`_tie_groups`).  When every
+    MFI has a normalized approval rate, the rates cut each group the same
+    way; the id breaks what ties remain.  Sorting by (mass group, rate
+    group, id) is a total order, so the ranking does not depend on the
+    order of the input.
     """
-    mass = dist.as_dict()
-    lar: dict[str, float | None] = {}
-    if vectors is not None:
-        lar = {v.mfi_id: v.lar_norm for v in vectors}
-
-    def cmp(a: str, b: str) -> int:
-        if mass[a] > mass[b] + tie_eps:
-            return -1
-        if mass[b] > mass[a] + tie_eps:
-            return 1
-        la, lb = lar.get(a), lar.get(b)
-        if la is not None and lb is not None:
-            if la > lb + tie_eps:
-                return -1
-            if lb > la + tie_eps:
-                return 1
-        return -1 if a < b else (1 if a > b else 0)
-
-    return sorted(dist.order, key=functools.cmp_to_key(cmp))
+    groups = _tie_groups(dist.order, dist.as_dict(), tie_eps)
+    lar = {v.mfi_id: v.lar_norm for v in vectors or ()}
+    if all(lar.get(m) is not None for m in dist.order):
+        groups = _tie_groups(dist.order, lar, tie_eps, within=groups)
+    return sorted(sorted(dist.order), key=groups.__getitem__)
 
 
 def page_filter(

@@ -29,7 +29,7 @@ from conftest import (
 from test_evaluate import brute_force_pair, identity_schedule
 from test_stats import enumerate_fisher
 
-from mfirank.data import Status, validate
+from mfirank.data import LoanType, Status, filter_loan_type, validate
 from mfirank.evaluate import (
     evaluate_ranking,
     os_contingency,
@@ -53,6 +53,11 @@ from mfirank.stats import (
     yule_ci,
     yule_colligation,
 )
+
+
+def standard_loans(*datasets):
+    """The records the paper's figures cover, as the CLI selects them by default."""
+    return [filter_loan_type(records, LoanType.STANDARD) for records in datasets]
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -142,7 +147,7 @@ def test_criterion_4_published_dataset_reproduction():
         if abs(got - want) > 0.001:
             problems.append(f"{status} share {got:.4f} off {want} by > 0.1 pp")
 
-    table = feature_table(conversions, products, clicks)
+    table = feature_table(*standard_loans(conversions, products, clicks))
     by_id = {v.mfi_id: v for v in table}
     for mfi, (rating, lar, fair, p90, earn) in REFERENCE_TABLE.items():
         vec = by_id.get(mfi)
@@ -176,9 +181,8 @@ def test_criterion_5_three_feature_replay_direction():
     if dataset_dir() is None:
         skip_line(5, "the three-feature replay comparison")
 
-    conversions, products, clicks = load_published()
     result, _ = evaluate_ranking(
-        conversions, products, clicks, features=("rating", "lar", "epc")
+        *standard_loans(*load_published()), features=("rating", "lar", "epc")
     )
     ratio = (
         result.total_lar / result.historical_lar if result.historical_lar else float("inf")

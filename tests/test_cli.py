@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from datetime import datetime, timedelta
@@ -130,6 +131,18 @@ def test_features_accepts_datasets_with_a_byte_order_mark(dataset_dir, tmp_path)
     assert main(["features", *dataset_flags(dataset_dir), "--out", str(plain)]) == 0
     assert main(["features", *dataset_flags(marked), "--out", str(bom)]) == 0
     assert bom.read_bytes() == plain.read_bytes()
+
+
+def test_features_on_conversions_of_another_loan_type_is_a_data_error(
+    dataset_dir, tmp_path, capsys
+):
+    conversions, _, _ = generate_fixture(0)
+    long_term = [dataclasses.replace(r, loan_type=LoanType.LONG_TERM) for r in conversions]
+    flags = dataset_flags(dataset_dir)
+    flags[1] = str(tmp_path / "conversions.csv")
+    (tmp_path / "conversions.csv").write_text(serialize_conversions(long_term))
+    assert main(["features", *flags, "--out", str(tmp_path / "features.csv")]) == 2
+    assert "no MFIs left after filtering" in capsys.readouterr().err
 
 
 def test_features_on_broken_csv_is_a_data_error(tmp_path):
@@ -587,6 +600,39 @@ def test_a_config_file_with_a_byte_order_mark_is_read(dataset_dir, tmp_path):
     assert main([*args, "--config", str(config)]) == 0
     assert main([*args, "--damping", "0.25", "--out", str(tmp_path / "w.json")]) == 0
     assert out.read_bytes() == (tmp_path / "w.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"tie_eps": NaN}', "tie_eps must be finite and positive"),
+        ('{"tie_eps": Infinity}', "tie_eps must be finite and positive"),
+        ('{"min_support": 1e400}', "config key 'min_support' must be a whole number"),
+        ('{"min_support": 2.7}', "config key 'min_support' must be a whole number"),
+        ('{"min_support": NaN}', "config key 'min_support' must be a whole number"),
+    ],
+)
+@pytest.mark.parametrize("command", ["evaluate", "rank"])
+def test_a_non_finite_or_fractional_setting_is_a_config_error(
+    dataset_dir, tmp_path, capsys, command, text, message
+):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    args = [command, *dataset_flags(dataset_dir), "--config", str(config)]
+    assert main([*args, "--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == f"mfirank: config error: {message}\n"
+
+
+def test_a_whole_float_min_support_keeps_the_config_digest(dataset_dir, tmp_path):
+    args = ["validate", *dataset_flags(dataset_dir)]
+    digests = []
+    for text in ('{"min_support": 3}', '{"min_support": 3.0}', '{"tie_eps": 1e-9}', "{}"):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "v.json"
+        assert main([*args, "--config", str(config), "--out", str(out)]) == 0
+        digests.append(json.loads(out.read_text())["config_digest"])
+    assert digests[0] == digests[1] != digests[2] == digests[3]
 
 
 def test_missing_required_flags_exit_with_one():

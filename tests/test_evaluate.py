@@ -293,12 +293,10 @@ def test_weekly_schedule_carries_degenerate_weeks():
     assert all(e.ranking == first for e in schedule)
 
 
-def prefix_schedule(conversions, products, clicks, *, features, loan_type):
+def prefix_schedule(conversions, products, clicks, *, features):
     """The weekly schedule rebuilt from scratch each week: ``feature_table``
     on the whole training prefix, then ``rank_mfis``, with the same
     historical-first and carry-forward rules as ``weekly_schedule``."""
-    conversions = filter_loan_type(conversions, loan_type)
-    clicks = filter_loan_type(clicks, loan_type)
     if not conversions:
         return []
     by_time = sorted(conversions, key=lambda r: r.click_time)
@@ -312,9 +310,7 @@ def prefix_schedule(conversions, products, clicks, *, features, loan_type):
         seen = [c for c in clicks_by_time if c.click_time < monday]
         if training:
             try:
-                table = feature_table(
-                    training, products, seen, features=features, loan_type=loan_type
-                )
+                table = feature_table(training, products, seen, features=features)
                 if len(table) < 2:
                     raise ValueError("fewer than two rankable MFIs")
                 current = tuple(rank_mfis(table, features=features).ranking)
@@ -368,15 +364,16 @@ def differential_variants(seed, n_mfis, n_clients, n_weeks):
         for half in (False, True):
             cards = products[: len(products) // 2] if half else products
             for loan_type in (LoanType.STANDARD, None):
-                yield (bent, half, loan_type), (convs, cards, clicks, loan_type)
+                selected = [filter_loan_type(r, loan_type) for r in (convs, cards, clicks)]
+                yield (bent, half, loan_type), selected
 
 
 @pytest.mark.parametrize("features", DIFFERENTIAL_FEATURES)
 @pytest.mark.parametrize("dataset", DIFFERENTIAL_DATASETS)
 def test_weekly_schedule_matches_per_prefix_feature_tables(dataset, features):
-    for variant, (convs, cards, clicks, loan_type) in differential_variants(*dataset):
-        got = weekly_schedule(convs, cards, clicks, features=features, loan_type=loan_type)
-        want = prefix_schedule(convs, cards, clicks, features=features, loan_type=loan_type)
+    for variant, (convs, cards, clicks) in differential_variants(*dataset):
+        got = weekly_schedule(convs, cards, clicks, features=features)
+        want = prefix_schedule(convs, cards, clicks, features=features)
         assert got == want, variant
 
 
@@ -384,8 +381,8 @@ def test_differential_cases_cover_carried_weeks_and_excluded_mfis():
     sources = set()
     excluded = 0
     for dataset in DIFFERENTIAL_DATASETS:
-        for _, (convs, cards, clicks, loan_type) in differential_variants(*dataset):
-            schedule = weekly_schedule(convs, cards, clicks, loan_type=loan_type)
+        for _, (convs, cards, clicks) in differential_variants(*dataset):
+            schedule = weekly_schedule(convs, cards, clicks)
             sources.update(e.source for e in schedule)
             excluded += bool({r.mfi_id for r in convs} - {p.mfi_id for p in cards})
     assert sources == {"historical", "ranked", "carried"}
@@ -810,7 +807,7 @@ REPLAY_IDS = [case[0] for case in REPLAY_CASES]
 def replay_schedules(conversions, products, clicks):
     """A trained schedule, and the historical one with every third week
     missing so that some applications find no week."""
-    trained = weekly_schedule(conversions, products, clicks, loan_type=None)
+    trained = weekly_schedule(conversions, products, clicks)
     gappy = [e for i, e in enumerate(identity_schedule(conversions)) if i % 3 != 1]
     return {"trained": trained, "gappy": gappy}
 
@@ -867,11 +864,11 @@ def test_simulate_matches_the_reference(case):
 
 @pytest.mark.parametrize("case", REPLAY_CASES[2::3], ids=REPLAY_IDS[2::3])
 def test_evaluate_ranking_matches_the_reference(case):
-    _, conversions, products, clicks = case
-    schedule = weekly_schedule(conversions, products, clicks)
-    standard = filter_loan_type(conversions, LoanType.STANDARD)
-    want = reference_simulate(standard, schedule, reference_reapproval_table(standard))
-    assert evaluate_ranking(conversions, products, clicks) == (want, schedule)
+    standard = [filter_loan_type(records, LoanType.STANDARD) for records in case[1:]]
+    schedule = weekly_schedule(*standard)
+    conversions = standard[0]
+    want = reference_simulate(conversions, schedule, reference_reapproval_table(conversions))
+    assert evaluate_ranking(*standard) == (want, schedule)
 
 
 def test_replay_cases_cover_the_edge_rows():

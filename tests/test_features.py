@@ -575,14 +575,6 @@ def test_feature_table_drops_mfis_with_impossible_epc(caplog):
     assert any("dropping MFI 11" in m for m in caplog.messages)
 
 
-def test_feature_table_loan_filter():
-    conversions, products, clicks = small_dataset()
-    conversions = [
-        c.__class__(**{**c.__dict__, "loan_type": LoanType.LONG_TERM}) for c in conversions
-    ]
-    assert feature_table(conversions, products, clicks) == []
-
-
 def test_feature_table_values_are_reproducible():
     conversions, products, clicks = small_dataset()
     table = feature_table(conversions, products, clicks)
@@ -607,7 +599,8 @@ def test_accumulator_fed_in_batches_matches_feature_table(seed):
     rng.shuffle(clicks)
     conv_cuts = sorted(rng.sample(range(1, len(conversions)), 5)) + [len(conversions)]
     click_cuts = sorted(rng.sample(range(len(clicks)), 5)) + [len(clicks)]
-    acc = FeatureAccumulator([p for p in products if p.loan_type is LoanType.STANDARD])
+    products = [p for p in products if p.loan_type is LoanType.STANDARD]
+    acc = FeatureAccumulator(products)
     conv_done = click_done = 0
     for conv_cut, click_cut in zip(conv_cuts, click_cuts):
         acc.add_conversions(conversions[conv_done:conv_cut])
@@ -637,9 +630,17 @@ def test_feature_csv_rejects_garbage():
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "NaN"])
 @pytest.mark.parametrize("column", ["rating_norm", "fairness", "epc"])
 def test_feature_csv_rejects_non_finite_cells(column, text):
-    csv_text = f"mfi_id,{column}\n18,1.5\n20,{text}\n"
+    csv_text = f"mfi_id,{column}\n18,1\n20,{text}\n"
     with pytest.raises(DataError, match=f"row for 20: {column} is '{text}'"):
         parse_feature_csv(csv_text)
+
+
+@pytest.mark.parametrize("text", ["2.7", "0.5", "17", "5", "-1", "-0.5"])
+def test_feature_csv_rejects_fairness_outside_the_points(text):
+    csv_text = f"mfi_id,fairness\n18,4\n20,{text}\n"
+    with pytest.raises(DataError, match=f"row for 20: fairness is '{text}', not a whole"):
+        parse_feature_csv(csv_text)
+    assert [v.fairness for v in parse_feature_csv("mfi_id,fairness\n18,0\n20,4.0\n")] == [0, 4]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from mfirank.features import ALL_FEATURES, FEATURE_ATTRS, LOWER_IS_BETTER, Featu
 from mfirank.rank import (
     TIE_EPS,
     ComparisonMatrix,
+    StationaryDistribution,
     comparison_matrix,
     page_filter,
     rank_list,
@@ -384,6 +387,97 @@ def test_rank_breaks_ties_by_lar_then_id():
         vec("c", 3.0, 0.2, 2, 10.0, 1.0),
     ]
     assert rank_list(dist, vectors) == ["b", "c", "a"]  # higher LAR first
+
+
+def reference_rank_list(dist, vectors=None, tie_eps=TIE_EPS):
+    """The ε-tolerant comparator sort that ``rank_list`` replaced.  It is
+    not transitive: on a chain of masses less than ε apart its result
+    depends on the input order."""
+    mass = dist.as_dict()
+    lar = {v.mfi_id: v.lar_norm for v in vectors} if vectors is not None else {}
+
+    def cmp(a, b):
+        if mass[a] > mass[b] + tie_eps:
+            return -1
+        if mass[b] > mass[a] + tie_eps:
+            return 1
+        la, lb = lar.get(a), lar.get(b)
+        if la is not None and lb is not None:
+            if la > lb + tie_eps:
+                return -1
+            if lb > la + tie_eps:
+                return 1
+        return -1 if a < b else (1 if a > b else 0)
+
+    return sorted(dist.order, key=functools.cmp_to_key(cmp))
+
+
+def ranked(ids, masses, lars=None):
+    dist = StationaryDistribution(
+        order=tuple(ids), pi=np.array(masses, dtype=float), power_converged=True, method_gap=0.0
+    )
+    if lars is None:
+        return dist, None
+    return dist, [FeatureVector(mfi_id=m, lar_norm=x) for m, x in zip(ids, lars)]
+
+
+# steps between neighbours of a chain: ties, gaps under ε that add up to
+# more than ε, and clear gaps
+CHAIN_STEPS = st.sampled_from([0.0, 0.3e-9, 0.6e-9, 0.9e-9, 1.5e-9, 5e-9])
+
+
+@given(
+    st.lists(st.tuples(CHAIN_STEPS, CHAIN_STEPS), min_size=2, max_size=5),
+    st.booleans(),
+)
+def test_rank_list_is_one_ranking_over_every_order_of_an_eps_chain(steps, with_lar):
+    ids = [f"m{i}" for i in range(len(steps))]
+    masses = [0.2 + x for x in itertools.accumulate(step for step, _ in steps)]
+    lars = [0.1 + x for x in itertools.accumulate(step for _, step in steps)]
+    rankings = set()
+    for order in itertools.permutations(range(len(ids))):
+        dist, vectors = ranked(
+            [ids[i] for i in order],
+            [masses[i] for i in order],
+            [lars[i] for i in order] if with_lar else None,
+        )
+        rankings.add(tuple(rank_list(dist, vectors)))
+    assert len(rankings) == 1
+
+
+def test_a_three_mass_eps_chain_is_one_tie_group():
+    mass = {"a": 0.3, "b": 0.3 + 6e-10, "c": 0.3 + 1.2e-9}
+    dists = [ranked(ids, [mass[m] for m in ids])[0] for ids in itertools.permutations("abc")]
+    assert len({tuple(reference_rank_list(dist)) for dist in dists}) == 3
+    assert {tuple(rank_list(dist)) for dist in dists} == {("a", "b", "c")}
+
+
+def test_a_mass_gap_of_exactly_tie_eps_is_a_tie():
+    dist, vectors = ranked(["b", "a"], [0.2 + TIE_EPS, 0.2], [0.5, 0.5 + TIE_EPS])
+    assert rank_list(dist) == reference_rank_list(dist) == ["a", "b"]
+    assert rank_list(dist, vectors) == reference_rank_list(dist, vectors) == ["a", "b"]
+
+
+def clustered(draw, n, start):
+    """``n`` values in clusters whose members lie within ε/2 of their
+    cluster's base and whose bases lie at least 2ε apart."""
+    bases = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    offsets = draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n))
+    return [start + TIE_EPS * (2 * b + o) for b, o in zip(bases, offsets)]
+
+
+@st.composite
+def separated_tables(draw):
+    n = draw(st.integers(2, 7))
+    ids = draw(st.permutations([f"m{i}" for i in range(n)]))
+    lars = clustered(draw, n, 0.1) if draw(st.booleans()) else None
+    return ranked(ids, clustered(draw, n, 0.2), lars)
+
+
+@given(separated_tables())
+def test_rank_list_matches_the_reference_when_no_tie_group_spans_more_than_eps(table):
+    dist, vectors = table
+    assert rank_list(dist, vectors) == reference_rank_list(dist, vectors)
 
 
 @given(vector_tables)
