@@ -203,6 +203,9 @@ def load_config(
     ):
         if key in data:
             try:
+                # JSON true/false would pass float() and int() as 1 and 0.
+                if isinstance(data[key], bool):
+                    raise TypeError(data[key])
                 config = replace(config, **{key: caster(data[key])})
             except (TypeError, ValueError):
                 kind = "a whole number" if key == "min_support" else "a number"

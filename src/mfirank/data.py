@@ -11,10 +11,18 @@ Each dataset is declared once, as a column table (``_CONVERSIONS``,
 ``_PRODUCTS``, ``_CLICKS``): every record field with its canonical
 column name and cell kind, in the order the ``serialize_*`` writers use,
 plus the columns the header must have and the cells that can reject a
-row, in the order they are checked.  One row loop reads all three.  A
+row, in the order they are checked.  One parser reads all three.  A
 bad mandatory cell drops its row with a ``RowError``; an unparseable
 optional cell becomes empty (None; False for a flag, 0 for a review
 count), and ``nan``, ``inf`` or an overflowing number is unparseable.
+
+The parser reads the rows in blocks and transposes each block into
+columns.  Every cell parser and check is a pure function of the cell
+text, so each distinct cell of a column is parsed and checked once per
+block.  The records are frozen slotted dataclasses, assembled a field at
+a time through their slot descriptors rather than one ``__init__`` per
+row.  The result is the one a row-by-row reading gives: records and row
+errors in row order, and the same ``DataError`` where the file has one.
 
 All timestamps are naive local times in a single zone; no zone
 conversion is performed anywhere in the package.
@@ -23,16 +31,18 @@ conversion is performed anywhere in the package.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import logging
 import math
 import os
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from enum import Enum
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from itertools import compress, islice, repeat, zip_longest
+from typing import IO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import DataError
 
@@ -113,7 +123,7 @@ class SchemaConfig:
 DEFAULT_SCHEMA = SchemaConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConversionRecord:
     """One completed loan application submitted after a click-out."""
 
@@ -160,7 +170,7 @@ class ConversionRecord:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductRecord:
     """One MFI card: loan terms, schedules, reviews, reliability flags."""
 
@@ -210,7 +220,7 @@ class ProductRecord:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClickRecord:
     """One click-out from the aggregator site (may or may not convert)."""
 
@@ -506,63 +516,138 @@ def _is_comment(row: list[str]) -> bool:
     return bool(row) and row[0].lstrip().startswith("#")
 
 
-def _read_table(
-    source, config: SchemaConfig, dataset: _Dataset
-) -> tuple[Mapping[str, int], list[list[str]]]:
-    """The header's column index by canonical name, and the data rows."""
-    try:
-        rows = [row for row in _open_rows(source) if not _is_comment(row)]
-    except csv.Error as exc:
-        raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
-    if not rows:
+# Data rows read, parsed and assembled at a time.  A block bounds the raw
+# cells alive at once, and its distinct cells are parsed once each.
+_BLOCK_ROWS = 1024
+
+
+def _raise_after_framing(rows: Iterator[list[str]], message: str) -> NoReturn:
+    """Raise ``message`` as a DataError once the rest of the file has been
+    read: a CSV framing fault anywhere in the file takes precedence."""
+    deque(rows, maxlen=0)
+    raise DataError(message)
+
+
+def _read_header(
+    rows: Iterator[list[str]], config: SchemaConfig, dataset: _Dataset
+) -> dict[str, int]:
+    """The header's column index by canonical name."""
+    header = next((row for row in rows if not _is_comment(row)), None)
+    if header is None:
         raise DataError(f"{dataset.name}: file is empty (no header row)")
     index: dict[str, int] = {}
-    for i, name in enumerate(rows[0]):
+    for i, name in enumerate(header):
         canon = _norm_header(name)
         canon = config.column_aliases.get(canon, canon)
         index.setdefault(canon, i)
     for column in dataset.mandatory:
         if column not in index:
-            raise DataError(f"{dataset.name}: missing mandatory column '{column}'")
-    return index, rows[1:]
+            _raise_after_framing(rows, f"{dataset.name}: missing mandatory column '{column}'")
+    return index
 
 
 def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> ParseResult:
-    """Read one dataset: every row becomes a record or a RowError."""
+    """Read one dataset: every row becomes a record or a RowError.
+
+    The cycle collector is paused meanwhile: the parse makes only acyclic
+    objects, and a collection over the growing heap would find nothing.
+    """
     config = config or DEFAULT_SCHEMA
-    index, rows = _read_table(source, config, dataset)
+    rows = iter(_open_rows(source))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_blocks(rows, _read_header(rows, config, dataset), config, dataset)
+    except csv.Error as exc:
+        raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _parse_blocks(
+    rows: Iterator[list[str]], index: Mapping[str, int], config: SchemaConfig, dataset: _Dataset
+) -> ParseResult:
+    """Parse the data rows block by block and, within a block, column by
+    column.  The cell parsers and the checks are pure functions of the cell,
+    so each runs once per distinct cell of a column; the records are then
+    assembled field by field through their slots."""
     parsers = _cell_parsers(config)
     kinds = dict(dataset.columns)
-    present = [(name, index[name], parsers[kind]) for name, kind in dataset.columns if name in index]
-    # A column missing from the header reads as an empty cell in every row.
-    absent = {name: parsers[kind](None) for name, kind in dataset.columns if name not in index}
-    checks = [(name, index.get(name), _REJECTS[kinds[name]]) for name in dataset.checks]
-    width = 1 + max(i for _, i, _ in present)
+    # (name, header index or None, parser, slot setter) per record field.
+    columns = [
+        (name, index.get(name), parsers[kind], getattr(dataset.record, name).__set__)
+        for name, kind in dataset.columns
+    ]
+    checks = [(name, _REJECTS[kinds[name]]) for name in dataset.checks]
+    width = 1 + max(i for _, i, _, _ in columns if i is not None)
     unique = dataset.unique
+    # A row rejected at or before the unique column's check never reaches it.
+    after_unique = dataset.checks.index(unique) + 1 if unique is not None else 0
     seen: dict[object, int] = {}
     records = []
     errors: list[RowError] = []
-    for n, cells in enumerate(rows, start=1):
-        if not "".join(cells).strip():
+    n = 0
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        block = [row for row in block if not _is_comment(row)]
+        numbers = range(n + 1, n + 1 + len(block))
+        n += len(block)
+        # A blank row keeps its number but yields nothing.
+        filled = [j for j, row in enumerate(block) if "".join(row).strip()]
+        if len(filled) < len(block):
+            block = [block[j] for j in filled]
+            numbers = [numbers[j] for j in filled]
+        if not block:
             continue
-        if len(cells) < width:
-            cells = cells + [None] * (width - len(cells))
-        values = {name: parse(cells[i]) for name, i, parse in present}
-        values.update(absent)
-        for name, i, reject in checks:
-            message = reject(values[name], None if i is None else cells[i])
-            if message is not None:
-                errors.append(RowError(n, name, message))
-                break
-            if name == unique and values[name] in seen:
-                raise DataError(
-                    f"{dataset.name}: duplicate {name} {values[name]!r} "
-                    f"(rows {seen[values[name]]} and {n})"
-                )
-        else:
-            if unique is not None:
-                seen[values[unique]] = n
-            records.append(dataset.record(**values))
+        # A cell past the end of a short row reads as None, and so does
+        # every cell of a column missing from the header.
+        transposed = list(islice(zip_longest(*block), width))
+        empty = (None,) * len(block)
+        cells: dict[str, tuple] = {}
+        memos: dict[str, dict] = {}
+        for name, i, parse, _ in columns:
+            column = transposed[i] if i is not None and i < len(transposed) else empty
+            cells[name] = column
+            memos[name] = {cell: parse(cell) for cell in set(column)}
+        # The first failing check of each rejected row: (check, column, message).
+        rejected: dict[int, tuple[int, str, str]] = {}
+        for order, (name, reject) in enumerate(checks):
+            bad = {
+                cell: message
+                for cell, value in memos[name].items()
+                if (message := reject(value, cell)) is not None
+            }
+            if bad:
+                for j, cell in enumerate(cells[name]):
+                    if cell in bad and j not in rejected:
+                        rejected[j] = (order, name, bad[cell])
+        if unique is not None:
+            memo = memos[unique]
+            for j, cell in enumerate(cells[unique]):
+                failed = rejected.get(j)
+                if failed is not None and failed[0] < after_unique:
+                    continue
+                value = memo[cell]
+                if value in seen:
+                    _raise_after_framing(
+                        rows,
+                        f"{dataset.name}: duplicate {unique} {value!r} "
+                        f"(rows {seen[value]} and {numbers[j]})",
+                    )
+                if failed is None:
+                    seen[value] = numbers[j]
+        errors.extend(
+            RowError(numbers[j], name, message)
+            for j, (_, name, message) in sorted(rejected.items())
+        )
+        accepted = [j not in rejected for j in range(len(block))] if rejected else None
+        new = list(map(object.__new__, repeat(dataset.record, len(block) - len(rejected))))
+        for name, _, _, set_slot in columns:
+            values = map(memos[name].__getitem__, cells[name])
+            if accepted:
+                values = compress(values, accepted)
+            deque(map(set_slot, new, values), maxlen=0)
+        records.extend(new)
     return ParseResult(records, errors)
 
 

@@ -30,6 +30,9 @@ TIE_EPS = 1e-9
 METHOD_AGREEMENT = 1e-8
 _POWER_TOL = 1e-13
 _POWER_MAX_ITER = 100_000
+# Power steps per progress check, and the least shrink that counts as progress.
+_STALL_WINDOW = 1_000
+_STALL_SHRINK = 0.01
 
 
 @dataclass(frozen=True)
@@ -143,14 +146,32 @@ def _direct_stationary(p: np.ndarray) -> np.ndarray:
 
 
 def _power_stationary(p: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Iterate x <- x P from the uniform vector until it stops moving."""
+    """Iterate x <- x P from the uniform vector until it stops moving.
+
+    On a periodic chain the iterate cycles and never settles.  The L1 size
+    of a step never grows (P is stochastic), so when it has shrunk by less
+    than ``_STALL_SHRINK`` over ``_STALL_WINDOW`` steps, the iteration goes
+    on with the lazy chain (I + P) / 2 instead: it has the same stationary
+    vector and is aperiodic.  A step that shrinks that slowly needs millions
+    of steps to fall below the tolerance, far past the step budget, so a
+    chain the plain iteration brings to convergence never switches.
+    """
     k = p.shape[0]
     x = np.full(k, 1.0 / k)
-    for _ in range(_POWER_MAX_ITER):
+    lazy = False
+    mark = None
+    for step in range(_POWER_MAX_ITER):
         nxt = x @ p
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - x)) < _POWER_TOL:
+        moved = np.abs(nxt - x)
+        if np.max(moved) < _POWER_TOL:
             return nxt, True
+        if not lazy and step % _STALL_WINDOW == 0:
+            size = moved.sum()
+            if mark is not None and size > (1.0 - _STALL_SHRINK) * mark:
+                p = 0.5 * (np.eye(k) + p)
+                lazy = True
+            mark = size
         x = nxt
     return x, False
 

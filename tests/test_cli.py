@@ -623,6 +623,17 @@ def test_a_non_finite_or_fractional_setting_is_a_config_error(
     assert capsys.readouterr().err == f"mfirank: config error: {message}\n"
 
 
+@pytest.mark.parametrize("key", ["damping", "tie_eps", "confidence_level", "min_support"])
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_a_boolean_setting_is_a_config_error(dataset_dir, tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"{key}": {value}}}', encoding="utf-8")
+    args = ["validate", *dataset_flags(dataset_dir), "--config", str(config)]
+    assert main([*args, "--out", str(tmp_path / "out.json")]) == 1
+    kind = "a whole number" if key == "min_support" else "a number"
+    assert capsys.readouterr().err == f"mfirank: config error: config key {key!r} must be {kind}\n"
+
+
 def test_a_whole_float_min_support_keeps_the_config_digest(dataset_dir, tmp_path):
     args = ["validate", *dataset_flags(dataset_dir)]
     digests = []

@@ -3,20 +3,31 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
+import re
 from dataclasses import astuple
 from datetime import datetime
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mfirank.data
 from mfirank.data import (
+    _BLOCK_ROWS,
+    _CLICKS,
+    _CONVERSIONS,
+    _PRODUCTS,
+    _REJECTS,
+    DEFAULT_SCHEMA,
     TIMESTAMP_FORMAT,
     ConversionRecord,
     LoanType,
     ParseResult,
+    RowError,
     SchemaConfig,
     Status,
     derive_timeline,
@@ -29,6 +40,9 @@ from mfirank.data import (
     serialize_products,
     validate,
     _cell_parsers,
+    _is_comment,
+    _norm_header,
+    _open_rows,
 )
 from mfirank.errors import DataError
 from mfirank.features import feature_table
@@ -377,6 +391,174 @@ def test_parsers_survive_arbitrary_cells(fixture_triple, data, which, bom):
                 assert value.tzinfo is None
         for rank in (getattr(record, "page_rank", None), getattr(record, "global_rank", None)):
             assert rank is None or (type(rank) is int and rank > 0)
+
+
+# ---------------------------------------------------------------------------
+# the row-at-a-time parser that the block-wise columnar one replaced, kept
+# verbatim as the reference
+
+
+def reference_read_table(source, config, dataset):
+    """The header's column index by canonical name, and the data rows."""
+    try:
+        rows = [row for row in _open_rows(source) if not _is_comment(row)]
+    except csv.Error as exc:
+        raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
+    if not rows:
+        raise DataError(f"{dataset.name}: file is empty (no header row)")
+    index = {}
+    for i, name in enumerate(rows[0]):
+        canon = _norm_header(name)
+        canon = config.column_aliases.get(canon, canon)
+        index.setdefault(canon, i)
+    for column in dataset.mandatory:
+        if column not in index:
+            raise DataError(f"{dataset.name}: missing mandatory column '{column}'")
+    return index, rows[1:]
+
+
+def reference_parse_rows(source, config, dataset):
+    """Read one dataset: every row becomes a record or a RowError."""
+    config = config or DEFAULT_SCHEMA
+    index, rows = reference_read_table(source, config, dataset)
+    parsers = _cell_parsers(config)
+    kinds = dict(dataset.columns)
+    present = [(name, index[name], parsers[kind]) for name, kind in dataset.columns if name in index]
+    # A column missing from the header reads as an empty cell in every row.
+    absent = {name: parsers[kind](None) for name, kind in dataset.columns if name not in index}
+    checks = [(name, index.get(name), _REJECTS[kinds[name]]) for name in dataset.checks]
+    width = 1 + max(i for _, i, _ in present)
+    unique = dataset.unique
+    seen = {}
+    records = []
+    errors = []
+    for n, cells in enumerate(rows, start=1):
+        if not "".join(cells).strip():
+            continue
+        if len(cells) < width:
+            cells = cells + [None] * (width - len(cells))
+        values = {name: parse(cells[i]) for name, i, parse in present}
+        values.update(absent)
+        for name, i, reject in checks:
+            message = reject(values[name], None if i is None else cells[i])
+            if message is not None:
+                errors.append(RowError(n, name, message))
+                break
+            if name == unique and values[name] in seen:
+                raise DataError(
+                    f"{dataset.name}: duplicate {name} {values[name]!r} "
+                    f"(rows {seen[values[name]]} and {n})"
+                )
+        else:
+            if unique is not None:
+                seen[values[unique]] = n
+            records.append(dataset.record(**values))
+    return ParseResult(records, errors)
+
+
+DATASETS = (_CONVERSIONS, _PRODUCTS, _CLICKS)
+BLOCK_SIZES = (1, 2, 3, 7, _BLOCK_ROWS)
+
+
+def assert_same_parse(parse, dataset, text: str) -> None:
+    """The parser gives the reference's records, row errors or DataError,
+    whatever the block size."""
+    expected = _parsed_or_error(lambda source: reference_parse_rows(source, None, dataset),
+                                io.StringIO(text))
+    for size in BLOCK_SIZES:
+        with mock.patch.object(mfirank.data, "_BLOCK_ROWS", size):
+            got = _parsed_or_error(parse, io.StringIO(text))
+        if isinstance(expected, str):
+            assert got == expected
+            continue
+        assert not isinstance(got, str), got
+        assert got.errors == expected.errors
+        assert len(got.records) == len(expected.records)
+        for a, b in zip(got.records, expected.records):
+            assert type(a) is type(b)
+            assert repr(a) == repr(b)
+            assert a == b and hash(a) == hash(b)
+
+
+@st.composite
+def straddling_csvs(draw, which, records):
+    """Fuzzed rows of several records, with blank and comment rows and
+    repeated rows between them, so that row errors, ragged rows and a
+    duplicate card fall on either side of a block boundary."""
+    serialize = PARSERS[which][1]
+    header = None
+    rows = []
+    for record in records[: draw(st.integers(1, 4))]:
+        text = _fuzzed_csv(draw, serialize, record)
+        header, *fuzzed = csv.reader(io.StringIO(text, newline=""))
+        rows += fuzzed
+    for _ in range(draw(st.integers(0, 4))):
+        extra = draw(st.sampled_from([[], ["", " "], ["# comment", "x"], ["  #", ""], "repeat"]))
+        if extra == "repeat":
+            extra = list(draw(st.sampled_from(rows)))
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+@settings(max_examples=150)
+@given(data=st.data(), which=st.integers(0, 2))
+def test_the_block_parser_matches_the_row_loop(fixture_triple, data, which):
+    text = data.draw(straddling_csvs(which, fixture_triple[which]))
+    assert_same_parse(PARSERS[which][0], DATASETS[which], text)
+
+
+def test_the_block_parser_matches_the_row_loop_on_the_fixture(fixture_triple):
+    for which, (parse, serialize) in enumerate(PARSERS):
+        assert_same_parse(parse, DATASETS[which], serialize(fixture_triple[which]))
+
+
+HUGE_CELL = "c" * 200_000
+
+
+@pytest.mark.parametrize(
+    "which, text, outcome",
+    [
+        # A framing fault anywhere in the file wins over a duplicate card or
+        # a missing mandatory column before it.
+        (1, "mfi_id,card_id,loan_type\n18,card-1,standard\n20,card-1,standard\n"
+            + "".join(f"2{i},card-{i + 2},standard\n" for i in range(20))
+            + f"21,{HUGE_CELL},standard\n", "malformed CSV"),
+        (0, "mfi_id,click_time,status,client_id\n18,2021-03-01 10:00:00,sale,c1\n"
+            f"18,2021-03-01 10:00:00,sale,{HUGE_CELL}\n", "malformed CSV"),
+        (1, "mfi_id,card_id,loan_type\n18,card-1,standard\n20,bad,mortgage\n"
+            "# note\n\n20,card-1,standard\n", "duplicate card_id 'card-1' (rows 1 and 4)"),
+        (0, "mfi_id,click_time,status,client_id\n18,2021-03-01 10:00:00,sale,c1\n",
+         "missing mandatory column 'loan_type'"),
+        (2, "# only a comment\n", "file is empty"),
+        (2, "mfi_id,click_time,client_id,loan_type\n", None),
+    ],
+)
+def test_data_errors_keep_their_precedence(which, text, outcome):
+    parse = PARSERS[which][0]
+    if outcome is None:
+        assert parse(io.StringIO(text)).records == []
+    else:
+        with pytest.raises(DataError, match=re.escape(outcome)):
+            parse(io.StringIO(text))
+    assert_same_parse(parse, DATASETS[which], text)
+
+
+def test_a_parse_leaves_the_cycle_collector_as_it_found_it():
+    valid = CONV_HEADER + "\n18,standard,2021-03-01 10:00:00,sale,c1\n"
+    duplicate = "mfi_id,card_id,loan_type\n18,card-1,standard\n20,card-1,standard\n"
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert len(parse_conversions(io.StringIO(valid)).records) == 1
+            assert gc.isenabled() is enabled
+            with pytest.raises(DataError, match="duplicate card_id"):
+                parse_products(io.StringIO(duplicate))
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def _app(**kwargs) -> ConversionRecord:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import random
 import statistics
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
@@ -533,11 +534,11 @@ def small_dataset():
 def test_feature_table_identical_mfis_get_identical_vectors():
     conversions, products, clicks = small_dataset()
     twins_conv = conversions[:2] + [
-        c.__class__(**{**c.__dict__, "mfi_id": "99"}) for c in conversions[:2]
+        replace(c, mfi_id="99") for c in conversions[:2]
     ]
     twins_prod = [products[0], card("99", avg_user_rating=4.0, n_reviews=10)]
     twins_clicks = clicks[:4] + [
-        c.__class__(**{**c.__dict__, "mfi_id": "99"}) for c in clicks[:4]
+        replace(c, mfi_id="99") for c in clicks[:4]
     ]
     table = feature_table(twins_conv, twins_prod, twins_clicks)
     assert len(table) == 2

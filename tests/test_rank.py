@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from conftest import PUBLISHED_PI, REFERENCE_MATRIX, REFERENCE_PI, REFERENCE_RAN
 from mfirank.data import LoanType, ProductRecord
 from mfirank.features import ALL_FEATURES, FEATURE_ATTRS, LOWER_IS_BETTER, FeatureVector
 from mfirank.rank import (
+    _POWER_MAX_ITER,
+    _POWER_TOL,
     TIE_EPS,
     ComparisonMatrix,
     StationaryDistribution,
@@ -24,6 +27,8 @@ from mfirank.rank import (
     rank_mfis,
     stationary,
     transition,
+    _direct_stationary,
+    _power_stationary,
 )
 
 
@@ -356,6 +361,54 @@ def test_solvers_agree_on_random_chains():
         dist = stationary(p)
         assert dist.power_converged
         assert dist.method_gap <= 1e-8
+
+
+# the power iteration before the lazy-chain fallback, kept as the reference
+# for every chain it brought to convergence
+def reference_power_stationary(p: np.ndarray) -> tuple[np.ndarray, bool]:
+    k = p.shape[0]
+    x = np.full(k, 1.0 / k)
+    for _ in range(_POWER_MAX_ITER):
+        nxt = x @ p
+        nxt /= nxt.sum()
+        if np.max(np.abs(nxt - x)) < _POWER_TOL:
+            return nxt, True
+        x = nxt
+    return x, False
+
+
+def test_chains_that_converged_keep_their_power_iterate():
+    # Sparse chains of two blocks joined by a weak coupling mix slowly: the
+    # weakest here take over ten thousand steps, well past the stall window.
+    rng = np.random.default_rng(20210301)
+    for coupling in (1.0, 1e-2, 1e-3):
+        for _ in range(6):
+            k = int(rng.integers(2, 9))
+            p = rng.random((k, k)) * (rng.random((k, k)) < 0.6)
+            p[np.arange(k), rng.integers(0, k, k)] += 1.0
+            half = k // 2
+            p[:half, half:] *= coupling
+            p[half:, :half] *= coupling
+            p /= p.sum(axis=1, keepdims=True)
+            expected, converged = reference_power_stationary(p)
+            assert converged
+            pi, converged = _power_stationary(p)
+            assert converged and np.array_equal(pi, expected)
+
+
+def test_a_periodic_star_chain_converges_on_the_lazy_chain():
+    # One MFI linked both ways with every other one: the chain has period 2,
+    # and the plain iteration alternates between two vectors for good.
+    k = 200
+    p = np.zeros((k, k))
+    p[0, 1:] = 1.0 / (k - 1)
+    p[1:, 0] = 1.0
+    start = time.perf_counter()
+    dist = stationary(p)
+    assert time.perf_counter() - start < 1.0
+    assert dist.power_converged
+    assert dist.method_gap <= 1e-8
+    assert np.max(np.abs(dist.pi - _direct_stationary(p))) <= 1e-8
 
 
 def test_stationary_validates_input():
