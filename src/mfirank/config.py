@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
@@ -29,23 +31,6 @@ _LOAN_TYPE_FLAGS = {
     "long-term": LoanType.LONG_TERM,
     "interest-free": LoanType.INTEREST_FREE,
     "all": None,
-}
-
-_CONFIG_KEYS = {
-    "features",
-    "loan_type",
-    "damping",
-    "tie_eps",
-    "min_support",
-    "confidence_level",
-    "timestamp_format",
-    "status_map",
-    "loan_type_map",
-    "true_strings",
-    "false_strings",
-    "column_aliases",
-    "duration_rules",
-    "page_constraints",
 }
 
 
@@ -93,6 +78,10 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# A config file holds exactly the keys of the canonical form.
+_CONFIG_KEYS = frozenset(PipelineConfig().to_dict())
+
+
 def _validated(config: PipelineConfig) -> PipelineConfig:
     if not config.features:
         raise ConfigError("at least one feature must be enabled")
@@ -124,6 +113,38 @@ def _whole_number(value: Any) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return int(value)
+
+
+def _finite(value: Any) -> float | None:
+    """A JSON number as a finite float; None for NaN, ±Infinity, text or true/false."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value) if abs(value) <= sys.float_info.max else None
+    return None
+
+
+def _duration_rule(rule: Any) -> DurationRule:
+    try:
+        pattern, scale = str(rule["pattern"]), _finite(rule["scale"])
+    except (TypeError, KeyError):
+        raise ConfigError("duration_rules must be a list of {pattern, scale} objects") from None
+    try:
+        re.compile(pattern)
+    except re.error as exc:
+        raise ConfigError(f"duration rule pattern {pattern!r} does not compile: {exc}") from None
+    if scale is None or scale < 0:
+        raise ConfigError(f"duration rule {pattern!r}: scale must be a finite number >= 0")
+    return DurationRule(pattern=pattern, scale=scale)
+
+
+def _page_constraints(constraints: Any) -> Mapping[str, Any] | None:
+    if constraints is not None and not isinstance(constraints, dict):
+        raise ConfigError("page_constraints must be an object or null")
+    for name, want in (constraints or {}).items():
+        if isinstance(want, dict) and (
+            set(want) - {"min", "max"} or any(_finite(v) is None for v in want.values())
+        ):
+            raise ConfigError(f"page constraint {name!r}: a range holds only finite min/max")
+    return constraints
 
 
 def parse_loan_type_flag(value: str) -> LoanType | None:
@@ -169,9 +190,9 @@ def load_config(
 ) -> PipelineConfig:
     """Resolve the effective configuration.
 
-    ``overrides`` holds already-typed values from command-line flags
-    (None entries are ignored); flags beat the file, the file beats the
-    defaults.
+    ``overrides`` holds command-line flag values as a config file would
+    hold them (None entries are ignored); flags beat the file, the file
+    beats the defaults.  Both go through the same checks.
     """
     data: dict[str, Any] = {}
     if path is not None:
@@ -184,9 +205,10 @@ def load_config(
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    data.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    unknown = set(data) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     config = PipelineConfig(schema=_schema_from(data))
     if "features" in data:
@@ -211,33 +233,10 @@ def load_config(
                 kind = "a whole number" if key == "min_support" else "a number"
                 raise ConfigError(f"config key {key!r} must be {kind}") from None
     if "duration_rules" in data:
-        try:
-            rules = tuple(
-                DurationRule(pattern=str(r["pattern"]), scale=float(r["scale"]))
-                for r in data["duration_rules"]
-            )
-        except (TypeError, KeyError, ValueError):
-            raise ConfigError(
-                "duration_rules must be a list of {pattern, scale} objects"
-            ) from None
+        if not isinstance(data["duration_rules"], list):
+            raise ConfigError("duration_rules must be a list of {pattern, scale} objects")
+        rules = tuple(_duration_rule(r) for r in data["duration_rules"])
         config = replace(config, duration_rules=rules)
     if "page_constraints" in data:
-        pc = data["page_constraints"]
-        if pc is not None and not isinstance(pc, dict):
-            raise ConfigError("page_constraints must be an object or null")
-        config = replace(config, page_constraints=pc)
-
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "features":
-            config = replace(config, features=tuple(value))
-        elif key == "loan_type":
-            config = replace(config, loan_type=parse_loan_type_flag(value))
-        elif key in ("damping", "tie_eps", "confidence_level"):
-            config = replace(config, **{key: float(value)})
-        elif key == "min_support":
-            config = replace(config, min_support=int(value))
-        else:
-            raise ConfigError(f"unknown override {key!r}")
+        config = replace(config, page_constraints=_page_constraints(data["page_constraints"]))
     return _validated(config)

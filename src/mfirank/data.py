@@ -388,23 +388,26 @@ def _norm_header(name: str) -> str:
     return re.sub(r"[\s\-,]+", "_", name.strip().lower()).strip("_")
 
 
-def _open_rows(source: str | os.PathLike | IO) -> Iterable[list[str]]:
+def _open_rows(source: str | os.PathLike | IO) -> Iterator[list[str]]:
     # "utf-8-sig" and the removeprefix drop the byte-order mark that
-    # spreadsheet exports put before the header.
+    # spreadsheet exports put before the header.  newline="" leaves line
+    # breaks to the csv module, as its docs ask: a bare "\r" ends a row
+    # instead of failing the whole file.  A file is decoded as it is
+    # parsed, so the first decode or framing fault read wins; a stream is
+    # read and decoded whole first.
     if hasattr(source, "read"):
         raw = source.read()
         text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
-    elif isinstance(source, str) and "\n" in source:
+        yield from csv.reader(io.StringIO(text, newline=""))
+        return
+    if isinstance(source, str) and "\n" in source:
         raise DataError("a CSV source must be a path or an open text stream, not CSV text")
-    else:
-        try:
-            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataError(f"cannot read {source}: {exc}") from None
-    # newline="" leaves line breaks to the csv module, as its docs ask: a
-    # bare "\r" ends a row instead of failing the whole file.
-    return csv.reader(io.StringIO(text, newline=""))
+    try:
+        fh = open(source, "r", encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {source}: {exc}") from None
+    with fh:
+        yield from csv.reader(fh)
 
 
 def _clean(cell: str | None) -> str | None:
@@ -553,13 +556,15 @@ def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> Parse
     objects, and a collection over the growing heap would find nothing.
     """
     config = config or DEFAULT_SCHEMA
-    rows = iter(_open_rows(source))
+    rows = _open_rows(source)
     collecting = gc.isenabled()
     gc.disable()
     try:
         return _parse_blocks(rows, _read_header(rows, config, dataset), config, dataset)
     except csv.Error as exc:
         raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{dataset.name}: not UTF-8 text: {exc}") from None
     finally:
         if collecting:
             gc.enable()

@@ -19,7 +19,7 @@ import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .data import (
     ClickRecord,
@@ -49,22 +49,26 @@ def week_start(moment: datetime) -> datetime:
     return datetime(monday.year, monday.month, monday.day)
 
 
+def _later(rec: ConversionRecord, seen: ConversionRecord | None) -> bool:
+    """Whether ``rec`` replaces ``seen`` as the latest record: it clicked
+    later, or at the same time and so comes later in the input."""
+    return seen is None or rec.click_time >= seen.click_time
+
+
 def historical_ranking(conversions: Sequence[ConversionRecord]) -> list[str]:
     """The ordering the site actually used, recovered from the logs.
 
     Each MFI takes the site-wide rank stamped on its latest application;
     MFIs that never carried one go to the back in id order.
     """
-    latest: dict[str, tuple[datetime, int]] = {}
+    latest: dict[str, ConversionRecord] = {}
     unranked: set[str] = set()
     for rec in conversions:
         if rec.global_rank is None:
             unranked.add(rec.mfi_id)
-            continue
-        seen = latest.get(rec.mfi_id)
-        if seen is None or rec.click_time >= seen[0]:
-            latest[rec.mfi_id] = (rec.click_time, rec.global_rank)
-    ranked = sorted(latest, key=lambda m: (latest[m][1], m))
+        elif _later(rec, latest.get(rec.mfi_id)):
+            latest[rec.mfi_id] = rec
+    ranked = sorted(latest, key=lambda m: (latest[m].global_rank, m))
     tail = sorted(unranked - set(latest))
     return ranked + tail
 
@@ -80,11 +84,6 @@ class PairStats:
     fallback: bool = False
 
 
-class ClientOutcome(NamedTuple):
-    status: Status
-    income: float | None
-
-
 @dataclass
 class ReapprovalTable:
     """Conditional outcome frequencies between pairs of MFIs.
@@ -94,7 +93,7 @@ class ReapprovalTable:
     rejections.  Sparse pairs (support below ``min_support``) fall back
     to a's marginal approval rate, and identity pairs are certain.
     ``history`` is the :func:`client_outcomes` map the pairs were counted
-    from; the replay copies a client's own outcome from it.
+    from; the replay copies a client's own outcome from its records.
     """
 
     mfis: tuple[str, ...]
@@ -103,7 +102,7 @@ class ReapprovalTable:
     mean_income: dict[str, float]
     marginal_lar: dict[str, float]
     min_support: int
-    history: dict[str, dict[str, ClientOutcome]] = field(
+    history: dict[str, dict[str, ConversionRecord]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -126,8 +125,8 @@ class ReapprovalTable:
 
 def client_outcomes(
     conversions: Sequence[ConversionRecord],
-) -> dict[str, dict[str, ClientOutcome]]:
-    """client -> mfi -> latest final status and its income (pending never counts).
+) -> dict[str, dict[str, ConversionRecord]]:
+    """client -> mfi -> latest final record (pending never counts).
 
     On equal click times the later row wins.  Clients and their MFIs
     keep the order of their first final record.
@@ -139,13 +138,9 @@ def client_outcomes(
         per_client = latest.get(rec.client_id)
         if per_client is None:
             per_client = latest[rec.client_id] = {}
-        seen = per_client.get(rec.mfi_id)
-        if seen is None or rec.click_time >= seen.click_time:
+        if _later(rec, per_client.get(rec.mfi_id)):
             per_client[rec.mfi_id] = rec
-    return {
-        client: {m: ClientOutcome(r.status, r.income) for m, r in mfis.items()}
-        for client, mfis in latest.items()
-    }
+    return latest
 
 
 def reapproval_table(
@@ -357,6 +352,30 @@ class SimulationResult:
         }
 
 
+def _realized(rec: ConversionRecord) -> tuple[bool, float]:
+    """(sold, income) of a record: a sale's income, 0.0 if it has none or did not sell."""
+    if rec.status is Status.SALE:
+        return True, rec.income if rec.income is not None else 0.0
+    return False, 0.0
+
+
+_NO_SUMS = (0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _bucket_sums(outcomes: Sequence[AppOutcome], key: Callable[[AppOutcome], Hashable]):
+    """key -> [n, p_sale, income, hist_sale, hist_income] over the outcomes, keys in
+    first-seen order; each sum adds one outcome at a time from 0.0, in replay order."""
+    sums: dict = {}
+    for o in outcomes:
+        acc = sums.setdefault(key(o), list(_NO_SUMS))
+        acc[0] += 1
+        acc[1] += o.p_sale
+        acc[2] += o.income
+        acc[3] += o.hist_sale
+        acc[4] += o.hist_income
+    return sums
+
+
 def simulate(
     conversions: Sequence[ConversionRecord],
     schedule: Sequence[WeekEntry],
@@ -381,8 +400,6 @@ def simulate(
     replayed: list[AppOutcome] = []
     n_no_rank = n_out_of_range = n_no_week = 0
     n_copied = n_pending = n_low_support = 0
-    hist_sales = 0
-    hist_income = 0.0
 
     for rec in conversions:
         if rec.global_rank is None:
@@ -401,16 +418,12 @@ def simulate(
             n_out_of_range += 1
             continue
         vra = entry.ranking[position - 1]
-        known = history.get(rec.client_id, {}).get(vra) if vra != rec.mfi_id else None
+        known = rec if vra == rec.mfi_id else history.get(rec.client_id, {}).get(vra)
 
-        if vra == rec.mfi_id:
-            p = 1.0 if rec.status is Status.SALE else 0.0
-            income = rec.income if (rec.status is Status.SALE and rec.income is not None) else 0.0
-            copied, rule = True, "identity"
-        elif known is not None:
-            p = 1.0 if known.status is Status.SALE else 0.0
-            income = known.income if (known.status is Status.SALE and known.income is not None) else 0.0
-            copied, rule = True, "history"
+        if known is not None:
+            hit, income = _realized(known)
+            p = 1.0 if hit else 0.0
+            copied, rule = True, "identity" if known is rec else "history"
         else:
             copied = False
             if rec.status is Status.SALE:
@@ -429,8 +442,7 @@ def simulate(
                 n_pending += 1
             income = table.mean_income.get(vra, 0.0) * p
 
-        sold = rec.status is Status.SALE
-        own_income = rec.income if (sold and rec.income is not None) else 0.0
+        sold, own_income = _realized(rec)
         replayed.append(
             AppOutcome(
                 client_id=rec.client_id,
@@ -448,15 +460,14 @@ def simulate(
             )
         )
         n_copied += copied
-        hist_sales += sold
-        hist_income += own_income
 
-    n = len(replayed)
+    totals = _bucket_sums(replayed, lambda o: None)
+    n, lar, income, hist_lar, hist_income = totals.get(None, _NO_SUMS)
     return SimulationResult(
         outcomes=replayed,
-        total_lar=sum(o.p_sale for o in replayed) / n if n else 0.0,
-        avg_income=sum(o.income for o in replayed) / n if n else 0.0,
-        historical_lar=hist_sales / n if n else 0.0,
+        total_lar=lar / n if n else 0.0,
+        avg_income=income / n if n else 0.0,
+        historical_lar=hist_lar / n if n else 0.0,
         historical_avg_income=hist_income / n if n else 0.0,
         n_processed=n,
         n_copied=n_copied,
@@ -470,21 +481,18 @@ def simulate(
 
 def weekly_totals(result: SimulationResult) -> list[dict]:
     """Per-week aggregates of the replay, weeks in calendar order."""
-    grouped: dict[datetime, list[AppOutcome]] = defaultdict(list)
-    for out in result.outcomes:
-        grouped[out.week].append(out)
+    sums = _bucket_sums(result.outcomes, lambda o: o.week)
     rows = []
-    for week in sorted(grouped):
-        outs = grouped[week]
-        n = len(outs)
+    for week in sorted(sums):
+        n, lar, income, hist_lar, hist_income = sums[week]
         rows.append(
             {
                 "week": week.date().isoformat(),
                 "applications": n,
-                "lar": sum(o.p_sale for o in outs) / n,
-                "avg_income": sum(o.income for o in outs) / n,
-                "historical_lar": sum(o.hist_sale for o in outs) / n,
-                "historical_avg_income": sum(o.hist_income for o in outs) / n,
+                "lar": lar / n,
+                "avg_income": income / n,
+                "historical_lar": hist_lar / n,
+                "historical_avg_income": hist_income / n,
             }
         )
     return rows
@@ -502,32 +510,22 @@ def daily_series(
     they compare like with like against the "vra" totals.
     """
     click_days = Counter(c.click_time.date() for c in clicks)
-    app_days: set[date] = {o.click_time.date() for o in result.outcomes}
-    all_days = set(click_days) | app_days
+    sums = _bucket_sums(result.outcomes, lambda o: o.click_time.date())
+    all_days = set(click_days) | set(sums)
     if not all_days:
         return []
-
-    income: dict[date, float] = defaultdict(float)
-    sales: dict[date, float] = defaultdict(float)
-    hist_income: dict[date, float] = defaultdict(float)
-    hist_sales: dict[date, float] = defaultdict(float)
-    for out in result.outcomes:
-        day = out.click_time.date()
-        income[day] += out.income
-        sales[day] += out.p_sale
-        hist_income[day] += out.hist_income
-        hist_sales[day] += out.hist_sale
 
     rows = []
     day = min(all_days)
     last = max(all_days)
     while day <= last:
+        _, sales, income, hist_sales, hist_income = sums.get(day, _NO_SUMS)
         rows.append(
             {
                 "date": day.isoformat(),
                 "clicks": click_days.get(day, 0),
-                "historical": {"income": hist_income[day], "sales": hist_sales[day]},
-                "vra": {"income": income[day], "sales": sales[day]},
+                "historical": {"income": hist_income, "sales": hist_sales},
+                "vra": {"income": income, "sales": sales},
             }
         )
         day += timedelta(days=1)

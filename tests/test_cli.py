@@ -361,9 +361,11 @@ def test_evaluate_ranks_every_week_with_the_configured_tie_eps(
 
 # SHA-256 of the `mfirank fixture --seed 0` CSVs and of the artifacts
 # computed from them, recorded before the feature code became incremental
-# (the CSVs before the parsers became table-driven).  ranking.json is left
-# out: its pi values come from a BLAS solve and may differ in the last bit
-# across CPUs.
+# (the CSVs before the parsers became table-driven; validation.json,
+# fairness.json, weekly.csv and evaluation-all.json before the client
+# history became the records themselves).  ranking.json and pi.csv are left
+# out: their pi values come from a BLAS solve and may differ in the last
+# bit across CPUs.
 GOLDEN_SHA256 = {
     "conversions.csv": "8dc9b75a9d70df06d9a737eabbc8320f2a4d9dff8240155831a85c21a6d8f186",
     "products.csv": "0b57cd03e1b6fb36c90c03eaa08bccd6fdf008147ee2299aa09db32a069a9f94",
@@ -371,17 +373,34 @@ GOLDEN_SHA256 = {
     "features.csv": "c73cd7cfd2515a53ea331057e20b404ce1b32bec934896f26ede9d799a5beebd",
     "evaluation.json": "7de30263d8adc647d5032d8c345ba0c452f43a9022f9368418b644f973780e08",
     "daily.csv": "b0c3d2f508daeb7c64f97775c666a65addfc49c4447457f2d6e40d48001b6e30",
+    "validation.json": "519537eae81f178697839a179771b2f60d50e783de7cdfb1281384927408a56f",
+    "fairness.json": "7375c9747a9ecbcc221a76bf2389186e032692e26a2e1c09879cdf7c7eca5736",
+    "weekly.csv": "0943e27fd147b442b4372cfb9e9dbd0412f37e9e6f13b58e2fc45094bff33380",
+    "evaluation-all.json": "cb42dbd908f708209a7a48f5bc635824380f98cd1a3039105a5d210c9a8681e9",
 }
 
 
 def test_fixture_artifacts_match_the_golden_digests(tmp_path):
     assert main(["fixture", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
     flags = dataset_flags(tmp_path)
-    assert main(["features", *flags, "--out", str(tmp_path / "features.csv")]) == 0
+    assert main(["validate", *flags, "--out", str(tmp_path / "validation.json")]) == 0
+    assert main([
+        "features", *flags,
+        "--out", str(tmp_path / "features.csv"),
+        "--breakdown-json", str(tmp_path / "fairness.json"),
+    ]) == 0
     assert main([
         "evaluate", *flags,
         "--out", str(tmp_path / "evaluation.json"),
         "--daily-csv", str(tmp_path / "daily.csv"),
+    ]) == 0
+    assert main([
+        "report", "--evaluation", str(tmp_path / "evaluation.json"),
+        "--weekly", "--out", str(tmp_path / "weekly.csv"),
+    ]) == 0
+    assert main([
+        "evaluate", *flags, "--loan-type", "all",
+        "--out", str(tmp_path / "evaluation-all.json"),
     ]) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -644,6 +663,67 @@ def test_a_whole_float_min_support_keeps_the_config_digest(dataset_dir, tmp_path
         assert main([*args, "--config", str(config), "--out", str(out)]) == 0
         digests.append(json.loads(out.read_text())["config_digest"])
     assert digests[0] == digests[1] != digests[2] == digests[3]
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, value",
+    [
+        ("features", "--features=rating,lar,epc", "features", ["rating", "lar", "epc"]),
+        ("rank", "--damping=0.25", "damping", 0.25),
+        ("evaluate", "--min-support=2", "min_support", 2),
+        ("features", "--loan-type=all", "loan_type", "all"),
+        ("abtest", "--level=0.9", "confidence_level", 0.9),
+    ],
+)
+def test_a_flag_gives_the_bytes_of_its_config_key(dataset_dir, tmp_path, command, flag, key, value):
+    if command == "abtest":
+        conversions = str(dataset_dir / "conversions.csv")
+        inputs = ["--group-a", conversions, "--group-b", conversions, "--os", "Android"]
+    else:
+        inputs = dataset_flags(dataset_dir)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    outputs = {}
+    for name, extra in (("flag", [flag]), ("file", ["--config", str(config)]), ("default", [])):
+        out = tmp_path / f"{name}.out"
+        assert main([command, *inputs, *extra, "--out", str(out)]) == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["flag"] == outputs["file"] != outputs["default"]
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("features", '{"duration_rules": [{"pattern": "(", "scale": 60}]}',
+         "duration rule pattern '(' does not compile: missing ), unterminated subpattern"),
+        ("features", '{"duration_rules": [{"pattern": "min", "scale": NaN}]}',
+         "duration rule 'min': scale must be a finite number >= 0"),
+        ("features", '{"duration_rules": [{"pattern": "min", "scale": true}]}',
+         "duration rule 'min': scale must be a finite number >= 0"),
+        ("features", '{"duration_rules": [{"pattern": "min", "scale": -60}]}',
+         "duration rule 'min': scale must be a finite number >= 0"),
+        ("features", '{"duration_rules": [{"pattern": "min", "scale": "60"}]}',
+         "duration rule 'min': scale must be a finite number >= 0"),
+        ("features", '{"duration_rules": {"pattern": "min", "scale": 60}}',
+         "duration_rules must be a list of {pattern, scale} objects"),
+        ("rank", '{"page_constraints": {"age_min": {"max": "18"}}}',
+         "page constraint 'age_min': a range holds only finite min/max"),
+        ("rank", '{"page_constraints": {"age_max": {"mx": 0}}}',
+         "page constraint 'age_max': a range holds only finite min/max"),
+        ("rank", '{"page_constraints": {"age_max": {"max": true}}}',
+         "page constraint 'age_max': a range holds only finite min/max"),
+        ("rank", '{"page_constraints": {"age_max": {"min": NaN}}}',
+         "page constraint 'age_max': a range holds only finite min/max"),
+    ],
+)
+def test_a_bad_duration_rule_or_page_range_is_a_config_error(
+    dataset_dir, tmp_path, capsys, command, text, message
+):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    args = [command, *dataset_flags(dataset_dir), "--config", str(config)]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"mfirank: config error: {message}")
 
 
 def test_missing_required_flags_exit_with_one():

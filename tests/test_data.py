@@ -182,6 +182,21 @@ def test_unreadable_file_is_a_data_error():
         parse_conversions("/no/such/file.csv")
 
 
+@pytest.mark.parametrize("given", ["path", "bytes"])
+@pytest.mark.parametrize("good_rows", [0, 3000])
+def test_a_file_that_is_not_utf8_is_a_data_error_naming_the_dataset(tmp_path, given, good_rows):
+    # Cyrillic status text in cp1251, a common export encoding, after
+    # enough good rows that a streamed read meets it well past the start
+    good = "18,standard,2021-03-01 10:00:00,sale,c1\n" * good_rows
+    bad = "18,standard,2021-03-01 10:00:00,одобрен,c2\n"
+    data = f"{CONV_HEADER}\n{good}".encode() + bad.encode("cp1251")
+    path = tmp_path / "conversions.csv"
+    path.write_bytes(data)
+    source = str(path) if given == "path" else io.BytesIO(data)
+    with pytest.raises(DataError, match="^conversions: not UTF-8 text: 'utf-8' codec can't decode"):
+        parse_conversions(source)
+
+
 def test_csv_text_passed_as_a_source_is_a_data_error():
     text = CONV_HEADER + "\n18,standard,2021-03-01 10:00:00,sale,c1\n"
     with pytest.raises(DataError, match="path or an open text stream") as info:

@@ -7,7 +7,7 @@ import logging
 import random
 from collections import Counter, defaultdict
 from datetime import date, datetime, timedelta
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import pytest
 
@@ -17,7 +17,6 @@ from mfirank.errors import MfiRankError
 from mfirank.evaluate import (
     DEFAULT_MIN_SUPPORT,
     AppOutcome,
-    ClientOutcome,
     PairStats,
     ReapprovalTable,
     SimulationResult,
@@ -562,6 +561,11 @@ def test_evaluate_ranking_round_trip(fixture_triple):
 logger = logging.getLogger(__name__)
 
 
+class ClientOutcome(NamedTuple):
+    status: Status
+    income: float | None
+
+
 def reference_client_outcomes(
     conversions: Sequence[ConversionRecord],
 ) -> dict[str, dict[str, ClientOutcome]]:
@@ -813,16 +817,21 @@ def replay_schedules(conversions, products, clicks):
 
 
 def nested_items(outcomes):
-    return [(client, list(per_client.items())) for client, per_client in outcomes.items()]
+    return [
+        (client, [(m, (out.status, out.income)) for m, out in per_client.items()])
+        for client, per_client in outcomes.items()
+    ]
 
 
 @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
 def test_client_outcomes_match_the_reference(case):
     _, conversions, _, _ = case
+    outcomes = client_outcomes(conversions)
     # equal values and the same first-seen order of clients and MFIs
-    assert nested_items(client_outcomes(conversions)) == nested_items(
-        reference_client_outcomes(conversions)
-    )
+    assert nested_items(outcomes) == nested_items(reference_client_outcomes(conversions))
+    # the history holds the input records themselves, not copies
+    inputs = {id(rec) for rec in conversions}
+    assert all(id(rec) in inputs for per in outcomes.values() for rec in per.values())
 
 
 def table_items(table):
