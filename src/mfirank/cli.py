@@ -30,7 +30,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from . import evaluate as ev
-from .config import PipelineConfig, load_config
+from .config import CONFIG_KEYS, PipelineConfig, load_config
 from .data import (
     ParseResult,
     filter_loan_type,
@@ -111,21 +111,14 @@ def _dump_ranking(payload: dict, counts: np.ndarray, path: str | None) -> None:
         out.write("\n  ]," + rest[1:] + "\n")
 
 
-def _split_features(value: str | None) -> list[str] | None:
-    if value is None:
-        return None
+def _split_features(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {
-        "features": _split_features(getattr(args, "features", None)),
-        "loan_type": getattr(args, "loan_type", None),
-        "damping": getattr(args, "damping", None),
-        "min_support": getattr(args, "min_support", None),
-        "confidence_level": getattr(args, "level", None),
-    }
-    return load_config(getattr(args, "config", None), overrides)
+    """A config flag's ``dest`` is its config key."""
+    overrides = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS}
+    return load_config(args.config, overrides)
 
 
 def _records(result: ParseResult, dataset: str) -> list:
@@ -472,7 +465,7 @@ def cmd_fixture(args: argparse.Namespace) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser, *, support: bool = False) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--features", help="comma-separated feature subset")
+    p.add_argument("--features", type=_split_features, help="comma-separated feature subset")
     p.add_argument("--loan-type", help="standard, long-term, interest-free, or all")
     p.add_argument("--damping", type=float, help="uniform restart weight in [0, 1)")
     if support:
@@ -530,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare plain counts instead of group files",
     )
     p.add_argument("--os", help="also measure association between this OS and approval")
-    p.add_argument("--level", type=float, help="confidence level for the association CI")
+    p.add_argument("--level", type=float, dest="confidence_level", metavar="LEVEL",
+                   help="confidence level for the association CI")
     _add_config_flags(p)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_abtest)

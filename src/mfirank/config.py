@@ -1,37 +1,30 @@
 """Pipeline configuration: defaults, JSON config files, CLI overrides.
 
-A run's behaviour is fully described by a PipelineConfig.  Values come
-from built-in defaults, then an optional JSON file, then command-line
-flags, later sources winning.  Every output artifact embeds
-``digest()``, a SHA-256 over the canonical JSON form of the resolved
-configuration, so results can be traced back to the exact settings that
-produced them.
+A run's behaviour is fully described by a PipelineConfig.  The built-in
+defaults, an optional JSON file and command-line flags, later sources
+winning, merge into one dict in the canonical form of ``to_dict()``,
+which one function parses, reading and checking each key once.  Every
+output artifact embeds ``digest()``, a SHA-256 over that canonical form,
+so results can be traced back to the exact settings that produced them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping
 
-from .data import (
-    DEFAULT_SCHEMA,
-    LoanType,
-    SchemaConfig,
-    Status,
-)
+from .data import DEFAULT_SCHEMA, LoanType, SchemaConfig, Status
 from .errors import ConfigError
+from .evaluate import DEFAULT_MIN_SUPPORT
 from .features import ALL_FEATURES, DEFAULT_DURATION_RULES, DurationRule
+from .rank import TIE_EPS
 
-_LOAN_TYPE_FLAGS = {
-    "standard": LoanType.STANDARD,
-    "long-term": LoanType.LONG_TERM,
-    "interest-free": LoanType.INTEREST_FREE,
-    "all": None,
-}
+_LOAN_TYPES: dict[str, LoanType | None] = {t.value: t for t in LoanType} | {"all": None}
 
 
 @dataclass(frozen=True)
@@ -39,8 +32,8 @@ class PipelineConfig:
     features: tuple[str, ...] = ALL_FEATURES
     loan_type: LoanType | None = LoanType.STANDARD
     damping: float = 0.0
-    tie_eps: float = 1e-9
-    min_support: int = 5
+    tie_eps: float = TIE_EPS
+    min_support: int = DEFAULT_MIN_SUPPORT
     confidence_level: float = 0.995
     schema: SchemaConfig = DEFAULT_SCHEMA
     duration_rules: tuple[DurationRule, ...] = DEFAULT_DURATION_RULES
@@ -57,18 +50,14 @@ class PipelineConfig:
             "confidence_level": self.confidence_level,
             "timestamp_format": self.schema.timestamp_format,
             "status_map": {k: v.value for k, v in sorted(self.schema.status_map.items())},
-            "loan_type_map": {
-                k: v.value for k, v in sorted(self.schema.loan_type_map.items())
-            },
+            "loan_type_map": {k: v.value for k, v in sorted(self.schema.loan_type_map.items())},
             "true_strings": sorted(self.schema.true_strings),
             "false_strings": sorted(self.schema.false_strings),
             "column_aliases": dict(sorted(self.schema.column_aliases.items())),
             "duration_rules": [
                 {"pattern": r.pattern, "scale": r.scale} for r in self.duration_rules
             ],
-            "page_constraints": dict(self.page_constraints)
-            if self.page_constraints
-            else None,
+            "page_constraints": dict(self.page_constraints) if self.page_constraints else None,
         }
 
     def digest(self) -> str:
@@ -78,41 +67,11 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# A config file holds exactly the keys of the canonical form.
-_CONFIG_KEYS = frozenset(PipelineConfig().to_dict())
-
-
-def _validated(config: PipelineConfig) -> PipelineConfig:
-    if not config.features:
-        raise ConfigError("at least one feature must be enabled")
-    unknown = [f for f in config.features if f not in ALL_FEATURES]
-    if unknown:
-        raise ConfigError(f"unknown features {unknown}; choose from {list(ALL_FEATURES)}")
-    if len(set(config.features)) != len(config.features):
-        raise ConfigError("duplicate feature names")
-    if not 0.0 <= config.damping < 1.0:
-        raise ConfigError("damping must lie in [0, 1)")
-    if not 0.0 < config.tie_eps < float("inf"):
-        raise ConfigError("tie_eps must be finite and positive")
-    if config.min_support < 0:
-        raise ConfigError("min_support must be non-negative")
-    if not 0.0 < config.confidence_level < 1.0:
-        raise ConfigError("confidence_level must lie in (0, 1)")
-    # A flag is true exactly when it matches true_strings; false_strings
-    # only documents the false spellings, so it must not contradict them.
-    both = config.schema.true_strings & config.schema.false_strings
-    if both:
-        raise ConfigError(
-            f"spellings {sorted(both)} are in both true_strings and false_strings"
-        )
-    return config
-
-
-def _whole_number(value: Any) -> int:
-    """``int(value)``, refusing a float that is not whole (2.7, 1e400, NaN)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
+# A config file holds exactly the keys of the canonical form, and a CLI
+# flag's argparse ``dest`` is the key it sets.
+CONFIG_KEYS = frozenset(PipelineConfig().to_dict())
+# A user object under one of these keys extends the default object.
+_EXTENDED_KEYS = frozenset({"status_map", "loan_type_map", "column_aliases"})
 
 
 def _finite(value: Any) -> float | None:
@@ -122,11 +81,37 @@ def _finite(value: Any) -> float | None:
     return None
 
 
-def _duration_rule(rule: Any) -> DurationRule:
+def _number(value: Any, key: str, kind: str = "a number") -> float:
+    """A JSON number as a float, NaN when not finite; text and true/false are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be {kind}")
+    return float(value) if abs(value) <= sys.float_info.max else math.nan
+
+
+def _strings(value: Any) -> bool:
+    """Whether ``value`` is a JSON list of strings."""
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+def _spellings(value: Any, key: str) -> frozenset[str]:
+    if not _strings(value):
+        raise ConfigError(f"config key {key!r} must be a list of strings")
+    return frozenset(s.lower() for s in value)
+
+
+def _enum_map(value: Any, key: str, enum: type[Status] | type[LoanType]) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must be an object")
     try:
-        pattern, scale = str(rule["pattern"]), _finite(rule["scale"])
-    except (TypeError, KeyError):
-        raise ConfigError("duration_rules must be a list of {pattern, scale} objects") from None
+        return {k: enum(v) for k, v in value.items()}
+    except ValueError as exc:
+        raise ConfigError(f"bad {key}: {exc}") from None
+
+
+def _duration_rule(rule: Any) -> DurationRule:
+    if not (isinstance(rule, dict) and isinstance(rule.get("pattern"), str) and "scale" in rule):
+        raise ConfigError("duration_rules must be a list of {pattern, scale} objects")
+    pattern, scale = rule["pattern"], _finite(rule["scale"])
     try:
         re.compile(pattern)
     except re.error as exc:
@@ -144,45 +129,80 @@ def _page_constraints(constraints: Any) -> Mapping[str, Any] | None:
             set(want) - {"min", "max"} or any(_finite(v) is None for v in want.values())
         ):
             raise ConfigError(f"page constraint {name!r}: a range holds only finite min/max")
-    return constraints
+    return constraints or None
 
 
-def parse_loan_type_flag(value: str) -> LoanType | None:
-    try:
-        return _LOAN_TYPE_FLAGS[value.strip().lower()]
-    except KeyError:
-        raise ConfigError(
-            f"unknown loan type {value!r}; choose from {sorted(_LOAN_TYPE_FLAGS)}"
-        ) from None
+def _parse(data: Mapping[str, Any]) -> PipelineConfig:
+    """The configuration that ``data``, in the form of ``to_dict()``, describes.
 
+    Each key is read once, and its JSON type and range are checked there.
+    """
+    features = data["features"]
+    if not _strings(features):
+        raise ConfigError("features must be a list of feature names")
+    if not features:
+        raise ConfigError("at least one feature must be enabled")
+    unknown = [f for f in features if f not in ALL_FEATURES]
+    if unknown:
+        raise ConfigError(f"unknown features {unknown}; choose from {list(ALL_FEATURES)}")
+    if len(set(features)) != len(features):
+        raise ConfigError("duplicate feature names")
 
-def _schema_from(data: Mapping[str, Any]) -> SchemaConfig:
-    kwargs: dict[str, Any] = {}
-    if "timestamp_format" in data:
-        kwargs["timestamp_format"] = str(data["timestamp_format"])
-    if "status_map" in data:
-        try:
-            kwargs["status_map"] = {
-                str(k).lower(): Status(str(v)) for k, v in data["status_map"].items()
-            }
-        except ValueError as exc:
-            raise ConfigError(f"bad status_map: {exc}") from None
-    if "loan_type_map" in data:
-        try:
-            kwargs["loan_type_map"] = {
-                str(k).lower(): LoanType(str(v)) for k, v in data["loan_type_map"].items()
-            }
-        except ValueError as exc:
-            raise ConfigError(f"bad loan_type_map: {exc}") from None
-    if "true_strings" in data:
-        kwargs["true_strings"] = frozenset(str(s).lower() for s in data["true_strings"])
-    if "false_strings" in data:
-        kwargs["false_strings"] = frozenset(str(s).lower() for s in data["false_strings"])
-    if "column_aliases" in data:
-        kwargs["column_aliases"] = {
-            str(k): str(v) for k, v in data["column_aliases"].items()
-        }
-    return replace(DEFAULT_SCHEMA, **kwargs) if kwargs else DEFAULT_SCHEMA
+    loan_type = data["loan_type"]
+    loan_key = loan_type.strip().lower() if isinstance(loan_type, str) else None
+    if loan_key not in _LOAN_TYPES:
+        raise ConfigError(f"unknown loan type {loan_type!r}; choose from {sorted(_LOAN_TYPES)}")
+
+    damping = _number(data["damping"], "damping")
+    if not 0.0 <= damping < 1.0:
+        raise ConfigError("damping must lie in [0, 1)")
+    tie_eps = _number(data["tie_eps"], "tie_eps")
+    if not 0.0 < tie_eps < math.inf:
+        raise ConfigError("tie_eps must be finite and positive")
+    min_support = data["min_support"]  # 3.0 reads as 3; 2.7, 1e400 and NaN are refused
+    if not _number(min_support, "min_support", "a whole number").is_integer():
+        raise ConfigError("config key 'min_support' must be a whole number")
+    if min_support < 0:
+        raise ConfigError("min_support must be non-negative")
+    confidence_level = _number(data["confidence_level"], "confidence_level")
+    if not 0.0 < confidence_level < 1.0:
+        raise ConfigError("confidence_level must lie in (0, 1)")
+
+    timestamp_format = data["timestamp_format"]
+    if not isinstance(timestamp_format, str):
+        raise ConfigError("config key 'timestamp_format' must be a string")
+    true_strings = _spellings(data["true_strings"], "true_strings")
+    false_strings = _spellings(data["false_strings"], "false_strings")
+    # A flag is true exactly when it matches true_strings; false_strings
+    # only documents the false spellings, so it must not contradict them.
+    both = true_strings & false_strings
+    if both:
+        raise ConfigError(f"spellings {sorted(both)} are in both true_strings and false_strings")
+    column_aliases = data["column_aliases"]
+    if not (isinstance(column_aliases, dict) and _strings(list(column_aliases.values()))):
+        raise ConfigError("config key 'column_aliases' must be an object of strings")
+
+    rules = data["duration_rules"]
+    if not isinstance(rules, list):
+        raise ConfigError("duration_rules must be a list of {pattern, scale} objects")
+    return PipelineConfig(
+        features=tuple(features),
+        loan_type=_LOAN_TYPES[loan_key],
+        damping=damping,
+        tie_eps=tie_eps,
+        min_support=int(min_support),
+        confidence_level=confidence_level,
+        schema=SchemaConfig(
+            timestamp_format=timestamp_format,
+            status_map=_enum_map(data["status_map"], "status_map", Status),
+            loan_type_map=_enum_map(data["loan_type_map"], "loan_type_map", LoanType),
+            true_strings=true_strings,
+            false_strings=false_strings,
+            column_aliases=dict(column_aliases),
+        ),
+        duration_rules=tuple(_duration_rule(r) for r in rules),
+        page_constraints=_page_constraints(data["page_constraints"]),
+    )
 
 
 def load_config(
@@ -190,9 +210,9 @@ def load_config(
 ) -> PipelineConfig:
     """Resolve the effective configuration.
 
-    ``overrides`` holds command-line flag values as a config file would
-    hold them (None entries are ignored); flags beat the file, the file
-    beats the defaults.  Both go through the same checks.
+    ``overrides`` holds command-line flag values by config key (None
+    entries are ignored); flags beat the file, the file beats the
+    defaults.  The three are merged into one canonical dict, parsed once.
     """
     data: dict[str, Any] = {}
     if path is not None:
@@ -206,37 +226,14 @@ def load_config(
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     data.update((k, v) for k, v in (overrides or {}).items() if v is not None)
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    config = PipelineConfig(schema=_schema_from(data))
-    if "features" in data:
-        if not isinstance(data["features"], list):
-            raise ConfigError("features must be a list of feature names")
-        config = replace(config, features=tuple(str(f) for f in data["features"]))
-    if "loan_type" in data:
-        config = replace(config, loan_type=parse_loan_type_flag(str(data["loan_type"])))
-    for key, caster in (
-        ("damping", float),
-        ("tie_eps", float),
-        ("confidence_level", float),
-        ("min_support", _whole_number),
-    ):
-        if key in data:
-            try:
-                # JSON true/false would pass float() and int() as 1 and 0.
-                if isinstance(data[key], bool):
-                    raise TypeError(data[key])
-                config = replace(config, **{key: caster(data[key])})
-            except (TypeError, ValueError):
-                kind = "a whole number" if key == "min_support" else "a number"
-                raise ConfigError(f"config key {key!r} must be {kind}") from None
-    if "duration_rules" in data:
-        if not isinstance(data["duration_rules"], list):
-            raise ConfigError("duration_rules must be a list of {pattern, scale} objects")
-        rules = tuple(_duration_rule(r) for r in data["duration_rules"])
-        config = replace(config, duration_rules=rules)
-    if "page_constraints" in data:
-        config = replace(config, page_constraints=_page_constraints(data["page_constraints"]))
-    return _validated(config)
+    merged = PipelineConfig().to_dict()
+    for key, value in data.items():
+        if key in _EXTENDED_KEYS and isinstance(value, dict):
+            # Lower-cased first, so a user "Sale" replaces the default "sale".
+            value = {**merged[key], **{k.lower(): v for k, v in value.items()}}
+        merged[key] = value
+    return _parse(merged)

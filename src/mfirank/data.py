@@ -538,10 +538,13 @@ def _read_header(
     header = next((row for row in rows if not _is_comment(row)), None)
     if header is None:
         raise DataError(f"{dataset.name}: file is empty (no header row)")
+    # Alias keys match after the same normalization as the header.  Sorted,
+    # so which of two keys normalizing alike wins does not hang on dict order.
+    aliases = {_norm_header(k): v for k, v in sorted(config.column_aliases.items())}
     index: dict[str, int] = {}
     for i, name in enumerate(header):
         canon = _norm_header(name)
-        canon = config.column_aliases.get(canon, canon)
+        canon = aliases.get(canon, canon)
         index.setdefault(canon, i)
     for column in dataset.mandatory:
         if column not in index:

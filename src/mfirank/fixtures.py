@@ -11,7 +11,7 @@ yield byte-identical CSV output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from .data import (
@@ -41,49 +41,36 @@ _PAYMENT_PHRASES = (
     "в течение 2 часов",
     "в течение 1 рабочего дня",
 )
+_START = datetime(2023, 1, 2, 0, 0, 0)
+_APPLICATIONS_PER_CLIENT = 2.2
+_CONVERSION_RATE = 0.75  # share of clicks that become applications
+_PENDING_RATE = 0.08
+_CO_APPLICATION_RATE = 0.35  # chance a client hits >1 MFI the same day
+_INCOME_SCALE = 200.0
 
 
 @dataclass(frozen=True)
 class FixtureConfig:
     """Shape parameters for the synthetic dataset generator."""
 
-    n_mfis: int = 8
-    n_clients: int = 120
-    start: datetime = datetime(2023, 1, 2, 0, 0, 0)
     n_weeks: int = 8
-    applications_per_client: float = 2.2
-    conversion_rate: float = 0.75  # share of clicks that become applications
-    approval_rates: dict[str, float] = field(default_factory=dict)
-    pending_rate: float = 0.08
-    co_application_rate: float = 0.35  # chance a client hits >1 MFI the same day
-    income_scale: float = 200.0
 
 
 def _mfi_ids(n: int) -> list[str]:
     return [str(10 + 3 * i) for i in range(n)]
 
 
-def _approval_rate(cfg: FixtureConfig, rng: random.Random, mfi_id: str) -> float:
-    if mfi_id in cfg.approval_rates:
-        return cfg.approval_rates[mfi_id]
-    return 0.10 + 0.5 * rng.random()
-
-
 def generate_fixture(
     seed: int,
-    n_mfis: int | None = None,
-    n_clients: int | None = None,
+    n_mfis: int = 8,
+    n_clients: int = 120,
     config: FixtureConfig | None = None,
 ) -> tuple[list[ConversionRecord], list[ProductRecord], list[ClickRecord]]:
     """Build one synthetic dataset triple.
 
-    ``n_mfis`` / ``n_clients`` override the corresponding config fields.
     Raises ValueError when fewer than two MFIs are requested, since the
     pairwise ranking needs at least a pair.
     """
-    cfg = config or FixtureConfig()
-    n_mfis = n_mfis if n_mfis is not None else cfg.n_mfis
-    n_clients = n_clients if n_clients is not None else cfg.n_clients
     if n_mfis < 2:
         raise ValueError("need at least 2 MFIs")
     if n_clients < 1:
@@ -91,7 +78,7 @@ def generate_fixture(
 
     rng = random.Random(seed)
     mfis = _mfi_ids(n_mfis)
-    rates = {m: _approval_rate(cfg, rng, m) for m in mfis}
+    rates = {m: 0.10 + 0.5 * rng.random() for m in mfis}
     # One static site-wide ordering, stamped on every record the way the
     # upstream logs carry the rank the client actually saw.
     global_order = list(mfis)
@@ -139,20 +126,20 @@ def generate_fixture(
 
     conversions: list[ConversionRecord] = []
     clicks: list[ClickRecord] = []
-    span = timedelta(weeks=cfg.n_weeks)
+    span = timedelta(weeks=(config or FixtureConfig()).n_weeks)
     for c in range(n_clients):
         client_id = f"cl{c:05d}"
-        n_apps = max(1, round(rng.expovariate(1.0 / cfg.applications_per_client)))
-        when = cfg.start + timedelta(seconds=rng.randrange(int(span.total_seconds())))
+        n_apps = max(1, round(rng.expovariate(1.0 / _APPLICATIONS_PER_CLIENT)))
+        when = _START + timedelta(seconds=rng.randrange(int(span.total_seconds())))
         os_name = rng.choice(_OS_POOL)
         browser = rng.choice(_BROWSERS)
         device_type = rng.choice(_DEVICE_TYPES)
         region = rng.choice(_REGIONS)
         for _ in range(n_apps):
             mfi = rng.choice(mfis)
-            if rng.random() >= cfg.co_application_rate:
+            if rng.random() >= _CO_APPLICATION_RATE:
                 # fresh shopping session on some later day
-                when = cfg.start + timedelta(seconds=rng.randrange(int(span.total_seconds())))
+                when = _START + timedelta(seconds=rng.randrange(int(span.total_seconds())))
             else:
                 when = when + timedelta(minutes=rng.randrange(2, 120))
             click = ClickRecord(
@@ -165,16 +152,16 @@ def generate_fixture(
                 page_rank=global_rank[mfi],
             )
             clicks.append(click)
-            if rng.random() >= cfg.conversion_rate:
+            if rng.random() >= _CONVERSION_RATE:
                 continue
             conversion_time = when + timedelta(seconds=rng.randrange(30, 3000))
             roll = rng.random()
-            if roll < cfg.pending_rate:
+            if roll < _PENDING_RATE:
                 status, sale_time, income = Status.PENDING, None, None
             elif rng.random() < rates[mfi]:
                 status = Status.SALE
                 sale_time = conversion_time + timedelta(seconds=rng.randrange(60, 90000))
-                income = round(cfg.income_scale * (0.5 + rng.random()), 6)
+                income = round(_INCOME_SCALE * (0.5 + rng.random()), 6)
             else:
                 status, sale_time, income = Status.REJECTED, None, None
             conversions.append(

@@ -12,7 +12,9 @@ import pytest
 
 from conftest import PUBLISHED_PI, REFERENCE_RANKING
 from mfirank.cli import SERIES_COLUMNS, _dump_ranking, main
+from mfirank.config import PipelineConfig, load_config
 from mfirank.data import (
+    DEFAULT_STATUS_MAP,
     ConversionRecord,
     LoanType,
     Status,
@@ -724,6 +726,120 @@ def test_a_bad_duration_rule_or_page_range_is_a_config_error(
     args = [command, *dataset_flags(dataset_dir), "--config", str(config)]
     assert main([*args, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"mfirank: config error: {message}")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"damping": "0.25"}', "config key 'damping' must be a number"),
+        ('{"tie_eps": "1e-9"}', "config key 'tie_eps' must be a number"),
+        ('{"confidence_level": "0.9"}', "config key 'confidence_level' must be a number"),
+        ('{"min_support": "5"}', "config key 'min_support' must be a whole number"),
+        ('{"status_map": ["sale"]}', "config key 'status_map' must be an object"),
+        ('{"column_aliases": 5}', "config key 'column_aliases' must be an object of strings"),
+        ('{"column_aliases": {"a": 5}}',
+         "config key 'column_aliases' must be an object of strings"),
+        ('{"true_strings": 5}', "config key 'true_strings' must be a list of strings"),
+        ('{"true_strings": "yes"}', "config key 'true_strings' must be a list of strings"),
+        ('{"false_strings": [0]}', "config key 'false_strings' must be a list of strings"),
+        ('{"timestamp_format": 5}', "config key 'timestamp_format' must be a string"),
+        ('{"duration_rules": [{"pattern": 5, "scale": 60}]}',
+         "duration_rules must be a list of {pattern, scale} objects"),
+    ],
+)
+def test_a_setting_of_the_wrong_json_type_is_a_config_error(
+    dataset_dir, tmp_path, capsys, text, message
+):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    args = ["validate", *dataset_flags(dataset_dir), "--config", str(config)]
+    assert main([*args, "--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == f"mfirank: config error: {message}\n"
+
+
+def _without_digest(path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if "config_digest" not in line]
+
+
+def test_a_status_map_extends_the_default_map(dataset_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"status_map": {"одобрен": "sale"}}), encoding="utf-8")
+    plain, mapped = tmp_path / "plain.csv", tmp_path / "mapped.csv"
+    assert main(["features", *dataset_flags(dataset_dir), "--out", str(plain)]) == 0
+    args = ["features", *dataset_flags(dataset_dir), "--config", str(config)]
+    assert main([*args, "--out", str(mapped)]) == 0
+    assert _without_digest(mapped) == _without_digest(plain)
+    assert mapped.read_bytes() != plain.read_bytes()
+
+
+def test_a_loan_type_map_extends_the_default_map(dataset_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"loan_type_map": {"кредит": "standard"}}), encoding="utf-8")
+    out = tmp_path / "v.json"
+    args = ["validate", *dataset_flags(dataset_dir), "--config", str(config)]
+    assert main([*args, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["row_errors"] == {
+        "conversions": 0, "products": 0, "clicks": 0,
+    }
+
+
+def test_a_map_key_is_lower_cased_and_replaces_its_default_entry(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"status_map": {"Sale": "rejected"}}), encoding="utf-8")
+    status_map = load_config(str(config)).schema.status_map
+    assert status_map == {**DEFAULT_STATUS_MAP, "sale": Status.REJECTED}
+
+
+def test_an_alias_key_matches_the_normalized_header(dataset_dir, tmp_path):
+    renamed = tmp_path / "renamed"
+    renamed.mkdir()
+    text = (dataset_dir / "conversions.csv").read_text(encoding="utf-8")
+    assert text.startswith("mfi_id,")
+    (renamed / "conversions.csv").write_text("номер мфо" + text[len("mfi_id"):], encoding="utf-8")
+    for name in ("products.csv", "clicks.csv"):
+        (renamed / name).write_bytes((dataset_dir / name).read_bytes())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"column_aliases": {"номер мфо": "mfi_id"}}), encoding="utf-8")
+    outputs = []
+    for directory in (dataset_dir, renamed):
+        out = tmp_path / f"{directory.name}.csv"
+        args = ["features", *dataset_flags(directory), "--config", str(config)]
+        assert main([*args, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+EVERY_KEY = {
+    "features": ["epc", "rating", "lar"],
+    "loan_type": "long-term",
+    "damping": 0.25,
+    "tie_eps": 1e-6,
+    "min_support": 2,
+    "confidence_level": 0.9,
+    "timestamp_format": "%d.%m.%Y %H:%M",
+    "status_map": {"Одобрен": "sale"},
+    "loan_type_map": {"кредит": "long-term"},
+    "true_strings": ["ok"],
+    "false_strings": ["nope"],
+    "column_aliases": {"номер мфо": "mfi_id"},
+    "duration_rules": [{"pattern": "мин", "scale": 60}],
+    "page_constraints": {"age_min": {"max": 18}},
+}
+
+
+@pytest.mark.parametrize("settings", [{}, EVERY_KEY], ids=["default", "every-key"])
+def test_a_config_file_of_to_dict_loads_the_same_config(tmp_path, settings):
+    source = tmp_path / "settings.json"
+    source.write_text(json.dumps(settings), encoding="utf-8")
+    config = load_config(str(source))
+    default = PipelineConfig().to_dict()
+    changed = {key for key, value in config.to_dict().items() if value != default[key]}
+    assert changed == set(settings)
+    written = tmp_path / "written.json"
+    written.write_text(json.dumps(config.to_dict(), ensure_ascii=False), encoding="utf-8")
+    loaded = load_config(str(written))
+    assert loaded == config
+    assert loaded.digest() == config.digest()
 
 
 def test_missing_required_flags_exit_with_one():
