@@ -11,15 +11,29 @@ income weighted by the estimated approval probability.
 Rankings are refreshed weekly: each ISO week is served by a ranking
 trained on everything strictly before its Monday, so no application is
 scored by a model that saw it.
+
+The replay runs on one code table of the conversions
+(:class:`ReplayCodes`), built once by :func:`reapproval_table` and
+carried to :func:`simulate`: integer MFI, client and status codes, the
+site rank, the realized income, the click-time order and the day and
+week of every row.  The client history, the pair counts, the
+substitutions and the sums are array reductions over it.  The tie rule
+"the latest record wins, the later row on equal click times" has one
+home, :func:`_latest`, which :func:`client_outcomes` and
+:func:`historical_ranking` share.  Every float that reaches an artifact
+is a sequential sum in input (replay) order, as ``np.bincount`` adds its
+weights, never a pairwise ``np.sum`` or a compensated ``sum``.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .data import (
     ClickRecord,
@@ -42,6 +56,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MIN_SUPPORT = 5
 
+# status codes of the code table
+_PENDING, _SALE, _REJECTED = 0, 1, 2
+_STATUS_CODE = {Status.PENDING: _PENDING, Status.SALE: _SALE, Status.REJECTED: _REJECTED}
+
 
 def week_start(moment: datetime) -> datetime:
     """Monday 00:00 of the ISO week containing ``moment``."""
@@ -49,10 +67,40 @@ def week_start(moment: datetime) -> datetime:
     return datetime(monday.year, monday.month, monday.day)
 
 
-def _later(rec: ConversionRecord, seen: ConversionRecord | None) -> bool:
-    """Whether ``rec`` replaces ``seen`` as the latest record: it clicked
-    later, or at the same time and so comes later in the input."""
-    return seen is None or rec.click_time >= seen.click_time
+def _click_order(times: Sequence[datetime]) -> np.ndarray:
+    """Each row's place among the rows sorted by click time, equal times
+    keeping their input order."""
+    order = np.empty(len(times), np.int64)
+    order[sorted(range(len(times)), key=times.__getitem__)] = np.arange(len(times))
+    return order
+
+
+def _interned(values: list) -> tuple[tuple, np.ndarray]:
+    """The distinct values in first-seen order, and the code of each value."""
+    code = {v: n for n, v in enumerate(dict.fromkeys(values))}
+    return tuple(code), np.fromiter(map(code.__getitem__, values), np.int32, len(values))
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal neighbours in ``values``."""
+    new = np.ones(len(values), bool)
+    new[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(new)
+    return starts, np.diff(np.append(starts, len(values)))
+
+
+def _latest(order: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of each distinct ``key``, in ascending order, the position of its
+    latest row and of its first row.
+
+    The one home of the tie rule: the latest row is the last in ``order``
+    (:func:`_click_order`), so it clicked later or, on an equal click time,
+    comes later in the input.  The first row is the one with the smallest
+    position.
+    """
+    by = np.lexsort((order, key))
+    starts, sizes = _runs(key[by])
+    return by[starts + sizes - 1], np.minimum.reduceat(by, starts)
 
 
 def historical_ranking(conversions: Sequence[ConversionRecord]) -> list[str]:
@@ -61,16 +109,70 @@ def historical_ranking(conversions: Sequence[ConversionRecord]) -> list[str]:
     Each MFI takes the site-wide rank stamped on its latest application;
     MFIs that never carried one go to the back in id order.
     """
-    latest: dict[str, ConversionRecord] = {}
-    unranked: set[str] = set()
-    for rec in conversions:
-        if rec.global_rank is None:
-            unranked.add(rec.mfi_id)
-        elif _later(rec, latest.get(rec.mfi_id)):
-            latest[rec.mfi_id] = rec
+    stamped = [r for r in conversions if r.global_rank is not None]
+    _, mfi = _interned([r.mfi_id for r in stamped])
+    rows, _ = _latest(_click_order([r.click_time for r in stamped]), mfi)
+    latest = {stamped[i].mfi_id: stamped[i] for i in rows.tolist()}
     ranked = sorted(latest, key=lambda m: (latest[m].global_rank, m))
-    tail = sorted(unranked - set(latest))
+    tail = sorted({r.mfi_id for r in conversions} - latest.keys())
     return ranked + tail
+
+
+# ---------------------------------------------------------------------------
+# the code table
+
+
+@dataclass(frozen=True, eq=False)
+class ReplayCodes:
+    """The conversions of one replay as codes, one entry per row in input order.
+
+    ``mfi_ids`` names the MFI codes in first-seen order; client codes are
+    first-seen too.  ``rank`` is ``global_rank`` (NaN where missing),
+    ``income`` what the row realized (:func:`_realized`) and ``paid`` marks
+    a sale that carries an income.  ``order`` is the row's click-time order
+    (:func:`_click_order`); ``day`` and ``week`` are the proleptic ordinals
+    of its click date and of that week's Monday.
+    """
+
+    mfi_ids: tuple[str, ...]
+    mfi: np.ndarray  # int32
+    client: np.ndarray  # int32
+    status: np.ndarray  # int8: _PENDING, _SALE, _REJECTED
+    rank: np.ndarray  # float64
+    income: np.ndarray  # float64
+    paid: np.ndarray  # bool
+    order: np.ndarray  # int64
+    day: np.ndarray  # int64
+    week: np.ndarray  # int64
+
+
+def _realized(status: np.ndarray, income: list[float | None]) -> tuple[np.ndarray, np.ndarray]:
+    """(income, paid) per record: a sale's income, 0.0 if it has none or did
+    not sell; paid marks a sale with an income."""
+    paid = (status == _SALE) & np.array([i is not None for i in income], bool)
+    return np.where(paid, np.array(income, np.float64), 0.0), paid  # None reads as NaN
+
+
+def replay_codes(conversions: Sequence[ConversionRecord]) -> ReplayCodes:
+    """The code table of ``conversions``."""
+    mfi_ids, mfi = _interned([r.mfi_id for r in conversions])
+    _, client = _interned([r.client_id for r in conversions])
+    status = np.array([_STATUS_CODE[r.status] for r in conversions], np.int8)
+    income, paid = _realized(status, [r.income for r in conversions])
+    times = [r.click_time for r in conversions]
+    day = np.array([t.toordinal() for t in times], np.int64)
+    return ReplayCodes(
+        mfi_ids=mfi_ids,
+        mfi=mfi,
+        client=client,
+        status=status,
+        rank=np.array([r.global_rank for r in conversions], np.float64),  # None reads as NaN
+        income=income,
+        paid=paid,
+        order=_click_order(times),
+        day=day,
+        week=day - (day + 6) % 7,  # date.weekday() is (ordinal + 6) % 7
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -91,132 +193,123 @@ class ReapprovalTable:
     ``sale[(a, b)]`` estimates P(client approved at a | approved at b)
     over clients with a final status at both; ``reject`` mirrors it for
     rejections.  Sparse pairs (support below ``min_support``) fall back
-    to a's marginal approval rate, and identity pairs are certain.
-    ``history`` is the :func:`client_outcomes` map the pairs were counted
-    from; the replay copies a client's own outcome from its records.
+    to a's marginal approval rate; a pair never seen falls back the same
+    way with zero support.  ``codes`` is the code table of the
+    conversions the table was counted from, and ``history`` the rows of
+    their :func:`client_outcomes`; the replay reads both.
     """
 
-    mfis: tuple[str, ...]
     sale: dict[tuple[str, str], PairStats]
     reject: dict[tuple[str, str], PairStats]
     mean_income: dict[str, float]
     marginal_lar: dict[str, float]
     min_support: int
-    history: dict[str, dict[str, ConversionRecord]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-
-    def p_sale(self, target: str, source: str) -> PairStats:
-        if target == source:
-            return PairStats(1.0, support=0)
-        got = self.sale.get((target, source))
-        if got is not None:
-            return got
-        return PairStats(self.marginal_lar.get(target, 0.0), 0, fallback=True)
-
-    def p_reject(self, target: str, source: str) -> PairStats:
-        if target == source:
-            return PairStats(1.0, support=0)
-        got = self.reject.get((target, source))
-        if got is not None:
-            return got
-        return PairStats(1.0 - self.marginal_lar.get(target, 0.0), 0, fallback=True)
+    codes: ReplayCodes | None = field(default=None, compare=False, repr=False)
+    history: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def client_outcomes(
-    conversions: Sequence[ConversionRecord],
-) -> dict[str, dict[str, ConversionRecord]]:
-    """client -> mfi -> latest final record (pending never counts).
+def client_outcomes(codes: ReplayCodes) -> np.ndarray:
+    """Row of the latest final record of each (client, MFI); pending never counts.
 
-    On equal click times the later row wins.  Clients and their MFIs
-    keep the order of their first final record.
+    Clients and their MFIs keep the order of their first final record.
     """
-    latest: dict[str, dict[str, ConversionRecord]] = {}
-    for rec in conversions:
-        if rec.status is Status.PENDING:
-            continue
-        per_client = latest.get(rec.client_id)
-        if per_client is None:
-            per_client = latest[rec.client_id] = {}
-        if _later(rec, per_client.get(rec.mfi_id)):
-            per_client[rec.mfi_id] = rec
-    return latest
+    final = np.flatnonzero(codes.status != _PENDING)
+    client = codes.client[final]
+    pair = client.astype(np.int64) * len(codes.mfi_ids) + codes.mfi[final]
+    latest, first = _latest(codes.order[final], pair)
+    starts, sizes = _runs(client[latest])
+    client_first = np.repeat(np.minimum.reduceat(first, starts), sizes)
+    return final[latest[np.lexsort((first, client_first))]]
+
+
+def _pairs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j), i != j, of every ordered pair inside each run of
+    equal ``owner`` values, i outer and j inner as two nested loops go."""
+    starts, sizes = _runs(owner)
+    span = np.repeat(sizes, sizes)  # the run length at each position
+    i = np.repeat(np.arange(len(owner)), span)
+    block = np.repeat(np.cumsum(span) - span, span)
+    j = np.arange(len(i)) - block + np.repeat(np.repeat(starts, sizes), span)
+    keep = i != j
+    return i[keep], j[keep]
+
+
+def _pair_stats(
+    pair: np.ndarray,
+    hit: np.ndarray,
+    mfi_ids: Sequence[str],
+    fallback: Sequence[float],
+    min_support: int,
+) -> dict[tuple[str, str], PairStats]:
+    """The PairStats of each ``target * K + source`` code in ``pair``, keys in
+    first-seen order: the share of its occurrences that ``hit``, or the
+    target's ``fallback`` below ``min_support``."""
+    seen_pairs, first, support = np.unique(pair, return_index=True, return_counts=True)
+    hits = np.bincount(np.searchsorted(seen_pairs, pair[hit]), minlength=len(seen_pairs))
+    out: dict[tuple[str, str], PairStats] = {}
+    for n in np.argsort(first).tolist():
+        target, source = divmod(int(seen_pairs[n]), len(mfi_ids))
+        seen = int(support[n])
+        key = (mfi_ids[target], mfi_ids[source])
+        if seen >= min_support:
+            out[key] = PairStats(int(hits[n]) / seen, seen)
+        else:
+            out[key] = PairStats(fallback[target], seen, fallback=True)
+    return out
 
 
 def reapproval_table(
     conversions: Sequence[ConversionRecord],
     min_support: int = DEFAULT_MIN_SUPPORT,
 ) -> ReapprovalTable:
-    """The reapproval table of ``conversions``, carrying their client history."""
+    """The reapproval table of ``conversions``, carrying their code table and
+    client history."""
     if min_support < 0:
         raise ValueError("min_support must be non-negative")
-    outcomes = client_outcomes(conversions)
+    codes = replay_codes(conversions)
+    history = client_outcomes(codes)
+    k = len(codes.mfi_ids)
 
-    num_sale: Counter = Counter()
-    den_sale: Counter = Counter()
-    num_reject: Counter = Counter()
-    den_reject: Counter = Counter()
-    for per_client in outcomes.values():
-        mfis = list(per_client.items())
-        for i, (mfi_a, out_a) in enumerate(mfis):
-            for j, (mfi_b, out_b) in enumerate(mfis):
-                if i == j:
-                    continue
-                if out_b.status is Status.SALE:
-                    den_sale[(mfi_a, mfi_b)] += 1
-                    if out_a.status is Status.SALE:
-                        num_sale[(mfi_a, mfi_b)] += 1
-                elif out_b.status is Status.REJECTED:
-                    den_reject[(mfi_a, mfi_b)] += 1
-                    if out_a.status is Status.REJECTED:
-                        num_reject[(mfi_a, mfi_b)] += 1
-    if not den_sale and not den_reject:
+    # Every ordered pair of one client's latest final records: a is the
+    # outcome estimated, b the one conditioned on.
+    i, j = _pairs(codes.client[history])
+    a, b = history[i], history[j]
+    pair = codes.mfi[a].astype(np.int64) * k + codes.mfi[b]
+    if not len(pair):
         logger.warning(
             "no client dealt with two MFIs; reapproval table is all marginal fallbacks"
         )
 
-    # Per-MFI marginals in one pass; keys keep first-seen order, incomes
-    # are summed in input order.
-    per_mfi_apps: Counter = Counter()
-    per_mfi_sales: Counter = Counter()
-    income_sum: dict[str, float] = defaultdict(float)
-    income_n: Counter = Counter()
-    for rec in conversions:
-        per_mfi_apps[rec.mfi_id] += 1
-        if rec.status is Status.SALE:
-            per_mfi_sales[rec.mfi_id] += 1
-            if rec.income is not None:
-                income_sum[rec.mfi_id] += rec.income
-                income_n[rec.mfi_id] += 1
-    prior = LarPrior(
-        total_sales=sum(per_mfi_sales.values()), total_apps=len(conversions)
-    )
-    marginal = {
-        m: normalize_lar(prior, per_mfi_sales.get(m, 0), n)
-        for m, n in per_mfi_apps.items()
-    }
-    mean_income = {
-        m: (income_sum[m] / income_n[m] if income_n[m] else 0.0) for m in per_mfi_apps
-    }
+    # Per-MFI marginals; incomes are summed in input order.
+    sold = codes.status == _SALE
+    apps = np.bincount(codes.mfi, minlength=k).tolist()
+    sales = np.bincount(codes.mfi[sold], minlength=k).tolist()
+    paid_mfi = codes.mfi[codes.paid]
+    income_n = np.bincount(paid_mfi, minlength=k).tolist()
+    income_sum = np.bincount(paid_mfi, weights=codes.income[codes.paid], minlength=k).tolist()
+    prior = LarPrior(total_sales=sum(sales), total_apps=len(conversions))
+    marginal = [normalize_lar(prior, s, n) for s, n in zip(sales, apps)]
 
-    def build(num: Counter, den: Counter, fallback: Mapping[str, float]) -> dict:
-        out: dict[tuple[str, str], PairStats] = {}
-        for pair, support in den.items():
-            if support >= min_support:
-                out[pair] = PairStats(num.get(pair, 0) / support, support)
-            else:
-                out[pair] = PairStats(fallback.get(pair[0], 0.0), support, fallback=True)
-        return out
-
-    reject_fallback = {m: 1.0 - p for m, p in marginal.items()}
+    by_sale = codes.status[b] == _SALE
+    by_reject = codes.status[b] == _REJECTED
     return ReapprovalTable(
-        mfis=tuple(sorted(per_mfi_apps)),
-        sale=build(num_sale, den_sale, marginal),
-        reject=build(num_reject, den_reject, reject_fallback),
-        mean_income=mean_income,
-        marginal_lar=marginal,
+        sale=_pair_stats(
+            pair[by_sale], sold[a][by_sale], codes.mfi_ids, marginal, min_support
+        ),
+        reject=_pair_stats(
+            pair[by_reject],
+            (codes.status[a] == _REJECTED)[by_reject],
+            codes.mfi_ids,
+            [1.0 - p for p in marginal],
+            min_support,
+        ),
+        mean_income={
+            m: (s / n if n else 0.0) for m, s, n in zip(codes.mfi_ids, income_sum, income_n)
+        },
+        marginal_lar=dict(zip(codes.mfi_ids, marginal)),
         min_support=min_support,
-        history=outcomes,
+        codes=codes,
+        history=history,
     )
 
 
@@ -303,25 +396,23 @@ def weekly_schedule(
 # replay
 
 
-@dataclass(frozen=True)
-class AppOutcome:
-    client_id: str
-    mfi_hist: str
-    mfi_vra: str
-    click_time: datetime
-    week: datetime
-    position: int
-    p_sale: float
+class ReplaySums(NamedTuple):
+    """Sums over replayed applications, each value added one at a time from
+    0.0 in replay order: the expected sales (approval probabilities) and
+    income of the replay, and the sales and income the applications had."""
+
+    applications: int
+    sales: float
     income: float
-    copied: bool
-    rule: str  # "identity" | "history" | "table-sale" | "table-reject" | "table-pending"
-    hist_sale: bool
-    hist_income: float
+    historical_sales: float
+    historical_income: float
+
+
+_NO_SUMS = ReplaySums(0, 0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass
 class SimulationResult:
-    outcomes: list[AppOutcome]
     total_lar: float
     avg_income: float
     historical_lar: float
@@ -333,6 +424,8 @@ class SimulationResult:
     n_skipped_no_week: int
     n_pending_fallback: int
     n_low_support: int
+    weeks: dict[datetime, ReplaySums] = field(repr=False)
+    days: dict[date, ReplaySums] = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -352,28 +445,18 @@ class SimulationResult:
         }
 
 
-def _realized(rec: ConversionRecord) -> tuple[bool, float]:
-    """(sold, income) of a record: a sale's income, 0.0 if it has none or did not sell."""
-    if rec.status is Status.SALE:
-        return True, rec.income if rec.income is not None else 0.0
-    return False, 0.0
-
-
-_NO_SUMS = (0, 0.0, 0.0, 0.0, 0.0)
-
-
-def _bucket_sums(outcomes: Sequence[AppOutcome], key: Callable[[AppOutcome], Hashable]):
-    """key -> [n, p_sale, income, hist_sale, hist_income] over the outcomes, keys in
-    first-seen order; each sum adds one outcome at a time from 0.0, in replay order."""
-    sums: dict = {}
-    for o in outcomes:
-        acc = sums.setdefault(key(o), list(_NO_SUMS))
-        acc[0] += 1
-        acc[1] += o.p_sale
-        acc[2] += o.income
-        acc[3] += o.hist_sale
-        acc[4] += o.hist_income
-    return sums
+def _pair_arrays(
+    pairs: dict[tuple[str, str], PairStats], fallback: np.ndarray, code: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p, fallback flag) of every (target, source) code pair as K x K arrays:
+    a pair the table lacks takes the target's ``fallback`` and is flagged."""
+    p = np.repeat(fallback[:, None], len(fallback), axis=1)
+    flagged = np.ones(p.shape, bool)
+    for (target, source), stats in pairs.items():
+        if target in code and source in code:
+            p[code[target], code[source]] = stats.p
+            flagged[code[target], code[source]] = stats.fallback
+    return p, flagged
 
 
 def simulate(
@@ -392,99 +475,106 @@ def simulate(
     with the substitute comes from ``table.history``.  Applications
     without a usable position are skipped and counted, so coverage is
     visible in the result.
+
+    ``table`` must be the :func:`reapproval_table` of ``conversions``: the
+    replay reads their rows from its code table.  A week is served by the
+    schedule entry whose ``week_start`` is exactly its Monday 00:00 (the
+    last such entry).
     """
-    weeks = {entry.week_start: entry for entry in schedule}
-    entry_of_day: dict[date, WeekEntry | None] = {}
-    history = table.history
+    codes, history = table.codes, table.history
+    if codes is None or len(codes.mfi) != len(conversions):
+        raise ValueError("simulate needs the reapproval table of these conversions")
+    code = {m: n for n, m in enumerate(codes.mfi_ids)}
 
-    replayed: list[AppOutcome] = []
-    n_no_rank = n_out_of_range = n_no_week = 0
-    n_copied = n_pending = n_low_support = 0
+    # The served weeks in calendar order, their rankings as MFI codes.
+    served: dict[int, WeekEntry] = {}
+    for entry in schedule:
+        if week_start(entry.week_start) == entry.week_start:
+            served[entry.week_start.toordinal()] = entry
+    mondays = np.array(sorted(served), np.int64)
+    entries = [served[m] for m in mondays.tolist()]
+    lengths = np.array([len(e.ranking) for e in entries] + [0], np.int64)
+    ranking = np.full((len(entries), lengths.max()), -1, np.int64)
+    for w, entry in enumerate(entries):
+        ranking[w, : len(entry.ranking)] = [code.setdefault(m, len(code)) for m in entry.ranking]
+    k = len(code)
 
-    for rec in conversions:
-        if rec.global_rank is None:
-            n_no_rank += 1
-            continue
-        day = rec.click_time.date()
-        try:
-            entry = entry_of_day[day]
-        except KeyError:
-            entry = entry_of_day[day] = weeks.get(week_start(rec.click_time))
-        if entry is None:
-            n_no_week += 1
-            continue
-        position = rec.global_rank
-        if not 1 <= position <= len(entry.ranking):
-            n_out_of_range += 1
-            continue
-        vra = entry.ranking[position - 1]
-        known = rec if vra == rec.mfi_id else history.get(rec.client_id, {}).get(vra)
+    # Coverage, checked in this order: a rank, a served week, a position
+    # inside that week's ranking.  NaN (no rank) fails every comparison.
+    slot = np.searchsorted(mondays, codes.week)
+    has_rank = ~np.isnan(codes.rank)
+    has_week = has_rank & (np.append(mondays, -1)[slot] == codes.week)
+    in_range = has_week & (codes.rank >= 1) & (codes.rank <= lengths[slot])
+    rows = np.flatnonzero(in_range)  # replay order
+    slot = slot[rows]
+    own = codes.mfi[rows]
+    vra = ranking[slot, codes.rank[rows].astype(np.int64) - 1]
+    status = codes.status[rows]
 
-        if known is not None:
-            hit, income = _realized(known)
-            p = 1.0 if hit else 0.0
-            copied, rule = True, "identity" if known is rec else "history"
-        else:
-            copied = False
-            if rec.status is Status.SALE:
-                stats = table.p_sale(vra, rec.mfi_id)
-                p = stats.p
-                rule = "table-sale"
-                n_low_support += stats.fallback
-            elif rec.status is Status.REJECTED:
-                stats = table.p_reject(vra, rec.mfi_id)
-                p = 1.0 - stats.p
-                rule = "table-reject"
-                n_low_support += stats.fallback
-            else:
-                p = table.marginal_lar.get(vra, 0.0)
-                rule = "table-pending"
-                n_pending += 1
-            income = table.mean_income.get(vra, 0.0) * p
+    # The record copied: the application itself when the substitute is its
+    # own MFI, else the client's latest final record with the substitute.
+    keys = codes.client[history].astype(np.int64) * k + codes.mfi[history]
+    by_key = np.argsort(keys)
+    found_row = np.append(history[by_key], -1)
+    keys = keys[by_key]
+    query = codes.client[rows].astype(np.int64) * k + vra
+    at = np.searchsorted(keys, query)
+    found = np.append(keys, -1)[at] == query
+    known = np.where(vra == own, rows, np.where(found, found_row[at], -1))
+    copied = known >= 0
 
-        sold, own_income = _realized(rec)
-        replayed.append(
-            AppOutcome(
-                client_id=rec.client_id,
-                mfi_hist=rec.mfi_id,
-                mfi_vra=vra,
-                click_time=rec.click_time,
-                week=entry.week_start,
-                position=position,
-                p_sale=p,
-                income=income,
-                copied=copied,
-                rule=rule,
-                hist_sale=sold,
-                hist_income=own_income,
-            )
+    # Otherwise the table estimates it, by the application's own status.
+    marginal = np.zeros(k)
+    mean_income = np.zeros(k)
+    for m, n in code.items():
+        marginal[n] = table.marginal_lar.get(m, 0.0)
+        mean_income[n] = table.mean_income.get(m, 0.0)
+    p_sale, flag_sale = _pair_arrays(table.sale, marginal, code)
+    p_reject, flag_reject = _pair_arrays(table.reject, 1.0 - marginal, code)
+    is_sale = ~copied & (status == _SALE)
+    is_reject = ~copied & (status == _REJECTED)
+    p = np.where(
+        is_sale, p_sale[vra, own], np.where(is_reject, 1.0 - p_reject[vra, own], marginal[vra])
+    )
+    income = mean_income[vra] * p
+    p[copied] = codes.status[known[copied]] == _SALE
+    income[copied] = codes.income[known[copied]]
+    low_support = (is_sale & flag_sale[vra, own]) | (is_reject & flag_reject[vra, own])
+
+    values = (p, income, (status == _SALE).astype(np.float64), codes.income[rows])
+
+    def sums(bucket: np.ndarray) -> dict[int, ReplaySums]:
+        """The sums of each distinct ``bucket`` value, in replay order."""
+        buckets, index = np.unique(bucket, return_inverse=True)
+        columns = [np.bincount(index, weights=v).tolist() for v in values]
+        return dict(
+            zip(buckets.tolist(), map(ReplaySums._make, zip(np.bincount(index).tolist(), *columns)))
         )
-        n_copied += copied
 
-    totals = _bucket_sums(replayed, lambda o: None)
-    n, lar, income, hist_lar, hist_income = totals.get(None, _NO_SUMS)
+    total = sums(np.zeros(len(rows), np.int64)).get(0, _NO_SUMS)
+    n = total.applications
     return SimulationResult(
-        outcomes=replayed,
-        total_lar=lar / n if n else 0.0,
-        avg_income=income / n if n else 0.0,
-        historical_lar=hist_lar / n if n else 0.0,
-        historical_avg_income=hist_income / n if n else 0.0,
+        total_lar=total.sales / n if n else 0.0,
+        avg_income=total.income / n if n else 0.0,
+        historical_lar=total.historical_sales / n if n else 0.0,
+        historical_avg_income=total.historical_income / n if n else 0.0,
         n_processed=n,
-        n_copied=n_copied,
-        n_skipped_no_rank=n_no_rank,
-        n_skipped_out_of_range=n_out_of_range,
-        n_skipped_no_week=n_no_week,
-        n_pending_fallback=n_pending,
-        n_low_support=n_low_support,
+        n_copied=int(copied.sum()),
+        n_skipped_no_rank=int((~has_rank).sum()),
+        n_skipped_out_of_range=int((has_week & ~in_range).sum()),
+        n_skipped_no_week=int((has_rank & ~has_week).sum()),
+        n_pending_fallback=int((~copied & (status == _PENDING)).sum()),
+        n_low_support=int(low_support.sum()),
+        weeks={entries[w].week_start: s for w, s in sums(slot).items()},
+        days={date.fromordinal(d): s for d, s in sums(codes.day[rows]).items()},
     )
 
 
 def weekly_totals(result: SimulationResult) -> list[dict]:
     """Per-week aggregates of the replay, weeks in calendar order."""
-    sums = _bucket_sums(result.outcomes, lambda o: o.week)
     rows = []
-    for week in sorted(sums):
-        n, lar, income, hist_lar, hist_income = sums[week]
+    for week in sorted(result.weeks):
+        n, lar, income, hist_lar, hist_income = result.weeks[week]
         rows.append(
             {
                 "week": week.date().isoformat(),
@@ -510,7 +600,7 @@ def daily_series(
     they compare like with like against the "vra" totals.
     """
     click_days = Counter(c.click_time.date() for c in clicks)
-    sums = _bucket_sums(result.outcomes, lambda o: o.click_time.date())
+    sums = result.days
     all_days = set(click_days) | set(sums)
     if not all_days:
         return []

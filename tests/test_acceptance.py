@@ -252,7 +252,7 @@ def test_criterion_6_property_bundle_under_budget():
                 expected, support = brute_force_pair(convs, target, source)
                 if expected is None:
                     continue
-                got = table.p_sale(target, source)
+                got = table.sale[(target, source)]
                 assert got.support == support and got.p == pytest.approx(expected)
                 oracle_pairs += 1
     assert oracle_pairs > 100

@@ -3,22 +3,27 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
+import math
 import random
 from collections import Counter, defaultdict
 from datetime import date, datetime, timedelta
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfirank.evaluate
 from mfirank.data import ClickRecord, ConversionRecord, LoanType, Status, filter_loan_type
 from mfirank.errors import MfiRankError
 from mfirank.evaluate import (
     DEFAULT_MIN_SUPPORT,
-    AppOutcome,
     PairStats,
     ReapprovalTable,
+    ReplaySums,
     SimulationResult,
     WeekEntry,
     client_outcomes,
@@ -26,6 +31,7 @@ from mfirank.evaluate import (
     evaluate_ranking,
     historical_ranking,
     reapproval_table,
+    replay_codes,
     simulate,
     week_start,
     weekly_schedule,
@@ -60,6 +66,38 @@ def capp(
     )
 
 
+def history(conversions):
+    """client -> MFI -> record of :func:`client_outcomes`, in its order."""
+    out: dict[str, dict[str, ConversionRecord]] = {}
+    for row in client_outcomes(replay_codes(conversions)).tolist():
+        rec = conversions[row]
+        out.setdefault(rec.client_id, {})[rec.mfi_id] = rec
+    return out
+
+
+# How the replay reads a table (the ``p_sale``/``p_reject`` methods of the
+# table before the replay moved onto arrays): identity pairs are certain,
+# a pair the table lacks falls back to the target's marginal rate.
+
+
+def p_sale(table: ReapprovalTable, target: str, source: str) -> PairStats:
+    if target == source:
+        return PairStats(1.0, support=0)
+    got = table.sale.get((target, source))
+    if got is not None:
+        return got
+    return PairStats(table.marginal_lar.get(target, 0.0), 0, fallback=True)
+
+
+def p_reject(table: ReapprovalTable, target: str, source: str) -> PairStats:
+    if target == source:
+        return PairStats(1.0, support=0)
+    got = table.reject.get((target, source))
+    if got is not None:
+        return got
+    return PairStats(1.0 - table.marginal_lar.get(target, 0.0), 0, fallback=True)
+
+
 def test_week_start_is_monday_midnight():
     assert week_start(datetime(2021, 3, 3, 15, 30)) == datetime(2021, 3, 1)
     assert week_start(datetime(2021, 3, 1, 0, 0)) == datetime(2021, 3, 1)
@@ -83,7 +121,7 @@ def test_client_outcomes_keep_the_latest_final_status_and_income():
         capp("a", "c1", Status.PENDING, hours=4),  # pending never counts
         capp("b", "c1", Status.PENDING, hours=5),
     ]
-    outcomes = client_outcomes(records)
+    outcomes = history(records)
     assert set(outcomes) == {"c1"}
     assert set(outcomes["c1"]) == {"a"}
     assert outcomes["c1"]["a"].status is Status.SALE
@@ -100,7 +138,7 @@ def test_reapproval_certainty_case():
         records.append(capp("A", f"c{i}", income=10.0, hours=i))
         records.append(capp("B", f"c{i}", income=10.0, hours=i + 0.5))
     table = reapproval_table(records)
-    stats = table.p_sale("A", "B")
+    stats = p_sale(table, "A", "B")
     assert stats.p == 1.0
     assert stats.support == 10
     assert not stats.fallback
@@ -113,15 +151,29 @@ def test_reapproval_hand_counted_fraction():
         status = Status.SALE if i < 3 else Status.REJECTED
         records.append(capp("A", f"c{i}", status, income=5.0, hours=i + 0.5))
     table = reapproval_table(records, min_support=1)
-    assert table.p_sale("A", "B").p == pytest.approx(0.375)
-    assert table.p_sale("A", "B").support == 8
+    assert p_sale(table, "A", "B").p == pytest.approx(0.375)
+    assert p_sale(table, "A", "B").support == 8
 
 
 def test_reapproval_identity_pairs_are_certain():
-    records = [capp("A", "c1", income=5.0)]
+    # an application re-served by its own MFI keeps its own outcome
+    records = [
+        capp("A", "c1", income=5.0, rank=1),
+        capp("A", "c2", Status.REJECTED, hours=1, rank=1),
+    ]
     table = reapproval_table(records)
-    assert table.p_sale("A", "A").p == 1.0
-    assert table.p_reject("A", "A").p == 1.0
+    schedule = [WeekEntry(week_start(T0), ("A",), 0, "ranked")]
+    result = simulate(records, schedule, table)
+    assert (result.n_copied, result.total_lar, result.avg_income) == (2, 0.5, 2.5)
+
+
+def test_reapproval_pairs_join_two_different_mfis():
+    records = [
+        capp(m, f"c{i}", income=5.0, hours=i + n / 2) for i in range(3) for n, m in enumerate("AB")
+    ]
+    table = reapproval_table(records, min_support=1)
+    assert set(table.sale) == {("A", "B"), ("B", "A")}
+    assert table.reject == {}
 
 
 def test_reapproval_low_support_falls_back_to_the_marginal():
@@ -132,13 +184,13 @@ def test_reapproval_low_support_falls_back_to_the_marginal():
         capp("A", "c3", Status.PENDING, hours=3),
     ]
     table = reapproval_table(records, min_support=5)
-    stats = table.p_sale("B", "A")  # one co-client, below min_support
+    stats = p_sale(table, "B", "A")  # one co-client, below min_support
     assert stats.fallback and stats.support == 1
     # marginal normalized LAR of B: prior (1 sale / 4 apps) + (0 of 1)
     assert table.marginal_lar["B"] == pytest.approx(1.0 / 5.0)
     assert stats.p == pytest.approx(1.0 / 5.0)
     # pair never observed at all: marginal fallback with zero support
-    missing = table.p_reject("B", "A")
+    missing = p_reject(table, "B", "A")
     assert missing.fallback and missing.support == 0
     assert missing.p == pytest.approx(1.0 - 1.0 / 5.0)
 
@@ -148,7 +200,7 @@ def test_reapproval_without_co_applicants_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="mfirank.evaluate"):
         table = reapproval_table(records)
     assert any("no client dealt with two MFIs" in m for m in caplog.messages)
-    assert table.p_sale("A", "B").fallback
+    assert p_sale(table, "A", "B").fallback
 
 
 def brute_force_pair(records, target, source):
@@ -181,7 +233,7 @@ def test_reapproval_matches_the_counting_oracle_on_fixtures():
                 expected, support = brute_force_pair(conversions, target, source)
                 if expected is None:
                     continue
-                got = table.p_sale(target, source)
+                got = p_sale(table, target, source)
                 assert got.support == support
                 assert got.p == pytest.approx(expected), (seed, target, source)
 
@@ -404,10 +456,13 @@ def identity_schedule(records):
 def test_identity_replay_reproduces_history_exactly(fixture_triple):
     conversions, _, _ = fixture_triple
     table = reapproval_table(conversions)
-    result = simulate(conversions, identity_schedule(conversions), table)
+    schedule = identity_schedule(conversions)
+    result = simulate(conversions, schedule, table)
     assert result.n_processed == len(conversions)
     assert result.n_copied == result.n_processed
-    assert all(o.rule == "identity" for o in result.outcomes)
+    want, outcomes = reference_simulate(conversions, schedule, table)
+    assert result == want
+    assert all(o.rule == "identity" for o in outcomes)
     true_lar = sum(1 for r in conversions if r.status is Status.SALE) / len(conversions)
     true_income = sum(
         r.income for r in conversions if r.status is Status.SALE and r.income
@@ -423,21 +478,22 @@ def test_swapped_position_uses_the_table():
     schedule = [
         WeekEntry(week_start=week_start(T0), ranking=("B", "A"), trained_on=0, source="ranked")
     ]
-    table = ReapprovalTable(
-        mfis=("A", "B"),
+    # the table of these records, with a pair and an MFI they never show
+    table = dataclasses.replace(
+        reapproval_table(records),
         sale={("B", "A"): PairStats(0.6, support=10)},
         reject={},
         mean_income={"B": 100.0},
         marginal_lar={"A": 0.5, "B": 0.5},
-        min_support=5,
     )
     result = simulate(records, schedule, table)
-    (outcome,) = result.outcomes
+    assert (result.n_processed, result.n_copied, result.n_low_support) == (1, 0, 0)
+    assert result.total_lar == 0.6
+    assert result.avg_income == pytest.approx(60.0)
+    assert result.historical_lar == 1.0 and result.historical_avg_income == 50.0
+    want, (outcome,) = reference_simulate(records, schedule, table)
+    assert result == want
     assert outcome.rule == "table-sale"
-    assert not outcome.copied
-    assert outcome.p_sale == 0.6
-    assert outcome.income == pytest.approx(60.0)
-    assert outcome.hist_sale and outcome.hist_income == 50.0
 
 
 def test_client_history_copies_the_actual_outcome():
@@ -451,12 +507,12 @@ def test_client_history_copies_the_actual_outcome():
     ]
     table = reapproval_table(records, min_support=1)
     result = simulate(records, schedule, table)
-    by_hist = {o.mfi_hist: o for o in result.outcomes}
-    replay_a = by_hist["A"]  # re-served by B, where c1 really got 77.0
-    assert replay_a.rule == "history"
-    assert replay_a.copied
-    assert replay_a.p_sale == 1.0
-    assert replay_a.income == 77.0
+    assert result.n_copied == result.n_processed == 2
+    # A's application, re-served by B, where c1 really got 77.0
+    assert result.weeks[week_start(T0)] == ReplaySums(1, 1.0, 77.0, 1.0, 50.0)
+    want, outcomes = reference_simulate(records, schedule, table)
+    assert result == want
+    assert {o.mfi_hist: o.rule for o in outcomes} == {"A": "history", "B": "history"}
 
 
 def test_pending_history_uses_the_marginal():
@@ -472,10 +528,12 @@ def test_pending_history_uses_the_marginal():
     ]
     table = reapproval_table(records, min_support=1)
     result = simulate(records, schedule, table)
-    pending = next(o for o in result.outcomes if o.mfi_hist == "A")
+    assert result.n_pending_fallback == 1
+    want, outcomes = reference_simulate(records, schedule, table)
+    assert result == want
+    pending = next(o for o in outcomes if o.mfi_hist == "A")
     assert pending.rule == "table-pending"
     assert pending.p_sale == pytest.approx(table.marginal_lar["B"])
-    assert result.n_pending_fallback == 1
 
 
 def test_positions_outside_the_list_are_counted():
@@ -555,8 +613,11 @@ def test_evaluate_ranking_round_trip(fixture_triple):
 # ---------------------------------------------------------------------------
 # client_outcomes, reapproval_table and simulate as they were before
 # evaluate_ranking shared one client-outcome map between the last two and
-# simulate memoized the week of each calendar day, kept verbatim as the
-# references of the differential tests below
+# simulate memoized the week of each calendar day, and the replay sums as
+# they were before the replay moved onto the code table, kept as the
+# references of the differential tests below.  The reference simulate
+# keeps one record per replayed application (AppOutcome) and sums them
+# one at a time in replay order.
 
 logger = logging.getLogger(__name__)
 
@@ -648,7 +709,6 @@ def reference_reapproval_table(
 
     reject_fallback = {m: 1.0 - p for m, p in marginal.items()}
     return ReapprovalTable(
-        mfis=tuple(sorted(per_mfi_apps)),
         sale=build(num_sale, den_sale, marginal),
         reject=build(num_reject, den_reject, reject_fallback),
         mean_income=mean_income,
@@ -657,11 +717,46 @@ def reference_reapproval_table(
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class AppOutcome:
+    client_id: str
+    mfi_hist: str
+    mfi_vra: str
+    click_time: datetime
+    week: datetime
+    position: int
+    p_sale: float
+    income: float
+    copied: bool
+    rule: str  # "identity" | "history" | "table-sale" | "table-reject" | "table-pending"
+    hist_sale: bool
+    hist_income: float
+
+
+_NO_SUMS = (0, 0.0, 0.0, 0.0, 0.0)
+
+
+def reference_bucket_sums(
+    outcomes: Sequence[AppOutcome], key: Callable[[AppOutcome], Hashable]
+) -> dict:
+    """key -> [n, p_sale, income, hist_sale, hist_income] over the outcomes, keys in
+    first-seen order; each sum adds one outcome at a time from 0.0, in replay order."""
+    sums: dict = {}
+    for o in outcomes:
+        acc = sums.setdefault(key(o), list(_NO_SUMS))
+        acc[0] += 1
+        acc[1] += o.p_sale
+        acc[2] += o.income
+        acc[3] += o.hist_sale
+        acc[4] += o.hist_income
+    return sums
+
+
 def reference_simulate(
     conversions: Sequence[ConversionRecord],
     schedule: Sequence[WeekEntry],
     table: ReapprovalTable,
-) -> SimulationResult:
+) -> tuple[SimulationResult, list[AppOutcome]]:
     """Replay every application against the scheduled rankings.
 
     Each application is re-served by whichever MFI the week's ranking
@@ -679,8 +774,6 @@ def reference_simulate(
     outcomes: list[AppOutcome] = []
     n_no_rank = n_out_of_range = n_no_week = 0
     n_copied = n_pending = n_low_support = 0
-    hist_sales = 0
-    hist_income = 0.0
 
     for rec in conversions:
         if rec.global_rank is None:
@@ -708,12 +801,12 @@ def reference_simulate(
         else:
             copied = False
             if rec.status is Status.SALE:
-                stats = table.p_sale(vra, rec.mfi_id)
+                stats = p_sale(table, vra, rec.mfi_id)
                 p = stats.p
                 rule = "table-sale"
                 n_low_support += stats.fallback
             elif rec.status is Status.REJECTED:
-                stats = table.p_reject(vra, rec.mfi_id)
+                stats = p_reject(table, vra, rec.mfi_id)
                 p = 1.0 - stats.p
                 rule = "table-reject"
                 n_low_support += stats.fallback
@@ -742,15 +835,14 @@ def reference_simulate(
             )
         )
         n_copied += copied
-        hist_sales += sold
-        hist_income += own_income
 
-    n = len(outcomes)
-    return SimulationResult(
-        outcomes=outcomes,
-        total_lar=sum(o.p_sale for o in outcomes) / n if n else 0.0,
-        avg_income=sum(o.income for o in outcomes) / n if n else 0.0,
-        historical_lar=hist_sales / n if n else 0.0,
+    n, lar, income, hist_lar, hist_income = reference_bucket_sums(
+        outcomes, lambda o: None
+    ).get(None, _NO_SUMS)
+    result = SimulationResult(
+        total_lar=lar / n if n else 0.0,
+        avg_income=income / n if n else 0.0,
+        historical_lar=hist_lar / n if n else 0.0,
         historical_avg_income=hist_income / n if n else 0.0,
         n_processed=n,
         n_copied=n_copied,
@@ -759,7 +851,60 @@ def reference_simulate(
         n_skipped_no_week=n_no_week,
         n_pending_fallback=n_pending,
         n_low_support=n_low_support,
+        weeks={
+            week: ReplaySums(*sums)
+            for week, sums in reference_bucket_sums(outcomes, lambda o: o.week).items()
+        },
+        days={
+            day: ReplaySums(*sums)
+            for day, sums in reference_bucket_sums(
+                outcomes, lambda o: o.click_time.date()
+            ).items()
+        },
     )
+    return result, outcomes
+
+
+def reference_weekly_totals(outcomes: Sequence[AppOutcome]):
+    """``weekly_totals`` as it was, from the outcomes."""
+    sums = reference_bucket_sums(outcomes, lambda o: o.week)
+    rows = []
+    for week in sorted(sums):
+        n, lar, income, hist_lar, hist_income = sums[week]
+        rows.append(
+            {
+                "week": week.date().isoformat(),
+                "applications": n,
+                "lar": lar / n,
+                "avg_income": income / n,
+                "historical_lar": hist_lar / n,
+                "historical_avg_income": hist_income / n,
+            }
+        )
+    return rows
+
+
+def reference_daily_series(outcomes: Sequence[AppOutcome], clicks: Sequence[ClickRecord]):
+    """``daily_series`` as it was, from the outcomes."""
+    click_days = Counter(c.click_time.date() for c in clicks)
+    sums = reference_bucket_sums(outcomes, lambda o: o.click_time.date())
+    all_days = set(click_days) | set(sums)
+    if not all_days:
+        return []
+    rows = []
+    day = min(all_days)
+    while day <= max(all_days):
+        _, sales, income, hist_sales, hist_income = sums.get(day, _NO_SUMS)
+        rows.append(
+            {
+                "date": day.isoformat(),
+                "clicks": click_days.get(day, 0),
+                "historical": {"income": hist_income, "sales": hist_sales},
+                "vra": {"income": income, "sales": sales},
+            }
+        )
+        day += timedelta(days=1)
+    return rows
 
 
 def replay_cases():
@@ -826,12 +971,10 @@ def nested_items(outcomes):
 @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
 def test_client_outcomes_match_the_reference(case):
     _, conversions, _, _ = case
-    outcomes = client_outcomes(conversions)
     # equal values and the same first-seen order of clients and MFIs
-    assert nested_items(outcomes) == nested_items(reference_client_outcomes(conversions))
-    # the history holds the input records themselves, not copies
-    inputs = {id(rec) for rec in conversions}
-    assert all(id(rec) in inputs for per in outcomes.values() for rec in per.values())
+    assert nested_items(history(conversions)) == nested_items(
+        reference_client_outcomes(conversions)
+    )
 
 
 def table_items(table):
@@ -855,20 +998,24 @@ def test_reapproval_table_matches_the_reference(case, min_support):
 @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
 def test_reapproval_table_carries_the_client_outcomes(case):
     _, conversions, _, _ = case
-    # equal values and the same first-seen order of clients and MFIs
-    assert nested_items(reapproval_table(conversions).history) == nested_items(
-        client_outcomes(conversions)
-    )
+    table = reapproval_table(conversions)
+    assert table.history.tolist() == client_outcomes(table.codes).tolist()
+    assert table.codes.mfi_ids == tuple(table.marginal_lar)
 
 
 @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
 def test_simulate_matches_the_reference(case):
     _, conversions, products, clicks = case
-    table = reapproval_table(conversions, min_support=1)
-    for name, schedule in replay_schedules(conversions, products, clicks).items():
-        want = reference_simulate(conversions, schedule, table)
-        # exact equality: every AppOutcome and every float of the totals
-        assert simulate(conversions, schedule, table) == want, name
+    schedules = replay_schedules(conversions, products, clicks)
+    for min_support, (name, schedule) in itertools.product([0, 1, 5], schedules.items()):
+        table = reapproval_table(conversions, min_support)
+        want, outcomes = reference_simulate(conversions, schedule, table)
+        got = simulate(conversions, schedule, table)
+        # exact equality: every counter, every float of the totals and of
+        # the week and day sums
+        assert got == want, (name, min_support)
+        assert repr(weekly_totals(got)) == repr(reference_weekly_totals(outcomes))
+        assert repr(daily_series(got, clicks)) == repr(reference_daily_series(outcomes, clicks))
 
 
 @pytest.mark.parametrize("case", REPLAY_CASES[2::3], ids=REPLAY_IDS[2::3])
@@ -876,7 +1023,9 @@ def test_evaluate_ranking_matches_the_reference(case):
     standard = [filter_loan_type(records, LoanType.STANDARD) for records in case[1:]]
     schedule = weekly_schedule(*standard)
     conversions = standard[0]
-    want = reference_simulate(conversions, schedule, reference_reapproval_table(conversions))
+    want, _ = reference_simulate(
+        conversions, schedule, reference_reapproval_table(conversions)
+    )
     assert evaluate_ranking(*standard) == (want, schedule)
 
 
@@ -891,22 +1040,145 @@ def test_replay_cases_cover_the_edge_rows():
     )
     assert max(stamps.values()) == 2
     table = reapproval_table(conversions)
-    results = {
-        name: simulate(conversions, schedule, table)
-        for name, schedule in replay_schedules(conversions, products, clicks).items()
+    schedules = replay_schedules(conversions, products, clicks)
+    assert simulate(conversions, schedules["gappy"], table).n_skipped_no_week > 0
+    rules = {
+        o.rule
+        for schedule in schedules.values()
+        for o in reference_simulate(conversions, schedule, table)[1]
     }
-    assert results["gappy"].n_skipped_no_week > 0
-    rules = {o.rule for result in results.values() for o in result.outcomes}
     assert rules == {"identity", "history", "table-sale", "table-reject", "table-pending"}
 
 
 def test_evaluate_ranking_builds_client_outcomes_once(monkeypatch, fixture_triple):
     calls = []
 
-    def counted(conversions):
-        calls.append(len(conversions))
-        return client_outcomes(conversions)
+    def counted(codes):
+        calls.append(len(codes.mfi))
+        return client_outcomes(codes)
 
     monkeypatch.setattr(mfirank.evaluate, "client_outcomes", counted)
     evaluate_ranking(*fixture_triple)
     assert len(calls) == 1
+
+
+def test_simulate_rejects_a_table_of_other_conversions():
+    records = [capp("A", "c1", rank=1), capp("B", "c2", rank=1)]
+    schedule = identity_schedule(records)
+    with pytest.raises(ValueError, match="reapproval table of these conversions"):
+        simulate(records, schedule, reapproval_table(records[:1]))
+    hand_built = ReapprovalTable(sale={}, reject={}, mean_income={}, marginal_lar={}, min_support=5)
+    with pytest.raises(ValueError, match="reapproval table of these conversions"):
+        simulate(records, schedule, hand_built)
+
+
+# ---------------------------------------------------------------------------
+# random small logs against the references
+
+
+@st.composite
+def small_logs(draw):
+    """A small log and a schedule for it, built to hit the replay's edges:
+    equal click times (final twins of opposite status among them), pending-
+    only clients, missing ranks and ranks past the ranking's end, weeks the
+    schedule lacks or holds twice, an entry that is not a Monday, and an
+    MFI that only the schedule knows."""
+    mfis = ["a", "b", "c", "d"]
+    clients = [f"c{i}" for i in range(5)]
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        status = draw(st.sampled_from(list(Status)))
+        income = draw(st.sampled_from([None, 1.0, 0.1, 7.5, 1e16, 3e-3]))
+        rows.append(
+            capp(
+                draw(st.sampled_from(mfis)),
+                draw(st.sampled_from(clients)),
+                status,
+                hours=12.0 * draw(st.integers(0, 40)),
+                income=income,
+                rank=draw(st.sampled_from([None, 1, 2, 3, 4, 6])),
+            )
+        )
+    twinned = draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    for rec in twinned:
+        if rec.status is not Status.PENDING:
+            flipped = Status.REJECTED if rec.status is Status.SALE else Status.SALE
+            twin = dataclasses.replace(
+                rec, status=flipped, income=2.5 if flipped is Status.SALE else None
+            )
+            rows.insert(draw(st.integers(0, len(rows))), twin)
+    for n in range(draw(st.integers(0, 2))):
+        rows.insert(
+            draw(st.integers(0, len(rows))),
+            capp("b", "pending-only", Status.PENDING, hours=24.0 * n, rank=1),
+        )
+    mondays = sorted({week_start(r.click_time) for r in rows})
+    schedule = []
+    for monday in mondays + [week_start(T0) + timedelta(days=7 * 9)]:
+        for _ in range(draw(st.integers(0, 2))):  # 0: a gap, 2: the week twice
+            ranking = draw(st.permutations(mfis + ["z"]))[: draw(st.integers(0, 5))]
+            schedule.append(WeekEntry(monday, tuple(ranking), 0, "ranked"))
+    if mondays and draw(st.booleans()):
+        schedule.append(WeekEntry(mondays[0] + timedelta(hours=1), ("a", "b"), 0, "ranked"))
+    clicked = draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    if draw(st.booleans()):  # a click days before any application
+        clicked.append(capp("a", "x", hours=-72.0))
+    clicks = [
+        ClickRecord(mfi_id=r.mfi_id, click_time=r.click_time, client_id=r.client_id,
+                    loan_type=LoanType.STANDARD)
+        for r in clicked
+    ]
+    return rows, schedule, clicks
+
+
+@settings(max_examples=200)
+@given(small_logs(), st.integers(0, 6))
+def test_the_replay_of_a_small_log_matches_the_references(log, min_support):
+    conversions, schedule, clicks = log
+    table = reapproval_table(conversions, min_support)
+    reference = reference_reapproval_table(conversions, min_support)
+    assert table_items(table) == table_items(reference)
+    assert nested_items(history(conversions)) == nested_items(
+        reference_client_outcomes(conversions)
+    )
+    got = simulate(conversions, schedule, table)
+    want, outcomes = reference_simulate(conversions, schedule, reference)
+    assert got == want
+    assert repr(got.to_dict()) == repr(want.to_dict())
+    assert repr(weekly_totals(got)) == repr(reference_weekly_totals(outcomes))
+    assert repr(daily_series(got, clicks)) == repr(reference_daily_series(outcomes, clicks))
+
+
+def test_replay_sums_add_left_to_right_in_replay_order():
+    # Sales over two days of one week, replayed under the site's own
+    # ranking so each application keeps its income.  Left to right,
+    # 1e16 swallows every 1.0 that follows it; pairwise and compensated
+    # sums keep some of them.
+    incomes = [1e16] + [1.0] * 15 + [1.0] * 9 + [1e16] + [1.0] * 9
+    records = [
+        capp("A", f"c{n}", income=income, hours=0.25 * n + (24 if n >= 16 else 0), rank=1)
+        for n, income in enumerate(incomes)
+    ]
+    day_one, day_two = incomes[:16], incomes[16:]
+
+    def left_to_right(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    for values in (incomes, day_one, day_two):
+        assert left_to_right(values) != math.fsum(values)
+        assert left_to_right(values) != float(np.sum(values))
+
+    schedule = [WeekEntry(week_start(T0), ("A",), 0, "historical")]
+    result = simulate(records, schedule, reapproval_table(records))
+    n = len(incomes)
+    assert result.avg_income == left_to_right(incomes) / n
+    assert result.historical_avg_income == left_to_right(incomes) / n
+    (week,) = weekly_totals(result)
+    assert week["avg_income"] == left_to_right(incomes) / n
+    first, second = daily_series(result, [])
+    assert first["vra"]["income"] == first["historical"]["income"] == left_to_right(day_one)
+    assert second["vra"]["income"] == second["historical"]["income"] == left_to_right(day_two)
+    assert first["vra"]["sales"] == 16.0 and second["vra"]["sales"] == 19.0
