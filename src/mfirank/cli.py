@@ -94,11 +94,11 @@ def _dump_ranking(payload: dict, counts: np.ndarray, path: str | None) -> None:
 
     The encoder in ``json`` renders a k-by-k integer matrix with indent
     through its pure-Python path, millions of small strings at k = 2000.
-    Here each row is one ``str.join`` over the cell texts.  The key must
-    sort before every payload key: the matrix then opens the object and
-    the rest of the payload follows as ``json`` renders it.
+    Here each row is one gather from the cell texts and one ``str.join``.
+    The key must sort before every payload key: the matrix then opens the
+    object and the rest of the payload follows as ``json`` renders it.
     """
-    cells = [str(n) for n in range(int(counts.max(initial=0)) + 1)]
+    cells = np.array([str(n) for n in range(int(counts.max(initial=0)) + 1)], dtype=object)
     rest = _json_text(payload)
     with _output(path) as out:
         out.write('{\n  "comparison_matrix": [\n')
@@ -106,7 +106,7 @@ def _dump_ranking(payload: dict, counts: np.ndarray, path: str | None) -> None:
             if i:
                 out.write(",\n")
             out.write("    [\n      ")
-            out.write(",\n      ".join([cells[n] for n in row.tolist()]))
+            out.write(",\n      ".join(cells[row].tolist()))
             out.write("\n    ]")
         # ``rest`` opens with "{\n"; its first key continues this object.
         out.write("\n  ]," + rest[1:] + "\n")
@@ -132,16 +132,25 @@ def _records(result: ParseResult, dataset: str) -> list:
     return result.records
 
 
+def _parse(parse, path: str, config: PipelineConfig) -> ParseResult:
+    """``parse(path, config.schema)``, its records moved out of the collector's
+    reach.  A parse leaves tens of thousands of tracked, acyclic records (the
+    three datasets of 20k clients hold about 84k) that every later collection
+    would re-scan; a subcommand keeps them until it exits, so they are frozen.
+    """
+    result = parse(path, config.schema)
+    gc.freeze()
+    return result
+
+
 def _load_datasets(args: argparse.Namespace, config: PipelineConfig):
     """The conversions, products and clicks of ``config.loan_type``, then every
     product card (page constraints may name another loan type).  The one
     place that selects a loan type: later stages use every record given."""
-    conversions = _records(parse_conversions(args.conversions, config.schema), "conversions")
-    cards = _records(parse_products(args.products, config.schema), "products")
-    clicks = _records(parse_clicks(args.clicks, config.schema), "clicks")
+    conversions = _records(_parse(parse_conversions, args.conversions, config), "conversions")
+    cards = _records(_parse(parse_products, args.products, config), "products")
+    clicks = _records(_parse(parse_clicks, args.clicks, config), "clicks")
     selected = [filter_loan_type(r, config.loan_type) for r in (conversions, cards, clicks)]
-    # The parse leaves ~84k tracked, acyclic records that every later collection re-scans.
-    gc.freeze()
     return (*selected, cards)
 
 
@@ -161,9 +170,9 @@ def _feature_table(args: argparse.Namespace, config: PipelineConfig):
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    conv = parse_conversions(args.conversions, config.schema)
-    prod = parse_products(args.products, config.schema)
-    clk = parse_clicks(args.clicks, config.schema)
+    conv = _parse(parse_conversions, args.conversions, config)
+    prod = _parse(parse_products, args.products, config)
+    clk = _parse(parse_clicks, args.clicks, config)
     report = validate(conv.records, prod.records, clk.records)
     payload = report.to_dict()
     payload["row_errors"] = {
@@ -365,8 +374,8 @@ def cmd_abtest(args: argparse.Namespace) -> int:
     if not args.group_a or not args.group_b:
         raise ConfigError("abtest needs --group-a and --group-b, or --fisher counts")
 
-    group_a = _records(parse_conversions(args.group_a, config.schema), "group-a")
-    group_b = _records(parse_conversions(args.group_b, config.schema), "group-b")
+    group_a = _records(_parse(parse_conversions, args.group_a, config), "group-a")
+    group_b = _records(_parse(parse_conversions, args.group_b, config), "group-b")
     if not group_a or not group_b:
         raise DataError("both experiment groups need at least one application")
 

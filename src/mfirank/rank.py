@@ -107,41 +107,60 @@ def transition(matrix: ComparisonMatrix, damping: float = 0.0) -> np.ndarray:
     operation.  Any other row (an MFI that loses to nobody on any
     feature) becomes a uniform jump to the other MFIs.  ``damping`` in [0, 1)
     mixes in a uniform restart over all MFIs, guaranteeing
-    irreducibility.
+    irreducibility.  The result is one float copy of the counts, turned
+    into the kernel in place: no other k-by-k array is allocated.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
-    counts = np.asarray(matrix.counts, dtype=float)
-    k = counts.shape[0]
-    if counts.shape != (k, k):
+    p = np.array(matrix.counts, dtype=float)
+    k = p.shape[0]
+    if p.shape != (k, k):
         raise ValueError("comparison matrix must be square")
     if k < 2:
         raise ValueError("ranking a single MFI is undefined")
-    sums = counts.sum(axis=1, keepdims=True)
+    sums = p.sum(axis=1, keepdims=True)
     jump = np.flatnonzero(~(sums > 0.0))
     if jump.size:
         sums[jump] = 1.0  # these rows are overwritten below
-    p = counts / sums
+    p /= sums
     if jump.size:
         p[jump] = 1.0 / (k - 1)
         p[jump, jump] = 0.0
     if damping > 0.0:
-        p = (1.0 - damping) * p + damping / k
+        p *= 1.0 - damping
+        p += damping / k
     return p
 
 
 def _direct_stationary(p: np.ndarray) -> np.ndarray:
     """Solve pi P = pi with the normalization sum(pi) = 1 replacing one
-    equation of the singular system."""
+    equation of the singular system.
+
+    The system matrix is ``P.T - I`` with its last row set to ones.  It is
+    written into ``p`` itself (the diagonal minus one, the last column set
+    to ones) and solved through the transposed view; the diagonal and the
+    last column are saved first and restored afterwards, also when the
+    solve raises, so ``p`` ends bit-identical.  Off the diagonal
+    ``x - 0.0 == x``, so the solve sees the values ``p.T - np.eye(k)``
+    would hold.  A read-only ``p`` is solved on a copy.
+    """
+    if not p.flags.writeable:
+        p = p.copy()
     k = p.shape[0]
-    a = p.T - np.eye(k)
-    a[-1, :] = 1.0
     b = np.zeros(k)
     b[-1] = 1.0
+    diagonal = p.diagonal().copy()
+    last = p[:, -1].copy()
     try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+        np.fill_diagonal(p, diagonal - 1.0)
+        p[:, -1] = 1.0
+        try:
+            pi = np.linalg.solve(p.T, b)
+        except np.linalg.LinAlgError:
+            pi, *_ = np.linalg.lstsq(p.T, b, rcond=None)
+    finally:
+        p[:, -1] = last
+        np.fill_diagonal(p, diagonal)
     return pi
 
 
@@ -185,7 +204,9 @@ def stationary(
     1e-8, otherwise the chain is numerically ill-behaved (for instance
     reducible without damping) and an InternalError is raised.  A power
     iteration that merely fails to converge falls back to the direct
-    result with ``power_converged`` False.
+    result with ``power_converged`` False.  The direct solve borrows a
+    writable ``p`` as its system matrix and restores it before returning,
+    so no other thread may read ``p`` during the call.
     """
     p = np.asarray(p, dtype=float)
     k = p.shape[0]

@@ -277,11 +277,12 @@ def ranking_payload(ids, **extra) -> dict:
         {"power_converged": False, "page_ranking": []},
     ],
 )
+@pytest.mark.parametrize("scale", [1, 17, 0], ids=["one-digit", "multi-digit", "all-zero"])
 @pytest.mark.parametrize("to_stdout", [False, True])
-def test_ranking_writer_matches_json_dumps(ids, extra, to_stdout, tmp_path, capsys):
+def test_ranking_writer_matches_json_dumps(ids, extra, scale, to_stdout, tmp_path, capsys):
     payload = ranking_payload(ids, **extra)
     k = len(ids)
-    counts = np.arange(k * k, dtype=np.int64).reshape(k, k) % 6
+    counts = np.arange(k * k, dtype=np.int64).reshape(k, k) % 6 * scale
     np.fill_diagonal(counts, 0)
     want = json.dumps(
         {**payload, "comparison_matrix": counts.tolist()},

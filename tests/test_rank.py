@@ -6,6 +6,8 @@ import functools
 import itertools
 import math
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import PUBLISHED_PI, REFERENCE_MATRIX, REFERENCE_PI, REFERENCE_RANKING
 from mfirank.data import LoanType, ProductRecord
+from mfirank.errors import InternalError
 from mfirank.features import ALL_FEATURES, FEATURE_ATTRS, LOWER_IS_BETTER, FeatureVector
+import mfirank.rank
 from mfirank.rank import (
     _POWER_MAX_ITER,
     _POWER_TOL,
@@ -303,14 +307,18 @@ def count_matrices(draw):
     return np.array(rows, dtype=np.int64)
 
 
-@given(
-    count_matrices(),
-    st.just(0.0) | st.floats(min_value=0.0, max_value=0.99),
-)
-def test_transition_matches_the_row_loop(counts, damping):
+dampings = st.just(0.0) | st.floats(min_value=0.0, max_value=0.99)
+
+
+@given(count_matrices(), dampings, st.sampled_from([np.int64, np.float64]))
+def test_transition_matches_the_row_loop(counts, damping, dtype):
+    # float counts are the case where a missing copy would write into them
+    counts = counts.astype(dtype)
+    before = counts.tobytes()
     k = counts.shape[0]
     matrix = ComparisonMatrix(order=tuple(map(str, range(k))), counts=counts, features=())
-    assert np.array_equal(transition(matrix, damping=damping), loop_transition(counts, damping))
+    assert transition(matrix, damping=damping).tobytes() == loop_transition(counts, damping).tobytes()
+    assert counts.tobytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +417,118 @@ def test_a_periodic_star_chain_converges_on_the_lazy_chain():
     assert dist.power_converged
     assert dist.method_gap <= 1e-8
     assert np.max(np.abs(dist.pi - _direct_stationary(p))) <= 1e-8
+
+
+# the direct solve before it worked in place on P, kept as the reference
+def reference_direct_stationary(p: np.ndarray) -> np.ndarray:
+    k = p.shape[0]
+    a = p.T - np.eye(k)
+    a[-1, :] = 1.0
+    b = np.zeros(k)
+    b[-1] = 1.0
+    try:
+        pi = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return pi
+
+
+@st.composite
+def chains(draw):
+    """Stochastic matrices: the kernels of count matrices (jump rows,
+    damping), dense and sparse random chains, and permutation chains of
+    two or more cycles, whose system is exactly singular, so the direct
+    solve raises and ``lstsq`` answers."""
+    kind = draw(st.sampled_from(["counts", "dense", "sparse", "cycles"]))
+    if kind == "counts":
+        counts = draw(count_matrices())
+        k = counts.shape[0]
+        matrix = ComparisonMatrix(order=tuple(map(str, range(k))), counts=counts, features=())
+        return transition(matrix, damping=draw(dampings))
+    k = draw(st.integers(min_value=2, max_value=8))
+    if kind == "cycles":
+        cut = draw(st.integers(min_value=1, max_value=k - 1))
+        p = np.zeros((k, k))
+        for block in (range(cut), range(cut, k)):
+            targets = draw(st.permutations(list(block)))
+            p[list(block), targets] = 1.0
+        return p
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    p = rng.random((k, k))
+    if kind == "sparse":
+        p *= rng.random((k, k)) < 0.4
+        p[np.arange(k), rng.integers(0, k, k)] += 1.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def stationary_outcome(p: np.ndarray):
+    """What ``stationary`` returns, bit for bit, or the error it raises."""
+    try:
+        dist = stationary(p)
+    except InternalError as exc:
+        return "raised", str(exc)
+    return dist.pi.tobytes(), np.float64(dist.method_gap).tobytes(), dist.power_converged
+
+
+@given(chains(), st.booleans())
+def test_stationary_matches_the_out_of_place_solve(p, read_only):
+    before = p.tobytes()
+    with mock.patch.object(mfirank.rank, "_direct_stationary", reference_direct_stationary):
+        expected = stationary_outcome(p)
+    assert p.tobytes() == before
+    p.flags.writeable = not read_only
+    assert stationary_outcome(p) == expected
+    assert p.tobytes() == before
+    assert _direct_stationary(p).tobytes() == reference_direct_stationary(p).tobytes()
+    assert p.tobytes() == before
+
+
+def test_a_singular_system_is_solved_by_lstsq():
+    p = np.eye(4)[[1, 0, 3, 2]]  # two closed 2-cycles
+    before = p.tobytes()
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        pi = _direct_stationary(p)
+    assert lstsq.call_count == 1
+    assert pi.tobytes() == reference_direct_stationary(p).tobytes()
+    assert p.tobytes() == before
+
+
+@pytest.mark.parametrize(
+    "failing, p",
+    [("solve", np.full((3, 3), 1.0 / 3.0)), ("lstsq", np.eye(4)[[1, 0, 3, 2]])],
+)
+def test_p_is_restored_when_the_solve_raises(failing, p):
+    before = p.tobytes()
+    with mock.patch.object(np.linalg, failing, side_effect=RuntimeError("boom")):
+        with pytest.raises(RuntimeError, match="boom"):
+            _direct_stationary(p)
+    assert p.tobytes() == before
+
+
+def test_rank_mfis_holds_one_float_matrix():
+    # The int64 counts, P and small temporaries, about 2.1 k-by-k float
+    # arrays; tracemalloc traces numpy's buffers, not the copy of the system
+    # LAPACK works on.  Building ``P.T - np.eye(k)`` beside P measures 4.0.
+    k = 600
+    rng = np.random.default_rng(600)
+    vectors = [
+        FeatureVector(
+            mfi_id=f"m{i:05d}",
+            rating_norm=float(rng.uniform(1.0, 5.0)),
+            lar_norm=float(rng.random()),
+            fairness=int(rng.integers(0, 5)),
+            service_p90_sec=float(rng.uniform(300.0, 200_000.0)),
+            epc=float(rng.uniform(0.0, 150.0)),
+        )
+        for i in range(k)
+    ]
+    tracemalloc.start()
+    try:
+        rank_mfis(vectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * k * k * 8
 
 
 def test_stationary_validates_input():
