@@ -122,35 +122,48 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return load_config(args.config, overrides)
 
 
-def _records(result: ParseResult, dataset: str) -> list:
+def _logged(result: ParseResult, dataset: str) -> ParseResult:
     if result.errors:
         sample = result.errors[0]
         logger.warning(
             "%s: dropped %d rows (first: row %d, %s: %s)",
             dataset, len(result.errors), sample.row, sample.column, sample.message,
         )
-    return result.records
+    return result
 
 
 def _parse(parse, path: str, config: PipelineConfig) -> ParseResult:
-    """``parse(path, config.schema)``, its records moved out of the collector's
-    reach.  A parse leaves tens of thousands of tracked, acyclic records (the
-    three datasets of 20k clients hold about 84k) that every later collection
-    would re-scan; a subcommand keeps them until it exits, so they are frozen.
-    """
+    """``parse(path, config.schema)``, its objects moved out of the
+    collector's reach: a subcommand keeps them until it exits, and every
+    later collection would re-scan them.  See :func:`_records`."""
     result = parse(path, config.schema)
     gc.freeze()
     return result
 
 
+def _records(result: ParseResult) -> list:
+    """The records of a parse, built from its table, then frozen likewise.
+    Tens of thousands of tracked, acyclic records (the three datasets of
+    20k clients hold about 84k) would otherwise be re-scanned.  The result
+    lets its table go: a command that reads records never reads the table,
+    and holding both would raise its peak memory."""
+    records = result.records
+    result.table = None
+    gc.freeze()
+    return records
+
+
 def _load_datasets(args: argparse.Namespace, config: PipelineConfig):
-    """The conversions, products and clicks of ``config.loan_type``, then every
-    product card (page constraints may name another loan type).  The one
-    place that selects a loan type: later stages use every record given."""
-    conversions = _records(_parse(parse_conversions, args.conversions, config), "conversions")
-    cards = _records(_parse(parse_products, args.products, config), "products")
-    clicks = _records(_parse(parse_clicks, args.clicks, config), "clicks")
-    selected = [filter_loan_type(r, config.loan_type) for r in (conversions, cards, clicks)]
+    """The conversions and clicks tables and the product cards of
+    ``config.loan_type``, then every product card (page constraints may
+    name another loan type).  The one place that selects a loan type:
+    later stages use every row given."""
+    conversions = _logged(_parse(parse_conversions, args.conversions, config), "conversions")
+    cards = _records(_logged(_parse(parse_products, args.products, config), "products"))
+    clicks = _logged(_parse(parse_clicks, args.clicks, config), "clicks")
+    selected = [
+        filter_loan_type(r, config.loan_type) for r in (conversions.table, cards, clicks.table)
+    ]
     return (*selected, cards)
 
 
@@ -171,9 +184,11 @@ def _feature_table(args: argparse.Namespace, config: PipelineConfig):
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     conv = _parse(parse_conversions, args.conversions, config)
+    conversions = _records(conv)
     prod = _parse(parse_products, args.products, config)
+    products = _records(prod)
     clk = _parse(parse_clicks, args.clicks, config)
-    report = validate(conv.records, prod.records, clk.records)
+    report = validate(conversions, products, _records(clk))
     payload = report.to_dict()
     payload["row_errors"] = {
         "conversions": len(conv.errors),
@@ -374,8 +389,8 @@ def cmd_abtest(args: argparse.Namespace) -> int:
     if not args.group_a or not args.group_b:
         raise ConfigError("abtest needs --group-a and --group-b, or --fisher counts")
 
-    group_a = _records(_parse(parse_conversions, args.group_a, config), "group-a")
-    group_b = _records(_parse(parse_conversions, args.group_b, config), "group-b")
+    group_a = _records(_logged(_parse(parse_conversions, args.group_a, config), "group-a"))
+    group_b = _records(_logged(_parse(parse_conversions, args.group_b, config), "group-b"))
     if not group_a or not group_b:
         raise DataError("both experiment groups need at least one application")
 

@@ -19,10 +19,17 @@ count), and ``nan``, ``inf`` or an overflowing number is unparseable.
 The parser reads the rows in blocks and transposes each block into
 columns.  Every cell parser and check is a pure function of the cell
 text, so each distinct cell of a column is parsed and checked once per
-block.  The records are frozen slotted dataclasses, assembled a field at
-a time through their slot descriptors rather than one ``__init__`` per
-row.  The result is the one a row-by-row reading gives: records and row
-errors in row order, and the same ``DataError`` where the file has one.
+block; a timestamp column in the default format is read in bulk, as
+fixed-width digits, and only the cells that do not fit that shape go
+through the cell parser.  The accepted rows fill one columnar
+:class:`Table` per file, in file order: id and text cells as first-seen
+integer codes, timestamps as integer microseconds with a missing mask,
+numbers as floats with NaN for missing, status and loan type as small
+integer codes.  The frozen slotted records are built from the table on
+demand (:attr:`ParseResult.records`), a field at a time through their
+slot descriptors.  The result is the one a row-by-row reading gives:
+records and row errors in row order, and the same ``DataError`` where
+the file has one.
 
 All timestamps are naive local times in a single zone; no zone
 conversion is performed anywhere in the package.
@@ -30,6 +37,7 @@ conversion is performed anywhere in the package.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
 import io
@@ -39,10 +47,12 @@ import os
 import re
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
-from datetime import datetime
+from datetime import datetime, timedelta
 from enum import Enum
 from itertools import compress, islice, repeat, zip_longest
 from typing import IO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -256,13 +266,37 @@ class RowError:
     message: str
 
 
-@dataclass
 class ParseResult:
-    records: list
-    errors: list[RowError]
+    """The accepted rows of one dataset file and the rows it rejected.
+
+    The parser fills ``table``; ``records`` are built from it on first
+    use.  A result made from records (``table`` None) keeps them as given.
+    """
+
+    __slots__ = ("table", "errors", "_records")
+
+    def __init__(self, records: list | None, errors: list[RowError], table: Table | None = None):
+        if (records is None) == (table is None):
+            raise ValueError("a parse result holds either records or a table")
+        self.table = table
+        self.errors = errors
+        self._records = records
+
+    @property
+    def records(self) -> list:
+        if self._records is None:
+            self._records = self.table.records()
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.table) if self._records is None else len(self._records)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ParseResult):
+            return NotImplemented
+        return self.errors == other.errors and self.records == other.records
+
+    __hash__ = None
 
 
 @dataclass
@@ -378,6 +412,182 @@ _CLICKS = _Dataset(
     mandatory=("mfi_id", "client_id", "click_time", "loan_type"),
     checks=("click_time", "loan_type", "mfi_id", "client_id"),
 )
+
+
+# ---------------------------------------------------------------------------
+# the columnar table
+
+# A loan-type or status column holds each value's position here.
+LOAN_TYPES = tuple(LoanType)
+STATUSES = tuple(Status)
+
+_MICROS_PER_DAY = 86_400_000_000
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_MICROSECOND = timedelta(microseconds=1)
+_NOT_A_TIME = np.iinfo(np.int64).min  # NaT as a datetime64 integer
+
+_DTYPES = {
+    _ID: np.int32, _TEXT: np.int32, _LOAN_TYPE: np.int8, _STATUS: np.int8,
+    _TIMESTAMP: np.int64, _FLOAT: np.float64, _RATING: np.float64, _RANK: np.float64,
+    _COUNT: np.float64, _BOOL: np.bool_,
+}
+_MEMBERS = {_LOAN_TYPE: LOAN_TYPES, _STATUS: STATUSES}
+
+
+def to_micros(moment: datetime) -> int:
+    """Microseconds from 1970-01-01 00:00 to ``moment``."""
+    return (moment - _EPOCH) // _MICROSECOND
+
+
+def from_micros(micros: int) -> datetime:
+    return _EPOCH + timedelta(microseconds=micros)
+
+
+def ordinal_days(micros: np.ndarray) -> np.ndarray:
+    """The proleptic ordinal (``date.toordinal``) of each timestamp's date."""
+    return micros // _MICROS_PER_DAY + _EPOCH_ORDINAL
+
+
+def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``codes`` in first-seen order, and each code renumbered
+    as its place in that order."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    place = np.empty(len(distinct), np.int32)
+    place[by_first] = np.arange(len(distinct), dtype=np.int32)
+    return distinct[by_first], place[inverse]
+
+
+def _codes(kind: str, memo: Mapping, names: dict) -> dict:
+    """The column entry of each parsed value in ``memo`` (not a timestamp),
+    by key: id and text values are interned into ``names``, new ones in
+    ``memo``'s order; an unmapped loan type (of a rejected row) reads as -1."""
+    if kind in (_ID, _TEXT):
+        fresh = [value for value in dict.fromkeys(memo.values()) if value not in names]
+        names.update(zip(fresh, range(len(names), len(names) + len(fresh))))
+        return {key: names[value] for key, value in memo.items()}
+    if kind in _MEMBERS:
+        code = {None: -1, **{member: n for n, member in enumerate(_MEMBERS[kind])}}
+        return {key: code[value] for key, value in memo.items()}
+    if kind == _BOOL:
+        return {key: bool(value) for key, value in memo.items()}
+    return {key: math.nan if value is None else value for key, value in memo.items()}
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cycle collector: a parse and a record build make only
+    acyclic objects, and a collection over the growing heap finds nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@dataclass(frozen=True, eq=False)
+class Table:
+    """The accepted rows of one dataset as columns, in file order.
+
+    ``columns`` maps every record field to one array with an entry per
+    row.  Id and text fields hold int32 codes into ``names[field]``, their
+    distinct values in first-seen order.  Loan type and status hold int8
+    positions in ``LOAN_TYPES`` and ``STATUSES``.  Timestamps hold int64
+    microseconds since 1970-01-01, 0 where ``missing[field]`` marks an
+    empty cell.  Floats, ratings, ranks and review counts hold float64,
+    NaN where empty; flags hold bools.
+    """
+
+    dataset: _Dataset
+    columns: Mapping[str, np.ndarray]
+    names: Mapping[str, tuple]
+    missing: Mapping[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.columns[self.dataset.columns[0][0]])
+
+    def take(self, rows: np.ndarray) -> Table:
+        """The table of ``rows``: positions, or a mask over the rows."""
+        return Table(
+            self.dataset,
+            {name: column[rows] for name, column in self.columns.items()},
+            self.names,
+            {name: mask[rows] for name, mask in self.missing.items()},
+        )
+
+    def records(self) -> list:
+        """One record per row, assembled a field at a time through the slots."""
+        record = self.dataset.record
+        with _collector_paused():
+            new = list(map(object.__new__, repeat(record, len(self))))
+            for name, kind in self.dataset.columns:
+                deque(map(getattr(record, name).__set__, new, self._values(name, kind)), maxlen=0)
+        return new
+
+    def _values(self, name: str, kind: str) -> list:
+        """The record field ``name`` of every row."""
+        column = self.columns[name]
+        if kind in (_ID, _TEXT):
+            return np.array(self.names[name], dtype=object)[column].tolist()
+        if kind in _MEMBERS:
+            return np.array(_MEMBERS[kind], dtype=object)[column].tolist()
+        if kind == _TIMESTAMP:
+            stamps = np.where(self.missing[name], _NOT_A_TIME, column)
+            return stamps.view("M8[us]").astype(object).tolist()  # NaT reads as None
+        values = column.tolist()
+        if kind == _BOOL:
+            return values
+        if kind == _COUNT:
+            return list(map(int, values))
+        if kind == _RANK:
+            return [None if math.isnan(v) else int(v) for v in values]
+        return [None if math.isnan(v) else v for v in values]
+
+    @classmethod
+    def from_records(cls, records: Sequence, dataset: _Dataset) -> Table:
+        columns, names, missing = {}, {}, {}
+        for name, kind in dataset.columns:
+            values = [getattr(r, name) for r in records]
+            if kind == _TIMESTAMP:
+                missing[name] = np.array([v is None for v in values], bool)
+                micros = (0 if v is None else to_micros(v) for v in values)
+                columns[name] = np.fromiter(micros, np.int64, len(values))
+                continue
+            if kind in (_ID, _TEXT, _BOOL, *_MEMBERS):
+                distinct = dict.fromkeys(values)
+                codes = _codes(kind, dict(zip(distinct, distinct)), names.setdefault(name, {}))
+                columns[name] = np.fromiter(map(codes.__getitem__, values), _DTYPES[kind], len(values))
+            else:  # no dict: 0.0 and -0.0, or 1 and 1.0, are equal keys
+                columns[name] = np.array([math.nan if v is None else v for v in values], _DTYPES[kind])
+        return cls(dataset, columns, _names(dataset, names), missing)
+
+
+def _names(dataset: _Dataset, interned: Mapping[str, dict]) -> dict[str, tuple]:
+    """The names of each id and text column, from its interning dict."""
+    return {
+        name: tuple(interned.get(name, ())) for name, kind in dataset.columns if kind in (_ID, _TEXT)
+    }
+
+
+def _as_table(rows: Table | Iterable, dataset: _Dataset) -> Table:
+    if isinstance(rows, Table):
+        if rows.dataset is not dataset:
+            raise ValueError(f"expected a {dataset.name} table, not {rows.dataset.name}")
+        return rows
+    return Table.from_records(list(rows), dataset)
+
+
+def conversion_table(rows: Table | Iterable[ConversionRecord]) -> Table:
+    """``rows`` as a conversions table: a table as it is, records converted."""
+    return _as_table(rows, _CONVERSIONS)
+
+
+def click_table(rows: Table | Iterable[ClickRecord]) -> Table:
+    """``rows`` as a clicks table: a table as it is, records converted."""
+    return _as_table(rows, _CLICKS)
 
 
 # ---------------------------------------------------------------------------
@@ -553,24 +763,86 @@ def _read_header(
 
 
 def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> ParseResult:
-    """Read one dataset: every row becomes a record or a RowError.
-
-    The cycle collector is paused meanwhile: the parse makes only acyclic
-    objects, and a collection over the growing heap would find nothing.
-    """
+    """Read one dataset: every row becomes a table row or a RowError."""
     config = config or DEFAULT_SCHEMA
     rows = _open_rows(source)
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        return _parse_blocks(rows, _read_header(rows, config, dataset), config, dataset)
+        with _collector_paused():
+            return _parse_blocks(rows, _read_header(rows, config, dataset), config, dataset)
     except csv.Error as exc:
         raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{dataset.name}: not UTF-8 text: {exc}") from None
-    finally:
-        if collecting:
-            gc.enable()
+
+
+# Byte positions of the digits and the separators in a cell of the default
+# timestamp format, ``NNNN-NN-NN NN:NN:NN``.
+_STAMP_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+_STAMP_SEPARATORS = np.array([4, 7, 10, 13, 16])
+_STAMP_SEPARATOR_BYTES = np.frombuffer(b"-- ::", np.uint8)
+_STAMP_WIDTH = 19
+_UNSHAPED = "-" * _STAMP_WIDTH  # stands in for a cell of another shape
+
+
+def _bulk_stamps(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Which of ``cells`` (ASCII, each ``_STAMP_WIDTH`` long) are digits and
+    separators of the default format naming a real moment, with year 1 or
+    later, and the microseconds since 1970 of each that is."""
+    raw = np.frombuffer("".join(cells).encode("ascii"), np.uint8).reshape(-1, _STAMP_WIDTH)
+    digits = raw[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
+    ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
+    ok &= (raw[:, _STAMP_SEPARATORS] == _STAMP_SEPARATOR_BYTES).all(axis=1)
+    digits[~ok] = 0
+    pairs = digits[:, 0::2] * 10 + digits[:, 1::2]
+    year = pairs[:, 0] * 100 + pairs[:, 1]
+    month, day, hour, minute, second = pairs[:, 2:].T
+    months = (year - 1970) * 12 + month - 1  # since 1970-01
+    first = months.astype("M8[M]").astype("M8[D]").view(np.int64)
+    length = (months + 1).astype("M8[M]").astype("M8[D]").view(np.int64) - first
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= length)
+    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    seconds = (((first + day - 1) * 24 + hour) * 60 + minute) * 60 + second
+    return ok, seconds * 1_000_000
+
+
+def _timestamps(
+    column: Sequence[str | None], parse: Callable[[str | None], datetime | None], bulk: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The microseconds since 1970 of each cell and the mask of the cells
+    that read as no timestamp, as the cell parser ``parse`` reads them.
+
+    With ``bulk`` (the default format), a cell of the shape
+    ``NNNN-NN-NN NN:NN:NN`` that names a real moment is read arithmetically
+    from its digits: ``fromisoformat``, which ``parse`` tries first on that
+    shape, reads it alike.  Every other non-empty cell, padded ones
+    included, goes to ``parse``, once per distinct cell.
+    """
+    if None in column:
+        column = ["" if cell is None else cell for cell in column]
+    lengths = np.fromiter(map(len, column), np.int64, len(column))
+    micros = np.zeros(len(column), np.int64)
+    missing = lengths == 0
+    rest = ~missing
+    if bulk:
+        shaped = lengths == _STAMP_WIDTH
+        candidates = list(compress(column, shaped))
+        if not "".join(candidates).isascii():
+            candidates = [c if c.isascii() else _UNSHAPED for c in candidates]
+        if candidates:
+            ok, read = _bulk_stamps(candidates)
+            shaped[shaped] = ok
+            micros[shaped] = read[ok]
+            rest &= ~shaped
+    memo: dict = {}
+    for j in np.flatnonzero(rest).tolist():
+        cell = column[j]
+        if cell not in memo:
+            memo[cell] = parse(cell)
+        if memo[cell] is None:
+            missing[j] = True
+        else:
+            micros[j] = to_micros(memo[cell])
+    return micros, missing
 
 
 def _parse_blocks(
@@ -578,31 +850,40 @@ def _parse_blocks(
 ) -> ParseResult:
     """Parse the data rows block by block and, within a block, column by
     column.  The cell parsers and the checks are pure functions of the cell,
-    so each runs once per distinct cell of a column; the records are then
-    assembled field by field through their slots."""
+    so each runs once per distinct cell of a column (a timestamp column is
+    read in bulk); the accepted rows of the block then extend the columns
+    of the table."""
     parsers = _cell_parsers(config)
+    bulk = config.timestamp_format == TIMESTAMP_FORMAT
     kinds = dict(dataset.columns)
-    # (name, header index or None, parser, slot setter) per record field.
-    columns = [
-        (name, index.get(name), parsers[kind], getattr(dataset.record, name).__set__)
-        for name, kind in dataset.columns
-    ]
+    # (name, kind, header index or None, parser) per record field.
+    columns = [(name, kind, index.get(name), parsers[kind]) for name, kind in dataset.columns]
     checks = [(name, _REJECTS[kinds[name]]) for name in dataset.checks]
-    width = 1 + max(i for _, i, _, _ in columns if i is not None)
+    width = 1 + max(i for _, _, i, _ in columns if i is not None)
     unique = dataset.unique
     # A row rejected at or before the unique column's check never reaches it.
     after_unique = dataset.checks.index(unique) + 1 if unique is not None else 0
     seen: dict[object, int] = {}
-    records = []
+    interned: dict[str, dict] = {name: {} for name, kind in dataset.columns}
+    # The bytes of each column's array (and of each timestamp column's
+    # missing mask) so far: one buffer per column, grown in place, so the
+    # blocks leave no scattered small arrays behind.
+    parts = {name: bytearray() for name, kind in dataset.columns}
+    missing_parts = {name: bytearray() for name, kind in dataset.columns if kind == _TIMESTAMP}
     errors: list[RowError] = []
     n = 0
     while block := list(islice(rows, _BLOCK_ROWS)):
-        block = [row for row in block if not _is_comment(row)]
+        # Only a row whose first cell is blank or opens with "#" can be a
+        # comment or a blank row.
+        firsts = {row[0] if row else "" for row in block}
+        odd = any(not cell.strip() or cell.lstrip().startswith("#") for cell in firsts)
+        if odd:
+            block = [row for row in block if not _is_comment(row)]
         numbers = range(n + 1, n + 1 + len(block))
         n += len(block)
-        # A blank row keeps its number but yields nothing.
-        filled = [j for j, row in enumerate(block) if "".join(row).strip()]
-        if len(filled) < len(block):
+        if odd:
+            # A blank row keeps its number but yields nothing.
+            filled = [j for j, row in enumerate(block) if "".join(row).strip()]
             block = [block[j] for j in filled]
             numbers = [numbers[j] for j in filled]
         if not block:
@@ -612,23 +893,40 @@ def _parse_blocks(
         transposed = list(islice(zip_longest(*block), width))
         empty = (None,) * len(block)
         cells: dict[str, tuple] = {}
+        # Per column, its parsed distinct cells, or for a timestamp column
+        # its microseconds and missing mask.
         memos: dict[str, dict] = {}
-        for name, i, parse, _ in columns:
+        stamps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for name, kind, i, parse in columns:
             column = transposed[i] if i is not None and i < len(transposed) else empty
             cells[name] = column
-            memos[name] = {cell: parse(cell) for cell in set(column)}
+            if kind == _TIMESTAMP:
+                stamps[name] = _timestamps(column, parse, bulk)
+            else:
+                # An id or text column is interned in row order, first-seen.
+                distinct = dict.fromkeys(column) if kind in (_ID, _TEXT) else set(column)
+                memos[name] = {cell: parse(cell) for cell in distinct}
         # The first failing check of each rejected row: (check, column, message).
         rejected: dict[int, tuple[int, str, str]] = {}
         for order, (name, reject) in enumerate(checks):
-            bad = {
-                cell: message
-                for cell, value in memos[name].items()
-                if (message := reject(value, cell)) is not None
-            }
-            if bad:
-                for j, cell in enumerate(cells[name]):
-                    if cell in bad and j not in rejected:
-                        rejected[j] = (order, name, bad[cell])
+            if name in stamps:
+                failing = [
+                    (j, reject(None, cells[name][j]))
+                    for j in np.flatnonzero(stamps[name][1]).tolist()
+                ]
+            else:
+                bad = {
+                    cell: message
+                    for cell, value in memos[name].items()
+                    if (message := reject(value, cell)) is not None
+                }
+                failing = (
+                    [(j, bad[cell]) for j, cell in enumerate(cells[name]) if cell in bad]
+                    if bad
+                    else []
+                )
+            for j, message in failing:
+                rejected.setdefault(j, (order, name, message))
         if unique is not None:
             memo = memos[unique]
             for j, cell in enumerate(cells[unique]):
@@ -649,14 +947,24 @@ def _parse_blocks(
             for j, (_, name, message) in sorted(rejected.items())
         )
         accepted = [j not in rejected for j in range(len(block))] if rejected else None
-        new = list(map(object.__new__, repeat(dataset.record, len(block) - len(rejected))))
-        for name, _, _, set_slot in columns:
-            values = map(memos[name].__getitem__, cells[name])
-            if accepted:
-                values = compress(values, accepted)
-            deque(map(set_slot, new, values), maxlen=0)
-        records.extend(new)
-    return ParseResult(records, errors)
+        kept = len(block) - len(rejected)
+        for name, kind, _, _ in columns:
+            if name in stamps:
+                for part, values in zip((parts, missing_parts), stamps[name]):
+                    part[name] += memoryview(values[np.array(accepted)] if accepted else values).cast("B")
+                continue
+            codes = _codes(kind, memos[name], interned[name])
+            column = compress(cells[name], accepted) if accepted else cells[name]
+            values = np.fromiter(map(codes.__getitem__, column), _DTYPES[kind], kept)
+            parts[name] += memoryview(values).cast("B")
+    arrays = {name: np.frombuffer(parts[name], _DTYPES[kind]) for name, kind in dataset.columns}
+    names = _names(dataset, interned)
+    if errors:  # drop the names that only rejected rows had
+        for name, values in names.items():
+            distinct, arrays[name] = first_seen(arrays[name])
+            names[name] = tuple(map(values.__getitem__, distinct.tolist()))
+    missing = {name: np.frombuffer(part, bool) for name, part in missing_parts.items()}
+    return ParseResult(None, errors, Table(dataset, arrays, names, missing))
 
 
 # ---------------------------------------------------------------------------
@@ -756,10 +1064,45 @@ def derive_timeline(record: ConversionRecord) -> Timeline:
     return Timeline(conversion, processing)
 
 
-def filter_loan_type(records: Sequence, loan_type: LoanType | None) -> list:
+def _seconds(micros: np.ndarray) -> np.ndarray:
+    """``micros`` in seconds, as ``timedelta.total_seconds`` reads them: a
+    correctly rounded quotient, so beyond 2**53 the integers divide exactly."""
+    seconds = micros / 1e6
+    big = np.flatnonzero(np.abs(micros) > 2**53)
+    seconds[big] = [us / 10**6 for us in micros[big].tolist()]
+    return seconds
+
+
+def timeline_columns(conversions: Table) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`derive_timeline` of every row of a conversions table: its
+    conversion and processing periods in seconds, NaN where absent, and
+    both absent where a negative difference marks the row invalid."""
+    columns, missing = conversions.columns, conversions.missing
+    submitted = ~missing["conversion_time"]
+    paid = (
+        submitted
+        & ~missing["sale_time"]
+        & (columns["status"] == STATUSES.index(Status.SALE))
+    )
+    conversion = np.where(submitted, columns["conversion_time"] - columns["click_time"], 0)
+    processing = np.where(paid, columns["sale_time"] - columns["conversion_time"], 0)
+    valid = (conversion >= 0) & (processing >= 0)
+    return (
+        np.where(submitted & valid, _seconds(conversion), np.nan),
+        np.where(paid & valid, _seconds(processing), np.nan),
+    )
+
+
+def filter_loan_type(rows: Table | Sequence, loan_type: LoanType | None) -> Table | list:
+    """The rows of ``loan_type``, or all rows for None: a table selects
+    them by a mask over its loan-type codes, a record list by each record."""
+    if isinstance(rows, Table):
+        if loan_type is None:
+            return rows
+        return rows.take(rows.columns["loan_type"] == LOAN_TYPES.index(loan_type))
     if loan_type is None:
-        return list(records)
-    return [r for r in records if r.loan_type is loan_type]
+        return list(rows)
+    return [r for r in rows if r.loan_type is loan_type]
 
 
 def validate(

@@ -12,23 +12,27 @@ Rankings are refreshed weekly: each ISO week is served by a ranking
 trained on everything strictly before its Monday, so no application is
 scored by a model that saw it.
 
+Every stage reads the columnar tables of the conversions and clicks
+(:class:`mfirank.data.Table`); records given to an entry point are
+converted once.  The weekly schedule trains on prefixes of the tables
+in click-time order through one :class:`mfirank.features.FeaturePrefixes`.
 The replay runs on one code table of the conversions
-(:class:`ReplayCodes`), built once by :func:`reapproval_table` and
-carried to :func:`simulate`: integer MFI, client and status codes, the
-site rank, the realized income, the click-time order and the day and
-week of every row.  The client history, the pair counts, the
-substitutions and the sums are array reductions over it.  The tie rule
-"the latest record wins, the later row on equal click times" has one
-home, :func:`_latest`, which :func:`client_outcomes` and
-:func:`historical_ranking` share.  Every float that reaches an artifact
-is a sequential sum in input (replay) order, as ``np.bincount`` adds its
-weights, never a pairwise ``np.sum`` or a compensated ``sum``.
+(:class:`ReplayCodes`), read from the table once by
+:func:`reapproval_table` and carried to :func:`simulate`: integer MFI,
+client and status codes, the site rank, the realized income, the
+click-time order and the day and week of every row.  The client
+history, the pair counts, the substitutions and the sums are array
+reductions over it.  The tie rule "the latest record wins, the later
+row on equal click times" has one home, :func:`_latest`, which
+:func:`client_outcomes` and :func:`historical_ranking` share.  Every
+float that reaches an artifact is a sequential sum in input (replay)
+order, as ``np.bincount`` adds its weights, never a pairwise ``np.sum``
+or a compensated ``sum``.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from typing import NamedTuple, Sequence
@@ -36,16 +40,24 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .data import (
+    STATUSES,
     ClickRecord,
     ConversionRecord,
     ProductRecord,
     Status,
+    Table,
+    click_table,
+    conversion_table,
     filter_loan_type,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
+    first_seen,
+    from_micros,
+    ordinal_days,
+    to_micros,
 )
 from .errors import MfiRankError
 from .features import (
     DurationRule,
-    FeatureAccumulator,
+    FeaturePrefixes,
     LarPrior,
     feature_table,  # noqa: F401  (perfbench/tracer.py wraps this lookup site)
     normalize_lar,
@@ -56,9 +68,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MIN_SUPPORT = 5
 
-# status codes of the code table
-_PENDING, _SALE, _REJECTED = 0, 1, 2
-_STATUS_CODE = {Status.PENDING: _PENDING, Status.SALE: _SALE, Status.REJECTED: _REJECTED}
+# status codes of a conversions table
+_PENDING, _SALE, _REJECTED = map(STATUSES.index, (Status.PENDING, Status.SALE, Status.REJECTED))
 
 
 def week_start(moment: datetime) -> datetime:
@@ -67,18 +78,12 @@ def week_start(moment: datetime) -> datetime:
     return datetime(monday.year, monday.month, monday.day)
 
 
-def _click_order(times: Sequence[datetime]) -> np.ndarray:
+def _click_order(times: np.ndarray) -> np.ndarray:
     """Each row's place among the rows sorted by click time, equal times
     keeping their input order."""
     order = np.empty(len(times), np.int64)
-    order[sorted(range(len(times)), key=times.__getitem__)] = np.arange(len(times))
+    order[np.argsort(times, kind="stable")] = np.arange(len(times))
     return order
-
-
-def _interned(values: list) -> tuple[tuple, np.ndarray]:
-    """The distinct values in first-seen order, and the code of each value."""
-    code = {v: n for n, v in enumerate(dict.fromkeys(values))}
-    return tuple(code), np.fromiter(map(code.__getitem__, values), np.int32, len(values))
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,18 +108,20 @@ def _latest(order: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return by[starts + sizes - 1], np.minimum.reduceat(by, starts)
 
 
-def historical_ranking(conversions: Sequence[ConversionRecord]) -> list[str]:
+def historical_ranking(conversions: Table | Sequence[ConversionRecord]) -> list[str]:
     """The ordering the site actually used, recovered from the logs.
 
     Each MFI takes the site-wide rank stamped on its latest application;
     MFIs that never carried one go to the back in id order.
     """
-    stamped = [r for r in conversions if r.global_rank is not None]
-    _, mfi = _interned([r.mfi_id for r in stamped])
-    rows, _ = _latest(_click_order([r.click_time for r in stamped]), mfi)
-    latest = {stamped[i].mfi_id: stamped[i] for i in rows.tolist()}
-    ranked = sorted(latest, key=lambda m: (latest[m].global_rank, m))
-    tail = sorted({r.mfi_id for r in conversions} - latest.keys())
+    conversions = conversion_table(conversions)
+    mfi_ids = conversions.names["mfi_id"]
+    mfi, rank = conversions.columns["mfi_id"], conversions.columns["global_rank"]
+    stamped = np.flatnonzero(~np.isnan(rank))
+    rows, _ = _latest(_click_order(conversions.columns["click_time"][stamped]), mfi[stamped])
+    latest = {mfi_ids[mfi[i]]: rank[i] for i in stamped[rows].tolist()}
+    ranked = sorted(latest, key=lambda m: (latest[m], m))
+    tail = sorted({mfi_ids[code] for code in np.unique(mfi).tolist()} - latest.keys())
     return ranked + tail
 
 
@@ -146,27 +153,29 @@ class ReplayCodes:
     week: np.ndarray  # int64
 
 
-def _realized(status: np.ndarray, income: list[float | None]) -> tuple[np.ndarray, np.ndarray]:
-    """(income, paid) per record: a sale's income, 0.0 if it has none or did
-    not sell; paid marks a sale with an income."""
-    paid = (status == _SALE) & np.array([i is not None for i in income], bool)
-    return np.where(paid, np.array(income, np.float64), 0.0), paid  # None reads as NaN
+def _realized(status: np.ndarray, income: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(income, paid) per record: a sale's income, 0.0 if it has none (NaN)
+    or did not sell; paid marks a sale with an income."""
+    paid = (status == _SALE) & ~np.isnan(income)
+    return np.where(paid, income, 0.0), paid
 
 
-def replay_codes(conversions: Sequence[ConversionRecord]) -> ReplayCodes:
+def replay_codes(conversions: Table | Sequence[ConversionRecord]) -> ReplayCodes:
     """The code table of ``conversions``."""
-    mfi_ids, mfi = _interned([r.mfi_id for r in conversions])
-    _, client = _interned([r.client_id for r in conversions])
-    status = np.array([_STATUS_CODE[r.status] for r in conversions], np.int8)
-    income, paid = _realized(status, [r.income for r in conversions])
-    times = [r.click_time for r in conversions]
-    day = np.array([t.toordinal() for t in times], np.int64)
+    conversions = conversion_table(conversions)
+    columns = conversions.columns
+    mfi_codes, mfi = first_seen(columns["mfi_id"])
+    _, client = first_seen(columns["client_id"])
+    status = columns["status"]
+    income, paid = _realized(status, columns["income"])
+    times = columns["click_time"]
+    day = ordinal_days(times)
     return ReplayCodes(
-        mfi_ids=mfi_ids,
+        mfi_ids=tuple(map(conversions.names["mfi_id"].__getitem__, mfi_codes.tolist())),
         mfi=mfi,
         client=client,
         status=status,
-        rank=np.array([r.global_rank for r in conversions], np.float64),  # None reads as NaN
+        rank=columns["global_rank"],
         income=income,
         paid=paid,
         order=_click_order(times),
@@ -259,7 +268,7 @@ def _pair_stats(
 
 
 def reapproval_table(
-    conversions: Sequence[ConversionRecord],
+    conversions: Table | Sequence[ConversionRecord],
     min_support: int = DEFAULT_MIN_SUPPORT,
 ) -> ReapprovalTable:
     """The reapproval table of ``conversions``, carrying their code table and
@@ -326,9 +335,9 @@ class WeekEntry:
 
 
 def weekly_schedule(
-    conversions: Sequence[ConversionRecord],
+    conversions: Table | Sequence[ConversionRecord],
     products: Sequence[ProductRecord],
-    clicks: Sequence[ClickRecord],
+    clicks: Table | Sequence[ClickRecord],
     *,
     features: Sequence[str] | None = None,
     damping: float = 0.0,
@@ -341,41 +350,38 @@ def weekly_schedule(
     A week whose training slice cannot produce a ranking (too few MFIs,
     degenerate chain) carries the previous week's list forward.
 
-    Training is incremental: one :class:`FeatureAccumulator` takes each
-    week's new applications (in click-time order) and clicks before that
-    week's Monday, so every record is read once rather than once per
-    later week.  ``tests/test_evaluate.py`` checks the result against
-    calling :func:`feature_table` on every prefix.  Like it, the schedule
-    trains on every record given (selected by ``filter_loan_type``).
+    The conversions and clicks are put in click-time order once (equal
+    times keeping their input order), and one :class:`FeaturePrefixes`
+    over them gives each week's feature table: that of the rows clicked
+    before the week's Monday.  ``tests/test_evaluate.py`` checks the
+    result against calling :func:`feature_table` on every prefix.  Like
+    it, the schedule trains on every row given (selected by
+    ``filter_loan_type``).
     """
-    if not conversions:
+    conversions, clicks = conversion_table(conversions), click_table(clicks)
+    if not len(conversions):
         return []
-    by_time = sorted(conversions, key=lambda r: r.click_time)
-    clicks_sorted = sorted(clicks, key=lambda c: c.click_time)
-    acc = FeatureAccumulator(products, features=features, duration_rules=duration_rules)
+    by_time = conversions.take(np.argsort(conversions.columns["click_time"], kind="stable"))
+    clicks = clicks.take(np.argsort(clicks.columns["click_time"], kind="stable"))
+    conv_times, click_times = by_time.columns["click_time"], clicks.columns["click_time"]
+    prefixes = FeaturePrefixes(
+        by_time, products, clicks, features=features, duration_rules=duration_rules
+    )
 
-    first = week_start(by_time[0].click_time)
-    last = week_start(by_time[-1].click_time)
+    first = week_start(from_micros(int(conv_times[0])))
+    last = week_start(from_micros(int(conv_times[-1])))
     fallback = tuple(historical_ranking(conversions))
 
     entries: list[WeekEntry] = []
     current = fallback
     source = "historical"
-    conv_idx = 0
-    click_idx = 0
     monday = first
     while monday <= last:
-        start = conv_idx
-        while conv_idx < len(by_time) and by_time[conv_idx].click_time < monday:
-            conv_idx += 1
-        acc.add_conversions(by_time[start:conv_idx])
-        start = click_idx
-        while click_idx < len(clicks_sorted) and clicks_sorted[click_idx].click_time < monday:
-            click_idx += 1
-        acc.add_clicks(clicks_sorted[start:click_idx])
+        cut = to_micros(monday)
+        conv_idx = int(np.searchsorted(conv_times, cut))
         if conv_idx:
             try:
-                table = acc.table()
+                table = prefixes.table(conv_idx, int(np.searchsorted(click_times, cut)))
                 if len(table) < 2:
                     raise ValueError("fewer than two rankable MFIs")
                 current = tuple(
@@ -460,7 +466,7 @@ def _pair_arrays(
 
 
 def simulate(
-    conversions: Sequence[ConversionRecord],
+    conversions: Table | Sequence[ConversionRecord],
     schedule: Sequence[WeekEntry],
     table: ReapprovalTable,
 ) -> SimulationResult:
@@ -589,7 +595,7 @@ def weekly_totals(result: SimulationResult) -> list[dict]:
 
 
 def daily_series(
-    result: SimulationResult, clicks: Sequence[ClickRecord]
+    result: SimulationResult, clicks: Table | Sequence[ClickRecord]
 ) -> list[dict]:
     """Per-day income and sales totals for both algorithms, plus click counts.
 
@@ -599,7 +605,8 @@ def daily_series(
     "historical" totals are restricted to the replayed applications, so
     they compare like with like against the "vra" totals.
     """
-    click_days = Counter(c.click_time.date() for c in clicks)
+    days, counts = np.unique(ordinal_days(click_table(clicks).columns["click_time"]), return_counts=True)
+    click_days = dict(zip(map(date.fromordinal, days.tolist()), counts.tolist()))
     sums = result.days
     all_days = set(click_days) | set(sums)
     if not all_days:
@@ -623,9 +630,9 @@ def daily_series(
 
 
 def evaluate_ranking(
-    conversions: Sequence[ConversionRecord],
+    conversions: Table | Sequence[ConversionRecord],
     products: Sequence[ProductRecord],
-    clicks: Sequence[ClickRecord],
+    clicks: Table | Sequence[ClickRecord],
     *,
     features: Sequence[str] | None = None,
     damping: float = 0.0,
@@ -635,7 +642,9 @@ def evaluate_ranking(
 ) -> tuple[SimulationResult, list[WeekEntry]]:
     """Full replay of the records given, which
     :func:`mfirank.data.filter_loan_type` selected for one loan type:
-    weekly rankings, reapproval table, simulation."""
+    weekly rankings, reapproval table, simulation.  Records are converted
+    to tables once, here."""
+    conversions, clicks = conversion_table(conversions), click_table(clicks)
     schedule = weekly_schedule(
         conversions,
         products,

@@ -12,8 +12,16 @@ Five quantities summarize each MFI's quality from the logs:
   applications that never reached payout.
 * ``epc``: earnings per click, total sale income over click-outs.
 
-All computations are per loan type: the caller selects the records of
-one type with :func:`mfirank.data.filter_loan_type`.
+All computations are per loan type: the caller selects the rows of one
+type with :func:`mfirank.data.filter_loan_type`.
+
+The features are computed on the columnar tables of the conversions and
+clicks (:class:`mfirank.data.Table`).  :class:`FeaturePrefixes` groups
+the rows by MFI once and keeps per-MFI prefix sums, so the feature table
+of any prefix of the tables (the weekly replay trains on one per week)
+is read from them without visiting the rows again; only the service
+period selects from the MFI's periods (``np.partition``).  The formulas are
+:func:`fairness_score`, :func:`service_p90` and :func:`earnings_per_click`.
 """
 
 from __future__ import annotations
@@ -23,21 +31,25 @@ import io
 import logging
 import math
 import re
-import statistics
-from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
+from itertools import accumulate
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .data import (
+    STATUSES,
     ClickRecord,
     ConversionRecord,
     ProductRecord,
     Status,
-    derive_timeline,
+    Table,
+    click_table,
+    conversion_table,
+    derive_timeline,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
     filter_loan_type,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
+    timeline_columns,
 )
 from .errors import DataError
 
@@ -50,6 +62,8 @@ ON_TIME_LIMIT_SEC = 3600.0
 ON_TIME_MIN_SHARE = 0.9
 CONVERSION_OUTLIER_SEC = 7200.0
 MIN_REJECT_SHARE = 0.05
+
+_SALE, _REJECTED = STATUSES.index(Status.SALE), STATUSES.index(Status.REJECTED)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +210,7 @@ def declared_sla_seconds(
 
 
 # ---------------------------------------------------------------------------
-# per-MFI running statistics
+# the feature formulas
 
 
 @dataclass(frozen=True)
@@ -209,6 +223,21 @@ class FairnessScore:
     sla_evaluable: bool = True
 
 
+class MfiCounts(NamedTuple):
+    """What the fairness and EPC formulas count of one MFI's applications."""
+
+    apps: int
+    sales: int
+    rejected: int
+    submitted: int  # applications with a valid submission (conversion) period
+    quick: int  # valid submission periods under ON_TIME_LIMIT_SEC
+    paid: int  # valid applications with a processing period
+    in_sla: int  # processing periods within the declared budget
+
+    def on_time(self) -> bool:
+        return self.submitted > 0 and self.quick / self.submitted >= ON_TIME_MIN_SHARE
+
+
 def _median(values: np.ndarray) -> float:
     """``statistics.median`` of a non-empty array, by selection."""
     mid = len(values) // 2
@@ -218,132 +247,8 @@ def _median(values: np.ndarray) -> float:
     return float((low + high) / 2)
 
 
-class _MfiStats:
-    """What the fairness, service-period and EPC formulas need of one MFI.
-
-    Records are added one at a time and each is read once: its status
-    and income go into counts and a running sum, its timeline (derived
-    here, once) into flat float arrays.  Sale incomes are summed in the
-    order the records arrive.  ``sla_seconds`` is the declared budget
-    that processing periods are counted against as they arrive.
-    """
-
-    __slots__ = (
-        "sla_seconds", "n_apps", "n_sales", "n_rejected", "income", "n_quick",
-        "n_sla_ok", "paid_conversion", "processing", "unpaid_conversion",
-    )
-
-    def __init__(self, sla_seconds: float | None = None):
-        self.sla_seconds = sla_seconds
-        self.n_apps = 0
-        self.n_sales = 0
-        self.n_rejected = 0
-        self.income = 0.0
-        self.n_quick = 0  # valid conversion periods under ON_TIME_LIMIT_SEC
-        self.n_sla_ok = 0  # observed processing periods within sla_seconds
-        # Valid conversion periods, split by whether the application paid
-        # out; paid_conversion[i] pairs with the processing period processing[i].
-        # The formulas only select from or fsum these, so the split loses nothing.
-        self.paid_conversion = array("d")
-        self.processing = array("d")
-        self.unpaid_conversion = array("d")
-
-    @classmethod
-    def of(
-        cls, records: Sequence[ConversionRecord], sla_seconds: float | None = None
-    ) -> _MfiStats:
-        stats = cls(sla_seconds)
-        for rec in records:
-            stats.add(rec)
-        return stats
-
-    def add(self, rec: ConversionRecord) -> None:
-        self.n_apps += 1
-        if rec.status is Status.SALE:
-            self.n_sales += 1
-            if rec.income is not None:
-                self.income += rec.income
-        elif rec.status is Status.REJECTED:
-            self.n_rejected += 1
-        tl = derive_timeline(rec)
-        if tl.invalid or tl.conversion_period is None:
-            return  # a processing period needs a submission, so none is lost
-        if tl.conversion_period < ON_TIME_LIMIT_SEC:
-            self.n_quick += 1
-        if tl.processing_period is None:
-            self.unpaid_conversion.append(tl.conversion_period)
-            return
-        self.paid_conversion.append(tl.conversion_period)
-        self.processing.append(tl.processing_period)
-        if self.sla_seconds is not None and tl.processing_period <= self.sla_seconds:
-            self.n_sla_ok += 1
-
-    def on_time(self) -> bool:
-        n = len(self.paid_conversion) + len(self.unpaid_conversion)
-        return n > 0 and self.n_quick / n >= ON_TIME_MIN_SHARE
-
-    def fairness(self, product: ProductRecord | None) -> FairnessScore:
-        n = self.n_apps
-        status_reporting = (
-            n > 0 and self.n_rejected / n > MIN_REJECT_SHARE and self.n_sales >= 1
-        )
-        on_time = self.on_time()
-        sla_evaluable = self.sla_seconds is not None
-        sla_met = False
-        if sla_evaluable and self.processing:
-            sla_met = self.n_sla_ok / len(self.processing) >= 0.5
-        reliable = product is None or not product.unreliability
-        points = int(status_reporting) + int(on_time) + int(sla_met) + int(reliable)
-        return FairnessScore(
-            points=points,
-            status_reporting=status_reporting,
-            on_time=on_time,
-            sla_met=sla_met,
-            reliable=reliable,
-            sla_evaluable=sla_evaluable,
-        )
-
-    def service_p90(self, global_processing_mean: float | None) -> float:
-        n_paid, n_unpaid = len(self.paid_conversion), len(self.unpaid_conversion)
-        if not n_paid and not n_unpaid:
-            raise DataError("no valid submission periods; cannot compute a service period")
-        observed = self.processing
-        fill = statistics.fmean(observed) if observed else global_processing_mean
-        if fill is None and n_unpaid:
-            raise DataError("no processing periods anywhere to impute from")
-
-        # Zero-copy views: an array('d') cannot grow while a view of it
-        # is alive, so none may outlive this call.
-        paid = np.frombuffer(self.paid_conversion)
-        unpaid = np.frombuffer(self.unpaid_conversion)
-        if self.on_time():
-            replacement = _median(np.concatenate((paid, unpaid)))
-            paid = np.where(paid > CONVERSION_OUTLIER_SEC, replacement, paid)
-            unpaid = np.where(unpaid > CONVERSION_OUTLIER_SEC, replacement, unpaid)
-        service = paid + np.frombuffer(observed)
-        if n_unpaid:
-            service = np.concatenate((service, unpaid + fill))
-        idx = (9 * len(service) + 9) // 10  # ceil(0.9 n) without float fuzz
-        return float(np.partition(service, idx - 1)[idx - 1])
-
-    def epc(self, n_clicks: int) -> float:
-        if n_clicks < 0:
-            raise ValueError("click count must be non-negative")
-        if self.n_sales == 0:
-            return 0.0
-        if n_clicks == 0:
-            raise DataError("sales recorded for an MFI with no clicks")
-        return self.income / n_clicks
-
-
-# ---------------------------------------------------------------------------
-# record-level feature helpers
-
-
-def fairness(
-    records: Sequence[ConversionRecord],
-    product: ProductRecord | None,
-    sla_seconds: float | None,
+def fairness_score(
+    counts: MfiCounts, product: ProductRecord, sla_seconds: float | None
 ) -> FairnessScore:
     """Score an MFI on four binary criteria, one point each.
 
@@ -357,39 +262,75 @@ def fairness(
        and the score is flagged as not fully evaluable.
     4. The card carries no unreliability mark.
     """
-    return _MfiStats.of(records, sla_seconds).fairness(product)
+    n = counts.apps
+    status_reporting = n > 0 and counts.rejected / n > MIN_REJECT_SHARE and counts.sales >= 1
+    on_time = counts.on_time()
+    sla_evaluable = sla_seconds is not None
+    sla_met = sla_evaluable and counts.paid > 0 and counts.in_sla / counts.paid >= 0.5
+    reliable = not product.unreliability
+    return FairnessScore(
+        points=int(status_reporting) + int(on_time) + int(sla_met) + int(reliable),
+        status_reporting=status_reporting,
+        on_time=on_time,
+        sla_met=sla_met,
+        reliable=reliable,
+        sla_evaluable=sla_evaluable,
+    )
 
 
-def service_period_p90(
-    records: Sequence[ConversionRecord],
-    global_processing_mean: float | None = None,
+def service_p90(
+    conversion: np.ndarray,
+    processing: np.ndarray,
+    paid: np.ndarray,
+    on_time: bool,
+    mean_processing: float | None,
+    global_processing_mean: float | None,
 ) -> float:
     """P90 of the full click-to-payout period, in seconds.
 
     The population is the MFI's applications with a valid submission
-    period.  Two repairs are applied first:
+    period (``conversion``); ``paid`` marks those with a processing
+    period, ``processing`` holds it there.  Two repairs are applied
+    first:
 
-    I.  For an MFI whose applications are filed on time overall,
-        submission periods beyond two hours are treated as measurement
-        noise and replaced with the median of all its raw periods.
+    I.  For an MFI whose applications are filed on time overall
+        (``on_time``), submission periods beyond two hours are treated
+        as measurement noise and replaced with the median of all its
+        raw periods.
     II. Applications that never reached payout borrow the MFI's mean
-        observed processing period (``global_processing_mean`` when the
-        MFI itself has none).
+        observed processing period (``mean_processing``), or
+        ``global_processing_mean`` when the MFI itself has none (None).
 
     The percentile is nearest-rank: element ceil(0.9 n) of the sorted
     periods.  Raises DataError when the population is empty or an
     imputation source is missing.
     """
-    return _MfiStats.of(records).service_p90(global_processing_mean)
+    if not len(conversion):
+        raise DataError("no valid submission periods; cannot compute a service period")
+    fill = global_processing_mean if mean_processing is None else mean_processing
+    unpaid = len(conversion) - np.count_nonzero(paid)
+    if fill is None and unpaid:
+        raise DataError("no processing periods anywhere to impute from")
+    if on_time:
+        outliers = conversion > CONVERSION_OUTLIER_SEC
+        if outliers.any():
+            conversion = np.where(outliers, _median(conversion), conversion)
+    service = conversion + (np.where(paid, processing, fill) if unpaid else processing)
+    idx = (9 * len(service) + 9) // 10  # ceil(0.9 n) without float fuzz
+    return float(np.partition(service, idx - 1)[idx - 1])
 
 
-def epc(records: Sequence[ConversionRecord], n_clicks: int) -> float:
+def earnings_per_click(income: float, sales: int, clicks: int) -> float:
     """Total sale income per click-out.
 
     An MFI nobody clicked earned nothing: zero sales with zero clicks is
     0.0, but sales without any click record is inconsistent input.
     """
-    return _MfiStats.of(records).epc(n_clicks)
+    if sales == 0:
+        return 0.0
+    if clicks == 0:
+        raise DataError("sales recorded for an MFI with no clicks")
+    return income / clicks
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +464,55 @@ def _pick_card(cards: list[ProductRecord]) -> ProductRecord:
     return min(cards, key=lambda p: (-p.n_reviews, p.card_id))
 
 
-class FeatureAccumulator:
-    """Per-MFI running feature inputs over a growing set of records.
+class _Groups:
+    """The rows of a table grouped by MFI code, each group in row order."""
 
-    Built once from the product cards of one loan type; conversions and
-    clicks of that type are then fed in any number of batches, each
-    record exactly once, and :meth:`table` emits the feature table of
-    everything seen so far.  It keeps every record it is given.  Feed
-    conversions in the order their sale incomes should be summed: the
-    EPC numerator is a plain running sum.
+    def __init__(self, group: np.ndarray, n_groups: int):
+        self.order = np.argsort(group, kind="stable")
+        stride = len(group) + 1
+        self._keys = group[self.order].astype(np.int64) * stride + self.order
+        self._bases = np.arange(n_groups, dtype=np.int64) * stride
+        self.start = np.searchsorted(self._keys, self._bases)
+
+    def counts(self, n: int) -> np.ndarray:
+        """How many of each group's rows are among the first ``n`` rows."""
+        return np.searchsorted(self._keys, self._bases + n) - self.start
+
+    def tally(self, flags: np.ndarray) -> np.ndarray:
+        """Prefix counts of ``flags`` in group order, from a leading 0: a
+        group's flagged rows among its first ``c`` rows are
+        ``tally[start + c] - tally[start]``."""
+        return np.concatenate(([0], np.cumsum(flags[self.order])))
+
+    def running_sums(self, values: np.ndarray) -> np.ndarray:
+        """Each group's running sum of ``values`` in row order, added one at
+        a time from 0.0: the sum of group g's first ``c`` rows is at
+        ``start[g] + g + c``."""
+        ordered = values[self.order]
+        out = np.zeros(len(ordered) + len(self.start))
+        ends = np.append(self.start[1:], len(ordered)).tolist()
+        for g, (a, b) in enumerate(zip(self.start.tolist(), ends)):
+            np.cumsum(np.concatenate(([0.0], ordered[a:b])), out=out[a + g : b + g + 1])
+        return out
+
+
+def _taken(tally: np.ndarray, start: np.ndarray, counts: np.ndarray) -> list[int]:
+    return (tally[start + counts] - tally[start]).tolist()
+
+
+class FeaturePrefixes:
+    """The feature tables of the prefixes of one loan type's conversions
+    and clicks.
+
+    Built once from the product cards of one loan type and the conversion
+    and click tables of that type (records are converted once);
+    :meth:`table` then emits the feature table of the first ``n``
+    conversions and the first ``m`` clicks, in table order.  The rows are
+    grouped by MFI once, and every count is a difference of per-MFI prefix
+    sums.  The EPC numerator is the MFI's running sum of sale incomes in
+    table order, added one at a time as a loop over the rows would.  The
+    processing periods are summed exactly, as integers, so each mean is
+    the one ``statistics.fmean`` gives.
 
     The population is the set of MFIs with conversions and a product
     card, ordered by id; MFIs without a card are excluded with a
@@ -540,7 +521,9 @@ class FeatureAccumulator:
 
     def __init__(
         self,
+        conversions: Table | Sequence[ConversionRecord],
         products: Sequence[ProductRecord],
+        clicks: Table | Sequence[ClickRecord],
         *,
         features: Sequence[str] | None = None,
         duration_rules: Sequence[DurationRule] | None = None,
@@ -556,55 +539,108 @@ class FeatureAccumulator:
         for p in products:
             cards_by_mfi[p.mfi_id].append(p)
         self._card = {m: _pick_card(cards) for m, cards in cards_by_mfi.items()}
-        self._sla: dict[str, float | None] = {}
+        conversions, clicks = conversion_table(conversions), click_table(clicks)
+
+        self._mfi_ids = mfi_ids = conversions.names["mfi_id"]
+        k = len(mfi_ids)
+        self._sla: list[float | None] = [None] * k
         if "fairness" in active:
-            self._sla = {
-                m: declared_sla_seconds(p, duration_rules) for m, p in self._card.items()
-            }
-        self._stats: dict[str, _MfiStats] = {}
-        self._clicks: Counter = Counter()
+            self._sla = [
+                declared_sla_seconds(self._card.get(m), duration_rules) for m in mfi_ids
+            ]
+        self._by_id = sorted(range(k), key=mfi_ids.__getitem__)
 
-    def add_conversions(self, conversions: Iterable[ConversionRecord]) -> None:
-        stats = self._stats
-        for rec in conversions:
-            mfi = stats.get(rec.mfi_id)
-            if mfi is None:
-                mfi = stats[rec.mfi_id] = _MfiStats(self._sla.get(rec.mfi_id))
-            mfi.add(rec)
+        mfi = conversions.columns["mfi_id"]
+        status = conversions.columns["status"]
+        sold = status == _SALE
+        income = conversions.columns["income"]
+        self._apps = _Groups(mfi, k)
+        self._sales = self._apps.tally(sold)
+        self._rejected = self._apps.tally(status == _REJECTED)
+        self._income = self._apps.running_sums(np.where(sold & ~np.isnan(income), income, 0.0))
 
-    def add_clicks(self, clicks: Iterable[ClickRecord]) -> None:
-        self._clicks.update(c.mfi_id for c in clicks)
+        # The applications with a valid submission period, grouped alike.
+        conversion, processing = timeline_columns(conversions)
+        submitted = ~np.isnan(conversion)
+        self._submitted_rows = np.flatnonzero(submitted)
+        self._submitted = sub = _Groups(mfi[submitted], k)
+        conversion, processing = conversion[submitted], processing[submitted]
+        paid = ~np.isnan(processing)
+        sla = np.array([np.nan if b is None else b for b in self._sla], np.float64)
+        self._quick = sub.tally(conversion < ON_TIME_LIMIT_SEC)
+        self._paid_count = sub.tally(paid)
+        self._in_sla = sub.tally(paid & (processing <= sla[mfi[submitted]]))
+        self._periods = conversion[sub.order], processing[sub.order], paid[sub.order]
+        # Each processing period is an integer multiple of 2**-shift, so the
+        # prefix sums of those integers are exact, and a mean of periods is
+        # statistics.fmean's: the exact sum rounded once (int / int rounds
+        # correctly, as math.fsum does), then divided by the count.
+        ratios = [
+            period.as_integer_ratio() if ok else (0, 1)
+            for period, ok in zip(self._periods[1].tolist(), self._periods[2].tolist())
+        ]
+        shift = max((den.bit_length() - 1 for _, den in ratios), default=0)
+        self._scale = 1 << shift
+        self._processing_sums = [
+            0, *accumulate(num << (shift - den.bit_length() + 1) for num, den in ratios)
+        ]
 
-    def table(self) -> list[FeatureVector]:
-        """The feature vectors of the records fed so far."""
+        # Clicks of an MFI without conversions go to one extra group.
+        code = {m: n for n, m in enumerate(mfi_ids)}
+        click_mfi = np.array([code.get(m, k) for m in clicks.names["mfi_id"]], np.int64)
+        self._clicks = _Groups(click_mfi[clicks.columns["mfi_id"]], k + 1)
+
+    def _mean(self, total: int, n: int) -> float | None:
+        """The mean of ``n`` processing periods whose exact sum, in units of
+        2**-shift, is ``total``; None when there are none."""
+        return total / self._scale / n if n else None
+
+    def table(self, n: int, m: int) -> list[FeatureVector]:
+        """The feature vectors of the first ``n`` conversions and ``m`` clicks."""
+        mfi_ids, active, card = self._mfi_ids, self._active, self._card
+        apps = self._apps.counts(n)
         population = []
-        for m in sorted(self._stats):
-            if m in self._card:
-                population.append(m)
+        for g in self._by_id:
+            if not apps[g]:
+                continue
+            if mfi_ids[g] in card:
+                population.append(g)
             else:
-                logger.warning("MFI %s has conversions but no product card; excluded", m)
+                logger.warning("MFI %s has conversions but no product card; excluded", mfi_ids[g])
         if not population:
             return []
-        active = self._active
-        card = self._card
-        stats = {m: self._stats[m] for m in population}
 
-        rprior = rating_prior([card[m] for m in population]) if "rating" in active else None
+        start = self._apps.start
+        n_apps = apps.tolist()
+        sales = _taken(self._sales, start, apps)
+        rejected = _taken(self._rejected, start, apps)
+        income = self._income[start + np.arange(len(start)) + apps].tolist()
+        sub = self._submitted
+        submitted = sub.counts(int(np.searchsorted(self._submitted_rows, n)))
+        quick = _taken(self._quick, sub.start, submitted)
+        paid = _taken(self._paid_count, sub.start, submitted)
+        in_sla = _taken(self._in_sla, sub.start, submitted)
+        clicks = self._clicks.counts(m).tolist()
+        counts, periods, processing_sums = {}, {}, {}
+        for g, a, b in zip(population, sub.start[population].tolist(),
+                           (sub.start + submitted)[population].tolist()):
+            counts[g] = MfiCounts(n_apps[g], sales[g], rejected[g], b - a, quick[g], paid[g], in_sla[g])
+            periods[g] = tuple(column[a:b] for column in self._periods)
+            processing_sums[g] = self._processing_sums[b] - self._processing_sums[a]
+
+        rprior = rating_prior([card[mfi_ids[g]] for g in population]) if "rating" in active else None
         lprior = None
         if "lar" in active:
             lprior = LarPrior(
-                total_sales=sum(s.n_sales for s in stats.values()),
-                total_apps=sum(s.n_apps for s in stats.values()),
+                total_sales=sum(counts[g].sales for g in population),
+                total_apps=sum(counts[g].apps for g in population),
             )
-        global_mean: float | None = None
-        if "service_period" in active:
-            all_processing = [p for s in stats.values() for p in s.processing]
-            global_mean = statistics.fmean(all_processing) if all_processing else None
+        global_mean = self._mean(sum(processing_sums.values()), sum(c.paid for c in counts.values()))
 
         table: list[FeatureVector] = []
-        for m, s in stats.items():
+        for g in population:
+            m_id, c, p = mfi_ids[g], counts[g], card[mfi_ids[g]]
             values: dict[str, object] = {}
-            p = card[m]
             if rprior is not None:
                 has_reviews = p.n_reviews > 0 and p.avg_user_rating is not None
                 values["rating_norm"] = normalize_rating(
@@ -613,38 +649,41 @@ class FeatureAccumulator:
                     p.avg_user_rating if has_reviews else 0.0,
                 )
             if lprior is not None:
-                values["lar_norm"] = normalize_lar(lprior, s.n_sales, s.n_apps)
+                values["lar_norm"] = normalize_lar(lprior, c.sales, c.apps)
             if "fairness" in active:
-                score = s.fairness(p)
+                score = fairness_score(c, p, self._sla[g])
                 values["fairness"] = score.points
                 values["fairness_detail"] = score
             try:
                 if "service_period" in active:
-                    values["service_p90_sec"] = s.service_p90(global_mean)
+                    values["service_p90_sec"] = service_p90(
+                        *periods[g], c.on_time(), self._mean(processing_sums[g], c.paid), global_mean
+                    )
                 if "epc" in active:
-                    values["epc"] = s.epc(self._clicks.get(m, 0))
+                    values["epc"] = earnings_per_click(income[g], c.sales, clicks[g])
             except DataError as exc:
-                logger.warning("dropping MFI %s from the feature table: %s", m, exc)
+                logger.warning("dropping MFI %s from the feature table: %s", m_id, exc)
                 continue
-            table.append(FeatureVector(mfi_id=m, **values))
+            table.append(FeatureVector(mfi_id=m_id, **values))
         return table
 
 
 def feature_table(
-    conversions: Sequence[ConversionRecord],
+    conversions: Table | Sequence[ConversionRecord],
     products: Sequence[ProductRecord],
-    clicks: Sequence[ClickRecord],
+    clicks: Table | Sequence[ClickRecord],
     *,
     features: Sequence[str] | None = None,
     duration_rules: Sequence[DurationRule] | None = None,
 ) -> list[FeatureVector]:
     """Compute the requested features for every rankable MFI.
 
-    Feeds the records it is given, in input order, to one
-    :class:`FeatureAccumulator` and emits its table once.  The records
-    are of one loan type, selected by :func:`mfirank.data.filter_loan_type`.
+    The feature table of all the rows given, of one loan type selected by
+    :func:`mfirank.data.filter_loan_type`: :class:`FeaturePrefixes` over
+    the whole tables.  Sale incomes are summed in input order.
     """
-    acc = FeatureAccumulator(products, features=features, duration_rules=duration_rules)
-    acc.add_conversions(conversions)
-    acc.add_clicks(clicks)
-    return acc.table()
+    conversions, clicks = conversion_table(conversions), click_table(clicks)
+    prefixes = FeaturePrefixes(
+        conversions, products, clicks, features=features, duration_rules=duration_rules
+    )
+    return prefixes.table(len(conversions), len(clicks))

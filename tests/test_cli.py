@@ -5,7 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from mfirank.data import (
     ConversionRecord,
     LoanType,
     Status,
+    Table,
     serialize_clicks,
     serialize_conversions,
     serialize_products,
@@ -25,6 +31,8 @@ from mfirank.data import (
 from mfirank.evaluate import week_start
 from mfirank.features import feature_csv
 from mfirank.fixtures import FixtureConfig, generate_fixture
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="session")
@@ -410,6 +418,62 @@ def test_fixture_artifacts_match_the_golden_digests(tmp_path):
         for name in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+
+
+def test_features_and_evaluate_never_build_conversion_or_click_records(tmp_path):
+    # The two commands run on the parsed tables; only the product cards
+    # (a few dozen rows) become records.
+    assert main(["fixture", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    flags = dataset_flags(tmp_path)
+    built = Table.records
+
+    def records(table):
+        if table.dataset.name != "products":
+            raise AssertionError(f"built {table.dataset.name} records")
+        return built(table)
+
+    with mock.patch.object(Table, "records", records):
+        assert main([
+            "features", *flags,
+            "--out", str(tmp_path / "features.csv"),
+            "--breakdown-json", str(tmp_path / "fairness.json"),
+        ]) == 0
+        assert main([
+            "evaluate", *flags,
+            "--out", str(tmp_path / "evaluation.json"),
+            "--daily-csv", str(tmp_path / "daily.csv"),
+        ]) == 0
+        assert main([
+            "evaluate", *flags, "--loan-type", "all",
+            "--out", str(tmp_path / "evaluation-all.json"),
+        ]) == 0
+    for name in ("features.csv", "fairness.json", "evaluation.json", "daily.csv",
+                 "evaluation-all.json"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(dataset_dir, tmp_path):
+    # Interned codes are first-seen, never in set order: the artifacts of
+    # interpreters with different string hashes are byte-identical.
+    outputs = {}
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        out.mkdir()
+        flags = dataset_flags(dataset_dir)
+        commands = [
+            ["validate", *flags, "--out", str(out / "validation.json")],
+            ["features", *flags, "--out", str(out / "features.csv"),
+             "--breakdown-json", str(out / "fairness.json")],
+            ["evaluate", *flags, "--out", str(out / "evaluation.json"),
+             "--daily-csv", str(out / "daily.csv")],
+        ]
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "mfirank.cli", *argv], env=env, check=True)
+        outputs[seed] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert len(outputs["0"]) == 5
+    assert outputs["0"] == outputs["1"]
 
 
 def test_report_emits_the_plot_series(evaluation_json, tmp_path):

@@ -488,6 +488,9 @@ def assert_same_parse(parse, dataset, text: str) -> None:
             continue
         assert not isinstance(got, str), got
         assert got.errors == expected.errors
+        # The names of an id or text column are its values, first-seen.
+        for name, values in got.table.names.items():
+            assert values == tuple(dict.fromkeys(getattr(r, name) for r in expected.records))
         assert len(got.records) == len(expected.records)
         for a, b in zip(got.records, expected.records):
             assert type(a) is type(b)
@@ -558,6 +561,93 @@ def test_data_errors_keep_their_precedence(which, text, outcome):
         with pytest.raises(DataError, match=re.escape(outcome)):
             parse(io.StringIO(text))
     assert_same_parse(parse, DATASETS[which], text)
+
+
+# ---------------------------------------------------------------------------
+# bulk timestamps against the cell parser
+
+# Cells of the default shape NNNN-NN-NN NN:NN:NN that name no moment, cells
+# one character off that shape, padded cells, and some that are fine.
+STAMP_CELLS = [
+    "2021-03-01 10:00:00", "2020-02-29 23:59:59", "2000-02-29 00:00:00", "0001-01-01 00:00:00",
+    "9999-12-31 23:59:59", "1969-12-31 23:59:59", "1900-02-28 12:00:00",
+    "2021-13-01 10:00:00", "2021-00-10 10:00:00", "2021-03-00 10:00:00", "2021-04-31 10:00:00",
+    "2021-02-29 10:00:00", "1900-02-29 10:00:00", "2021-03-01 24:00:00", "2021-03-01 10:60:00",
+    "2021-03-01 10:00:60", "0000-01-01 00:00:00", "2021-0a-01 10:00:00", "+023-03-01 10:00:00",
+    "-021-03-01 10:00:00", "2021-03-01T10:00:00", "2021/03/01 10:00:00", "2021-03-01_10:00:00",
+    "2021-03-01 10:00:00Z", "2021-03-01 10:00:00+03:00", "2021-03-01 10:00:0",
+    "2021-03-01 10:00:000", "2021-3-01 10:00:00", "2021-03- 1 10:00:00", "2021-03-01 1:00:00",
+    " 2021-03-01 10:00:00", "2021-03-01 10:00:00 ", "\t2021-03-01 10:00:00\n",
+    "\u0662\u0660\u0662\u0661-03-01 10:00:00", "２０２１-03-01 10:00:00", "2021-03-01 10:00:00.5",
+    "2021-03-01", "", " ", None,
+]
+
+
+def cell_stamps(column, parse) -> tuple[list, list]:
+    """(microseconds, missing) of each cell by the cell parser alone."""
+    values = [parse(cell) for cell in column]
+    return (
+        [0 if v is None else mfirank.data.to_micros(v) for v in values],
+        [v is None for v in values],
+    )
+
+
+def assert_bulk_stamps_match(column, config=DEFAULT_SCHEMA):
+    parse = _cell_parsers(config)[mfirank.data._TIMESTAMP]
+    bulk = config.timestamp_format == TIMESTAMP_FORMAT
+    micros, missing = mfirank.data._timestamps(column, parse, bulk)
+    assert (micros.tolist(), missing.tolist()) == cell_stamps(column, parse)
+
+
+def test_bulk_timestamps_match_the_cell_parser():
+    assert_bulk_stamps_match(STAMP_CELLS)
+    assert_bulk_stamps_match(STAMP_CELLS[::-1] * 3)
+    assert_bulk_stamps_match(())
+
+
+def test_well_shaped_stamps_never_reach_the_cell_parser():
+    parse = mock.Mock(side_effect=_cell_parsers(DEFAULT_SCHEMA)[mfirank.data._TIMESTAMP])
+    mfirank.data._timestamps(STAMP_CELLS, parse, True)
+    sent = {call.args[0] for call in parse.call_args_list}
+    assert "2021-03-01 10:00:00" not in sent and "9999-12-31 23:59:59" not in sent
+    assert {"2021-02-29 10:00:00", " 2021-03-01 10:00:00", "2021-03-01 10:00:0"} <= sent
+
+
+STAMP_CHARS = st.sampled_from("0123456789-: T+Z.a\u0663")
+
+
+@given(
+    cells=st.lists(
+        st.one_of(
+            # the default shape, each character sometimes replaced
+            st.lists(STAMP_CHARS, min_size=19, max_size=19).map("".join),
+            st.builds(
+                "{:04d}-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format,
+                st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+                st.integers(0, 25), st.integers(0, 61), st.integers(0, 61),
+            ),
+            st.sampled_from(STAMP_CELLS),
+            st.text(max_size=21),
+        ),
+        max_size=30,
+    )
+)
+def test_bulk_timestamps_match_the_cell_parser_on_drawn_cells(cells):
+    assert_bulk_stamps_match(cells)
+
+
+@pytest.mark.parametrize("fmt", ["%d.%m.%Y %H:%M", "%Y-%m-%d %H:%M:%S.%f", "%Y-%m-%dT%H:%M:%S"])
+def test_a_custom_timestamp_format_goes_to_the_cell_parser(fmt):
+    config = SchemaConfig(timestamp_format=fmt)
+    cells = STAMP_CELLS + ["01.03.2021 10:00", "31.02.2021 10:00", "2021-03-01 10:00:00 +0300"]
+    assert_bulk_stamps_match(cells, config)
+    rows = [f"18,standard,{cell or ''},sale,c{i}" for i, cell in enumerate(cells)]
+    text = "\n".join([CONV_HEADER, *rows]) + "\n"
+    expected = reference_parse_rows(io.StringIO(text), config, _CONVERSIONS)
+    got = parse_conversions(io.StringIO(text), config)
+    assert got.errors == expected.errors
+    assert repr(got.records) == repr(expected.records)
+    assert got.records  # some cells are read under each format
 
 
 def test_a_parse_leaves_the_cycle_collector_as_it_found_it():

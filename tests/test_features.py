@@ -1,30 +1,53 @@
-"""Feature computations: shrinkage, fairness, service period, EPC."""
+"""Feature computations: shrinkage, fairness, service period, EPC.
+
+The record-at-a-time feature engine that the array one replaced
+(``_MfiStats``, ``FeatureAccumulator`` and the ``fairness``,
+``service_period_p90`` and ``epc`` helpers) is kept here as the
+reference of the differential tests.
+"""
 
 from __future__ import annotations
 
 import logging
+import math
 import random
 import statistics
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import replace
 from datetime import datetime, timedelta
+from typing import Iterable, Sequence
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfirank.data import ConversionRecord, LoanType, ProductRecord, Status
+from mfirank.data import (
+    ClickRecord,
+    ConversionRecord,
+    LoanType,
+    ProductRecord,
+    Status,
+    derive_timeline,
+)
 from mfirank.errors import DataError
 from mfirank.features import (
+    ALL_FEATURES,
     CONVERSION_OUTLIER_SEC,
     FEATURE_ATTRS,
+    MIN_REJECT_SHARE,
     ON_TIME_LIMIT_SEC,
-    FeatureAccumulator,
+    ON_TIME_MIN_SHARE,
+    DurationRule,
+    FairnessScore,
+    FeaturePrefixes,
     FeatureVector,
     LarPrior,
     RatingPrior,
+    _median,
+    _pick_card,
     declared_sla_seconds,
-    epc,
-    fairness,
     feature_csv,
     feature_table,
     lar_prior,
@@ -33,12 +56,245 @@ from mfirank.features import (
     parse_declared_duration,
     parse_feature_csv,
     rating_prior,
-    service_period_p90,
+    service_p90,
 )
-from mfirank.features import _MfiStats
 from mfirank.fixtures import FixtureConfig, generate_fixture
 
 T0 = datetime(2021, 3, 1, 10, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the record-at-a-time reference engine, kept verbatim but for moving the
+# formula docstrings onto the array engine's functions
+
+
+class _MfiStats:
+    """What the fairness, service-period and EPC formulas need of one MFI.
+
+    Records are added one at a time and each is read once: its status
+    and income go into counts and a running sum, its timeline (derived
+    here, once) into flat float arrays.  Sale incomes are summed in the
+    order the records arrive.  ``sla_seconds`` is the declared budget
+    that processing periods are counted against as they arrive.
+    """
+
+    __slots__ = (
+        "sla_seconds", "n_apps", "n_sales", "n_rejected", "income", "n_quick",
+        "n_sla_ok", "paid_conversion", "processing", "unpaid_conversion",
+    )
+
+    def __init__(self, sla_seconds: float | None = None):
+        self.sla_seconds = sla_seconds
+        self.n_apps = 0
+        self.n_sales = 0
+        self.n_rejected = 0
+        self.income = 0.0
+        self.n_quick = 0  # valid conversion periods under ON_TIME_LIMIT_SEC
+        self.n_sla_ok = 0  # observed processing periods within sla_seconds
+        # Valid conversion periods, split by whether the application paid
+        # out; paid_conversion[i] pairs with the processing period processing[i].
+        # The formulas only select from or fsum these, so the split loses nothing.
+        self.paid_conversion = array("d")
+        self.processing = array("d")
+        self.unpaid_conversion = array("d")
+
+    @classmethod
+    def of(
+        cls, records: Sequence[ConversionRecord], sla_seconds: float | None = None
+    ) -> _MfiStats:
+        stats = cls(sla_seconds)
+        for rec in records:
+            stats.add(rec)
+        return stats
+
+    def add(self, rec: ConversionRecord) -> None:
+        self.n_apps += 1
+        if rec.status is Status.SALE:
+            self.n_sales += 1
+            if rec.income is not None:
+                self.income += rec.income
+        elif rec.status is Status.REJECTED:
+            self.n_rejected += 1
+        tl = derive_timeline(rec)
+        if tl.invalid or tl.conversion_period is None:
+            return  # a processing period needs a submission, so none is lost
+        if tl.conversion_period < ON_TIME_LIMIT_SEC:
+            self.n_quick += 1
+        if tl.processing_period is None:
+            self.unpaid_conversion.append(tl.conversion_period)
+            return
+        self.paid_conversion.append(tl.conversion_period)
+        self.processing.append(tl.processing_period)
+        if self.sla_seconds is not None and tl.processing_period <= self.sla_seconds:
+            self.n_sla_ok += 1
+
+    def on_time(self) -> bool:
+        n = len(self.paid_conversion) + len(self.unpaid_conversion)
+        return n > 0 and self.n_quick / n >= ON_TIME_MIN_SHARE
+
+    def fairness(self, product: ProductRecord | None) -> FairnessScore:
+        n = self.n_apps
+        status_reporting = (
+            n > 0 and self.n_rejected / n > MIN_REJECT_SHARE and self.n_sales >= 1
+        )
+        on_time = self.on_time()
+        sla_evaluable = self.sla_seconds is not None
+        sla_met = False
+        if sla_evaluable and self.processing:
+            sla_met = self.n_sla_ok / len(self.processing) >= 0.5
+        reliable = product is None or not product.unreliability
+        points = int(status_reporting) + int(on_time) + int(sla_met) + int(reliable)
+        return FairnessScore(
+            points=points,
+            status_reporting=status_reporting,
+            on_time=on_time,
+            sla_met=sla_met,
+            reliable=reliable,
+            sla_evaluable=sla_evaluable,
+        )
+
+    def service_p90(self, global_processing_mean: float | None) -> float:
+        n_paid, n_unpaid = len(self.paid_conversion), len(self.unpaid_conversion)
+        if not n_paid and not n_unpaid:
+            raise DataError("no valid submission periods; cannot compute a service period")
+        observed = self.processing
+        fill = statistics.fmean(observed) if observed else global_processing_mean
+        if fill is None and n_unpaid:
+            raise DataError("no processing periods anywhere to impute from")
+
+        # Zero-copy views: an array('d') cannot grow while a view of it
+        # is alive, so none may outlive this call.
+        paid = np.frombuffer(self.paid_conversion)
+        unpaid = np.frombuffer(self.unpaid_conversion)
+        if self.on_time():
+            replacement = _median(np.concatenate((paid, unpaid)))
+            paid = np.where(paid > CONVERSION_OUTLIER_SEC, replacement, paid)
+            unpaid = np.where(unpaid > CONVERSION_OUTLIER_SEC, replacement, unpaid)
+        service = paid + np.frombuffer(observed)
+        if n_unpaid:
+            service = np.concatenate((service, unpaid + fill))
+        idx = (9 * len(service) + 9) // 10  # ceil(0.9 n) without float fuzz
+        return float(np.partition(service, idx - 1)[idx - 1])
+
+    def epc(self, n_clicks: int) -> float:
+        if n_clicks < 0:
+            raise ValueError("click count must be non-negative")
+        if self.n_sales == 0:
+            return 0.0
+        if n_clicks == 0:
+            raise DataError("sales recorded for an MFI with no clicks")
+        return self.income / n_clicks
+
+
+def fairness(records, product, sla_seconds) -> FairnessScore:
+    return _MfiStats.of(records, sla_seconds).fairness(product)
+
+
+def service_period_p90(records, global_processing_mean=None) -> float:
+    return _MfiStats.of(records).service_p90(global_processing_mean)
+
+
+def epc(records, n_clicks) -> float:
+    return _MfiStats.of(records).epc(n_clicks)
+
+
+class FeatureAccumulator:
+    """Per-MFI running feature inputs over a growing set of records.
+
+    Built once from the product cards of one loan type; conversions and
+    clicks of that type are then fed in any number of batches, each
+    record exactly once, and :meth:`table` emits the feature table of
+    everything seen so far.  Feed conversions in the order their sale
+    incomes should be summed: the EPC numerator is a plain running sum.
+    """
+
+    def __init__(self, products, *, features=None, duration_rules=None):
+        active = tuple(features) if features is not None else ALL_FEATURES
+        unknown = [f for f in active if f not in ALL_FEATURES]
+        if unknown:
+            raise ValueError(f"unknown features: {unknown}")
+        if not active:
+            raise ValueError("at least one feature is required")
+        self._active = active
+        cards_by_mfi: dict[str, list[ProductRecord]] = defaultdict(list)
+        for p in products:
+            cards_by_mfi[p.mfi_id].append(p)
+        self._card = {m: _pick_card(cards) for m, cards in cards_by_mfi.items()}
+        self._sla: dict[str, float | None] = {}
+        if "fairness" in active:
+            self._sla = {
+                m: declared_sla_seconds(p, duration_rules) for m, p in self._card.items()
+            }
+        self._stats: dict[str, _MfiStats] = {}
+        self._clicks: Counter = Counter()
+
+    def add_conversions(self, conversions: Iterable[ConversionRecord]) -> None:
+        stats = self._stats
+        for rec in conversions:
+            mfi = stats.get(rec.mfi_id)
+            if mfi is None:
+                mfi = stats[rec.mfi_id] = _MfiStats(self._sla.get(rec.mfi_id))
+            mfi.add(rec)
+
+    def add_clicks(self, clicks: Iterable[ClickRecord]) -> None:
+        self._clicks.update(c.mfi_id for c in clicks)
+
+    def table(self) -> list[FeatureVector]:
+        population = []
+        for m in sorted(self._stats):
+            if m in self._card:
+                population.append(m)
+            else:
+                logging.getLogger("mfirank.features").warning(
+                    "MFI %s has conversions but no product card; excluded", m
+                )
+        if not population:
+            return []
+        active = self._active
+        card = self._card
+        stats = {m: self._stats[m] for m in population}
+
+        rprior = rating_prior([card[m] for m in population]) if "rating" in active else None
+        lprior = None
+        if "lar" in active:
+            lprior = LarPrior(
+                total_sales=sum(s.n_sales for s in stats.values()),
+                total_apps=sum(s.n_apps for s in stats.values()),
+            )
+        global_mean: float | None = None
+        if "service_period" in active:
+            all_processing = [p for s in stats.values() for p in s.processing]
+            global_mean = statistics.fmean(all_processing) if all_processing else None
+
+        table: list[FeatureVector] = []
+        for m, s in stats.items():
+            values: dict[str, object] = {}
+            p = card[m]
+            if rprior is not None:
+                has_reviews = p.n_reviews > 0 and p.avg_user_rating is not None
+                values["rating_norm"] = normalize_rating(
+                    rprior,
+                    p.n_reviews if has_reviews else 0,
+                    p.avg_user_rating if has_reviews else 0.0,
+                )
+            if lprior is not None:
+                values["lar_norm"] = normalize_lar(lprior, s.n_sales, s.n_apps)
+            if "fairness" in active:
+                score = s.fairness(p)
+                values["fairness"] = score.points
+                values["fairness_detail"] = score
+            try:
+                if "service_period" in active:
+                    values["service_p90_sec"] = s.service_p90(global_mean)
+                if "epc" in active:
+                    values["epc"] = s.epc(self._clicks.get(m, 0))
+            except DataError as exc:
+                logging.getLogger("mfirank.features").warning(
+                    "dropping MFI %s from the feature table: %s", m, exc
+                )
+                continue
+            table.append(FeatureVector(mfi_id=m, **values))
+        return table
 
 
 def card(mfi="18", card_id=None, **kwargs) -> ProductRecord:
@@ -399,6 +655,19 @@ def p90_outcome(fn, stats, global_mean):
         return str(exc)
 
 
+def engine_service_p90(stats: _MfiStats, global_processing_mean: float | None) -> float:
+    """The array engine's :func:`service_p90` on the periods of ``stats``,
+    the unpaid ones first."""
+    unpaid = len(stats.unpaid_conversion)
+    conversion = np.array([*stats.unpaid_conversion, *stats.paid_conversion])
+    processing = np.array([math.nan] * unpaid + list(stats.processing))
+    paid = ~np.isnan(processing)
+    own = statistics.fmean(stats.processing) if stats.processing else None
+    return service_p90(
+        conversion, processing, paid, stats.on_time(), own, global_processing_mean
+    )
+
+
 # conversion periods: zero, quick, slow but not outliers, exactly at and
 # beyond CONVERSION_OUTLIER_SEC, and fractional seconds
 conversion_seconds = st.one_of(
@@ -431,6 +700,7 @@ def test_service_p90_matches_the_sorting_reference(periods, quick_share, global_
     stats = _MfiStats.of(records)
     want = p90_outcome(sorted_service_p90, stats, global_mean)
     assert p90_outcome(_MfiStats.service_p90, stats, global_mean) == want
+    assert p90_outcome(engine_service_p90, stats, global_mean) == want
     # the selection leaves no view behind: the arrays still grow afterwards
     stats.add(app(client="late", conv_sec=60.0, proc_sec=60.0))
     assert p90_outcome(_MfiStats.service_p90, stats, global_mean) == p90_outcome(
@@ -466,6 +736,7 @@ def test_service_p90_matches_the_sorting_reference_on_grids(n, outliers, paid):
     for global_mean in (None, 250.0):
         want = p90_outcome(sorted_service_p90, stats, global_mean)
         assert p90_outcome(_MfiStats.service_p90, stats, global_mean) == want
+        assert p90_outcome(engine_service_p90, stats, global_mean) == want
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +792,6 @@ def small_dataset():
     ]
     clicks = [("10", 4), ("11", 5)]
     click_records = []
-    from mfirank.data import ClickRecord
-
     for mfi, n in clicks:
         click_records += [
             ClickRecord(mfi_id=mfi, click_time=T0, client_id=f"k{i}", loan_type=LoanType.STANDARD)
@@ -612,6 +881,233 @@ def test_accumulator_fed_in_batches_matches_feature_table(seed):
         assert [(v, v.fairness_detail) for v in acc.table()] == [
             (v, v.fairness_detail) for v in want
         ]
+
+
+# ---------------------------------------------------------------------------
+# the array engine against the record-at-a-time reference
+
+ENGINE_MFIS = ("10", "11", "12", "13")
+# Click times repeat, so equal-click_time rows are common; the spread
+# crosses several ISO weeks.
+CLICK_OFFSETS = st.sampled_from([0, 0, 30, 3600, 86_400, 5 * 86_400, 9 * 86_400, 20 * 86_400])
+PERIOD = st.one_of(
+    st.none(),
+    st.integers(-600, -1),  # negative: an invalid timeline
+    st.integers(0, 4000),  # around ON_TIME_LIMIT_SEC
+    st.integers(7000, 200_000),  # around and past CONVERSION_OUTLIER_SEC
+    st.integers(0, 10**9).map(lambda us: us / 1000.0),  # fractional seconds
+)
+INCOME = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.0, 1e16, 0.1]), st.floats(0.0, 1e4))
+PHRASE = st.sampled_from([None, "10 min", "2 hour", "instant", "soon", "3 дня"])
+RULES = st.sampled_from(
+    [None, (DurationRule(r"min", 60.0), DurationRule(r"hour|дн", 3600.0)), (DurationRule("o", 0.0),)]
+)
+FEATURE_SUBSETS = st.one_of(
+    st.none(), st.lists(st.sampled_from(ALL_FEATURES), min_size=1, max_size=5, unique=True)
+)
+
+
+@st.composite
+def engine_conversions(draw) -> list[ConversionRecord]:
+    out = []
+    for i in range(draw(st.integers(0, 40))):
+        click = T0 + timedelta(seconds=draw(CLICK_OFFSETS))
+        status = draw(st.sampled_from(list(Status)))
+        conv_sec, proc_sec = draw(PERIOD), draw(PERIOD)
+        conversion = None if conv_sec is None else click + timedelta(seconds=conv_sec)
+        sale = None
+        if proc_sec is not None:  # with or without a conversion time
+            sale = (conversion or click) + timedelta(seconds=proc_sec)
+        out.append(
+            ConversionRecord(
+                mfi_id=draw(st.sampled_from(ENGINE_MFIS)),
+                loan_type=LoanType.STANDARD,
+                client_id=f"c{i}",
+                click_time=click,
+                status=status,
+                conversion_time=conversion,
+                sale_time=sale,
+                income=draw(INCOME),
+            )
+        )
+    return out
+
+
+@st.composite
+def engine_products(draw) -> list[ProductRecord]:
+    # Some MFIs have no card (excluded), some two (the most-reviewed wins).
+    cards = []
+    for mfi in draw(st.lists(st.sampled_from(ENGINE_MFIS), unique=True)):
+        for j in range(draw(st.integers(1, 2))):
+            reviews = draw(st.integers(0, 30))
+            cards.append(
+                card(
+                    mfi,
+                    card_id=f"card-{mfi}-{j}",
+                    n_reviews=reviews,
+                    avg_user_rating=draw(st.one_of(st.none(), st.floats(1.0, 5.0))),
+                    unreliability=draw(st.booleans()),
+                    consideration_time=draw(PHRASE),
+                    payment_time=draw(PHRASE),
+                )
+            )
+    return cards
+
+
+@st.composite
+def engine_clicks(draw) -> list[ClickRecord]:
+    return [
+        ClickRecord(
+            mfi_id=draw(st.sampled_from((*ENGINE_MFIS, "99"))),
+            click_time=T0 + timedelta(seconds=draw(CLICK_OFFSETS)),
+            client_id=f"k{i}",
+            loan_type=LoanType.STANDARD,
+        )
+        for i in range(draw(st.integers(0, 30)))
+    ]
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+def table_outcome(make_table) -> tuple[object, list[str]]:
+    """The repr of every vector and its fairness breakdown (so that 0.0 and
+    -0.0, or 1 and 1.0, differ), or the DataError; and the warnings logged."""
+    handler = _Messages()
+    logger = logging.getLogger("mfirank.features")
+    logger.addHandler(handler)
+    try:
+        result = [repr((v, v.fairness_detail)) for v in make_table()]
+    except DataError as exc:
+        result = f"DataError: {exc}"
+    finally:
+        logger.removeHandler(handler)
+    return result, handler.messages
+
+
+@settings(max_examples=200)
+@given(
+    conversions=engine_conversions(),
+    products=engine_products(),
+    clicks=engine_clicks(),
+    features=FEATURE_SUBSETS,
+    rules=RULES,
+    data=st.data(),
+)
+def test_feature_prefixes_match_the_reference_at_every_cut(
+    conversions, products, clicks, features, rules, data
+):
+    # the cuts the weekly schedule makes: rows in click-time order, each
+    # cut a prefix of both tables
+    conversions.sort(key=lambda r: r.click_time)
+    clicks.sort(key=lambda c: c.click_time)
+    prefixes = FeaturePrefixes(
+        conversions, products, clicks, features=features, duration_rules=rules
+    )
+    acc = FeatureAccumulator(products, features=features, duration_rules=rules)
+    cuts = data.draw(st.lists(st.integers(0, len(conversions)), max_size=4)) + [len(conversions)]
+    conv_done = click_done = 0
+    for conv_cut in sorted(cuts):
+        click_cut = data.draw(st.integers(click_done, len(clicks)))
+        acc.add_conversions(conversions[conv_done:conv_cut])
+        acc.add_clicks(clicks[click_done:click_cut])
+        conv_done, click_done = conv_cut, click_cut
+        want = table_outcome(acc.table)
+        assert table_outcome(lambda: prefixes.table(conv_cut, click_cut)) == want
+
+
+@given(
+    conversions=engine_conversions(),
+    products=engine_products(),
+    clicks=engine_clicks(),
+    features=FEATURE_SUBSETS,
+    rules=RULES,
+)
+def test_feature_table_matches_the_reference(conversions, products, clicks, features, rules):
+    acc = FeatureAccumulator(products, features=features, duration_rules=rules)
+    acc.add_conversions(conversions)
+    acc.add_clicks(clicks)
+    got = table_outcome(
+        lambda: feature_table(conversions, products, clicks, features=features, duration_rules=rules)
+    )
+    assert got == table_outcome(acc.table)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_feature_prefixes_match_the_reference_on_every_fixture_prefix(seed):
+    conversions, products, clicks = generate_fixture(
+        seed, n_mfis=6, n_clients=150, config=FixtureConfig(n_weeks=5)
+    )
+    # late and invalid submissions here and there, so every count moves
+    bent = []
+    for i, rec in enumerate(sorted(conversions, key=lambda r: r.click_time)):
+        if rec.conversion_time is not None and i % 7 == 0:
+            rec = replace(rec, conversion_time=rec.conversion_time + timedelta(hours=3))
+        elif rec.conversion_time is not None and i % 11 == 0:
+            rec = replace(rec, conversion_time=rec.click_time - timedelta(minutes=1))
+        bent.append(rec)
+    clicks.sort(key=lambda c: c.click_time)
+    products = products[1:]  # one MFI without a card
+    prefixes = FeaturePrefixes(bent, products, clicks)
+    acc = FeatureAccumulator(products)
+    for n in range(len(bent) + 1):
+        m = n * len(clicks) // len(bent)
+        acc.add_conversions(bent[n - 1 : n] if n else [])
+        acc.add_clicks(clicks[(n - 1) * len(clicks) // len(bent) : m] if n else [])
+        assert table_outcome(lambda: prefixes.table(n, m)) == table_outcome(acc.table), n
+
+
+def test_feature_table_cases_cover_drops_and_exclusions():
+    # the strategies above reach every warning and the prior's DataError
+    seen = Counter()
+
+    @given(conversions=engine_conversions(), products=engine_products(), clicks=engine_clicks())
+    def collect(conversions, products, clicks):
+        result, messages = table_outcome(lambda: feature_table(conversions, products, clicks))
+        seen["error"] += isinstance(result, str)
+        seen["vectors"] += bool(result) and not isinstance(result, str)
+        for message in messages:
+            seen[message.split(" ", 2)[0] if "dropping" in message else "excluded"] += 1
+            seen["no clicks"] += "no clicks" in message
+            seen["submission"] += "no valid submission" in message
+            seen["impute"] += "impute" in message
+
+    collect()
+    assert all(seen[key] for key in ("error", "vectors", "dropping", "excluded", "no clicks",
+                                     "submission", "impute")), seen
+
+
+def test_epc_numerator_starts_from_positive_zero():
+    # 0.0 + -0.0 is 0.0: a lone sale of income -0.0 earns 0.0, not -0.0
+    records = [app(conv_sec=60.0, proc_sec=60.0, income=-0.0)]
+    clicks = [ClickRecord("18", T0, "k", LoanType.STANDARD)]
+    (vector,) = feature_table(records, [card(avg_user_rating=4.0, n_reviews=3)], clicks)
+    assert repr(vector.epc) == repr(epc(records, 1)) == "0.0"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_epc_numerator_is_the_running_sum_in_input_order(seed):
+    # 1e16 + 1.0 rounds back to 1e16, so the order of the additions shows:
+    # a running sum, math.fsum and the pairwise np.sum all differ here
+    incomes = [1e16] + [1.0] * 8
+    random.Random(seed).shuffle(incomes)
+    records = [
+        app(client=f"c{i}", conv_sec=60.0, proc_sec=60.0, income=x) for i, x in enumerate(incomes)
+    ]
+    clicks = [ClickRecord("18", T0, f"k{i}", LoanType.STANDARD) for i in range(3)]
+    (vector,) = feature_table(records, [card(avg_user_rating=4.0, n_reviews=3)], clicks)
+    running = 0.0
+    for x in incomes:
+        running += x
+    assert vector.epc == running / 3 == epc(records, 3)
+    if incomes[0] == 1e16:
+        assert running != math.fsum(incomes) and running != float(np.sum(incomes))
 
 
 def test_feature_csv_round_trip(golden_vectors):
