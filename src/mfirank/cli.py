@@ -135,22 +135,10 @@ def _logged(result: ParseResult, dataset: str) -> ParseResult:
 def _parse(parse, path: str, config: PipelineConfig) -> ParseResult:
     """``parse(path, config.schema)``, its objects moved out of the
     collector's reach: a subcommand keeps them until it exits, and every
-    later collection would re-scan them.  See :func:`_records`."""
+    later collection would re-scan them."""
     result = parse(path, config.schema)
     gc.freeze()
     return result
-
-
-def _records(result: ParseResult) -> list:
-    """The records of a parse, built from its table, then frozen likewise.
-    Tens of thousands of tracked, acyclic records (the three datasets of
-    20k clients hold about 84k) would otherwise be re-scanned.  The result
-    lets its table go: a command that reads records never reads the table,
-    and holding both would raise its peak memory."""
-    records = result.records
-    result.table = None
-    gc.freeze()
-    return records
 
 
 def _load_datasets(args: argparse.Namespace, config: PipelineConfig):
@@ -159,7 +147,7 @@ def _load_datasets(args: argparse.Namespace, config: PipelineConfig):
     name another loan type).  The one place that selects a loan type:
     later stages use every row given."""
     conversions = _logged(_parse(parse_conversions, args.conversions, config), "conversions")
-    cards = _records(_logged(_parse(parse_products, args.products, config), "products"))
+    cards = _logged(_parse(parse_products, args.products, config), "products").records
     clicks = _logged(_parse(parse_clicks, args.clicks, config), "clicks")
     selected = [
         filter_loan_type(r, config.loan_type) for r in (conversions.table, cards, clicks.table)
@@ -184,11 +172,9 @@ def _feature_table(args: argparse.Namespace, config: PipelineConfig):
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     conv = _parse(parse_conversions, args.conversions, config)
-    conversions = _records(conv)
     prod = _parse(parse_products, args.products, config)
-    products = _records(prod)
     clk = _parse(parse_clicks, args.clicks, config)
-    report = validate(conversions, products, _records(clk))
+    report = validate(conv.table, prod.records, clk.table)
     payload = report.to_dict()
     payload["row_errors"] = {
         "conversions": len(conv.errors),
@@ -389,8 +375,8 @@ def cmd_abtest(args: argparse.Namespace) -> int:
     if not args.group_a or not args.group_b:
         raise ConfigError("abtest needs --group-a and --group-b, or --fisher counts")
 
-    group_a = _records(_logged(_parse(parse_conversions, args.group_a, config), "group-a"))
-    group_b = _records(_logged(_parse(parse_conversions, args.group_b, config), "group-b"))
+    group_a = _logged(_parse(parse_conversions, args.group_a, config), "group-a").table
+    group_b = _logged(_parse(parse_conversions, args.group_b, config), "group-b").table
     if not group_a or not group_b:
         raise DataError("both experiment groups need at least one application")
 
@@ -423,7 +409,7 @@ def cmd_abtest(args: argparse.Namespace) -> int:
         payload["income"] = None
 
     if args.os is not None:
-        table = ev.os_contingency(group_a + group_b, args.os)
+        table = ev.os_contingency((group_a, group_b), args.os)
         lo, hi = yule_ci(table, level=config.confidence_level)
         payload["association"] = {
             "os": args.os,

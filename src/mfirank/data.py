@@ -25,11 +25,15 @@ through the cell parser.  The accepted rows fill one columnar
 :class:`Table` per file, in file order: id and text cells as first-seen
 integer codes, timestamps as integer microseconds with a missing mask,
 numbers as floats with NaN for missing, status and loan type as small
-integer codes.  The frozen slotted records are built from the table on
-demand (:attr:`ParseResult.records`), a field at a time through their
-slot descriptors.  The result is the one a row-by-row reading gives:
+integer codes.  The result is the one a row-by-row reading gives:
 records and row errors in row order, and the same ``DataError`` where
 the file has one.
+
+Every stage reads the tables, :func:`validate` included: its counts,
+key join and record checks are array reductions.  The frozen slotted
+records are built from a table on demand, afresh at each read of
+:attr:`ParseResult.records`, a field at a time through their slot
+descriptors; only the product cards are used as records.
 
 All timestamps are naive local times in a single zone; no zone
 conversion is performed anywhere in the package.
@@ -159,26 +163,6 @@ class ConversionRecord:
     connection_type: str | None = None
     provider: str | None = None
 
-    def violations(self) -> list[str]:
-        """Consistency problems of this record (empty list when clean)."""
-        out = []
-        if self.conversion_time is not None and self.conversion_time < self.click_time:
-            out.append("conversion_time before click_time")
-        if self.sale_time is not None:
-            anchor = self.conversion_time or self.click_time
-            if self.sale_time < anchor:
-                out.append("sale_time before conversion_time")
-        if self.status is Status.SALE:
-            if self.sale_time is None:
-                out.append("sale without sale_time")
-            if self.income is None:
-                out.append("sale without income")
-        elif self.sale_time is not None:
-            out.append("sale_time on non-sale status")
-        if self.income is not None and self.income < 0:
-            out.append("negative income")
-        return out
-
 
 @dataclass(frozen=True, slots=True)
 class ProductRecord:
@@ -266,30 +250,20 @@ class RowError:
     message: str
 
 
+@dataclass(frozen=True, eq=False)
 class ParseResult:
-    """The accepted rows of one dataset file and the rows it rejected.
+    """The accepted rows of one dataset file, as a table, and the rows it
+    rejected.  ``records`` builds the records from the table at each read."""
 
-    The parser fills ``table``; ``records`` are built from it on first
-    use.  A result made from records (``table`` None) keeps them as given.
-    """
-
-    __slots__ = ("table", "errors", "_records")
-
-    def __init__(self, records: list | None, errors: list[RowError], table: Table | None = None):
-        if (records is None) == (table is None):
-            raise ValueError("a parse result holds either records or a table")
-        self.table = table
-        self.errors = errors
-        self._records = records
+    table: Table
+    errors: list[RowError]
 
     @property
     def records(self) -> list:
-        if self._records is None:
-            self._records = self.table.records()
-        return self._records
+        return self.table.records()
 
     def __len__(self) -> int:
-        return len(self.table) if self._records is None else len(self._records)
+        return len(self.table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParseResult):
@@ -663,28 +637,12 @@ def _cell_parsers(config: SchemaConfig) -> dict[str, Callable[[str | None], obje
     statuses = config.status_map
     loan_types = config.loan_type_map
     true_strings = config.true_strings
-    # A cell is read as ``strptime(cell, fmt)`` reads it.  With the default
-    # format, ``fromisoformat`` (about fifty times faster) is tried first,
-    # on cells whose separators sit where ``NNNN-NN-NN NN:NN:NN`` has them
-    # (positions 4, 7, 10, 13 and 16, nothing from 19 on): it agrees with
-    # ``strptime`` there and leaves no room for a zone, but elsewhere it
-    # also accepts forms the format rejects, such as ``2021-03-01`` or
-    # ``20210301T100000``.  A shaped cell that it rejects may still be one
-    # ``strptime`` reads, ``2021-03- 1 10:00:00`` say, so that cell goes on
-    # to ``strptime``.
-    iso_shape = "-- ::" if fmt == TIMESTAMP_FORMAT else None
-    fromisoformat = datetime.fromisoformat
     strptime = datetime.strptime
 
     def timestamp(cell: str | None) -> datetime | None:
         cell = _clean(cell)
         if cell is None:
             return None
-        if cell[4::3] == iso_shape:
-            try:
-                return fromisoformat(cell)
-            except ValueError:
-                pass
         try:
             value = strptime(cell, fmt)
         except ValueError:
@@ -813,9 +771,9 @@ def _timestamps(
 
     With ``bulk`` (the default format), a cell of the shape
     ``NNNN-NN-NN NN:NN:NN`` that names a real moment is read arithmetically
-    from its digits: ``fromisoformat``, which ``parse`` tries first on that
-    shape, reads it alike.  Every other non-empty cell, padded ones
-    included, goes to ``parse``, once per distinct cell.
+    from its digits, as ``parse`` (``strptime`` with that format) reads it.
+    Every other non-empty cell, padded ones included, goes to ``parse``,
+    once per distinct cell.
     """
     if None in column:
         column = ["" if cell is None else cell for cell in column]
@@ -964,7 +922,7 @@ def _parse_blocks(
             distinct, arrays[name] = first_seen(arrays[name])
             names[name] = tuple(map(values.__getitem__, distinct.tolist()))
     missing = {name: np.frombuffer(part, bool) for name, part in missing_parts.items()}
-    return ParseResult(None, errors, Table(dataset, arrays, names, missing))
+    return ParseResult(Table(dataset, arrays, names, missing), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,10 +1031,11 @@ def _seconds(micros: np.ndarray) -> np.ndarray:
     return seconds
 
 
-def timeline_columns(conversions: Table) -> tuple[np.ndarray, np.ndarray]:
+def timeline_columns(conversions: Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The :func:`derive_timeline` of every row of a conversions table: its
-    conversion and processing periods in seconds, NaN where absent, and
-    both absent where a negative difference marks the row invalid."""
+    conversion and processing periods in seconds, NaN where absent, both
+    absent where a negative difference marks the row invalid, and the mask
+    of the invalid rows."""
     columns, missing = conversions.columns, conversions.missing
     submitted = ~missing["conversion_time"]
     paid = (
@@ -1090,6 +1049,7 @@ def timeline_columns(conversions: Table) -> tuple[np.ndarray, np.ndarray]:
     return (
         np.where(submitted & valid, _seconds(conversion), np.nan),
         np.where(paid & valid, _seconds(processing), np.nan),
+        ~valid,
     )
 
 
@@ -1105,58 +1065,91 @@ def filter_loan_type(rows: Table | Sequence, loan_type: LoanType | None) -> Tabl
     return [r for r in rows if r.loan_type is loan_type]
 
 
-def validate(
-    conversions: Sequence[ConversionRecord],
-    products: Sequence[ProductRecord],
-    clicks: Sequence[ClickRecord],
-) -> ValidationReport:
-    """Report-only integrity check across the three datasets."""
-    report = ValidationReport()
-    report.n_applications = len(conversions)
-    report.n_mfis = len({r.mfi_id for r in conversions})
-    report.n_clients = len({r.client_id for r in conversions})
-    status_counts = Counter(r.status for r in conversions)
-    report.n_sales = status_counts.get(Status.SALE, 0)
-    if conversions:
-        report.status_shares = {
-            s.value: status_counts.get(s, 0) / len(conversions) for s in Status
-        }
-    report.n_products = len(products)
-    report.n_product_mfis = len({p.mfi_id for p in products})
-    report.n_clicks = len(clicks)
+def _recoded(source: Table, target: Table, name: str) -> np.ndarray:
+    """The ``name`` codes of ``source`` as ``target`` numbers the same
+    values (each table interns its own), -1 for a value ``target`` lacks."""
+    code = {value: n for n, value in enumerate(target.names[name])}
+    recode = np.array([code.get(value, -1) for value in source.names[name]], np.int64)
+    return recode[source.columns[name]]
 
-    report.n_invalid_timelines = sum(1 for r in conversions if derive_timeline(r).invalid)
+
+def _has_click(conversions: Table, clicks: Table) -> np.ndarray:
+    """Whether each conversion has a click of the same MFI, client and
+    click time."""
+    keys = np.concatenate([
+        np.stack([
+            _recoded(conversions, clicks, "mfi_id"),
+            _recoded(conversions, clicks, "client_id"),
+            conversions.columns["click_time"],
+        ], axis=1),
+        np.stack([clicks.columns[name] for name in ("mfi_id", "client_id", "click_time")], axis=1),
+    ])
+    _, key = np.unique(keys, axis=0, return_inverse=True)
+    key = key.reshape(-1)
+    return np.isin(key[: len(conversions)], key[len(conversions):])
+
+
+def validate(
+    conversions: Table | Iterable[ConversionRecord],
+    products: Sequence[ProductRecord],
+    clicks: Table | Iterable[ClickRecord],
+) -> ValidationReport:
+    """Report-only integrity check across the three datasets.  Conversion
+    and click records are converted to tables once, here."""
+    conversions, clicks = conversion_table(conversions), click_table(clicks)
+    columns, missing = conversions.columns, conversions.missing
+    n = len(conversions)
+    sale_code = STATUSES.index(Status.SALE)
+    statuses = np.bincount(columns["status"], minlength=len(STATUSES)).tolist()
+    mfi_names = conversions.names["mfi_id"]
+    mfis = [mfi_names[code] for code in np.unique(columns["mfi_id"]).tolist()]
+    report = ValidationReport(
+        n_mfis=len(mfis),
+        n_clients=len(np.unique(columns["client_id"])),
+        n_applications=n,
+        n_sales=statuses[sale_code],
+        status_shares={s.value: count / n for s, count in zip(STATUSES, statuses)} if n else {},
+        n_products=len(products),
+        n_product_mfis=len({p.mfi_id for p in products}),
+        n_clicks=len(clicks),
+        n_invalid_timelines=int(timeline_columns(conversions)[2].sum()),
+    )
     if report.n_invalid_timelines:
         report.warnings.append(
             f"{report.n_invalid_timelines} applications have negative time differences"
         )
 
-    product_mfis = {p.mfi_id for p in products}
-    if conversions and products:
-        orphans = sorted({r.mfi_id for r in conversions} - product_mfis)
+    if n and products:
+        orphans = sorted(set(mfis) - {p.mfi_id for p in products})
         if orphans:
             report.warnings.append(
                 f"{len(orphans)} conversion MFIs absent from products: {orphans[:10]}"
             )
-    if conversions and clicks:
-        click_keys = {(c.mfi_id, c.client_id, c.click_time) for c in clicks}
-        missing = sum(
-            1 for r in conversions if (r.mfi_id, r.client_id, r.click_time) not in click_keys
-        )
-        if missing:
-            report.warnings.append(
-                f"{missing} conversions have no matching click record"
-            )
+    if n and clicks:
+        unmatched = n - int(_has_click(conversions, clicks).sum())
+        if unmatched:
+            report.warnings.append(f"{unmatched} conversions have no matching click record")
 
-    bad_records = Counter()
-    for rec in conversions:
-        for problem in rec.violations():
-            bad_records[problem] += 1
-    for prod in products:
-        for problem in prod.violations():
-            bad_records[problem] += 1
+    click, submitted_at, paid_at = (
+        columns[name] for name in ("click_time", "conversion_time", "sale_time")
+    )
+    submitted, paid = ~missing["conversion_time"], ~missing["sale_time"]
+    sale = columns["status"] == sale_code
+    income = columns["income"]
+    bad_records = Counter({
+        "conversion_time before click_time": int((submitted & (submitted_at < click)).sum()),
+        "sale_time before conversion_time": int(
+            (paid & (paid_at < np.where(submitted, submitted_at, click))).sum()
+        ),
+        "sale without sale_time": int((sale & ~paid).sum()),
+        "sale without income": int((sale & np.isnan(income)).sum()),
+        "sale_time on non-sale status": int((~sale & paid).sum()),
+        "negative income": int((income < 0).sum()),
+    })
+    bad_records.update(problem for prod in products for problem in prod.violations())
     for problem, count in sorted(bad_records.items()):
-        report.warnings.append(f"{count} records: {problem}")
+        if count:
+            report.warnings.append(f"{count} records: {problem}")
     return report
 
 

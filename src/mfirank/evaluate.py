@@ -63,6 +63,7 @@ from .features import (
     normalize_lar,
 )
 from .rank import TIE_EPS, rank_mfis
+from .stats import TwoByTwo
 
 logger = logging.getLogger(__name__)
 
@@ -662,29 +663,31 @@ def evaluate_ranking(
 # experiment-group helpers
 
 
-def group_counts(records: Sequence[ConversionRecord]) -> tuple[int, int]:
+def group_counts(conversions: Table | Sequence[ConversionRecord]) -> tuple[int, int]:
     """(sales, applications) of one experiment group."""
-    return (sum(1 for r in records if r.status is Status.SALE), len(records))
+    conversions = conversion_table(conversions)
+    return int(np.count_nonzero(conversions.columns["status"] == _SALE)), len(conversions)
 
 
-def sale_incomes(records: Sequence[ConversionRecord]) -> list[float]:
-    return [r.income for r in records if r.status is Status.SALE and r.income is not None]
+def sale_incomes(conversions: Table | Sequence[ConversionRecord]) -> list[float]:
+    """The incomes of the group's sales that have one, in row order."""
+    conversions = conversion_table(conversions)
+    income = conversions.columns["income"]
+    return income[(conversions.columns["status"] == _SALE) & ~np.isnan(income)].tolist()
 
 
-def os_contingency(records: Sequence[ConversionRecord], os_name: str):
-    """2x2 table of (runs ``os_name``) against (application approved)."""
-    from .stats import TwoByTwo
-
-    n11 = n10 = n01 = n00 = 0
-    for rec in records:
-        uses = rec.os is not None and rec.os.strip().lower() == os_name.strip().lower()
-        sold = rec.status is Status.SALE
-        if uses and sold:
-            n11 += 1
-        elif uses:
-            n10 += 1
-        elif sold:
-            n01 += 1
-        else:
-            n00 += 1
+def os_contingency(
+    groups: Sequence[Table | Sequence[ConversionRecord]], os_name: str
+) -> TwoByTwo:
+    """2x2 table of (runs ``os_name``) against (application approved) over
+    the rows of every group: each group is counted and the cells added."""
+    target = os_name.strip().lower()
+    cells = np.zeros(4, np.int64)  # n00, n01, n10, n11
+    for group in groups:
+        group = conversion_table(group)
+        names = group.names["os"]
+        runs = np.array([n is not None and n.strip().lower() == target for n in names], bool)
+        sold = group.columns["status"] == _SALE
+        cells += np.bincount(2 * runs[group.columns["os"]] + sold, minlength=4)
+    n00, n01, n10, n11 = cells.tolist()
     return TwoByTwo(n11=n11, n10=n10, n01=n01, n00=n00)

@@ -112,15 +112,6 @@ def rating_prior(products: Sequence[ProductRecord]) -> RatingPrior:
     return RatingPrior(total_reviews=total, weighted_sum=weighted)
 
 
-def lar_prior(conversions: Sequence[ConversionRecord]) -> LarPrior:
-    """Pool approval evidence; pending applications count as non-sales."""
-    total = len(conversions)
-    if total == 0:
-        raise DataError("no applications; approval prior undefined")
-    sales = sum(1 for r in conversions if r.status is Status.SALE)
-    return LarPrior(total_sales=sales, total_apps=total)
-
-
 def normalize_rating(prior: RatingPrior, n: int, rating: float) -> float:
     """Shrink one MFI's review rating toward the population mean.
 
@@ -560,7 +551,7 @@ class FeaturePrefixes:
         self._income = self._apps.running_sums(np.where(sold & ~np.isnan(income), income, 0.0))
 
         # The applications with a valid submission period, grouped alike.
-        conversion, processing = timeline_columns(conversions)
+        conversion, processing, _ = timeline_columns(conversions)
         submitted = ~np.isnan(conversion)
         self._submitted_rows = np.flatnonzero(submitted)
         self._submitted = sub = _Groups(mfi[submitted], k)

@@ -352,7 +352,7 @@ def test_criterion_7_non_reproducibles_are_documented():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for records in per_mfi.values():
-            table = os_contingency(records, "iOS")
+            table = os_contingency([records], "iOS")
             try:
                 lo, hi = yule_ci(table)
             except ValueError:

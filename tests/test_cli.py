@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -48,6 +49,24 @@ def dataset_flags(directory) -> list[str]:
         "--products", str(directory / "products.csv"),
         "--clicks", str(directory / "clicks.csv"),
     ]
+
+
+def abtest_flags(directory, out) -> list[str]:
+    """Group flags of the conversions in ``directory`` split by client:
+    every other client in sorted order is in group A.  The group files go
+    to ``out``."""
+    with open(directory / "conversions.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    client = header.index("client_id")
+    in_a = set(sorted({row[client] for row in rows})[::2])
+    flags = []
+    for flag, name, keep in (("--group-a", "group_a.csv", True), ("--group-b", "group_b.csv", False)):
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [header, *(row for row in rows if (row[client] in in_a) is keep)]
+            )
+        flags += [flag, str(out / name)]
+    return flags
 
 
 @pytest.fixture(scope="session")
@@ -374,7 +393,9 @@ def test_evaluate_ranks_every_week_with_the_configured_tie_eps(
 # computed from them, recorded before the feature code became incremental
 # (the CSVs before the parsers became table-driven; validation.json,
 # fairness.json, weekly.csv and evaluation-all.json before the client
-# history became the records themselves).  ranking.json and pi.csv are left
+# history became the records themselves; abtest.json, of the groups of
+# :func:`abtest_flags` with --os Android, before abtest read the tables).
+# ranking.json and pi.csv are left
 # out: their pi values come from a BLAS solve and may differ in the last
 # bit across CPUs.
 GOLDEN_SHA256 = {
@@ -388,6 +409,7 @@ GOLDEN_SHA256 = {
     "fairness.json": "7375c9747a9ecbcc221a76bf2389186e032692e26a2e1c09879cdf7c7eca5736",
     "weekly.csv": "0943e27fd147b442b4372cfb9e9dbd0412f37e9e6f13b58e2fc45094bff33380",
     "evaluation-all.json": "cb42dbd908f708209a7a48f5bc635824380f98cd1a3039105a5d210c9a8681e9",
+    "abtest.json": "abd80e50207ee7857a0df3fabc8b2ea188bf53e944e97c834f440578a7b14f6c",
 }
 
 
@@ -413,6 +435,10 @@ def test_fixture_artifacts_match_the_golden_digests(tmp_path):
         "evaluate", *flags, "--loan-type", "all",
         "--out", str(tmp_path / "evaluation-all.json"),
     ]) == 0
+    assert main([
+        "abtest", *abtest_flags(tmp_path, tmp_path), "--os", "Android",
+        "--out", str(tmp_path / "abtest.json"),
+    ]) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in GOLDEN_SHA256
@@ -420,9 +446,9 @@ def test_fixture_artifacts_match_the_golden_digests(tmp_path):
     assert digests == GOLDEN_SHA256
 
 
-def test_features_and_evaluate_never_build_conversion_or_click_records(tmp_path):
-    # The two commands run on the parsed tables; only the product cards
-    # (a few dozen rows) become records.
+def test_no_command_builds_conversion_or_click_records(tmp_path):
+    # Every command runs on the parsed tables; only the product cards (a few
+    # dozen rows) become records.
     assert main(["fixture", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
     flags = dataset_flags(tmp_path)
     built = Table.records
@@ -433,6 +459,7 @@ def test_features_and_evaluate_never_build_conversion_or_click_records(tmp_path)
         return built(table)
 
     with mock.patch.object(Table, "records", records):
+        assert main(["validate", *flags, "--out", str(tmp_path / "validation.json")]) == 0
         assert main([
             "features", *flags,
             "--out", str(tmp_path / "features.csv"),
@@ -447,8 +474,12 @@ def test_features_and_evaluate_never_build_conversion_or_click_records(tmp_path)
             "evaluate", *flags, "--loan-type", "all",
             "--out", str(tmp_path / "evaluation-all.json"),
         ]) == 0
-    for name in ("features.csv", "fairness.json", "evaluation.json", "daily.csv",
-                 "evaluation-all.json"):
+        assert main([
+            "abtest", *abtest_flags(tmp_path, tmp_path), "--os", "Android",
+            "--out", str(tmp_path / "abtest.json"),
+        ]) == 0
+    for name in ("validation.json", "features.csv", "fairness.json", "evaluation.json",
+                 "daily.csv", "evaluation-all.json", "abtest.json"):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_SHA256[name]
 
 
@@ -466,13 +497,15 @@ def test_artifacts_do_not_depend_on_the_hash_seed(dataset_dir, tmp_path):
              "--breakdown-json", str(out / "fairness.json")],
             ["evaluate", *flags, "--out", str(out / "evaluation.json"),
              "--daily-csv", str(out / "daily.csv")],
+            ["abtest", *abtest_flags(dataset_dir, tmp_path), "--os", "Android",
+             "--out", str(out / "abtest.json")],
         ]
         env = {**os.environ, "PYTHONHASHSEED": seed,
                "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
         for argv in commands:
             subprocess.run([sys.executable, "-m", "mfirank.cli", *argv], env=env, check=True)
         outputs[seed] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-    assert len(outputs["0"]) == 5
+    assert len(outputs["0"]) == 6
     assert outputs["0"] == outputs["1"]
 
 

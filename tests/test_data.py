@@ -7,12 +7,15 @@ import gc
 import io
 import math
 import re
+from collections import Counter
 from dataclasses import astuple
-from datetime import datetime
+from datetime import datetime, timedelta
+from typing import NamedTuple
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import mfirank.data
@@ -24,12 +27,15 @@ from mfirank.data import (
     _REJECTS,
     DEFAULT_SCHEMA,
     TIMESTAMP_FORMAT,
+    ClickRecord,
     ConversionRecord,
     LoanType,
     ParseResult,
+    ProductRecord,
     RowError,
     SchemaConfig,
     Status,
+    ValidationReport,
     derive_timeline,
     filter_loan_type,
     parse_clicks,
@@ -432,6 +438,11 @@ def reference_read_table(source, config, dataset):
     return index, rows[1:]
 
 
+class ReferenceParse(NamedTuple):
+    records: list
+    errors: list[RowError]
+
+
 def reference_parse_rows(source, config, dataset):
     """Read one dataset: every row becomes a record or a RowError."""
     config = config or DEFAULT_SCHEMA
@@ -468,7 +479,7 @@ def reference_parse_rows(source, config, dataset):
             if unique is not None:
                 seen[values[unique]] = n
             records.append(dataset.record(**values))
-    return ParseResult(records, errors)
+    return ReferenceParse(records, errors)
 
 
 DATASETS = (_CONVERSIONS, _PRODUCTS, _CLICKS)
@@ -735,3 +746,252 @@ def test_validate_flags_orphans_and_unmatched_conversions():
     products = parse_products(text).records
     report = validate(conversions, products, [])
     assert any("absent from products" in w for w in report.warnings)
+
+
+# ---------------------------------------------------------------------------
+# validate on the tables against the record loops it replaced, kept verbatim
+# (``violations`` was a ConversionRecord method) as the reference
+
+
+def reference_violations(rec: ConversionRecord) -> list[str]:
+    """Consistency problems of this record (empty list when clean)."""
+    out = []
+    if rec.conversion_time is not None and rec.conversion_time < rec.click_time:
+        out.append("conversion_time before click_time")
+    if rec.sale_time is not None:
+        anchor = rec.conversion_time or rec.click_time
+        if rec.sale_time < anchor:
+            out.append("sale_time before conversion_time")
+    if rec.status is Status.SALE:
+        if rec.sale_time is None:
+            out.append("sale without sale_time")
+        if rec.income is None:
+            out.append("sale without income")
+    elif rec.sale_time is not None:
+        out.append("sale_time on non-sale status")
+    if rec.income is not None and rec.income < 0:
+        out.append("negative income")
+    return out
+
+
+def reference_validate(conversions, products, clicks) -> ValidationReport:
+    """Report-only integrity check across the three datasets."""
+    report = ValidationReport()
+    report.n_applications = len(conversions)
+    report.n_mfis = len({r.mfi_id for r in conversions})
+    report.n_clients = len({r.client_id for r in conversions})
+    status_counts = Counter(r.status for r in conversions)
+    report.n_sales = status_counts.get(Status.SALE, 0)
+    if conversions:
+        report.status_shares = {
+            s.value: status_counts.get(s, 0) / len(conversions) for s in Status
+        }
+    report.n_products = len(products)
+    report.n_product_mfis = len({p.mfi_id for p in products})
+    report.n_clicks = len(clicks)
+
+    report.n_invalid_timelines = sum(1 for r in conversions if derive_timeline(r).invalid)
+    if report.n_invalid_timelines:
+        report.warnings.append(
+            f"{report.n_invalid_timelines} applications have negative time differences"
+        )
+
+    product_mfis = {p.mfi_id for p in products}
+    if conversions and products:
+        orphans = sorted({r.mfi_id for r in conversions} - product_mfis)
+        if orphans:
+            report.warnings.append(
+                f"{len(orphans)} conversion MFIs absent from products: {orphans[:10]}"
+            )
+    if conversions and clicks:
+        click_keys = {(c.mfi_id, c.client_id, c.click_time) for c in clicks}
+        missing = sum(
+            1 for r in conversions if (r.mfi_id, r.client_id, r.click_time) not in click_keys
+        )
+        if missing:
+            report.warnings.append(
+                f"{missing} conversions have no matching click record"
+            )
+
+    bad_records = Counter()
+    for rec in conversions:
+        for problem in reference_violations(rec):
+            bad_records[problem] += 1
+    for prod in products:
+        for problem in prod.violations():
+            bad_records[problem] += 1
+    for problem, count in sorted(bad_records.items()):
+        report.warnings.append(f"{count} records: {problem}")
+    return report
+
+
+LOG_T0 = datetime(2021, 3, 1, 10, 0, 0)
+SECONDS = st.sampled_from([-3600, -1, 0, 1, 600, 7200])
+INCOMES = st.sampled_from([None, -0.0, 0.0, -5.0, 2.5, 100.0])
+
+
+@st.composite
+def validation_logs(draw):
+    """Small conversion, product and click logs: up to 14 MFIs, each time
+    difference sometimes negative, and per conversion a matching click, a
+    click that differs only in time, or none.  Products name only some of
+    the MFIs, and either log may be empty."""
+    mfis = [f"m{i:02d}" for i in range(draw(st.integers(1, 14)))]
+    rows = mfis if draw(st.booleans()) else []
+    rows = rows + draw(st.lists(st.sampled_from(mfis), max_size=12))
+    conversions, clicks = [], []
+    for mfi in rows:
+        click = LOG_T0 + timedelta(seconds=draw(st.sampled_from([0, 60, 3600])))
+        submitted = draw(st.one_of(st.none(), SECONDS.map(lambda s: click + timedelta(seconds=s))))
+        paid = draw(st.one_of(
+            st.none(), SECONDS.map(lambda s: (submitted or click) + timedelta(seconds=s))
+        ))
+        rec = ConversionRecord(
+            mfi_id=mfi,
+            loan_type=LoanType.STANDARD,
+            client_id=draw(st.sampled_from(["c0", "c1", "c2"])),
+            click_time=click,
+            status=draw(st.sampled_from(Status)),
+            conversion_time=submitted,
+            sale_time=paid,
+            income=draw(INCOMES),
+        )
+        conversions.append(rec)
+        shift = draw(st.sampled_from([0, 1, None]))
+        if shift is not None:
+            clicks.append(ClickRecord(
+                mfi_id=rec.mfi_id,
+                click_time=click + timedelta(seconds=shift),
+                client_id=rec.client_id,
+                loan_type=LoanType.STANDARD,
+            ))
+    clicks += [
+        ClickRecord(mfi_id=mfi, click_time=LOG_T0, client_id=client, loan_type=LoanType.STANDARD)
+        for mfi, client in draw(st.lists(
+            st.tuples(st.sampled_from([*mfis, "x"]), st.sampled_from(["c0", "c9"])), max_size=3
+        ))
+    ]
+    if draw(st.booleans()):
+        clicks = []
+    bounds = st.sampled_from([(None, None), (1.0, 2.0), (2.0, 1.0), (3.0, None)])
+    products = []
+    for i, mfi in enumerate(draw(st.lists(st.sampled_from([*mfis[:3], "p0"]), max_size=4))):
+        (amount_min, amount_max), (age_min, age_max) = draw(bounds), draw(bounds)
+        products.append(ProductRecord(
+            mfi_id=mfi,
+            card_id=f"card-{i}",
+            loan_type=LoanType.STANDARD,
+            avg_user_rating=draw(st.sampled_from([None, 4.5])),
+            n_reviews=draw(st.sampled_from([0, 3])),
+            loan_amount_min=amount_min,
+            loan_amount_max=amount_max,
+            age_min=age_min,
+            age_max=age_max,
+        ))
+    return conversions, products, clicks
+
+
+def parsed_log(conversions, products, clicks):
+    """The three logs written to CSV and parsed back."""
+    results = [
+        parse(io.StringIO(serialize(rows)))
+        for parse, serialize, rows in (
+            (parse_conversions, serialize_conversions, conversions),
+            (parse_products, serialize_products, products),
+            (parse_clicks, serialize_clicks, clicks),
+        )
+    ]
+    assert not any(result.errors for result in results)
+    return results
+
+
+@settings(max_examples=200)
+@given(log=validation_logs())
+def test_validate_matches_the_record_reference(log):
+    conversions, products, clicks = log
+    expected = reference_validate(conversions, products, clicks)
+    assert validate(conversions, products, clicks) == expected
+    conv, prod, clk = parsed_log(conversions, products, clicks)
+    assert validate(conv.table, prod.records, clk.table) == expected
+    # A table made by ``take`` keeps every name of its parent table.
+    every_other = np.arange(0, len(conversions), 2)
+    assert validate(conv.table.take(every_other), products, clk.table) == reference_validate(
+        conversions[::2], products, clicks
+    )
+
+
+def invalid_period(rec: ConversionRecord) -> str | None:
+    """Which period makes ``rec``'s timeline invalid, if one does."""
+    if rec.conversion_time is not None and rec.conversion_time < rec.click_time:
+        return "conversion"
+    if (
+        rec.status is Status.SALE
+        and rec.conversion_time is not None
+        and rec.sale_time is not None
+        and rec.sale_time < rec.conversion_time
+    ):
+        return "processing"
+    return None
+
+
+def _keys(rows):
+    return {(r.mfi_id, r.client_id, r.click_time) for r in rows}
+
+
+def _problem(name: str):
+    return lambda conversions, products, clicks: any(
+        name in reference_violations(rec) for rec in conversions
+    )
+
+
+def _income(value):
+    return lambda conversions, products, clicks: any(
+        repr(rec.income) == repr(value) for rec in conversions
+    )
+
+
+VALIDATION_CASES = {
+    **{problem: _problem(problem) for problem in (
+        "conversion_time before click_time", "sale_time before conversion_time",
+        "sale without sale_time", "sale without income", "sale_time on non-sale status",
+        "negative income",
+    )},
+    "invalid conversion period": lambda c, p, k: any(
+        invalid_period(r) == "conversion" for r in c
+    ),
+    "invalid processing period": lambda c, p, k: any(
+        invalid_period(r) == "processing" for r in c
+    ),
+    "a conversion with its click": lambda c, p, k: bool(_keys(c) & _keys(k)),
+    "a conversion without a click": lambda c, p, k: bool(k) and bool(_keys(c) - _keys(k)),
+    "a click that differs only in time": lambda c, p, k: any(
+        (r.mfi_id, r.client_id, r.click_time + timedelta(seconds=1)) in _keys(k)
+        and (r.mfi_id, r.client_id, r.click_time) not in _keys(k)
+        for r in c
+    ),
+    "more than 10 orphan MFIs": lambda c, p, k: bool(p) and len(
+        {r.mfi_id for r in c} - {card.mfi_id for card in p}
+    ) > 10,
+    "empty products": lambda c, p, k: bool(c) and not p,
+    "empty clicks": lambda c, p, k: bool(c) and not k,
+    "income -0.0": _income(-0.0),
+    "missing income": _income(None),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATION_CASES)
+def test_drawn_validation_logs_cover_every_case(case):
+    find(
+        validation_logs(),
+        lambda log: VALIDATION_CASES[case](*log),
+        settings=settings(
+            max_examples=5000, database=None, derandomize=True, phases=[Phase.generate]
+        ),
+    )
+
+
+def test_a_nan_income_in_a_record_reads_as_missing():
+    # As everywhere in the table engine: a float column holds NaN for an
+    # empty cell, so a hand-built record's NaN income is no income.
+    rec = _app(sale_time=datetime(2021, 3, 1, 11, 0), income=math.nan)
+    assert validate([rec], [], []).warnings == ["1 records: sale without income"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import logging
 import math
@@ -17,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfirank.evaluate
-from mfirank.data import ClickRecord, ConversionRecord, LoanType, Status, filter_loan_type
+from mfirank.data import (
+    ClickRecord,
+    ConversionRecord,
+    LoanType,
+    Status,
+    filter_loan_type,
+    parse_conversions,
+    serialize_conversions,
+)
 from mfirank.errors import MfiRankError
 from mfirank.evaluate import (
     DEFAULT_MIN_SUPPORT,
@@ -29,9 +38,12 @@ from mfirank.evaluate import (
     client_outcomes,
     daily_series,
     evaluate_ranking,
+    group_counts,
     historical_ranking,
+    os_contingency,
     reapproval_table,
     replay_codes,
+    sale_incomes,
     simulate,
     week_start,
     weekly_schedule,
@@ -40,6 +52,7 @@ from mfirank.evaluate import (
 from mfirank.features import LarPrior, feature_table, normalize_lar
 from mfirank.fixtures import FixtureConfig, generate_fixture
 from mfirank.rank import rank_mfis
+from mfirank.stats import TwoByTwo
 
 T0 = datetime(2021, 3, 1, 10, 0, 0)  # a Monday
 
@@ -1182,3 +1195,74 @@ def test_replay_sums_add_left_to_right_in_replay_order():
     assert first["vra"]["income"] == first["historical"]["income"] == left_to_right(day_one)
     assert second["vra"]["income"] == second["historical"]["income"] == left_to_right(day_two)
     assert first["vra"]["sales"] == 16.0 and second["vra"]["sales"] == 19.0
+
+
+# ---------------------------------------------------------------------------
+# the experiment-group helpers on tables against their record loops, kept
+# verbatim as the reference
+
+
+def reference_group_counts(records: Sequence[ConversionRecord]) -> tuple[int, int]:
+    """(sales, applications) of one experiment group."""
+    return (sum(1 for r in records if r.status is Status.SALE), len(records))
+
+
+def reference_sale_incomes(records: Sequence[ConversionRecord]) -> list[float]:
+    return [r.income for r in records if r.status is Status.SALE and r.income is not None]
+
+
+def reference_os_contingency(records: Sequence[ConversionRecord], os_name: str):
+    """2x2 table of (runs ``os_name``) against (application approved)."""
+    n11 = n10 = n01 = n00 = 0
+    for rec in records:
+        uses = rec.os is not None and rec.os.strip().lower() == os_name.strip().lower()
+        sold = rec.status is Status.SALE
+        if uses and sold:
+            n11 += 1
+        elif uses:
+            n10 += 1
+        elif sold:
+            n01 += 1
+        else:
+            n00 += 1
+    return TwoByTwo(n11=n11, n10=n10, n01=n01, n00=n00)
+
+
+OS_CELLS = [None, "iOS", " ios ", "IOS", "Android", "android ", "Windows"]
+
+
+@st.composite
+def experiment_groups(draw):
+    """Two small groups: any status, incomes of either sign or missing,
+    and OS names missing, padded or in another case."""
+    groups = []
+    for _ in range(2):
+        group = []
+        for n in range(draw(st.integers(0, 12))):
+            rec = capp("a", f"c{n}", draw(st.sampled_from(list(Status))), hours=float(n))
+            group.append(dataclasses.replace(
+                rec,
+                income=draw(st.sampled_from([None, -0.0, 0.0, -2.5, 7.5, 1e16])),
+                os=draw(st.sampled_from(OS_CELLS)),
+            ))
+        groups.append(group)
+    return groups
+
+
+@settings(max_examples=200)
+@given(experiment_groups(), st.sampled_from(["iOS", " ios", "ANDROID", "Linux"]))
+def test_abtest_helpers_match_the_record_references(groups, os_name):
+    parsed = [parse_conversions(io.StringIO(serialize_conversions(g))).table for g in groups]
+    expected = reference_os_contingency(groups[0] + groups[1], os_name)
+    for given_groups in (groups, parsed):
+        for group, records in zip(given_groups, groups):
+            assert group_counts(group) == reference_group_counts(records)
+            # repr tells -0.0 from 0.0, and the incomes stay in row order
+            assert repr(sale_incomes(group)) == repr(reference_sale_incomes(records))
+        assert os_contingency(given_groups, os_name) == expected
+
+
+def test_a_nan_income_in_a_record_is_no_sale_income():
+    # As everywhere in the table engine: NaN in a float column is an empty cell.
+    rec = dataclasses.replace(capp("a", "c0", income=1.0), income=math.nan)
+    assert sale_incomes([rec, capp("a", "c1", income=2.0)]) == [2.0]

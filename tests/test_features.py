@@ -2,8 +2,8 @@
 
 The record-at-a-time feature engine that the array one replaced
 (``_MfiStats``, ``FeatureAccumulator`` and the ``fairness``,
-``service_period_p90`` and ``epc`` helpers) is kept here as the
-reference of the differential tests.
+``service_period_p90``, ``epc`` and ``lar_prior`` helpers) is kept here
+as the reference of the differential tests.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from mfirank.features import (
     declared_sla_seconds,
     feature_csv,
     feature_table,
-    lar_prior,
     normalize_lar,
     normalize_rating,
     parse_declared_duration,
@@ -196,6 +195,15 @@ def service_period_p90(records, global_processing_mean=None) -> float:
 
 def epc(records, n_clicks) -> float:
     return _MfiStats.of(records).epc(n_clicks)
+
+
+def lar_prior(conversions: Sequence[ConversionRecord]) -> LarPrior:
+    """Pool approval evidence; pending applications count as non-sales."""
+    total = len(conversions)
+    if total == 0:
+        raise DataError("no applications; approval prior undefined")
+    sales = sum(1 for r in conversions if r.status is Status.SALE)
+    return LarPrior(total_sales=sales, total_apps=total)
 
 
 class FeatureAccumulator:

@@ -1,4 +1,5 @@
-"""The walkthrough scripts in ``scripts/`` run against the package source."""
+"""The walkthrough scripts in ``scripts/`` and the README's library
+example run against the package source."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from mfirank.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +34,13 @@ def test_synthetic_pipeline_script_runs_the_replay():
     assert done.returncode == 0, done.stderr
     assert "ranking:" in done.stdout
     assert re.search(r"^replay over \d+ weeks", done.stdout, flags=re.MULTILINE)
+
+
+def test_the_readme_library_example_runs_on_a_fixture(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert main(["fixture", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(compile(example, "README.md", "exec"), names)
+    assert names["table"]  # a feature vector per MFI
