@@ -12,6 +12,18 @@ input data (a stray ``ValueError`` from library code included), 3
 violated internal invariants.  All JSON output is sorted
 and timestamp-free, so identical inputs give identical bytes, and every
 artifact embeds the SHA-256 digest of the resolved configuration.
+
+A process loads only the stages its subcommand runs.  Importing this
+module loads no numpy and no stage module: each stage name the
+subcommands call (``parse_conversions``, ``feature_table``,
+``rank_mfis``, ...) is imported from its defining module on its first
+lookup through the module (``__getattr__``), and the subcommands call
+every such name as ``_stage.<name>``, a module attribute, so a wrapper
+set on this module (``setattr`` or ``monkeypatch``) sees each call.
+``report`` and ``--help`` import no stage at all; ``validate`` loads
+``config`` and ``data``, ``features`` adds ``features``, ``rank`` adds
+``rank``, and ``evaluate`` and ``abtest`` load the replay and the
+statistics too.
 """
 
 from __future__ import annotations
@@ -20,41 +32,56 @@ import argparse
 import contextlib
 import dataclasses
 import gc
+import importlib
 import json
 import logging
 import math
 import sys
 from datetime import datetime
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
-import numpy as np
-
-from . import evaluate as ev
-from .config import CONFIG_KEYS, PipelineConfig, load_config
-from .data import (
-    ParseResult,
-    filter_loan_type,
-    parse_clicks,
-    parse_conversions,
-    parse_products,
-    serialize_clicks,
-    serialize_conversions,
-    serialize_products,
-    validate,
-)
 from .errors import ConfigError, DataError, InternalError
-from .features import (
-    FEATURE_ATTRS,
-    feature_csv,
-    feature_table,
-    parse_feature_csv,
-)
-from .fixtures import generate_fixture
-from .rank import page_filter, rank_mfis
-from .stats import fisher_exact_greater, welch_t_greater, yule_ci, yule_colligation
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .config import PipelineConfig
+    from .data import ParseResult
 
 logger = logging.getLogger(__name__)
+
+# The stage names the subcommands call, by defining module.
+_STAGE_NAMES = {
+    "config": ("CONFIG_KEYS", "load_config"),
+    "data": (
+        "filter_loan_type", "parse_clicks", "parse_conversions", "parse_products",
+        "serialize_clicks", "serialize_conversions", "serialize_products", "validate",
+    ),
+    "features": ("FEATURE_ATTRS", "feature_csv", "feature_table", "parse_feature_csv"),
+    "fixtures": ("generate_fixture",),
+    "rank": ("page_filter", "rank_mfis"),
+    "stats": ("fisher_exact_greater", "welch_t_greater", "yule_ci", "yule_colligation"),
+    "weeks": ("week_start",),
+}
+_HOME = {name: module for module, names in _STAGE_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a stage name from its defining module on first lookup and
+    keep it as a module global, where later lookups find it."""
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__package__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+# Subcommands call stage names as attributes of this module, never as bare
+# globals, which would bypass ``__getattr__`` and fail before first lookup.
+_stage = sys.modules[__name__]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +125,8 @@ def _dump_ranking(payload: dict, counts: np.ndarray, path: str | None) -> None:
     The key must sort before every payload key: the matrix then opens the
     object and the rest of the payload follows as ``json`` renders it.
     """
+    import numpy as np
+
     cells = np.array([str(n) for n in range(int(counts.max(initial=0)) + 1)], dtype=object)
     rest = _json_text(payload)
     with _output(path) as out:
@@ -118,8 +147,8 @@ def _split_features(value: str) -> list[str]:
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """A config flag's ``dest`` is its config key."""
-    overrides = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS}
-    return load_config(args.config, overrides)
+    overrides = {key: value for key, value in vars(args).items() if key in _stage.CONFIG_KEYS}
+    return _stage.load_config(args.config, overrides)
 
 
 def _logged(result: ParseResult, dataset: str) -> ParseResult:
@@ -146,11 +175,12 @@ def _load_datasets(args: argparse.Namespace, config: PipelineConfig):
     ``config.loan_type``, then every product card (page constraints may
     name another loan type).  The one place that selects a loan type:
     later stages use every row given."""
-    conversions = _logged(_parse(parse_conversions, args.conversions, config), "conversions")
-    cards = _logged(_parse(parse_products, args.products, config), "products").records
-    clicks = _logged(_parse(parse_clicks, args.clicks, config), "clicks")
+    conversions = _logged(_parse(_stage.parse_conversions, args.conversions, config), "conversions")
+    cards = _logged(_parse(_stage.parse_products, args.products, config), "products").records
+    clicks = _logged(_parse(_stage.parse_clicks, args.clicks, config), "clicks")
     selected = [
-        filter_loan_type(r, config.loan_type) for r in (conversions.table, cards, clicks.table)
+        _stage.filter_loan_type(rows, config.loan_type)
+        for rows in (conversions.table, cards, clicks.table)
     ]
     return (*selected, cards)
 
@@ -158,7 +188,7 @@ def _load_datasets(args: argparse.Namespace, config: PipelineConfig):
 def _feature_table(args: argparse.Namespace, config: PipelineConfig):
     """The feature table of the selected records, and every product card."""
     conversions, products, clicks, cards = _load_datasets(args, config)
-    table = feature_table(
+    table = _stage.feature_table(
         conversions, products, clicks,
         features=config.features, duration_rules=config.duration_rules,
     )
@@ -171,10 +201,10 @@ def _feature_table(args: argparse.Namespace, config: PipelineConfig):
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    conv = _parse(parse_conversions, args.conversions, config)
-    prod = _parse(parse_products, args.products, config)
-    clk = _parse(parse_clicks, args.clicks, config)
-    report = validate(conv.table, prod.records, clk.table)
+    conv = _parse(_stage.parse_conversions, args.conversions, config)
+    prod = _parse(_stage.parse_products, args.products, config)
+    clk = _parse(_stage.parse_clicks, args.clicks, config)
+    report = _stage.validate(conv.table, prod.records, clk.table)
     payload = report.to_dict()
     payload["row_errors"] = {
         "conversions": len(conv.errors),
@@ -193,7 +223,7 @@ def cmd_features(args: argparse.Namespace) -> int:
     table, _ = _feature_table(args, config)
     if not table:
         raise DataError("no MFIs left after filtering; nothing to compute")
-    _write_text(args.out, feature_csv(table, comments=[f"config_digest={config.digest()}"]))
+    _write_text(args.out, _stage.feature_csv(table, comments=[f"config_digest={config.digest()}"]))
     if args.breakdown_json is not None:
         breakdown = {
             "config_digest": config.digest(),
@@ -215,7 +245,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             text = Path(args.features_csv).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise DataError(f"cannot read feature table: {exc}") from None
-        vectors = parse_feature_csv(text)
+        vectors = _stage.parse_feature_csv(text)
     elif args.conversions and args.products and args.clicks:
         vectors, cards = _feature_table(args, config)
     else:
@@ -229,14 +259,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
             f"only one MFI ({vectors[0].mfi_id}) in the feature table; ranking needs two"
         )
     for name in config.features:
-        attr = FEATURE_ATTRS[name]
+        attr = _stage.FEATURE_ATTRS[name]
         if any(getattr(v, attr) is None for v in vectors):
             raise ConfigError(
                 f"feature {name!r} is not present for every MFI; "
                 "pass --features matching the table"
             )
 
-    result = rank_mfis(
+    result = _stage.rank_mfis(
         vectors, features=config.features, damping=config.damping, tie_eps=config.tie_eps
     )
     gap = result.stationary.method_gap
@@ -253,7 +283,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         if cards is None:
             raise ConfigError("page_constraints need the --products dataset")
         try:
-            payload["page_ranking"] = page_filter(
+            payload["page_ranking"] = _stage.page_filter(
                 result.ranking, cards, config.page_constraints
             )
         except ValueError as exc:
@@ -279,23 +309,57 @@ def _series_text(days: list[dict], digest: str | None) -> str:
     if digest:
         lines.append(f"# config_digest={digest}")
     lines.append(",".join(SERIES_COLUMNS))
-    try:
-        for day in days:
-            clicks = day["clicks"]
-            for label in ("historical", "vra"):
-                side = day[label]
-                share = side["sales"] / clicks if clicks else 0.0
-                lines.append(f"{day['date']},{side['income']!r},{share!r},{label}")
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"daily series is malformed: missing {exc}") from None
+    for day in days:
+        clicks = day["clicks"]
+        for label in ("historical", "vra"):
+            side = day[label]
+            share = side["sales"] / clicks if clicks else 0.0
+            lines.append(f"{day['date']},{side['income']!r},{share!r},{label}")
     return "\n".join(lines) + "\n"
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a JSON number that converts to a finite float."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _check_series(days: list) -> None:
+    """Raise DataError, naming the date, unless every entry is a day as the
+    evaluate subcommand writes it: an ISO ``date``, a non-negative integer
+    ``clicks`` and finite ``income`` and ``sales`` on both sides.  A missing
+    key and a wrong type read alike."""
+    for i, day in enumerate(days):
+        date = day.get("date") if isinstance(day, dict) else None
+        try:
+            datetime.fromisoformat(date)
+        except (TypeError, ValueError):
+            raise DataError(
+                f"daily series is malformed: entry {i}: 'date' must be an ISO date"
+            ) from None
+        clicks = day.get("clicks")
+        if isinstance(clicks, bool) or not isinstance(clicks, int) or clicks < 0:
+            raise DataError(
+                f"daily series is malformed: {date}: 'clicks' must be a non-negative integer"
+            )
+        for label in ("historical", "vra"):
+            side = day.get(label)
+            for key in ("income", "sales"):
+                if not (isinstance(side, dict) and _finite(side.get(key))):
+                    raise DataError(
+                        f"daily series is malformed: {date}: "
+                        f"'{label}.{key}' must be a finite number"
+                    )
 
 
 def _weekly_series(days: list[dict]) -> list[dict]:
     """Collapse daily entries into ISO weeks keyed by their Monday."""
     grouped: dict[str, dict] = {}
     for day in days:
-        monday = ev.week_start(datetime.fromisoformat(day["date"])).date().isoformat()
+        monday = _stage.week_start(datetime.fromisoformat(day["date"])).date().isoformat()
         agg = grouped.setdefault(
             monday,
             {
@@ -313,6 +377,8 @@ def _weekly_series(days: list[dict]) -> list[dict]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import evaluate as ev
+
     config = _resolve_config(args)
     conversions, products, clicks, _ = _load_datasets(args, config)
     result, schedule = ev.evaluate_ranking(
@@ -356,7 +422,7 @@ def cmd_abtest(args: argparse.Namespace) -> int:
             raise ConfigError("--os needs group files, not --fisher counts")
         sales_a, total_a, sales_b, total_b = args.fisher
         try:
-            p = fisher_exact_greater((sales_a, total_a), (sales_b, total_b))
+            p = _stage.fisher_exact_greater((sales_a, total_a), (sales_b, total_b))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         _dump_json(
@@ -375,8 +441,10 @@ def cmd_abtest(args: argparse.Namespace) -> int:
     if not args.group_a or not args.group_b:
         raise ConfigError("abtest needs --group-a and --group-b, or --fisher counts")
 
-    group_a = _logged(_parse(parse_conversions, args.group_a, config), "group-a").table
-    group_b = _logged(_parse(parse_conversions, args.group_b, config), "group-b").table
+    from . import evaluate as ev
+
+    group_a = _logged(_parse(_stage.parse_conversions, args.group_a, config), "group-a").table
+    group_b = _logged(_parse(_stage.parse_conversions, args.group_b, config), "group-b").table
     if not group_a or not group_b:
         raise DataError("both experiment groups need at least one application")
 
@@ -387,7 +455,7 @@ def cmd_abtest(args: argparse.Namespace) -> int:
         "rates": {
             "group_a": {"sales": sales_a, "total": total_a},
             "group_b": {"sales": sales_b, "total": total_b},
-            "fisher_p_a_greater": fisher_exact_greater(
+            "fisher_p_a_greater": _stage.fisher_exact_greater(
                 (sales_a, total_a), (sales_b, total_b)
             ),
         },
@@ -396,7 +464,7 @@ def cmd_abtest(args: argparse.Namespace) -> int:
     incomes_a = ev.sale_incomes(group_a)
     incomes_b = ev.sale_incomes(group_b)
     if len(incomes_a) >= 2 and len(incomes_b) >= 2:
-        welch = welch_t_greater(incomes_a, incomes_b)
+        welch = _stage.welch_t_greater(incomes_a, incomes_b)
         payload["income"] = {
             "n_a": len(incomes_a),
             "n_b": len(incomes_b),
@@ -410,13 +478,18 @@ def cmd_abtest(args: argparse.Namespace) -> int:
 
     if args.os is not None:
         table = ev.os_contingency((group_a, group_b), args.os)
-        lo, hi = yule_ci(table, level=config.confidence_level)
+        if table.n11 + table.n10 == 0:
+            raise DataError(
+                f"no application in either group runs OS {args.os!r}; "
+                "its association with approval is undefined"
+            )
+        lo, hi = _stage.yule_ci(table, level=config.confidence_level)
         payload["association"] = {
             "os": args.os,
             "cells": {
                 "n11": table.n11, "n10": table.n10, "n01": table.n01, "n00": table.n00,
             },
-            "yule_y": yule_colligation(table),
+            "yule_y": _stage.yule_colligation(table),
             "ci": [lo, hi],
             "level": config.confidence_level,
         }
@@ -436,10 +509,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise DataError(
             "evaluation file lacks the daily series; rerun the evaluate subcommand"
         )
-    try:
-        days = _weekly_series(daily) if args.weekly else daily
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"daily series is malformed: {exc}") from None
+    _check_series(daily)
+    days = _weekly_series(daily) if args.weekly else daily
     _write_text(args.out, _series_text(days, payload.get("config_digest")))
     return 0
 
@@ -449,14 +520,17 @@ def cmd_fixture(args: argparse.Namespace) -> int:
         raise ConfigError("--n-mfis must be at least 2")
     if args.n_clients < 1:
         raise ConfigError("--n-clients must be at least 1")
-    conversions, products, clicks = generate_fixture(
+    conversions, products, clicks = _stage.generate_fixture(
         args.seed, n_mfis=args.n_mfis, n_clients=args.n_clients
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "conversions.csv").write_text(serialize_conversions(conversions), encoding="utf-8")
-    (out_dir / "products.csv").write_text(serialize_products(products), encoding="utf-8")
-    (out_dir / "clicks.csv").write_text(serialize_clicks(clicks), encoding="utf-8")
+    for name, text in (
+        ("conversions.csv", _stage.serialize_conversions(conversions)),
+        ("products.csv", _stage.serialize_products(products)),
+        ("clicks.csv", _stage.serialize_clicks(clicks)),
+    ):
+        (out_dir / name).write_text(text, encoding="utf-8")
     manifest = {
         "seed": args.seed,
         "n_mfis": args.n_mfis,

@@ -6,11 +6,15 @@ winning, merge into one dict in the canonical form of ``to_dict()``,
 which one function parses, reading and checking each key once.  Every
 output artifact embeds ``digest()``, a SHA-256 over that canonical form,
 so results can be traced back to the exact settings that produced them.
+
+The module imports only :mod:`mfirank.data` and :mod:`mfirank.errors`:
+it owns the defaults the stages take (the feature names, the duration
+rules, ``TIE_EPS`` and ``DEFAULT_MIN_SUPPORT``), so resolving a
+configuration loads no stage.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -20,9 +24,32 @@ from typing import Any, Mapping
 
 from .data import DEFAULT_SCHEMA, LoanType, SchemaConfig, Status
 from .errors import ConfigError
-from .evaluate import DEFAULT_MIN_SUPPORT
-from .features import ALL_FEATURES, DEFAULT_DURATION_RULES, DurationRule
-from .rank import TIE_EPS
+
+ALL_FEATURES = ("rating", "lar", "fairness", "service_period", "epc")
+# Feature values, and stationary masses, that differ by at most this are tied.
+TIE_EPS = 1e-9
+# Pair observations required before a reapproval frequency is trusted.
+DEFAULT_MIN_SUPPORT = 5
+
+
+@dataclass(frozen=True)
+class DurationRule:
+    """Maps a phrase pattern to a unit scale in seconds.
+
+    ``scale`` 0 marks instant-service wording where no number appears.
+    """
+
+    pattern: str
+    scale: float
+
+
+DEFAULT_DURATION_RULES = (
+    DurationRule(r"моментальн|мгновенн|сразу|instant", 0.0),
+    DurationRule(r"сек|sec", 1.0),
+    DurationRule(r"мин|min", 60.0),
+    DurationRule(r"час|hour", 3600.0),
+    DurationRule(r"дн|ден|сут|day", 86400.0),
+)
 
 _LOAN_TYPES: dict[str, LoanType | None] = {t.value: t for t in LoanType} | {"all": None}
 
@@ -61,6 +88,10 @@ class PipelineConfig:
         }
 
     def digest(self) -> str:
+        # Imported here: the stages import this module for its defaults,
+        # and hashlib maps OpenSSL (about 3.6 MiB of resident memory).
+        import hashlib
+
         canonical = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=False
         )

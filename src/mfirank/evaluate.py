@@ -39,6 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_MIN_SUPPORT, TIE_EPS, DurationRule
 from .data import (
     STATUSES,
     ClickRecord,
@@ -56,27 +57,19 @@ from .data import (
 )
 from .errors import MfiRankError
 from .features import (
-    DurationRule,
     FeaturePrefixes,
     LarPrior,
     feature_table,  # noqa: F401  (perfbench/tracer.py wraps this lookup site)
     normalize_lar,
 )
-from .rank import TIE_EPS, rank_mfis
+from .rank import rank_mfis
 from .stats import TwoByTwo
+from .weeks import week_start
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MIN_SUPPORT = 5
-
 # status codes of a conversions table
 _PENDING, _SALE, _REJECTED = map(STATUSES.index, (Status.PENDING, Status.SALE, Status.REJECTED))
-
-
-def week_start(moment: datetime) -> datetime:
-    """Monday 00:00 of the ISO week containing ``moment``."""
-    monday = moment.date() - timedelta(days=moment.weekday())
-    return datetime(monday.year, monday.month, monday.day)
 
 
 def _click_order(times: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import ALL_FEATURES, DEFAULT_DURATION_RULES, DurationRule
 from .data import (
     STATUSES,
     ClickRecord,
@@ -55,7 +56,6 @@ from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
-ALL_FEATURES = ("rating", "lar", "fairness", "service_period", "epc")
 LOWER_IS_BETTER = frozenset({"service_period"})
 
 ON_TIME_LIMIT_SEC = 3600.0
@@ -137,25 +137,6 @@ def normalize_lar(prior: LarPrior, sales: int, apps: int) -> float:
 # ---------------------------------------------------------------------------
 # declared-duration phrases
 
-
-@dataclass(frozen=True)
-class DurationRule:
-    """Maps a phrase pattern to a unit scale in seconds.
-
-    ``scale`` 0 marks instant-service wording where no number appears.
-    """
-
-    pattern: str
-    scale: float
-
-
-DEFAULT_DURATION_RULES = (
-    DurationRule(r"моментальн|мгновенн|сразу|instant", 0.0),
-    DurationRule(r"сек|sec", 1.0),
-    DurationRule(r"мин|min", 60.0),
-    DurationRule(r"час|hour", 3600.0),
-    DurationRule(r"дн|ден|сут|day", 86400.0),
-)
 
 _NUMBER = re.compile(r"(\d+(?:[.,]\d+)?)")
 

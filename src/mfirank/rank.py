@@ -20,13 +20,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import ALL_FEATURES, TIE_EPS
 from .data import ProductRecord, product_fields
 from .errors import InternalError
-from .features import ALL_FEATURES, LOWER_IS_BETTER, FeatureVector
+from .features import LOWER_IS_BETTER, FeatureVector
 
 logger = logging.getLogger(__name__)
 
-TIE_EPS = 1e-9
 METHOD_AGREEMENT = 1e-8
 _POWER_TOL = 1e-13
 _POWER_MAX_ITER = 100_000

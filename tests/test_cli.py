@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
 from unittest import mock
@@ -576,6 +577,91 @@ def test_report_missing_file_is_a_data_error(tmp_path):
     assert main(["report", "--evaluation", str(tmp_path / "nope.json")]) == 2
 
 
+def _one_day_changed(evaluation_json, path, change) -> str:
+    """Write ``evaluation_json`` with ``change`` applied to its first day;
+    a value of ``RAW`` below is replaced by raw JSON text, so that NaN and
+    1e400 reach the reader as written."""
+    payload = json.loads(evaluation_json.read_text())
+    raw = change(payload["daily"])
+    text = json.dumps(payload)
+    if raw is not None:
+        text = text.replace('"RAW"', raw, 1)
+    path.write_text(text)
+    return payload["daily"][0].get("date") if isinstance(payload["daily"][0], dict) else None
+
+
+def _set(*keys, value="RAW", raw=None):
+    def change(days):
+        target = days[0]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return raw
+    return change
+
+
+def _drop(*keys):
+    def change(days):
+        target = days[0]
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+    return change
+
+
+def _replace_day(days):
+    days[0] = 5
+
+
+@pytest.mark.parametrize("weekly", [False, True], ids=["daily", "weekly"])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_replace_day, "entry 0: 'date' must be an ISO date"),
+        (_drop("date"), "entry 0: 'date' must be an ISO date"),
+        (_set("date", value="someday"), "entry 0: 'date' must be an ISO date"),
+        (_drop("clicks"), "{date}: 'clicks' must be a non-negative integer"),
+        (_set("clicks", value="3"), "{date}: 'clicks' must be a non-negative integer"),
+        (_set("clicks", value=True), "{date}: 'clicks' must be a non-negative integer"),
+        (_set("clicks", value=-4), "{date}: 'clicks' must be a non-negative integer"),
+        (_set("clicks", raw="1e400"), "{date}: 'clicks' must be a non-negative integer"),
+        (_drop("vra"), "{date}: 'vra.income' must be a finite number"),
+        (_set("vra", value=3), "{date}: 'vra.income' must be a finite number"),
+        (_drop("historical", "sales"), "{date}: 'historical.sales' must be a finite number"),
+        (_set("historical", "income", value="abc"),
+         "{date}: 'historical.income' must be a finite number"),
+        (_set("historical", "income", raw="NaN"),
+         "{date}: 'historical.income' must be a finite number"),
+        (_set("vra", "income", value=False), "{date}: 'vra.income' must be a finite number"),
+        (_set("vra", "sales", raw="1e400"), "{date}: 'vra.sales' must be a finite number"),
+        (_set("vra", "sales", raw="-Infinity"), "{date}: 'vra.sales' must be a finite number"),
+        (_set("vra", "sales", raw="1" + "0" * 400),
+         "{date}: 'vra.sales' must be a finite number"),
+    ],
+)
+def test_report_rejects_a_malformed_day_naming_its_date(
+    evaluation_json, tmp_path, capsys, change, message, weekly
+):
+    bad = tmp_path / "evaluation.json"
+    date = _one_day_changed(evaluation_json, bad, change)
+    out = tmp_path / "series.csv"
+    argv = ["report", "--evaluation", str(bad), "--out", str(out)]
+    assert main([*argv, "--weekly"] if weekly else argv) == 2
+    expected = "mfirank: data error: daily series is malformed: " + message.format(date=date)
+    assert capsys.readouterr().err == expected + "\n"
+    assert not out.exists()
+
+
+def test_report_names_a_missing_and_a_mistyped_key_alike(evaluation_json, tmp_path, capsys):
+    errors = []
+    for change in (_drop("clicks"), _set("clicks", value=[1])):
+        bad = tmp_path / "evaluation.json"
+        _one_day_changed(evaluation_json, bad, change)
+        assert main(["report", "--evaluation", str(bad)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+
+
 def test_single_week_replay_coincides_with_history(tmp_path):
     conversions, products, clicks = generate_fixture(3, config=FixtureConfig(n_weeks=1))
     monday = week_start(min(r.click_time for r in conversions))
@@ -675,6 +761,23 @@ def test_abtest_group_files_with_association(tmp_path):
     lo, hi = assoc["ci"]
     assert lo <= assoc["yule_y"] <= hi
     assert assoc["level"] == 0.95
+
+
+def test_abtest_os_that_no_application_runs_is_a_data_error(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    group_csv(a, [(Status.SALE, 10.0, "iOS"), (Status.REJECTED, None, "Android")])
+    group_csv(b, [(Status.SALE, 5.0, "Android"), (Status.REJECTED, None, None)])
+    out = tmp_path / "ab.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["abtest", "--group-a", str(a), "--group-b", str(b), "--os", "Symbian",
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "mfirank: data error: no application in either group runs OS 'Symbian'; "
+        "its association with approval is undefined\n"
+    )
+    assert not out.exists()
 
 
 def test_abtest_empty_group_is_a_data_error(tmp_path):
