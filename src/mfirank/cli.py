@@ -478,10 +478,11 @@ def cmd_abtest(args: argparse.Namespace) -> int:
 
     if args.os is not None:
         table = ev.os_contingency((group_a, group_b), args.os)
-        if table.n11 + table.n10 == 0:
+        runs = table.n11 + table.n10
+        if runs == 0 or table.n01 + table.n00 == 0:
+            who = "every application in both groups" if runs else "no application in either group"
             raise DataError(
-                f"no application in either group runs OS {args.os!r}; "
-                "its association with approval is undefined"
+                f"{who} runs OS {args.os!r}; its association with approval is undefined"
             )
         lo, hi = _stage.yule_ci(table, level=config.confidence_level)
         payload["association"] = {

@@ -29,6 +29,27 @@ integer codes.  The result is the one a row-by-row reading gives:
 records and row errors in row order, and the same ``DataError`` where
 the file has one.
 
+On Linux a large input is read in chunks at once, one per CPU the
+process may run on (``os.sched_getaffinity``), none shorter than
+``_CHUNK_BYTES`` (256 KiB, about where a second chunk starts to pay on a
+2-core VM).  The bytes are cut just after a newline; this process reads
+the header and the first chunk, and an ``os.fork`` reader reads each later
+one and sends back its column bytes, its names and its row errors through
+a pipe.  The chunks are merged into the table and the errors of the
+one-chunk read, byte for byte: names are appended first-seen, each later
+chunk's codes are mapped with one gather, and its row numbers follow the
+rows before it.  An input stays in one chunk where it is smaller, where
+it holds a ``"`` (a newline may then sit inside a quoted cell), and for
+the products, whose unique card ids are checked in row order.  Where any
+chunk fails, or a reader dies, the input is read again in one chunk,
+which gives the ``DataError`` of the fault read first; every reader is
+reaped on every path.  ``taskset -c 0`` (one CPU) gives the one-chunk
+read.  numpy's bundled OpenBLAS stops its thread pool at a fork and
+starts it again at its next call, so the fork happens in a process of
+one thread; Python 3.12 and later warn (``DeprecationWarning``) at a fork
+in a process of more threads, and that warning is left to the caller's
+filters.
+
 Every stage reads the tables, :func:`validate` included: its counts,
 key join and record checks are array reductions.  The frozen slotted
 records are built from a table on demand, afresh at each read of
@@ -48,7 +69,10 @@ import io
 import logging
 import math
 import os
+import pickle
 import re
+import signal
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
@@ -572,6 +596,12 @@ def _norm_header(name: str) -> str:
     return re.sub(r"[\s\-,]+", "_", name.strip().lower()).strip("_")
 
 
+def _text_rows(raw: bytes | str) -> Iterator[list[str]]:
+    """The CSV rows of what a stream read gave, decoded whole first."""
+    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
+    yield from csv.reader(io.StringIO(text, newline=""))
+
+
 def _open_rows(source: str | os.PathLike | IO) -> Iterator[list[str]]:
     # "utf-8-sig" and the removeprefix drop the byte-order mark that
     # spreadsheet exports put before the header.  newline="" leaves line
@@ -580,9 +610,7 @@ def _open_rows(source: str | os.PathLike | IO) -> Iterator[list[str]]:
     # parsed, so the first decode or framing fault read wins; a stream is
     # read and decoded whole first.
     if hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
-        yield from csv.reader(io.StringIO(text, newline=""))
+        yield from _text_rows(source.read())
         return
     if isinstance(source, str) and "\n" in source:
         raise DataError("a CSV source must be a path or an open text stream, not CSV text")
@@ -721,16 +749,196 @@ def _read_header(
 
 
 def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> ParseResult:
-    """Read one dataset: every row becomes a table row or a RowError."""
+    """Read one dataset: every row becomes a table row or a RowError.  A
+    large input is read in chunks at once (:func:`_parse_split`); where it
+    is not, or a chunk fails, it is read whole, in this process."""
     config = config or DEFAULT_SCHEMA
-    rows = _open_rows(source)
+    if hasattr(source, "read"):
+        raw = source.read()
+        parsed = _parse_split(raw, config, dataset)
+        return parsed if parsed is not None else _parse_whole(_text_rows(raw), config, dataset)
+    parsed = _parse_split(_file_bytes(source), config, dataset)
+    return parsed if parsed is not None else _parse_whole(_open_rows(source), config, dataset)
+
+
+def _parse_whole(rows: Iterator[list[str]], config: SchemaConfig, dataset: _Dataset) -> ParseResult:
+    """Read one dataset from its rows as one chunk."""
     try:
         with _collector_paused():
-            return _parse_blocks(rows, _read_header(rows, config, dataset), config, dataset)
+            chunk = _read_chunk(rows, _read_header(rows, config, dataset), config, dataset)
+            return _finish_table(dataset, chunk)
     except csv.Error as exc:
         raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{dataset.name}: not UTF-8 text: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# reading a large input in chunks at once
+
+# The least input, in bytes, that one more chunk reader is worth: below it,
+# forking the reader and merging its columns cost more than the share of
+# the parse it takes over.
+_CHUNK_BYTES = 262_144  # 256 KiB
+
+
+def _chunk_count(size: int) -> int:
+    """How many chunks an input of ``size`` bytes is read in: on Linux, one
+    per CPU this process may run on, none shorter than ``_CHUNK_BYTES``;
+    elsewhere one."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), size // _CHUNK_BYTES))
+
+
+def _file_bytes(source) -> bytes | None:
+    """The bytes of the file at ``source`` where it is large enough to be
+    read in chunks, else None (and None where it cannot be read: the
+    one-chunk read gives that error)."""
+    if isinstance(source, str) and "\n" in source:
+        return None
+    try:
+        if _chunk_count(os.stat(source).st_size) < 2:
+            return None
+        with open(source, "rb") as fh:
+            return fh.read()
+    except (OSError, TypeError, ValueError):
+        return None
+
+
+def _cuts(raw: bytes | str, count: int) -> list[int]:
+    """Offsets that cut ``raw`` into at most ``count`` chunks of about one
+    size, chunk i being ``raw[cuts[i]:cuts[i + 1]]``; every chunk but the
+    last ends just after a newline."""
+    newline = b"\n" if isinstance(raw, bytes) else "\n"
+    cuts = [0]
+    for i in range(1, count):
+        cut = raw.find(newline, len(raw) * i // count) + 1  # 0: no newline left
+        if cut > cuts[-1]:
+            cuts.append(cut)
+    if cuts[-1] < len(raw):
+        cuts.append(len(raw))
+    return cuts
+
+
+def _chunk_rows(raw: bytes | str, start: int, stop: int) -> Iterator[list[str]]:
+    """The CSV rows of ``raw[start:stop]``, decoded on its own as it is
+    read; a byte-order mark is dropped before the first chunk only."""
+    if isinstance(raw, str):
+        text = raw[start:stop]
+        if start == 0:
+            text = text.removeprefix("\ufeff")
+        return csv.reader(io.StringIO(text, newline=""))
+    encoding = "utf-8-sig" if start == 0 else "utf-8"
+    return csv.reader(io.TextIOWrapper(io.BytesIO(raw[start:stop]), encoding, newline=""))
+
+
+@dataclass
+class _Reader:
+    """A forked process that reads one chunk and writes it, pickled, to the
+    pipe whose read end is ``fd``.  Each field is None once done with."""
+
+    pid: int | None
+    fd: int | None
+
+    def result(self) -> _Chunk:
+        """The chunk the reader read, once it has exited cleanly."""
+        pipe = open(self.fd, "rb")
+        self.fd = None
+        with pipe:
+            chunk = pickle.load(pipe)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status:
+            raise ChildProcessError(f"chunk reader ended with wait status {status}")
+        return chunk
+
+    def stop(self) -> None:
+        """Close the pipe, then kill and reap the reader, if still due."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            # A zombie takes the signal too; with SIGCHLD ignored, the kernel
+            # has reaped the reader already.
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _fork_reader(
+    raw: bytes | str, start: int, stop: int, index: Mapping[str, int], config: SchemaConfig,
+    dataset: _Dataset, others: Sequence[_Reader],
+) -> _Reader:
+    """Fork a process that reads ``raw[start:stop]`` with the header
+    ``index``.  It closes the pipes of the ``others`` it inherits, and
+    whatever happens it leaves through ``os._exit``, so it never runs the
+    rest of this process's program."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            for fd in (read_end, *(other.fd for other in others)):
+                os.close(fd)
+            chunk = _read_chunk(_chunk_rows(raw, start, stop), index, config, dataset)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(chunk, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return _Reader(pid, read_end)
+
+
+def _parse_split(
+    raw: bytes | str | None, config: SchemaConfig, dataset: _Dataset,
+    cuts: Sequence[int] | None = None,
+) -> ParseResult | None:
+    """Read ``raw``, the whole input, in the chunks ``cuts`` gives (by
+    default one per CPU, see :func:`_chunk_count`), all at once: this
+    process reads the header and the first chunk while a forked reader
+    reads each later one; then the chunks are merged into the table and the
+    errors a one-chunk read gives.
+
+    None where the input is not read so: it is None or one chunk, it holds
+    a quote (a newline may then sit inside a cell), or its dataset has a
+    unique column (a repeat is found in row order).  None also where any
+    chunk fails, whatever the fault, or a reader dies: the one-chunk read
+    then gives the result, or the ``DataError`` of the fault read first.
+    Every reader is reaped before this returns."""
+    if raw is None or dataset.unique is not None:
+        return None
+    if cuts is None:
+        cuts = _cuts(raw, _chunk_count(len(raw)))
+    if len(cuts) < 3 or (b'"' if isinstance(raw, bytes) else '"') in raw:
+        return None
+    readers: list[_Reader] = []
+    try:
+        with _collector_paused():
+            rows = _chunk_rows(raw, cuts[0], cuts[1])
+            index = _read_header(rows, config, dataset)
+            for start, stop in zip(cuts[1:], cuts[2:]):
+                readers.append(_fork_reader(raw, start, stop, index, config, dataset, readers))
+            # This process needs only its own chunk now: where the caller
+            # holds no other reference (a file's bytes), the input is freed.
+            del raw
+            chunk = _read_chunk(rows, index, config, dataset)
+            for reader in readers:
+                chunk.extend(reader.result(), dataset)
+            return _finish_table(dataset, chunk)
+    except Exception:
+        logger.debug("%s: reading in one chunk after a fault", dataset.name, exc_info=True)
+        return None
+    finally:
+        for reader in readers:
+            reader.stop()
 
 
 # Byte positions of the digits and the separators in a cell of the default
@@ -803,14 +1011,50 @@ def _timestamps(
     return micros, missing
 
 
-def _parse_blocks(
+@dataclass
+class _Chunk:
+    """The data rows of one chunk of a file, read: the bytes of each
+    column's array and of each timestamp column's missing mask, one buffer
+    per column grown in place, so the blocks leave no scattered small arrays
+    behind; each id and text column's values by code, in the order first
+    seen, rejected rows' values included; the row errors; and the count of
+    the rows numbered, blank ones included.  Row numbers count from the
+    chunk's first data row."""
+
+    parts: dict[str, bytearray]
+    missing: dict[str, bytearray]
+    interned: dict[str, dict]
+    errors: list[RowError] = field(default_factory=list)
+    rows: int = 0
+
+    def extend(self, later: _Chunk, dataset: _Dataset) -> None:
+        """Append the chunk read just after this one: its values new to this
+        chunk are interned in its order, its codes are mapped onto this
+        chunk's with one gather, and its row numbers follow this chunk's."""
+        for name, kind in dataset.columns:
+            part = later.parts[name]
+            if kind in (_ID, _TEXT):
+                codes = self.interned[name]
+                values = later.interned[name]
+                recode = np.fromiter(
+                    (codes.setdefault(value, len(codes)) for value in values), np.int32, len(values)
+                )
+                part = memoryview(recode[np.frombuffer(part, np.int32)]).cast("B")
+            self.parts[name] += part
+        for name, part in later.missing.items():
+            self.missing[name] += part
+        self.errors += [RowError(e.row + self.rows, e.column, e.message) for e in later.errors]
+        self.rows += later.rows
+
+
+def _read_chunk(
     rows: Iterator[list[str]], index: Mapping[str, int], config: SchemaConfig, dataset: _Dataset
-) -> ParseResult:
-    """Parse the data rows block by block and, within a block, column by
+) -> _Chunk:
+    """Read the data rows block by block and, within a block, column by
     column.  The cell parsers and the checks are pure functions of the cell,
     so each runs once per distinct cell of a column (a timestamp column is
     read in bulk); the accepted rows of the block then extend the columns
-    of the table."""
+    of the chunk."""
     parsers = _cell_parsers(config)
     bulk = config.timestamp_format == TIMESTAMP_FORMAT
     kinds = dict(dataset.columns)
@@ -822,13 +1066,12 @@ def _parse_blocks(
     # A row rejected at or before the unique column's check never reaches it.
     after_unique = dataset.checks.index(unique) + 1 if unique is not None else 0
     seen: dict[object, int] = {}
-    interned: dict[str, dict] = {name: {} for name, kind in dataset.columns}
-    # The bytes of each column's array (and of each timestamp column's
-    # missing mask) so far: one buffer per column, grown in place, so the
-    # blocks leave no scattered small arrays behind.
-    parts = {name: bytearray() for name, kind in dataset.columns}
-    missing_parts = {name: bytearray() for name, kind in dataset.columns if kind == _TIMESTAMP}
-    errors: list[RowError] = []
+    chunk = _Chunk(
+        parts={name: bytearray() for name, kind in dataset.columns},
+        missing={name: bytearray() for name, kind in dataset.columns if kind == _TIMESTAMP},
+        interned={name: {} for name, kind in dataset.columns},
+    )
+    parts, interned = chunk.parts, chunk.interned
     n = 0
     while block := list(islice(rows, _BLOCK_ROWS)):
         # Only a row whose first cell is blank or opens with "#" can be a
@@ -900,7 +1143,7 @@ def _parse_blocks(
                     )
                 if failed is None:
                     seen[value] = numbers[j]
-        errors.extend(
+        chunk.errors.extend(
             RowError(numbers[j], name, message)
             for j, (_, name, message) in sorted(rejected.items())
         )
@@ -908,21 +1151,29 @@ def _parse_blocks(
         kept = len(block) - len(rejected)
         for name, kind, _, _ in columns:
             if name in stamps:
-                for part, values in zip((parts, missing_parts), stamps[name]):
+                for part, values in zip((parts, chunk.missing), stamps[name]):
                     part[name] += memoryview(values[np.array(accepted)] if accepted else values).cast("B")
                 continue
             codes = _codes(kind, memos[name], interned[name])
             column = compress(cells[name], accepted) if accepted else cells[name]
             values = np.fromiter(map(codes.__getitem__, column), _DTYPES[kind], kept)
             parts[name] += memoryview(values).cast("B")
-    arrays = {name: np.frombuffer(parts[name], _DTYPES[kind]) for name, kind in dataset.columns}
-    names = _names(dataset, interned)
-    if errors:  # drop the names that only rejected rows had
+    chunk.rows = n
+    return chunk
+
+
+def _finish_table(dataset: _Dataset, chunk: _Chunk) -> ParseResult:
+    """The table and the row errors of the whole file, read as ``chunk``."""
+    arrays = {
+        name: np.frombuffer(chunk.parts[name], _DTYPES[kind]) for name, kind in dataset.columns
+    }
+    names = _names(dataset, chunk.interned)
+    if chunk.errors:  # drop the names that only rejected rows had
         for name, values in names.items():
             distinct, arrays[name] = first_seen(arrays[name])
             names[name] = tuple(map(values.__getitem__, distinct.tolist()))
-    missing = {name: np.frombuffer(part, bool) for name, part in missing_parts.items()}
-    return ParseResult(Table(dataset, arrays, names, missing), errors)
+    missing = {name: np.frombuffer(part, bool) for name, part in chunk.missing.items()}
+    return ParseResult(Table(dataset, arrays, names, missing), chunk.errors)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,18 +1326,25 @@ def _recoded(source: Table, target: Table, name: str) -> np.ndarray:
 
 def _has_click(conversions: Table, clicks: Table) -> np.ndarray:
     """Whether each conversion has a click of the same MFI, client and
-    click time."""
-    keys = np.concatenate([
-        np.stack([
-            _recoded(conversions, clicks, "mfi_id"),
-            _recoded(conversions, clicks, "client_id"),
-            conversions.columns["click_time"],
-        ], axis=1),
-        np.stack([clicks.columns[name] for name in ("mfi_id", "client_id", "click_time")], axis=1),
+    click time.
+
+    The (MFI, client) pair is one integer in the clicks' codes,
+    ``mfi * (n_clients + 1) + client``: the ``+ 1`` keeps a value the clicks
+    lack (-1) from reading as another pair.  One sort by pair and click time
+    puts every key in a group of equal keys."""
+    span = len(clicks.names["client_id"]) + 1
+    pair = np.concatenate([
+        _recoded(conversions, clicks, "mfi_id") * span + _recoded(conversions, clicks, "client_id"),
+        clicks.columns["mfi_id"].astype(np.int64) * span + clicks.columns["client_id"],
     ])
-    _, key = np.unique(keys, axis=0, return_inverse=True)
-    key = key.reshape(-1)
-    return np.isin(key[: len(conversions)], key[len(conversions):])
+    time = np.concatenate([conversions.columns["click_time"], clicks.columns["click_time"]])
+    order = np.lexsort((time, pair))
+    pair, time = pair[order], time[order]
+    starts = np.ones(len(order), bool)
+    starts[1:] = (pair[1:] != pair[:-1]) | (time[1:] != time[:-1])
+    group = np.empty(len(order), np.int64)
+    group[order] = np.cumsum(starts)
+    return np.isin(group[: len(conversions)], group[len(conversions):])
 
 
 def validate(

@@ -21,6 +21,7 @@ from conftest import PUBLISHED_PI, REFERENCE_RANKING
 from mfirank.cli import SERIES_COLUMNS, _dump_ranking, main
 from mfirank.config import PipelineConfig, load_config
 from mfirank.data import (
+    _CHUNK_BYTES,
     DEFAULT_STATUS_MAP,
     ConversionRecord,
     LoanType,
@@ -510,6 +511,42 @@ def test_artifacts_do_not_depend_on_the_hash_seed(dataset_dir, tmp_path):
     assert outputs["0"] == outputs["1"]
 
 
+def _on_one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity (Linux)")
+def test_artifacts_do_not_depend_on_the_cpu_count(tmp_path):
+    # Inputs large enough that each is read in chunks, one per CPU; pinned
+    # to one CPU, every command reads them in one chunk.
+    data = tmp_path / "data"
+    assert main(["fixture", "--seed", "0", "--n-clients", "6000", "--out-dir", str(data)]) == 0
+    flags = dataset_flags(data)
+    groups = abtest_flags(data, data)
+    for name in ("conversions.csv", "clicks.csv", "group_a.csv", "group_b.csv"):
+        assert (data / name).stat().st_size >= 2 * _CHUNK_BYTES
+    outputs = {}
+    for run, pin in (("split", None), ("pinned", _on_one_cpu)):
+        out = tmp_path / run
+        out.mkdir()
+        commands = [
+            ["validate", *flags, "--out", str(out / "validation.json")],
+            ["features", *flags, "--out", str(out / "features.csv"),
+             "--breakdown-json", str(out / "fairness.json")],
+            ["evaluate", *flags, "--out", str(out / "evaluation.json"),
+             "--daily-csv", str(out / "daily.csv")],
+            ["abtest", *groups, "--os", "Android", "--out", str(out / "abtest.json")],
+        ]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "mfirank.cli", *argv], env=env, check=True,
+                           preexec_fn=pin)
+        outputs[run] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert len(outputs["split"]) == 6
+    assert outputs["split"] == outputs["pinned"]
+
+
 def test_report_emits_the_plot_series(evaluation_json, tmp_path):
     out = tmp_path / "series.csv"
     assert main(["report", "--evaluation", str(evaluation_json), "--out", str(out)]) == 0
@@ -778,6 +815,44 @@ def test_abtest_os_that_no_application_runs_is_a_data_error(tmp_path, capsys):
         "its association with approval is undefined\n"
     )
     assert not out.exists()
+
+
+def test_abtest_os_that_every_application_runs_is_a_data_error(tmp_path, capsys):
+    # Both cells of the other OSes are empty: Yule's Y would be a number
+    # made up by the continuity correction.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    group_csv(a, [(Status.SALE, 10.0, "iOS"), (Status.REJECTED, None, "iOS")])
+    group_csv(b, [(Status.SALE, 5.0, "iOS"), (Status.REJECTED, None, "ios")])
+    out = tmp_path / "ab.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["abtest", "--group-a", str(a), "--group-b", str(b), "--os", "iOS",
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "mfirank: data error: every application in both groups runs OS 'iOS'; "
+        "its association with approval is undefined\n"
+    )
+    assert not out.exists()
+
+
+def test_abtest_os_that_every_application_runs_warns_nothing_in_a_fresh_process(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    group_csv(a, [(Status.SALE, 10.0, "iOS"), (Status.REJECTED, None, "iOS")])
+    group_csv(b, [(Status.SALE, 5.0, "iOS"), (Status.REJECTED, None, "iOS")])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "mfirank.cli", "abtest", "--group-a", str(a), "--group-b", str(b),
+         "--os", "iOS", "--out", str(tmp_path / "ab.json")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert done.stderr == (
+        "mfirank: data error: every application in both groups runs OS 'iOS'; "
+        "its association with approval is undefined\n"
+    )
+    assert not (tmp_path / "ab.json").exists()
 
 
 def test_abtest_empty_group_is_a_data_error(tmp_path):

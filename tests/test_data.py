@@ -6,7 +6,9 @@ import csv
 import gc
 import io
 import math
+import os
 import re
+import signal
 from collections import Counter
 from dataclasses import astuple
 from datetime import datetime, timedelta
@@ -15,12 +17,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, find, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 import mfirank.data
 from mfirank.data import (
     _BLOCK_ROWS,
+    _CHUNK_BYTES,
     _CLICKS,
     _CONVERSIONS,
     _PRODUCTS,
@@ -44,11 +47,20 @@ from mfirank.data import (
     serialize_clicks,
     serialize_conversions,
     serialize_products,
+    click_table,
+    conversion_table,
     validate,
     _cell_parsers,
+    _chunk_count,
+    _cuts,
+    _has_click,
     _is_comment,
     _norm_header,
     _open_rows,
+    _parse_split,
+    _parse_whole,
+    _recoded,
+    _text_rows,
 )
 from mfirank.errors import DataError
 from mfirank.features import feature_table
@@ -995,3 +1007,320 @@ def test_a_nan_income_in_a_record_reads_as_missing():
     # empty cell, so a hand-built record's NaN income is no income.
     rec = _app(sale_time=datetime(2021, 3, 1, 11, 0), income=math.nan)
     assert validate([rec], [], []).warnings == ["1 records: sale without income"]
+
+
+# ---------------------------------------------------------------------------
+# validate's key join: the (n, 3) row-unique join it replaced, kept verbatim
+# as the reference
+
+
+def reference_has_click(conversions, clicks):
+    """Whether each conversion has a click of the same MFI, client and
+    click time."""
+    keys = np.concatenate([
+        np.stack([
+            _recoded(conversions, clicks, "mfi_id"),
+            _recoded(conversions, clicks, "client_id"),
+            conversions.columns["click_time"],
+        ], axis=1),
+        np.stack([clicks.columns[name] for name in ("mfi_id", "client_id", "click_time")], axis=1),
+    ])
+    _, key = np.unique(keys, axis=0, return_inverse=True)
+    key = key.reshape(-1)
+    return np.isin(key[: len(conversions)], key[len(conversions):])
+
+
+# Conversion keys draw on MFIs and clients the clicks may lack ("m9", "c9"),
+# and click keys on some the conversions lack; the small alphabets repeat keys.
+CONVERSION_KEYS = st.tuples(
+    st.sampled_from(["m0", "m1", "m2", "m9"]),
+    st.sampled_from(["c0", "c1", "c2", "c9"]),
+    st.sampled_from([0, 1, 60]),
+)
+CLICK_KEYS = st.tuples(
+    st.sampled_from(["m0", "m1", "m3"]), st.sampled_from(["c0", "c1", "c3"]), st.sampled_from([0, 1])
+)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_the_key_join_matches_the_row_unique_reference(data):
+    conv_keys = data.draw(st.lists(CONVERSION_KEYS, min_size=1, max_size=12))
+    click_keys = data.draw(st.lists(CLICK_KEYS, min_size=1, max_size=12))
+    click_keys += data.draw(st.lists(st.sampled_from(conv_keys), max_size=6))
+    click_keys = data.draw(st.permutations(click_keys))
+    conversions = conversion_table([
+        ConversionRecord(mfi_id=mfi, loan_type=LoanType.STANDARD, client_id=client,
+                         click_time=LOG_T0 + timedelta(seconds=s), status=Status.SALE)
+        for mfi, client, s in conv_keys
+    ])
+    clicks = click_table([
+        ClickRecord(mfi_id=mfi, click_time=LOG_T0 + timedelta(seconds=s), client_id=client,
+                    loan_type=LoanType.STANDARD)
+        for mfi, client, s in click_keys
+    ])
+    got = _has_click(conversions, clicks)
+    assert got.tolist() == reference_has_click(conversions, clicks).tolist()
+    assert got.tolist() == [key in set(click_keys) for key in conv_keys]
+
+
+def test_the_key_join_tells_absent_values_apart():
+    # A client the clicks lack (-1) must not read as the pair of the MFI
+    # before it and the clicks' last client.
+    conversions = conversion_table([
+        ConversionRecord(mfi_id="m1", loan_type=LoanType.STANDARD, client_id="c9",
+                         click_time=LOG_T0, status=Status.SALE),
+    ])
+    clicks = click_table([
+        ClickRecord(mfi_id=mfi, click_time=LOG_T0, client_id=client, loan_type=LoanType.STANDARD)
+        for mfi, client in (("m0", "c0"), ("m1", "c1"), ("m0", "c1"))
+    ])
+    assert _has_click(conversions, clicks).tolist() == [False]
+
+
+# ---------------------------------------------------------------------------
+# reading in chunks at once, against the one-chunk read
+
+# Per dataset, a header and the cells each of its columns may draw: bad
+# timestamps, loan types and ids, ids that only a rejected row may carry
+# ("ghost"), and non-ASCII text, a byte-order mark past the header included.
+CHUNK_CELLS = {
+    "conversions": {
+        "mfi_id": ["18", "20", "", " ", "ghost", "Ж7", "\ufeff18"],
+        "loan_type": ["standard", "long-term", "usual", "mortgage", ""],
+        "click_time": ["2021-03-01 10:00:00", "2021-03-01 10:00:01", "2021-13-01 10:00:00",
+                       "", "not a time", "2021-03-01 10:00:00Z", " 2021-03-01 10:00:00"],
+        "status": ["sale", "rejected", "pending", "одобрен", ""],
+        "client_id": ["c1", "c2", "", "клиент", "ghost-client"],
+        "conversion_time": ["2021-03-01 10:05:00", "", "2021-02-30 10:00:00"],
+        "os": ["iOS", "Android", "", "Линукс"],
+        "income": ["10.5", "", "nan", "-0.0", "x", "1e400"],
+    },
+    "clicks": {
+        "mfi_id": ["18", "20", "", "ghost"],
+        "click_time": ["2021-03-01 10:00:00", "2021-03-01 10:00:01", "bad", ""],
+        "client_id": ["c1", "c2", "", "ghost-client", "ü"],
+        "loan_type": ["standard", "interest-free", "mortgage"],
+        "page_rank": ["1", "2.5", "", "-3"],
+        "income": ["3.0", "", "inf"],
+    },
+}
+CHUNK_DATASETS = {"conversions": _CONVERSIONS, "clicks": _CLICKS}
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def chunk_texts(draw, name):
+    """A CSV text of dataset ``name``, as its part up to the end of the
+    header row and the rest: a byte-order mark and comment rows may come
+    first; then data rows of drawn cells, some short, with comment and
+    blank rows anywhere; every row ends in LF, CRLF or a bare CR."""
+    cells = CHUNK_CELLS[name]
+    header = ",".join(cells)
+    prefix = draw(st.sampled_from(["", "\ufeff"]))
+    for comment in draw(st.lists(st.sampled_from(["# exported", "#, x"]), max_size=2)):
+        prefix += comment + draw(LINE_ENDS)
+    prefix += header + draw(LINE_ENDS)
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["row", "row", "row", "short", "comment", "blank"]))
+        if kind == "comment":
+            row = draw(st.sampled_from(["# note", " #, 18,x"]))
+        elif kind == "blank":
+            row = draw(st.sampled_from(["", ",,", " "]))
+        else:
+            row = [draw(st.sampled_from(choices)) for choices in cells.values()]
+            if kind == "short":
+                row = row[: draw(st.integers(0, len(row) - 1))]
+            row = ",".join(row)
+        rows.append(row + draw(LINE_ENDS))
+    if draw(st.booleans()):  # no line end after the last row
+        rows[-1] = rows[-1].rstrip("\r\n")
+    return prefix, "".join(rows)
+
+
+def assert_same_table(got: ParseResult, expected: ParseResult) -> None:
+    """The same row errors, names, column bytes and missing masks."""
+    assert got.errors == expected.errors
+    assert got.table.names == expected.table.names
+    assert got.table.columns.keys() == expected.table.columns.keys()
+    for name, column in expected.table.columns.items():
+        assert got.table.columns[name].dtype == column.dtype
+        assert got.table.columns[name].tobytes() == column.tobytes(), name
+    assert got.table.missing.keys() == expected.table.missing.keys()
+    for name, mask in expected.table.missing.items():
+        assert got.table.missing[name].tobytes() == mask.tobytes(), name
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def newline_ends(raw, after: int) -> list[int]:
+    """The offset just after each newline of ``raw`` at or past position
+    ``after``, the end excluded."""
+    newline = b"\n"[0] if isinstance(raw, bytes) else "\n"
+    return [i + 1 for i in range(after, len(raw) - 1) if raw[i] == newline]
+
+
+@settings(max_examples=80)
+@given(data=st.data(), name=st.sampled_from(sorted(CHUNK_CELLS)), as_bytes=st.booleans())
+def test_a_read_in_chunks_is_the_one_chunk_read(data, name, as_bytes):
+    dataset = CHUNK_DATASETS[name]
+    prefix, body = data.draw(chunk_texts(name))
+    raw = (prefix + body).encode() if as_bytes else prefix + body
+    candidates = newline_ends(raw, len(prefix.encode()) - 1 if as_bytes else len(prefix) - 1)
+    assume(candidates)
+    inner = data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3, unique=True))
+    cuts = [0, *sorted(inner), len(raw)]
+    expected = _parse_whole(_text_rows(raw), DEFAULT_SCHEMA, dataset)
+    got = _parse_split(raw, DEFAULT_SCHEMA, dataset, cuts)
+    assert got is not None
+    assert_same_table(got, expected)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("as_bytes", [True, False])
+def test_a_byte_order_mark_that_opens_a_later_chunk_is_text(as_bytes):
+    text = CONV_HEADER + "\n18,standard,2021-03-01 10:00:00,sale,c1\n" + (
+        "\ufeff20,standard,2021-03-01 10:00:00,sale,c2\n"
+    )
+    raw = text.encode() if as_bytes else text
+    cut = raw.index("\ufeff".encode() if as_bytes else "\ufeff")
+    got = _parse_split(raw, DEFAULT_SCHEMA, _CONVERSIONS, [0, cut, len(raw)])
+    assert got.table.names["mfi_id"] == ("18", "\ufeff20")
+    assert_same_table(got, _parse_whole(_text_rows(raw), DEFAULT_SCHEMA, _CONVERSIONS))
+
+
+def test_drawn_chunk_texts_reject_rows_by_ghost_ids_only():
+    # Some drawn text has a value that only rejected rows carry, so the
+    # names of the merged chunks must be renumbered first-seen.
+    def ghost_only(texts):
+        prefix, body = texts
+        result = _parse_whole(_text_rows(prefix + body), DEFAULT_SCHEMA, _CONVERSIONS)
+        rows = body.replace("\r", "\n").split("\n")
+        return any(row.startswith("ghost,") for row in rows) and (
+            "ghost" not in result.table.names["mfi_id"]
+        )
+
+    find(chunk_texts("conversions"), ghost_only,
+         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+
+
+def test_cuts_end_every_chunk_but_the_last_after_a_newline():
+    raw = b"h\n" + b"".join(b"row %d,x\r\n" % i for i in range(50)) + b"tail"
+    for count in range(1, 6):
+        cuts = _cuts(raw, count)
+        assert cuts[0] == 0 and cuts[-1] == len(raw)
+        assert cuts == sorted(set(cuts)) and len(cuts) <= count + 1
+        assert all(raw[cut - 1:cut] == b"\n" for cut in cuts[1:-1])
+    assert _cuts(b"no newline at all", 4) == [0, 17]
+    assert _cuts("", 3) == [0]
+
+
+def test_the_chunk_count_follows_the_cpus_and_the_break_even(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert _chunk_count(10 * _CHUNK_BYTES) == 4
+    assert _chunk_count(3 * _CHUNK_BYTES - 1) == 2
+    assert _chunk_count(_CHUNK_BYTES) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _chunk_count(10 * _CHUNK_BYTES) == 1
+
+
+def test_quoted_text_and_unique_columns_are_read_in_one_chunk(fixture_triple):
+    text = serialize_conversions(fixture_triple[0])
+    cuts = [0, *newline_ends(text, text.index("\n"))[::40], len(text)]
+    assert len(cuts) > 3
+    assert _parse_split(text, DEFAULT_SCHEMA, _CONVERSIONS, cuts) is not None
+    # A quote may hide a newline inside a cell: no cut is safe.
+    quoted = text.replace(",Moscow,", ',"Mos\ncow",', 1)
+    assert _parse_split(quoted, DEFAULT_SCHEMA, _CONVERSIONS, cuts) is None
+    products = serialize_products(fixture_triple[1])
+    assert _parse_split(products, DEFAULT_SCHEMA, _PRODUCTS, _cuts(products, 3)) is None
+
+
+def big_conversions(rows: int = 3000) -> bytes:
+    """A conversions file of ``rows`` good rows, large enough to split."""
+    row = "18,standard,2021-03-01 10:00:00,sale,c{},iOS,{}.5\n"
+    text = "mfi_id,loan_type,click_time,status,client_id,os,income\n"
+    return (text + "".join(row.format(i % 97, i) for i in range(rows))).encode()
+
+
+HUGE_FIELD = b"c" * (csv.field_size_limit() + 1)
+
+
+def spoiled(data: bytes, faults: list[tuple[float, bytes]]) -> bytes:
+    """``data`` with each fault's bytes put in the row that starts past its
+    share of the length."""
+    for share, bad in sorted(faults, reverse=True):
+        at = data.index(b"\n", int(len(data) * share)) + 1
+        data = data[:at] + b"18,standard,2021-03-01 10:00:00,sale," + bad + b"\n" + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("faults", [
+    [(0.7, HUGE_FIELD)],
+    [(0.7, b"\xff\xfe")],
+    [(0.4, HUGE_FIELD), (0.8, b"\xff")],
+    [(0.4, b"\xff"), (0.8, HUGE_FIELD)],
+    [(0.1, b"\xff"), (0.9, HUGE_FIELD)],
+])
+@pytest.mark.parametrize("given", ["path", "bytes"])
+def test_a_fault_in_any_chunk_raises_the_one_chunk_error(tmp_path, monkeypatch, faults, given):
+    data = spoiled(big_conversions(), faults)
+    path = tmp_path / "conversions.csv"
+    path.write_bytes(data)
+    whole = _open_rows(str(path)) if given == "path" else _text_rows(data)
+    with pytest.raises(DataError) as expected:
+        _parse_whole(whole, DEFAULT_SCHEMA, _CONVERSIONS)
+    assert _parse_split(data, DEFAULT_SCHEMA, _CONVERSIONS, _cuts(data, 4)) is None
+    assert_no_child_left()
+    # Through the public parser, on two to four chunks
+    monkeypatch.setattr(mfirank.data, "_CHUNK_BYTES", len(data) // 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    source = str(path) if given == "path" else io.BytesIO(data)
+    with pytest.raises(DataError) as got:
+        parse_conversions(source)
+    assert str(got.value) == str(expected.value)
+    assert_no_child_left()
+
+
+def _dies(rows, index, config, dataset, *, parent=os.getpid(), read=mfirank.data._read_chunk):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return read(rows, index, config, dataset)
+
+
+def _raises(rows, index, config, dataset, *, parent=os.getpid(), read=mfirank.data._read_chunk):
+    if os.getpid() != parent:
+        raise RuntimeError("a reader fault")
+    return read(rows, index, config, dataset)
+
+
+@pytest.mark.parametrize("reader", [_dies, _raises])
+def test_a_reader_that_dies_or_fails_leaves_the_one_chunk_read(monkeypatch, reader):
+    data = big_conversions()
+    expected = _parse_whole(_text_rows(data), DEFAULT_SCHEMA, _CONVERSIONS)
+    monkeypatch.setattr(mfirank.data, "_read_chunk", reader)
+    assert _parse_split(data, DEFAULT_SCHEMA, _CONVERSIONS, _cuts(data, 3)) is None
+    assert_no_child_left()
+    monkeypatch.setattr(mfirank.data, "_CHUNK_BYTES", len(data) // 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert_same_table(parse_conversions(io.BytesIO(data)), expected)
+    assert_no_child_left()
+
+
+def test_a_large_file_is_read_in_chunks_with_the_one_chunk_result(tmp_path, monkeypatch):
+    data = big_conversions()
+    path = tmp_path / "conversions.csv"
+    path.write_bytes(data)
+    expected = _parse_whole(_open_rows(str(path)), DEFAULT_SCHEMA, _CONVERSIONS)
+    split = []
+    real = mfirank.data._fork_reader
+    monkeypatch.setattr(mfirank.data, "_fork_reader", lambda *a: split.append(a[1]) or real(*a))
+    monkeypatch.setattr(mfirank.data, "_CHUNK_BYTES", len(data) // 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert_same_table(parse_conversions(str(path)), expected)
+    assert len(split) == 2
+    assert_no_child_left()

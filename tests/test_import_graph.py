@@ -34,6 +34,7 @@ print(json.dumps({
     "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("mfirank.")),
     "numpy": "numpy" in sys.modules,
     "scipy": "scipy" in sys.modules,
+    "multiprocessing": "multiprocessing" in sys.modules,
 }))
 """
 
@@ -100,6 +101,8 @@ def test_a_subcommand_loads_only_its_stages(workdir, argv, code, modules, numpy)
     assert seen["numpy"] is numpy
     # The Student t tail of the Welch test is the one use of scipy.
     assert seen["scipy"] is (argv is not None and argv[0] == "abtest" and "--fisher" not in argv)
+    # The parser forks its chunk readers itself.
+    assert seen["multiprocessing"] is False
 
 
 def test_an_unknown_attribute_of_the_cli_is_an_attribute_error():
