@@ -7,11 +7,12 @@ weekly re-ranking, ``abtest`` compares two experiment groups,
 ``report`` emits plot-ready income and share-per-click series from an
 evaluation, and ``fixture`` writes a synthetic dataset triple.
 
-Exit codes: 0 success, 1 usage or configuration problems, 2 broken
-input data (a stray ``ValueError`` from library code included), 3
-violated internal invariants.  All JSON output is sorted
-and timestamp-free, so identical inputs give identical bytes, and every
-artifact embeds the SHA-256 digest of the resolved configuration.
+Exit codes: 0 success, 1 usage or configuration problems (an output
+file that cannot be opened or written included), 2 broken input data
+(a stray ``ValueError`` from library code included), 3 violated
+internal invariants.  All JSON output is sorted and timestamp-free, so
+identical inputs give identical bytes, and every artifact embeds the
+SHA-256 digest of the resolved configuration.
 
 A process loads only the stages its subcommand runs.  Importing this
 module loads no numpy and no stage module: each stage name the
@@ -95,11 +96,16 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
+    """Standard output for ``None`` or ``-``, else the file ``path``; a
+    failure to open or write the file is a ConfigError naming it."""
     if path in (None, "-"):
         yield sys.stdout
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as out:
             yield out
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -115,28 +121,57 @@ def _dump_json(payload, path: str | None) -> None:
     _write_text(path, _json_text(payload) + "\n")
 
 
+# Text bytes of the ranking matrix rendered per block of rows.
+_BLOCK_BYTES = 1 << 20
+
+
 def _dump_ranking(payload: dict, counts: np.ndarray, path: str | None) -> None:
     """Write ``payload`` plus ``"comparison_matrix": counts`` in the bytes
-    :func:`_dump_json` gives for the merged dict, a row at a time.
+    :func:`_dump_json` gives for the merged dict, for any non-negative
+    integer matrix.
 
     The encoder in ``json`` renders a k-by-k integer matrix with indent
     through its pure-Python path, millions of small strings at k = 2000.
-    Here each row is one gather from the cell texts and one ``str.join``.
-    The key must sort before every payload key: the matrix then opens the
-    object and the rest of the payload follows as ``json`` renders it.
+    Here every cell is one line of a fixed width, ``"      N,\n"``, with
+    NUL bytes left of the digits up to the widest value.  A reused byte
+    buffer holds the text of a block of rows, about ``_BLOCK_BYTES``, with
+    the row frames in place: each row opens with ``"    [\n"`` and its
+    last cell ends in ``"\n    ],\n"``.  Per block, one ``np.take`` from
+    a small table of the values' digits fills the digit slots; the NULs
+    (only a matrix with a value above 9 has any) are dropped, and the
+    block is written, without the last row's ``",\n"``.  Memory beyond
+    ``counts`` stays a few blocks, whatever k.  The key must sort before
+    every payload key: the matrix then opens the object and the rest of
+    the payload follows as ``json`` renders it.
     """
     import numpy as np
 
-    cells = np.array([str(n) for n in range(int(counts.max(initial=0)) + 1)], dtype=object)
+    if not counts.size:
+        _dump_json({**payload, "comparison_matrix": counts.tolist()}, path)
+        return
+    top = int(counts.max())
+    width = len(str(top))
+    digits = np.array(
+        [list(str(n).rjust(width, "\0").encode()) for n in range(top + 1)], dtype=np.uint8
+    )
+    n_rows, n_cols = counts.shape
+    cell = b"      " + bytes(width) + b",\n"
+    row = b"    [\n" + (cell * n_cols)[:-2] + b"\n    ],\n"
+    block = np.empty((max(1, _BLOCK_BYTES // len(row)), len(row)), dtype=np.uint8)
+    block[:] = np.frombuffer(row, dtype=np.uint8)
+    cells = block[:, 6 : 6 + n_cols * len(cell)].reshape(len(block), n_cols, len(cell))
+    slots = cells[:, :, 6 : 6 + width]
     rest = _json_text(payload)
     with _output(path) as out:
         out.write('{\n  "comparison_matrix": [\n')
-        for i, row in enumerate(counts):
-            if i:
-                out.write(",\n")
-            out.write("    [\n      ")
-            out.write(",\n      ".join(cells[row].tolist()))
-            out.write("\n    ]")
+        for start in range(0, n_rows, len(block)):
+            rows = counts[start : start + len(block)]
+            np.take(digits, rows, axis=0, out=slots[: len(rows)])
+            text = block[: len(rows)].reshape(-1)
+            if width > 1:
+                text = text[text != 0]
+            end = len(text) - 2 if start + len(rows) == n_rows else len(text)
+            out.write(str(memoryview(text)[:end], "ascii"))
         # ``rest`` opens with "{\n"; its first key continues this object.
         out.write("\n  ]," + rest[1:] + "\n")
 
@@ -525,13 +560,16 @@ def cmd_fixture(args: argparse.Namespace) -> int:
         args.seed, n_mfis=args.n_mfis, n_clients=args.n_clients
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc.strerror or exc}") from None
     for name, text in (
         ("conversions.csv", _stage.serialize_conversions(conversions)),
         ("products.csv", _stage.serialize_products(products)),
         ("clicks.csv", _stage.serialize_clicks(clicks)),
     ):
-        (out_dir / name).write_text(text, encoding="utf-8")
+        _write_text(str(out_dir / name), text)
     manifest = {
         "seed": args.seed,
         "n_mfis": args.n_mfis,
@@ -540,9 +578,7 @@ def cmd_fixture(args: argparse.Namespace) -> int:
         "n_products": len(products),
         "n_clicks": len(clicks),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _dump_json(manifest, str(out_dir / "manifest.json"))
     _dump_json(manifest, None)
     return 0
 

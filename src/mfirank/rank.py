@@ -37,7 +37,11 @@ _STALL_SHRINK = 0.01
 
 @dataclass(frozen=True)
 class ComparisonMatrix:
-    """Pairwise loss counts: counts[i, j] = features on which j beats i."""
+    """Pairwise loss counts: counts[i, j] = features on which j beats i.
+
+    ``comparison_matrix`` fills ``counts`` as ``uint8``, one byte per cell:
+    a count is at most ``len(features)``, and there are five features.
+    """
 
     order: tuple[str, ...]
     counts: np.ndarray
@@ -77,7 +81,9 @@ def comparison_matrix(
     everything else.  Each feature is one numpy broadcast over all pairs,
     ``v[None, :] > v[:, None] + tie_eps``: the same float expression per
     pair as a scalar loop would evaluate, so ties at exactly ``tie_eps``
-    resolve the same way.
+    resolve the same way.  The broadcast goes into one reused k-by-k
+    bool buffer and is added to ``uint8`` counts, so the stage holds two
+    bytes per pair while it counts and one once it returns.
     """
     feats = tuple(features) if features is not None else ALL_FEATURES
     unknown = [f for f in feats if f not in ALL_FEATURES]
@@ -92,11 +98,13 @@ def comparison_matrix(
         raise ValueError("duplicate mfi_id in feature vectors")
 
     k = len(vectors)
-    counts = np.zeros((k, k), dtype=np.int64)
+    counts = np.zeros((k, k), dtype=np.uint8)
+    wins = np.empty((k, k), dtype=bool)
     for f in feats:
         sign = -1.0 if f in LOWER_IS_BETTER else 1.0
         v = sign * np.array([vec.get(f) for vec in vectors], dtype=float)
-        counts += v[None, :] > v[:, None] + tie_eps
+        np.greater(v[None, :], v[:, None] + tie_eps, out=wins)
+        counts += wins
     return ComparisonMatrix(order=order, counts=counts, features=feats)
 
 
@@ -206,13 +214,15 @@ def stationary(
     iteration that merely fails to converge falls back to the direct
     result with ``power_converged`` False.  The direct solve borrows a
     writable ``p`` as its system matrix and restores it before returning,
-    so no other thread may read ``p`` during the call.
+    so no other thread may read ``p`` during the call.  The checks on
+    ``p`` allocate nothing of its size, so on a writable ``p`` the solve's
+    one k-by-k buffer is the copy ``numpy.linalg.solve`` makes for LAPACK.
     """
     p = np.asarray(p, dtype=float)
     k = p.shape[0]
     if p.shape != (k, k):
         raise ValueError("transition matrix must be square")
-    if np.any(p < -1e-12) or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
+    if p.min() < -1e-12 or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("rows must be probability distributions")
     names = tuple(order) if order is not None else tuple(str(i) for i in range(k))
     if len(names) != k:

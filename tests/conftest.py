@@ -12,6 +12,7 @@ products.csv, and clicks.csv.
 from __future__ import annotations
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,18 @@ def reference_vectors() -> list[FeatureVector]:
         )
         for mfi, (rating, lar, fair, p90, earn) in REFERENCE_TABLE.items()
     ]
+
+
+def traced_peak(call) -> int:
+    """Bytes ``call()`` allocates at its peak, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
 
 
 @pytest.fixture

@@ -17,7 +17,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import PUBLISHED_PI, REFERENCE_RANKING
+from conftest import PUBLISHED_PI, REFERENCE_RANKING, traced_peak
+import mfirank.cli as cli
 from mfirank.cli import SERIES_COLUMNS, _dump_ranking, main
 from mfirank.config import PipelineConfig, load_config
 from mfirank.data import (
@@ -325,6 +326,71 @@ def test_ranking_writer_matches_json_dumps(ids, extra, scale, to_stdout, tmp_pat
         _dump_ranking(payload, counts, str(out))
         got = out.read_bytes().decode("utf-8")
     assert got == want
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, showing the first difference only: pytest's own diff
+    of megabytes of text takes minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        near = slice(max(at - 20, 0), at + 20)
+        pytest.fail(f"texts differ at character {at}: {got[near]!r} vs {want[near]!r}")
+
+
+@pytest.mark.parametrize(
+    "k, block_bytes",
+    [(7, 200), (600, None)],
+    ids=["two-rows-per-block", "module-block"],
+)
+@pytest.mark.parametrize("scale", [1, 17, 0], ids=["one-digit", "multi-digit", "all-zero"])
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_ranking_writer_matches_json_dumps_across_blocks(
+    k, block_bytes, scale, to_stdout, tmp_path, capsys, monkeypatch
+):
+    if block_bytes is not None:
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+    counts = np.arange(k * k, dtype=np.int64).reshape(k, k) % 6 * scale
+    # a row's text: its frames and one line per cell, the widest value's width
+    row = 12 + k * (8 + len(str(counts.max())))
+    per_block = cli._BLOCK_BYTES // row
+    assert 0 < per_block < k and k % per_block  # several blocks and a remainder
+    payload = ranking_payload(tuple(f"m{i}" for i in range(k)))
+    want = json.dumps(
+        {**payload, "comparison_matrix": counts.tolist()},
+        sort_keys=True, indent=2, ensure_ascii=False,
+    ) + "\n"
+    if to_stdout:
+        _dump_ranking(payload, counts, "-")
+        got = capsys.readouterr().out
+    else:
+        out = tmp_path / "ranking.json"
+        _dump_ranking(payload, counts, str(out))
+        got = out.read_bytes().decode("utf-8")
+    assert_same_text(got, want)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
+def test_ranking_writer_matches_json_dumps_on_an_empty_matrix(shape, tmp_path):
+    counts = np.zeros(shape, dtype=np.uint8)
+    payload = ranking_payload(("a", "b"))
+    out = tmp_path / "ranking.json"
+    _dump_ranking(payload, counts, str(out))
+    assert out.read_text(encoding="utf-8") == json.dumps(
+        {**payload, "comparison_matrix": counts.tolist()},
+        sort_keys=True, indent=2, ensure_ascii=False,
+    ) + "\n"
+
+
+@pytest.mark.parametrize("scale", [1, 17], ids=["one-digit", "multi-digit"])
+def test_ranking_writer_memory_does_not_grow_with_k(scale, tmp_path):
+    # about 19 MiB of text at k = 1500, written in blocks of about 1 MiB
+    budget = 8 << 20
+    k = 1500
+    counts = (np.arange(k * k) % 6 * scale).astype(np.uint8).reshape(k, k)
+    payload = ranking_payload(tuple(f"m{i:05d}" for i in range(k)))
+    out = tmp_path / "ranking.json"
+    assert traced_peak(lambda: _dump_ranking(payload, counts, str(out))) < budget
+    assert out.stat().st_size > 2 * budget
 
 
 def test_rank_rejects_feature_subset_mismatch(golden_vectors, tmp_path):
@@ -860,6 +926,69 @@ def test_abtest_empty_group_is_a_data_error(tmp_path):
     a.write_text("mfi_id,loan_type,click_time,status,client_id\n")
     group_csv(b, [(Status.SALE, 5.0, "iOS")])
     assert main(["abtest", "--group-a", str(a), "--group-b", str(b)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# outputs that cannot be written
+
+
+# Every output flag of every subcommand.
+OUTPUT_FLAGS = [
+    ("validate", "--out"),
+    ("features", "--out"),
+    ("features", "--breakdown-json"),
+    ("rank", "--out"),
+    ("rank", "--pi-csv"),
+    ("evaluate", "--out"),
+    ("evaluate", "--daily-csv"),
+    ("abtest", "--out"),
+    ("report", "--out"),
+    ("fixture", "--out-dir"),
+]
+
+
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+def test_an_unwritable_output_is_a_one_line_config_error(
+    command, flag, dataset_dir, evaluation_json, golden_vectors, tmp_path
+):
+    table = tmp_path / "features.csv"
+    table.write_text(feature_csv(golden_vectors))
+    inputs = {
+        "validate": dataset_flags(dataset_dir),
+        "features": dataset_flags(dataset_dir),
+        "rank": ["--features-csv", str(table)],
+        "evaluate": dataset_flags(dataset_dir),
+        "abtest": abtest_flags(dataset_dir, tmp_path),
+        "report": ["--evaluation", str(evaluation_json)],
+        "fixture": ["--n-clients", "20"],
+    }[command]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    bad = blocker / "out"  # no file and no directory can be made under a file
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "mfirank.cli", command, *inputs, flag, str(bad)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line == f"mfirank: config error: cannot write {bad}: Not a directory"
+
+
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing-dir", "No such file or directory"), ("a-directory", "Is a directory")],
+)
+def test_an_output_path_that_cannot_be_opened_is_a_config_error(
+    where, reason, golden_vectors, tmp_path, capsys
+):
+    table = tmp_path / "features.csv"
+    table.write_text(feature_csv(golden_vectors))
+    bad = tmp_path / "no" / "such" / "ranking.json" if where == "missing-dir" else tmp_path
+    assert main(["rank", "--features-csv", str(table), "--out", str(bad)]) == 1
+    assert capsys.readouterr().err == f"mfirank: config error: cannot write {bad}: {reason}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import functools
 import itertools
 import math
 import time
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PUBLISHED_PI, REFERENCE_MATRIX, REFERENCE_PI, REFERENCE_RANKING
+from conftest import PUBLISHED_PI, REFERENCE_MATRIX, REFERENCE_PI, REFERENCE_RANKING, traced_peak
 from mfirank.data import LoanType, ProductRecord
 from mfirank.errors import InternalError
 from mfirank.features import ALL_FEATURES, FEATURE_ATTRS, LOWER_IS_BETTER, FeatureVector
@@ -143,7 +142,9 @@ def boundary_tables(draw):
 def test_comparison_matrix_matches_the_scalar_loop(case):
     vectors, features, eps = case
     matrix = comparison_matrix(vectors, features=features, tie_eps=eps)
-    assert matrix.counts.dtype == np.int64
+    # one byte per cell: a count never exceeds the number of features compared
+    assert matrix.counts.dtype == np.uint8
+    assert matrix.counts.max() <= len(features or ALL_FEATURES)
     assert np.array_equal(matrix.counts, loop_comparison_counts(vectors, features, eps))
 
 
@@ -505,13 +506,10 @@ def test_p_is_restored_when_the_solve_raises(failing, p):
     assert p.tobytes() == before
 
 
-def test_rank_mfis_holds_one_float_matrix():
-    # The int64 counts, P and small temporaries, about 2.1 k-by-k float
-    # arrays; tracemalloc traces numpy's buffers, not the copy of the system
-    # LAPACK works on.  Building ``P.T - np.eye(k)`` beside P measures 4.0.
-    k = 600
-    rng = np.random.default_rng(600)
-    vectors = [
+def wide_vectors(k: int) -> list[FeatureVector]:
+    """k MFIs with continuous features and integer fairness."""
+    rng = np.random.default_rng(k)
+    return [
         FeatureVector(
             mfi_id=f"m{i:05d}",
             rating_norm=float(rng.uniform(1.0, 5.0)),
@@ -522,13 +520,23 @@ def test_rank_mfis_holds_one_float_matrix():
         )
         for i in range(k)
     ]
-    tracemalloc.start()
-    try:
-        rank_mfis(vectors)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * k * k * 8
+
+
+def test_rank_mfis_holds_one_float_matrix():
+    # Bytes per pair at the peak: 8 of P, 1 of the uint8 counts and a
+    # little of small temporaries, about 9.1; tracemalloc traces numpy's
+    # buffers, not the copy of the system LAPACK works on.  int64 counts
+    # (8 bytes) and a k-by-k bool sign check (1 byte) measured 17.0.
+    k = 1500
+    vectors = wide_vectors(k)
+    assert traced_peak(lambda: rank_mfis(vectors)) <= 10.5 * k * k + (1 << 20)
+
+
+def test_stationary_allocates_nothing_of_the_matrix_size():
+    # a k-by-k bool array for the sign check alone would be k * k bytes
+    k = 600
+    p = transition(comparison_matrix(wide_vectors(k)))
+    assert traced_peak(lambda: stationary(p)) < k * k / 2
 
 
 def test_stationary_validates_input():
@@ -536,8 +544,12 @@ def test_stationary_validates_input():
         stationary(np.ones((2, 3)))
     with pytest.raises(ValueError, match="probability"):
         stationary(np.array([[0.5, 0.4], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="probability"):
+        stationary(np.array([[1.5, -0.5], [0.5, 0.5]]))  # rows sum to 1
     with pytest.raises(ValueError, match="order"):
         stationary(np.eye(2) * 0 + 0.5, order=("a",))
+    # an entry a hair below zero is rounding, not a negative probability
+    assert stationary(np.array([[0.5, 0.5], [1.0 + 1e-13, -1e-13]])).pi.sum() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
