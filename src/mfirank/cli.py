@@ -37,6 +37,7 @@ import importlib
 import json
 import logging
 import math
+import os
 import sys
 from datetime import datetime
 from pathlib import Path
@@ -97,9 +98,19 @@ class _Parser(argparse.ArgumentParser):
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
     """Standard output for ``None`` or ``-``, else the file ``path``; a
-    failure to open or write the file is a ConfigError naming it."""
+    failure to open or write the file is a ConfigError naming it, and so is
+    a standard output whose reader has gone (a broken pipe)."""
     if path in (None, "-"):
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # The interpreter flushes standard output again at exit: let that
+            # write go nowhere rather than fail a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConfigError(f"cannot write standard output: {exc.strerror}") from None
         return
     try:
         with open(path, "w", encoding="utf-8") as out:

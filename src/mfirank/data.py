@@ -16,39 +16,25 @@ bad mandatory cell drops its row with a ``RowError``; an unparseable
 optional cell becomes empty (None; False for a flag, 0 for a review
 count), and ``nan``, ``inf`` or an overflowing number is unparseable.
 
-The parser reads the rows in blocks and transposes each block into
-columns.  Every cell parser and check is a pure function of the cell
-text, so each distinct cell of a column is parsed and checked once per
-block; a timestamp column in the default format is read in bulk, as
-fixed-width digits, and only the cells that do not fit that shape go
-through the cell parser.  The accepted rows fill one columnar
-:class:`Table` per file, in file order: id and text cells as first-seen
-integer codes, timestamps as integer microseconds with a missing mask,
-numbers as floats with NaN for missing, status and loan type as small
-integer codes.  The result is the one a row-by-row reading gives:
-records and row errors in row order, and the same ``DataError`` where
-the file has one.
+The csv module splits the rows, which are read in blocks, each
+transposed into columns.  Every cell parser and check is a pure function
+of the cell text, so each distinct cell of a column is parsed and checked
+once per block; a timestamp column in the default format is read in
+bulk, as fixed-width digits, and only the cells that do not fit that
+shape go through the cell parser.  A plain conversions or clicks input
+is read column-wise instead: one mask of its commas and line ends gives
+every cell's offsets, and only the distinct cells of each column are
+decoded, parsed and checked.  An input is plain where it is UTF-8 with
+no ``"``, no NUL and no CR outside a CRLF, and every line has the
+header's number of cells, none over ``csv.field_size_limit()``, and is
+no comment and not blank.
 
-On Linux a large input is read in chunks at once, one per CPU the
-process may run on (``os.sched_getaffinity``), none shorter than
-``_CHUNK_BYTES`` (256 KiB, about where a second chunk starts to pay on a
-2-core VM).  The bytes are cut just after a newline; this process reads
-the header and the first chunk, and an ``os.fork`` reader reads each later
-one and sends back its column bytes, its names and its row errors through
-a pipe.  The chunks are merged into the table and the errors of the
-one-chunk read, byte for byte: names are appended first-seen, each later
-chunk's codes are mapped with one gather, and its row numbers follow the
-rows before it.  An input stays in one chunk where it is smaller, where
-it holds a ``"`` (a newline may then sit inside a quoted cell), and for
-the products, whose unique card ids are checked in row order.  Where any
-chunk fails, or a reader dies, the input is read again in one chunk,
-which gives the ``DataError`` of the fault read first; every reader is
-reaped on every path.  ``taskset -c 0`` (one CPU) gives the one-chunk
-read.  numpy's bundled OpenBLAS stops its thread pool at a fork and
-starts it again at its next call, so the fork happens in a process of
-one thread; Python 3.12 and later warn (``DeprecationWarning``) at a fork
-in a process of more threads, and that warning is left to the caller's
-filters.
+Either way the accepted rows fill one columnar :class:`Table` per file,
+in file order: id and text cells as first-seen integer codes, timestamps
+as integer microseconds with a missing mask, numbers as floats with NaN
+for missing, status and loan type as small integer codes.  The result is
+the one a row-by-row reading gives: records and row errors in row order,
+and the same ``DataError`` where the file has one.
 
 Every stage reads the tables, :func:`validate` included: its counts,
 key join and record checks are array reductions.  The frozen slotted
@@ -62,17 +48,14 @@ conversion is performed anywhere in the package.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import gc
 import io
-import logging
 import math
 import os
-import pickle
 import re
-import signal
-import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
@@ -83,8 +66,6 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 import numpy as np
 
 from .errors import DataError
-
-logger = logging.getLogger(__name__)
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
@@ -750,195 +731,36 @@ def _read_header(
 
 def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> ParseResult:
     """Read one dataset: every row becomes a table row or a RowError.  A
-    large input is read in chunks at once (:func:`_parse_split`); where it
-    is not, or a chunk fails, it is read whole, in this process."""
+    plain input is read column-wise (:func:`_parse_columns`), any other by
+    the csv module (:func:`_parse_whole`)."""
     config = config or DEFAULT_SCHEMA
     if hasattr(source, "read"):
         raw = source.read()
-        parsed = _parse_split(raw, config, dataset)
+        parsed = _parse_columns(raw, config, dataset)
         return parsed if parsed is not None else _parse_whole(_text_rows(raw), config, dataset)
-    parsed = _parse_split(_file_bytes(source), config, dataset)
+    parsed = _parse_columns(_read_bytes(source), config, dataset)
     return parsed if parsed is not None else _parse_whole(_open_rows(source), config, dataset)
 
 
+def _read_bytes(source) -> bytes | None:
+    """The bytes of the file ``source``; None where it cannot be read, or
+    is CSV text, as the csv path then says."""
+    if isinstance(source, str) and "\n" in source:
+        return None
+    with contextlib.suppress(OSError, ValueError), open(source, "rb") as fh:
+        return fh.read()
+    return None
+
+
 def _parse_whole(rows: Iterator[list[str]], config: SchemaConfig, dataset: _Dataset) -> ParseResult:
-    """Read one dataset from its rows as one chunk."""
+    """Read one dataset from its rows, as the csv module splits them."""
     try:
         with _collector_paused():
-            chunk = _read_chunk(rows, _read_header(rows, config, dataset), config, dataset)
-            return _finish_table(dataset, chunk)
+            return _read_blocks(rows, _read_header(rows, config, dataset), config, dataset)
     except csv.Error as exc:
         raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{dataset.name}: not UTF-8 text: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# reading a large input in chunks at once
-
-# The least input, in bytes, that one more chunk reader is worth: below it,
-# forking the reader and merging its columns cost more than the share of
-# the parse it takes over.
-_CHUNK_BYTES = 262_144  # 256 KiB
-
-
-def _chunk_count(size: int) -> int:
-    """How many chunks an input of ``size`` bytes is read in: on Linux, one
-    per CPU this process may run on, none shorter than ``_CHUNK_BYTES``;
-    elsewhere one."""
-    if not sys.platform.startswith("linux"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), size // _CHUNK_BYTES))
-
-
-def _file_bytes(source) -> bytes | None:
-    """The bytes of the file at ``source`` where it is large enough to be
-    read in chunks, else None (and None where it cannot be read: the
-    one-chunk read gives that error)."""
-    if isinstance(source, str) and "\n" in source:
-        return None
-    try:
-        if _chunk_count(os.stat(source).st_size) < 2:
-            return None
-        with open(source, "rb") as fh:
-            return fh.read()
-    except (OSError, TypeError, ValueError):
-        return None
-
-
-def _cuts(raw: bytes | str, count: int) -> list[int]:
-    """Offsets that cut ``raw`` into at most ``count`` chunks of about one
-    size, chunk i being ``raw[cuts[i]:cuts[i + 1]]``; every chunk but the
-    last ends just after a newline."""
-    newline = b"\n" if isinstance(raw, bytes) else "\n"
-    cuts = [0]
-    for i in range(1, count):
-        cut = raw.find(newline, len(raw) * i // count) + 1  # 0: no newline left
-        if cut > cuts[-1]:
-            cuts.append(cut)
-    if cuts[-1] < len(raw):
-        cuts.append(len(raw))
-    return cuts
-
-
-def _chunk_rows(raw: bytes | str, start: int, stop: int) -> Iterator[list[str]]:
-    """The CSV rows of ``raw[start:stop]``, decoded on its own as it is
-    read; a byte-order mark is dropped before the first chunk only."""
-    if isinstance(raw, str):
-        text = raw[start:stop]
-        if start == 0:
-            text = text.removeprefix("\ufeff")
-        return csv.reader(io.StringIO(text, newline=""))
-    encoding = "utf-8-sig" if start == 0 else "utf-8"
-    return csv.reader(io.TextIOWrapper(io.BytesIO(raw[start:stop]), encoding, newline=""))
-
-
-@dataclass
-class _Reader:
-    """A forked process that reads one chunk and writes it, pickled, to the
-    pipe whose read end is ``fd``.  Each field is None once done with."""
-
-    pid: int | None
-    fd: int | None
-
-    def result(self) -> _Chunk:
-        """The chunk the reader read, once it has exited cleanly."""
-        pipe = open(self.fd, "rb")
-        self.fd = None
-        with pipe:
-            chunk = pickle.load(pipe)
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status:
-            raise ChildProcessError(f"chunk reader ended with wait status {status}")
-        return chunk
-
-    def stop(self) -> None:
-        """Close the pipe, then kill and reap the reader, if still due."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-        if self.pid is not None:
-            # A zombie takes the signal too; with SIGCHLD ignored, the kernel
-            # has reaped the reader already.
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-            self.pid = None
-
-
-def _fork_reader(
-    raw: bytes | str, start: int, stop: int, index: Mapping[str, int], config: SchemaConfig,
-    dataset: _Dataset, others: Sequence[_Reader],
-) -> _Reader:
-    """Fork a process that reads ``raw[start:stop]`` with the header
-    ``index``.  It closes the pipes of the ``others`` it inherits, and
-    whatever happens it leaves through ``os._exit``, so it never runs the
-    rest of this process's program."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            for fd in (read_end, *(other.fd for other in others)):
-                os.close(fd)
-            chunk = _read_chunk(_chunk_rows(raw, start, stop), index, config, dataset)
-            with open(write_end, "wb") as pipe:
-                pickle.dump(chunk, pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return _Reader(pid, read_end)
-
-
-def _parse_split(
-    raw: bytes | str | None, config: SchemaConfig, dataset: _Dataset,
-    cuts: Sequence[int] | None = None,
-) -> ParseResult | None:
-    """Read ``raw``, the whole input, in the chunks ``cuts`` gives (by
-    default one per CPU, see :func:`_chunk_count`), all at once: this
-    process reads the header and the first chunk while a forked reader
-    reads each later one; then the chunks are merged into the table and the
-    errors a one-chunk read gives.
-
-    None where the input is not read so: it is None or one chunk, it holds
-    a quote (a newline may then sit inside a cell), or its dataset has a
-    unique column (a repeat is found in row order).  None also where any
-    chunk fails, whatever the fault, or a reader dies: the one-chunk read
-    then gives the result, or the ``DataError`` of the fault read first.
-    Every reader is reaped before this returns."""
-    if raw is None or dataset.unique is not None:
-        return None
-    if cuts is None:
-        cuts = _cuts(raw, _chunk_count(len(raw)))
-    if len(cuts) < 3 or (b'"' if isinstance(raw, bytes) else '"') in raw:
-        return None
-    readers: list[_Reader] = []
-    try:
-        with _collector_paused():
-            rows = _chunk_rows(raw, cuts[0], cuts[1])
-            index = _read_header(rows, config, dataset)
-            for start, stop in zip(cuts[1:], cuts[2:]):
-                readers.append(_fork_reader(raw, start, stop, index, config, dataset, readers))
-            # This process needs only its own chunk now: where the caller
-            # holds no other reference (a file's bytes), the input is freed.
-            del raw
-            chunk = _read_chunk(rows, index, config, dataset)
-            for reader in readers:
-                chunk.extend(reader.result(), dataset)
-            return _finish_table(dataset, chunk)
-    except Exception:
-        logger.debug("%s: reading in one chunk after a fault", dataset.name, exc_info=True)
-        return None
-    finally:
-        for reader in readers:
-            reader.stop()
 
 
 # Byte positions of the digits and the separators in a cell of the default
@@ -950,12 +772,11 @@ _STAMP_WIDTH = 19
 _UNSHAPED = "-" * _STAMP_WIDTH  # stands in for a cell of another shape
 
 
-def _bulk_stamps(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Which of ``cells`` (ASCII, each ``_STAMP_WIDTH`` long) are digits and
-    separators of the default format naming a real moment, with year 1 or
-    later, and the microseconds since 1970 of each that is."""
-    raw = np.frombuffer("".join(cells).encode("ascii"), np.uint8).reshape(-1, _STAMP_WIDTH)
-    digits = raw[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
+def _bulk_stamps(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of ``raw`` (bytes, ``_STAMP_WIDTH`` or more to a row) open
+    with digits and separators of the default format naming a real moment,
+    year 1 or later, and the microseconds since 1970 of each that does."""
+    digits = raw[:, _STAMP_DIGITS].astype(np.int32) - ord("0")
     ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
     ok &= (raw[:, _STAMP_SEPARATORS] == _STAMP_SEPARATOR_BYTES).all(axis=1)
     digits[~ok] = 0
@@ -969,6 +790,21 @@ def _bulk_stamps(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     ok &= (hour < 24) & (minute < 60) & (second < 60)
     seconds = (((first + day - 1) * 24 + hour) * 60 + minute) * 60 + second
     return ok, seconds * 1_000_000
+
+
+def _parse_stamps(
+    cells: Iterable[tuple[int, str]], parse: Callable, micros: np.ndarray, missing: np.ndarray
+) -> None:
+    """Read the cell of each ``(row, cell)`` with ``parse``, once per
+    distinct cell, into ``micros``, or mark its row in ``missing``."""
+    memo: dict = {}
+    for j, cell in cells:
+        if cell not in memo:
+            memo[cell] = parse(cell)
+        if memo[cell] is None:
+            missing[j] = True
+        else:
+            micros[j] = to_micros(memo[cell])
 
 
 def _timestamps(
@@ -995,66 +831,24 @@ def _timestamps(
         if not "".join(candidates).isascii():
             candidates = [c if c.isascii() else _UNSHAPED for c in candidates]
         if candidates:
-            ok, read = _bulk_stamps(candidates)
+            raw = np.frombuffer("".join(candidates).encode("ascii"), np.uint8)
+            ok, read = _bulk_stamps(raw.reshape(-1, _STAMP_WIDTH))
             shaped[shaped] = ok
             micros[shaped] = read[ok]
             rest &= ~shaped
-    memo: dict = {}
-    for j in np.flatnonzero(rest).tolist():
-        cell = column[j]
-        if cell not in memo:
-            memo[cell] = parse(cell)
-        if memo[cell] is None:
-            missing[j] = True
-        else:
-            micros[j] = to_micros(memo[cell])
+    rows = np.flatnonzero(rest).tolist()
+    _parse_stamps(zip(rows, map(column.__getitem__, rows)), parse, micros, missing)
     return micros, missing
 
 
-@dataclass
-class _Chunk:
-    """The data rows of one chunk of a file, read: the bytes of each
-    column's array and of each timestamp column's missing mask, one buffer
-    per column grown in place, so the blocks leave no scattered small arrays
-    behind; each id and text column's values by code, in the order first
-    seen, rejected rows' values included; the row errors; and the count of
-    the rows numbered, blank ones included.  Row numbers count from the
-    chunk's first data row."""
-
-    parts: dict[str, bytearray]
-    missing: dict[str, bytearray]
-    interned: dict[str, dict]
-    errors: list[RowError] = field(default_factory=list)
-    rows: int = 0
-
-    def extend(self, later: _Chunk, dataset: _Dataset) -> None:
-        """Append the chunk read just after this one: its values new to this
-        chunk are interned in its order, its codes are mapped onto this
-        chunk's with one gather, and its row numbers follow this chunk's."""
-        for name, kind in dataset.columns:
-            part = later.parts[name]
-            if kind in (_ID, _TEXT):
-                codes = self.interned[name]
-                values = later.interned[name]
-                recode = np.fromiter(
-                    (codes.setdefault(value, len(codes)) for value in values), np.int32, len(values)
-                )
-                part = memoryview(recode[np.frombuffer(part, np.int32)]).cast("B")
-            self.parts[name] += part
-        for name, part in later.missing.items():
-            self.missing[name] += part
-        self.errors += [RowError(e.row + self.rows, e.column, e.message) for e in later.errors]
-        self.rows += later.rows
-
-
-def _read_chunk(
+def _read_blocks(
     rows: Iterator[list[str]], index: Mapping[str, int], config: SchemaConfig, dataset: _Dataset
-) -> _Chunk:
+) -> ParseResult:
     """Read the data rows block by block and, within a block, column by
     column.  The cell parsers and the checks are pure functions of the cell,
     so each runs once per distinct cell of a column (a timestamp column is
-    read in bulk); the accepted rows of the block then extend the columns
-    of the chunk."""
+    read in bulk); the accepted rows of the block then extend one buffer per
+    column, grown in place, so no scattered small arrays are left behind."""
     parsers = _cell_parsers(config)
     bulk = config.timestamp_format == TIMESTAMP_FORMAT
     kinds = dict(dataset.columns)
@@ -1066,12 +860,12 @@ def _read_chunk(
     # A row rejected at or before the unique column's check never reaches it.
     after_unique = dataset.checks.index(unique) + 1 if unique is not None else 0
     seen: dict[object, int] = {}
-    chunk = _Chunk(
-        parts={name: bytearray() for name, kind in dataset.columns},
-        missing={name: bytearray() for name, kind in dataset.columns if kind == _TIMESTAMP},
-        interned={name: {} for name, kind in dataset.columns},
-    )
-    parts, interned = chunk.parts, chunk.interned
+    parts = {name: bytearray() for name, kind in dataset.columns}
+    missing = {name: bytearray() for name, kind in dataset.columns if kind == _TIMESTAMP}
+    # Each id and text column's values by code, in the order first seen,
+    # rejected rows' values included.
+    interned: dict[str, dict] = {name: {} for name, kind in dataset.columns}
+    errors: list[RowError] = []
     n = 0
     while block := list(islice(rows, _BLOCK_ROWS)):
         # Only a row whose first cell is blank or opens with "#" can be a
@@ -1143,7 +937,7 @@ def _read_chunk(
                     )
                 if failed is None:
                     seen[value] = numbers[j]
-        chunk.errors.extend(
+        errors.extend(
             RowError(numbers[j], name, message)
             for j, (_, name, message) in sorted(rejected.items())
         )
@@ -1151,29 +945,234 @@ def _read_chunk(
         kept = len(block) - len(rejected)
         for name, kind, _, _ in columns:
             if name in stamps:
-                for part, values in zip((parts, chunk.missing), stamps[name]):
+                for part, values in zip((parts, missing), stamps[name]):
                     part[name] += memoryview(values[np.array(accepted)] if accepted else values).cast("B")
                 continue
             codes = _codes(kind, memos[name], interned[name])
             column = compress(cells[name], accepted) if accepted else cells[name]
             values = np.fromiter(map(codes.__getitem__, column), _DTYPES[kind], kept)
             parts[name] += memoryview(values).cast("B")
-    chunk.rows = n
-    return chunk
+    return _finish_table(
+        dataset,
+        {name: np.frombuffer(parts[name], _DTYPES[kind]) for name, kind in dataset.columns},
+        {name: np.frombuffer(part, bool) for name, part in missing.items()},
+        interned,
+        errors,
+    )
 
 
-def _finish_table(dataset: _Dataset, chunk: _Chunk) -> ParseResult:
-    """The table and the row errors of the whole file, read as ``chunk``."""
-    arrays = {
-        name: np.frombuffer(chunk.parts[name], _DTYPES[kind]) for name, kind in dataset.columns
-    }
-    names = _names(dataset, chunk.interned)
-    if chunk.errors:  # drop the names that only rejected rows had
+def _finish_table(
+    dataset: _Dataset, arrays: dict, missing: dict, interned: Mapping[str, dict], errors: list
+) -> ParseResult:
+    """The table and the row errors of the whole file, from the accepted
+    rows' ``arrays`` and ``missing`` masks; id and text columns are coded
+    by the first-seen values of every row in ``interned``."""
+    names = _names(dataset, interned)
+    if errors:  # drop the names that only rejected rows had
         for name, values in names.items():
             distinct, arrays[name] = first_seen(arrays[name])
             names[name] = tuple(map(values.__getitem__, distinct.tolist()))
-    missing = {name: np.frombuffer(part, bool) for name, part in chunk.missing.items()}
-    return ParseResult(Table(dataset, arrays, names, missing), chunk.errors)
+    return ParseResult(Table(dataset, arrays, names, missing), errors)
+
+
+# ---------------------------------------------------------------------------
+# reading a plain input column-wise
+
+_NEWLINE, _COMMA = ord("\n"), ord(",")
+_MASK_BYTES = 1 << 20
+# The first bytes of a line that may open a comment or a blank row: "#", a
+# separator, whitespace, and any non-ASCII byte (Unicode whitespace).
+_ODD_FIRST = np.array([b >= 128 or chr(b) in "#,\n" or chr(b).isspace() for b in range(256)])
+# The low ``r`` bytes of a little-endian word, by ``r``.
+_WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
+
+
+def _texts(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The text of each cell ``buf[start:end]``: one gather puts a NUL (the
+    last byte of ``buf``) after each cell, one decode reads them all."""
+    lengths = ends - starts
+    stops = np.cumsum(lengths + 1, dtype=np.int64)  # past each cell's NUL
+    at = np.arange(len(lengths) + int(lengths.sum()))
+    at -= np.repeat(stops - lengths - 1 - starts, lengths + 1)
+    at[stops - 1] = len(buf) - 1
+    return buf[at].tobytes().decode("utf-8").split("\0")[:-1]
+
+
+def _boundaries(words: list[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """Where, in ``order``, a key of ``words`` differs from the one before."""
+    new = np.zeros(len(order), bool)
+    new[0] = True
+    for word in words:
+        ranked = word[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    return new
+
+
+def _distinct(windows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The first row of each distinct cell (``starts`` to ``ends`` under
+    ``windows``), in first-seen order, and each row's place in that order.
+    A cell's key is its bytes as 8-byte words, the bytes past it masked
+    off (the input has no NUL); one sort of the first words, or of all
+    where one first word opens two cells, puts equal cells side by side."""
+    widths = ends - starts
+    words = [
+        windows[np.minimum(starts + k, ends)] & _WORD_MASKS[np.clip(widths - k, 0, 8)]
+        for k in range(0, max(int(widths.max()), 1), 8)
+    ]
+    order = np.argsort(words[0])
+    new = _boundaries(words, order)
+    if len(words) > 1 and new.sum() != _boundaries(words[:1], order).sum():
+        order = np.lexsort(words[::-1])
+        new = _boundaries(words, order)
+    codes = np.empty(len(order), np.int64)
+    codes[order] = np.cumsum(new) - 1
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_first = np.argsort(first)
+    place = np.empty(len(first), np.int32)
+    place[by_first] = np.arange(len(first))
+    return first[by_first], place[codes]
+
+
+def _plain_bytes(raw: bytes | str) -> np.ndarray | None:
+    """``raw`` past a byte-order mark as UTF-8 bytes with LF line ends and a
+    last LF, then eight NULs; None where it is empty or has a ``"``, a NUL,
+    a CR outside a CRLF, or a fault of UTF-8."""
+    if isinstance(raw, str):
+        raw = raw.removeprefix("\ufeff").encode("utf-8", "surrogatepass")
+    else:
+        raw = raw.removeprefix(codecs.BOM_UTF8)
+    if not raw or b'"' in raw or b"\0" in raw:
+        return None
+    # An undecodable byte comes back from "surrogateescape" as a lone
+    # surrogate, three bytes long once encoded.
+    if not raw.isascii() and len(
+        raw.decode("utf-8", "surrogateescape").encode("utf-8", "surrogatepass")
+    ) != len(raw):
+        return None
+    if b"\r" in raw:
+        if raw.count(b"\r") != raw.count(b"\r\n"):
+            return None
+        raw = raw.replace(b"\r\n", b"\n")
+    end = len(raw) + (raw[-1] != _NEWLINE)
+    buf = np.zeros(end + 8, np.uint8)
+    buf[: len(raw)] = np.frombuffer(raw, np.uint8)
+    buf[end - 1] = _NEWLINE
+    return buf
+
+
+def _separators(text: np.ndarray) -> np.ndarray:
+    """The offset of every comma and line end of ``text``, found a block of
+    ``_MASK_BYTES`` at a time, so that no mask of the whole text is held."""
+    dtype = np.int32 if len(text) < 2**31 else np.int64
+    found = []
+    for at in range(0, len(text), _MASK_BYTES):
+        block = text[at : at + _MASK_BYTES]
+        found.append(np.flatnonzero((block == _NEWLINE) | (block == _COMMA)).astype(dtype) + at)
+    return np.concatenate(found)
+
+
+def _column(ends: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the data cells of column ``i`` start (past the separator before
+    each) and end, from ``ends``, the separators' offsets a line to a row."""
+    return (ends[1:, i - 1] if i else ends[:-1, -1]) + 1, ends[1:, i]
+
+
+def _parse_columns(raw: bytes | str | None, config: SchemaConfig, dataset: _Dataset):
+    """Read ``raw``, the whole input, column by column, as
+    :func:`_parse_whole` reads it; None where the input is not plain (see
+    the module docstring), or where its dataset has a unique column, whose
+    repeats are found in row order."""
+    if raw is None or dataset.unique is not None:
+        return None
+    buf = _plain_bytes(raw)
+    del raw  # where the caller holds no other reference (a file's bytes), freed
+    if buf is None:
+        return None
+    ends = _separators(buf[: len(buf) - 8])
+    newline = buf[ends] == _NEWLINE
+    lines = int(np.count_nonzero(newline))
+    width = int(np.argmax(newline)) + 1
+    if lines < 2 or len(ends) != lines * width or not newline[width - 1 :: width].all():
+        return None
+    if int(np.diff(ends).max(initial=ends[0] + 1)) - 1 > csv.field_size_limit():
+        return None
+    # Column-major, so that each column's offsets are contiguous.
+    ends = np.asfortranarray(ends.reshape(lines, width))
+    line_starts = np.insert(ends[:-1, -1] + 1, 0, 0)
+    for r in np.flatnonzero(_ODD_FIRST[buf[line_starts]]).tolist():
+        row = _texts(buf, np.insert(ends[r, :-1] + 1, 0, line_starts[r]), ends[r])
+        if _is_comment(row) or not "".join(row).strip():
+            return None
+    header = _texts(buf, np.insert(ends[0, :-1] + 1, 0, 0), ends[0])
+    return _read_columns(buf, ends, _read_header(iter([header]), config, dataset), config, dataset)
+
+
+@_collector_paused()
+def _read_columns(
+    buf: np.ndarray, ends: np.ndarray, index: Mapping[str, int], config: SchemaConfig, dataset
+) -> ParseResult:
+    """Read the data rows column by column, from the offsets ``ends`` of
+    every separator in ``buf``, a row of them per line."""
+    parsers = _cell_parsers(config)
+    kinds = dict(dataset.columns)
+    # The little-endian 8-byte word at each offset, unaligned.
+    windows = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+    n = len(ends) - 1
+    # Per column, the text and parsed value of each distinct cell and each
+    # row's place among them; for a timestamp column, micros and mask.
+    distinct: dict[str, tuple[list, list, np.ndarray]] = {}
+    stamps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    # Every parser reads an empty cell as it reads a cell past the end of a
+    # short row, or of a column missing from the header.
+    nowhere = np.zeros(n, ends.dtype)
+    for name, kind in dataset.columns:
+        parse = parsers[kind]
+        i = index.get(name)
+        s, e = _column(ends, i) if i is not None else (nowhere, nowhere)
+        if kind == _TIMESTAMP:
+            micros, missing = np.zeros(n, np.int64), s == e
+            rest = ~missing
+            if config.timestamp_format == TIMESTAMP_FORMAT:
+                shaped = np.flatnonzero(e - s == _STAMP_WIDTH)
+                at = s[shaped]  # three words hold the 19 bytes, and 5 of the next
+                ok, read = _bulk_stamps(np.stack([windows[at + k] for k in (0, 8, 16)], 1).view(np.uint8))
+                micros[shaped[ok]] = read[ok]
+                rest[shaped[ok]] = False
+            rows = np.flatnonzero(rest)
+            _parse_stamps(zip(rows.tolist(), _texts(buf, s[rows], e[rows])), parse, micros, missing)
+            stamps[name] = micros, missing
+            continue
+        first, place = _distinct(windows, s, e)
+        texts = _texts(buf, s[first], e[first])
+        distinct[name] = texts, list(map(parse, texts)), place
+    # The first failing check of each rejected row: (check, column, message).
+    rejected: dict[int, tuple[int, str, str]] = {}
+    for order, name in enumerate(dataset.checks):
+        reject = _REJECTS[kinds[name]]
+        if name in stamps:
+            rows = np.flatnonzero(stamps[name][1])
+            s, e = _column(ends, index[name])
+            cells = _texts(buf, s[rows], e[rows])
+            failing = zip(rows.tolist(), (reject(None, cell) for cell in cells))
+        else:
+            texts, values, place = distinct[name]
+            bad = [reject(value, cell) for value, cell in zip(values, texts)]
+            rows = np.flatnonzero(np.array([m is not None for m in bad])[place])
+            failing = ((j, bad[k]) for j, k in zip(rows.tolist(), place[rows].tolist()))
+        for j, message in failing:
+            rejected.setdefault(j, (order, name, message))
+    errors = [RowError(j + 1, name, message) for j, (_, name, message) in sorted(rejected.items())]
+    accepted = np.isin(np.arange(n), list(rejected), invert=True) if rejected else slice(None)
+    arrays, interned = {}, {}
+    for name, kind in dataset.columns:
+        if name in stamps:
+            arrays[name] = stamps[name][0][accepted]
+            continue
+        _, values, place = distinct.pop(name)
+        codes = _codes(kind, dict(enumerate(values)), interned.setdefault(name, {}))
+        arrays[name] = np.fromiter(codes.values(), _DTYPES[kind], len(codes))[place[accepted]]
+    missing = {name: mask[accepted] for name, (_, mask) in stamps.items()}
+    return _finish_table(dataset, arrays, missing, interned, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import mfirank.cli as cli
 from mfirank.cli import SERIES_COLUMNS, _dump_ranking, main
 from mfirank.config import PipelineConfig, load_config
 from mfirank.data import (
-    _CHUNK_BYTES,
     DEFAULT_STATUS_MAP,
     ConversionRecord,
     LoanType,
@@ -583,14 +582,10 @@ def _on_one_cpu() -> None:
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity (Linux)")
 def test_artifacts_do_not_depend_on_the_cpu_count(tmp_path):
-    # Inputs large enough that each is read in chunks, one per CPU; pinned
-    # to one CPU, every command reads them in one chunk.
     data = tmp_path / "data"
     assert main(["fixture", "--seed", "0", "--n-clients", "6000", "--out-dir", str(data)]) == 0
     flags = dataset_flags(data)
     groups = abtest_flags(data, data)
-    for name in ("conversions.csv", "clicks.csv", "group_a.csv", "group_b.csv"):
-        assert (data / name).stat().st_size >= 2 * _CHUNK_BYTES
     outputs = {}
     for run, pin in (("split", None), ("pinned", _on_one_cpu)):
         out = tmp_path / run
@@ -975,6 +970,30 @@ def test_an_unwritable_output_is_a_one_line_config_error(
     assert "Traceback" not in done.stderr
     (line,) = done.stderr.splitlines()
     assert line == f"mfirank: config error: cannot write {bad}: Not a directory"
+
+
+@pytest.mark.parametrize("command", ["rank", "evaluate"])
+def test_a_standard_output_with_no_reader_is_one_error_line(
+    command, dataset_dir, golden_vectors, tmp_path
+):
+    table = tmp_path / "features.csv"
+    table.write_text(feature_csv(golden_vectors))
+    inputs = ["--features-csv", str(table)] if command == "rank" else dataset_flags(dataset_dir)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    # A pipe whose read end is closed before the command starts: every
+    # write to it fails with EPIPE, as once `| head -c 100` has exited.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "mfirank.cli", command, *inputs, "--out", "-"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == "mfirank: config error: cannot write standard output: Broken pipe\n"
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,8 @@ import gc
 import io
 import math
 import os
+import random
 import re
-import signal
 from collections import Counter
 from dataclasses import astuple
 from datetime import datetime, timedelta
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import mfirank.data
 from mfirank.data import (
     _BLOCK_ROWS,
-    _CHUNK_BYTES,
     _CLICKS,
     _CONVERSIONS,
     _PRODUCTS,
@@ -51,19 +50,18 @@ from mfirank.data import (
     conversion_table,
     validate,
     _cell_parsers,
-    _chunk_count,
-    _cuts,
     _has_click,
     _is_comment,
     _norm_header,
     _open_rows,
-    _parse_split,
+    _parse_columns,
     _parse_whole,
     _recoded,
     _text_rows,
 )
 from mfirank.errors import DataError
 from mfirank.features import feature_table
+from mfirank.fixtures import generate_fixture
 
 CONV_HEADER = "mfi_id,loan_type,click_time,status,client_id"
 
@@ -1079,22 +1077,25 @@ def test_the_key_join_tells_absent_values_apart():
 
 
 # ---------------------------------------------------------------------------
-# reading in chunks at once, against the one-chunk read
+# the column reader, against the csv path
 
 # Per dataset, a header and the cells each of its columns may draw: bad
 # timestamps, loan types and ids, ids that only a rejected row may carry
-# ("ghost"), and non-ASCII text, a byte-order mark past the header included.
+# ("ghost"), padded and non-ASCII text, a byte-order mark past the header
+# included.
 CHUNK_CELLS = {
     "conversions": {
-        "mfi_id": ["18", "20", "", " ", "ghost", "Ж7", "\ufeff18"],
-        "loan_type": ["standard", "long-term", "usual", "mortgage", ""],
+        "mfi_id": ["18", "20", "", " ", "ghost", "Ж7", "\ufeff18", " 20 ", "\u00a018"],
+        "loan_type": ["standard", "long-term", "usual", "mortgage", "", " Usual"],
         "click_time": ["2021-03-01 10:00:00", "2021-03-01 10:00:01", "2021-13-01 10:00:00",
-                       "", "not a time", "2021-03-01 10:00:00Z", " 2021-03-01 10:00:00"],
+                       "", "not a time", "2021-03-01 10:00:00Z", " 2021-03-01 10:00:00",
+                       "2021-03-01 10:00:00+03:00", "2021-02-29 10:00:00"],
         "status": ["sale", "rejected", "pending", "одобрен", ""],
-        "client_id": ["c1", "c2", "", "клиент", "ghost-client"],
+        "client_id": ["c1", "c2", "", "клиент", "ghost-client", " c2"],
         "conversion_time": ["2021-03-01 10:05:00", "", "2021-02-30 10:00:00"],
-        "os": ["iOS", "Android", "", "Линукс"],
-        "income": ["10.5", "", "nan", "-0.0", "x", "1e400"],
+        # Cells wider than 8 bytes, some alike in their first 8.
+        "os": ["iOS", "Android", "", "Линукс", "Windows Phone 10", "Windows Phone 8"],
+        "income": ["10.5", "", "nan", "-0.0", "0.0", "x", "1e400", " 7"],
     },
     "clicks": {
         "mfi_id": ["18", "20", "", "ghost"],
@@ -1106,34 +1107,46 @@ CHUNK_CELLS = {
     },
 }
 CHUNK_DATASETS = {"conversions": _CONVERSIONS, "clicks": _CLICKS}
-LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+# A column no dataset reads.
+EXTRA_CELLS = ["x", "", "ü", "1"]
 
 
 @st.composite
-def chunk_texts(draw, name):
+def chunk_texts(draw, name, plain=False):
     """A CSV text of dataset ``name``, as its part up to the end of the
-    header row and the rest: a byte-order mark and comment rows may come
-    first; then data rows of drawn cells, some short, with comment and
-    blank rows anywhere; every row ends in LF, CRLF or a bare CR."""
-    cells = CHUNK_CELLS[name]
-    header = ",".join(cells)
+    header row and the rest.  The header may lack optional columns and have
+    an extra one.  A byte-order mark and comment rows may come first; then
+    data rows of drawn cells, some short, with comment and blank rows
+    anywhere; every row ends in LF, CRLF or a bare CR, the last maybe in
+    none.  A ``plain`` text has no comment, short row or bare CR."""
+    mandatory = CHUNK_DATASETS[name].mandatory
+    cells = {
+        column: choices for column, choices in CHUNK_CELLS[name].items()
+        if column in mandatory or draw(st.booleans())
+    }
+    columns = list(cells)
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), "extra")
+        cells["extra"] = EXTRA_CELLS
+    line_ends = st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"])
     prefix = draw(st.sampled_from(["", "\ufeff"]))
-    for comment in draw(st.lists(st.sampled_from(["# exported", "#, x"]), max_size=2)):
-        prefix += comment + draw(LINE_ENDS)
-    prefix += header + draw(LINE_ENDS)
+    for comment in [] if plain else draw(st.lists(st.sampled_from(["# exported", "#, x"]), max_size=2)):
+        prefix += comment + draw(line_ends)
+    prefix += ",".join(columns) + draw(line_ends)
     rows = []
+    kinds = ["row"] if plain else ["row", "row", "row", "short", "comment", "blank"]
     for _ in range(draw(st.integers(1, 24))):
-        kind = draw(st.sampled_from(["row", "row", "row", "short", "comment", "blank"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "comment":
             row = draw(st.sampled_from(["# note", " #, 18,x"]))
         elif kind == "blank":
             row = draw(st.sampled_from(["", ",,", " "]))
         else:
-            row = [draw(st.sampled_from(choices)) for choices in cells.values()]
+            row = [draw(st.sampled_from(cells[column])) for column in columns]
             if kind == "short":
                 row = row[: draw(st.integers(0, len(row) - 1))]
             row = ",".join(row)
-        rows.append(row + draw(LINE_ENDS))
+        rows.append(row + draw(line_ends))
     if draw(st.booleans()):  # no line end after the last row
         rows[-1] = rows[-1].rstrip("\r\n")
     return prefix, "".join(rows)
@@ -1152,50 +1165,65 @@ def assert_same_table(got: ParseResult, expected: ParseResult) -> None:
         assert got.table.missing[name].tobytes() == mask.tobytes(), name
 
 
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def csv_path(raw, dataset) -> ParseResult:
+    return _parse_whole(_text_rows(raw), DEFAULT_SCHEMA, dataset)
 
 
-def newline_ends(raw, after: int) -> list[int]:
-    """The offset just after each newline of ``raw`` at or past position
-    ``after``, the end excluded."""
-    newline = b"\n"[0] if isinstance(raw, bytes) else "\n"
-    return [i + 1 for i in range(after, len(raw) - 1) if raw[i] == newline]
-
-
-@settings(max_examples=80)
+@settings(max_examples=150)
 @given(data=st.data(), name=st.sampled_from(sorted(CHUNK_CELLS)), as_bytes=st.booleans())
-def test_a_read_in_chunks_is_the_one_chunk_read(data, name, as_bytes):
+def test_the_column_reader_matches_the_csv_path(data, name, as_bytes):
+    dataset = CHUNK_DATASETS[name]
+    prefix, body = data.draw(chunk_texts(name, plain=True))
+    raw = (prefix + body).encode() if as_bytes else prefix + body
+    expected = csv_path(raw, dataset)
+    got = _parse_columns(raw, DEFAULT_SCHEMA, dataset)
+    # A row of blank cells alone is not plain: the csv path skips it.
+    blank = any(not row.replace(",", "").strip() for row in body.splitlines())
+    assert (got is None) == blank
+    if got is not None:
+        assert_same_table(got, expected)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), name=st.sampled_from(sorted(CHUNK_CELLS)))
+def test_an_input_that_is_not_plain_reads_as_the_csv_path_reads_it(data, name):
     dataset = CHUNK_DATASETS[name]
     prefix, body = data.draw(chunk_texts(name))
-    raw = (prefix + body).encode() if as_bytes else prefix + body
-    candidates = newline_ends(raw, len(prefix.encode()) - 1 if as_bytes else len(prefix) - 1)
-    assume(candidates)
-    inner = data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3, unique=True))
-    cuts = [0, *sorted(inner), len(raw)]
-    expected = _parse_whole(_text_rows(raw), DEFAULT_SCHEMA, dataset)
-    got = _parse_split(raw, DEFAULT_SCHEMA, dataset, cuts)
-    assert got is not None
-    assert_same_table(got, expected)
-    assert_no_child_left()
+    raw = (prefix + body).encode()
+    parse = parse_conversions if name == "conversions" else parse_clicks
+    assert_same_table(parse(io.BytesIO(raw)), csv_path(raw, dataset))
 
 
-@pytest.mark.parametrize("as_bytes", [True, False])
-def test_a_byte_order_mark_that_opens_a_later_chunk_is_text(as_bytes):
-    text = CONV_HEADER + "\n18,standard,2021-03-01 10:00:00,sale,c1\n" + (
-        "\ufeff20,standard,2021-03-01 10:00:00,sale,c2\n"
-    )
-    raw = text.encode() if as_bytes else text
-    cut = raw.index("\ufeff".encode() if as_bytes else "\ufeff")
-    got = _parse_split(raw, DEFAULT_SCHEMA, _CONVERSIONS, [0, cut, len(raw)])
-    assert got.table.names["mfi_id"] == ("18", "\ufeff20")
-    assert_same_table(got, _parse_whole(_text_rows(raw), DEFAULT_SCHEMA, _CONVERSIONS))
+def test_the_column_reader_reads_the_fixture_as_the_csv_path_does(fixture_triple):
+    conversions, _, clicks = fixture_triple
+    for text, dataset in (
+        (serialize_conversions(conversions), _CONVERSIONS), (serialize_clicks(clicks), _CLICKS)
+    ):
+        crlf = text.replace("\n", "\r\n")
+        for raw in (text, text.encode(), crlf, crlf.encode()):
+            got = _parse_columns(raw, DEFAULT_SCHEMA, dataset)
+            assert got is not None
+            assert_same_table(got, csv_path(text, dataset))
+
+
+def test_the_column_reader_numbers_each_distinct_cell_once():
+    # Cells alike in their first 8 bytes, shuffled so that a sort of the
+    # first words alone would interleave them.
+    cells = ["Windows Phone 10", "Windows Phone 8", "", "iOS", "Windows Phone 10 Mobile"] * 40
+    random.Random(0).shuffle(cells)
+    buf = mfirank.data._plain_bytes("os\n" + "\n".join(cells))
+    ends = mfirank.data._separators(buf[: len(buf) - 8]).reshape(-1, 1)
+    starts, ends = mfirank.data._column(ends, 0)
+    windows = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+    first, place = mfirank.data._distinct(windows, starts, ends)
+    distinct = list(dict.fromkeys(cells))
+    assert [cells[j] for j in first.tolist()] == distinct
+    assert [distinct[k] for k in place.tolist()] == cells
 
 
 def test_drawn_chunk_texts_reject_rows_by_ghost_ids_only():
     # Some drawn text has a value that only rejected rows carry, so the
-    # names of the merged chunks must be renumbered first-seen.
+    # names must be renumbered first-seen.
     def ghost_only(texts):
         prefix, body = texts
         result = _parse_whole(_text_rows(prefix + body), DEFAULT_SCHEMA, _CONVERSIONS)
@@ -1204,123 +1232,68 @@ def test_drawn_chunk_texts_reject_rows_by_ghost_ids_only():
             "ghost" not in result.table.names["mfi_id"]
         )
 
-    find(chunk_texts("conversions"), ghost_only,
+    find(chunk_texts("conversions", plain=True), ghost_only,
          settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
-
-
-def test_cuts_end_every_chunk_but_the_last_after_a_newline():
-    raw = b"h\n" + b"".join(b"row %d,x\r\n" % i for i in range(50)) + b"tail"
-    for count in range(1, 6):
-        cuts = _cuts(raw, count)
-        assert cuts[0] == 0 and cuts[-1] == len(raw)
-        assert cuts == sorted(set(cuts)) and len(cuts) <= count + 1
-        assert all(raw[cut - 1:cut] == b"\n" for cut in cuts[1:-1])
-    assert _cuts(b"no newline at all", 4) == [0, 17]
-    assert _cuts("", 3) == [0]
-
-
-def test_the_chunk_count_follows_the_cpus_and_the_break_even(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert _chunk_count(10 * _CHUNK_BYTES) == 4
-    assert _chunk_count(3 * _CHUNK_BYTES - 1) == 2
-    assert _chunk_count(_CHUNK_BYTES) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _chunk_count(10 * _CHUNK_BYTES) == 1
 
 
 def test_quoted_text_and_unique_columns_are_read_in_one_chunk(fixture_triple):
     text = serialize_conversions(fixture_triple[0])
-    cuts = [0, *newline_ends(text, text.index("\n"))[::40], len(text)]
-    assert len(cuts) > 3
-    assert _parse_split(text, DEFAULT_SCHEMA, _CONVERSIONS, cuts) is not None
-    # A quote may hide a newline inside a cell: no cut is safe.
+    assert _parse_columns(text, DEFAULT_SCHEMA, _CONVERSIONS) is not None
+    # A quote may hide a newline or a comma inside a cell: the csv path reads it.
     quoted = text.replace(",Moscow,", ',"Mos\ncow",', 1)
-    assert _parse_split(quoted, DEFAULT_SCHEMA, _CONVERSIONS, cuts) is None
+    assert quoted != text
+    assert _parse_columns(quoted, DEFAULT_SCHEMA, _CONVERSIONS) is None
+    # Repeated card ids are found in row order.
     products = serialize_products(fixture_triple[1])
-    assert _parse_split(products, DEFAULT_SCHEMA, _PRODUCTS, _cuts(products, 3)) is None
+    assert _parse_columns(products, DEFAULT_SCHEMA, _PRODUCTS) is None
 
 
-def big_conversions(rows: int = 3000) -> bytes:
-    """A conversions file of ``rows`` good rows, large enough to split."""
-    row = "18,standard,2021-03-01 10:00:00,sale,c{},iOS,{}.5\n"
-    text = "mfi_id,loan_type,click_time,status,client_id,os,income\n"
-    return (text + "".join(row.format(i % 97, i) for i in range(rows))).encode()
+PLAIN_CONVERSIONS = (
+    CONV_HEADER + "\n18,standard,2021-03-01 10:00:00,sale,c1\n"
+    "20,usual,2021-03-02 11:00:00,rejected,c2\n"
+).encode()
+PLAIN_ROW = b"18,standard,2021-03-01 10:00:00,sale,"
 
 
-HUGE_FIELD = b"c" * (csv.field_size_limit() + 1)
-
-
-def spoiled(data: bytes, faults: list[tuple[float, bytes]]) -> bytes:
-    """``data`` with each fault's bytes put in the row that starts past its
-    share of the length."""
-    for share, bad in sorted(faults, reverse=True):
-        at = data.index(b"\n", int(len(data) * share)) + 1
-        data = data[:at] + b"18,standard,2021-03-01 10:00:00,sale," + bad + b"\n" + data[at:]
-    return data
-
-
-@pytest.mark.parametrize("faults", [
-    [(0.7, HUGE_FIELD)],
-    [(0.7, b"\xff\xfe")],
-    [(0.4, HUGE_FIELD), (0.8, b"\xff")],
-    [(0.4, b"\xff"), (0.8, HUGE_FIELD)],
-    [(0.1, b"\xff"), (0.9, HUGE_FIELD)],
+@pytest.mark.parametrize("raw", [
+    pytest.param(PLAIN_CONVERSIONS.replace(b"c2", b'"c2"'), id="quote"),
+    pytest.param(PLAIN_CONVERSIONS + b"21,standard\n", id="ragged row"),
+    pytest.param(PLAIN_CONVERSIONS + b" # note,a,b,c,d\n", id="comment row"),
+    pytest.param(b"#, x\n" + PLAIN_CONVERSIONS, id="comment before the header"),
+    pytest.param(PLAIN_CONVERSIONS + b",, ,,\n", id="blank row"),
+    pytest.param(PLAIN_CONVERSIONS + "\u3000,,,,\n".encode(), id="blank row of a wide space"),
+    pytest.param(PLAIN_CONVERSIONS.replace(b"c1", b"c\0 1"), id="NUL"),
+    pytest.param(PLAIN_CONVERSIONS.replace(b"c1\n", b"c1\r"), id="lone CR line end"),
+    pytest.param(PLAIN_CONVERSIONS.replace(b"c1", b"c\r1"), id="lone CR in a cell"),
+    pytest.param(PLAIN_CONVERSIONS + PLAIN_ROW + b"c" * (csv.field_size_limit() + 1) + b"\n",
+                 id="cell over the field size limit"),
+    pytest.param(PLAIN_CONVERSIONS + PLAIN_ROW + b"\xff\n", id="invalid UTF-8"),
+    pytest.param(PLAIN_CONVERSIONS.replace("c1".encode(), "\ud800".encode("utf-8", "surrogatepass")),
+                 id="encoded surrogate"),
 ])
-@pytest.mark.parametrize("given", ["path", "bytes"])
-def test_a_fault_in_any_chunk_raises_the_one_chunk_error(tmp_path, monkeypatch, faults, given):
-    data = spoiled(big_conversions(), faults)
+def test_an_input_that_is_not_plain_goes_to_the_csv_path(raw, tmp_path):
+    assert _parse_columns(raw, DEFAULT_SCHEMA, _CONVERSIONS) is None
     path = tmp_path / "conversions.csv"
-    path.write_bytes(data)
-    whole = _open_rows(str(path)) if given == "path" else _text_rows(data)
-    with pytest.raises(DataError) as expected:
-        _parse_whole(whole, DEFAULT_SCHEMA, _CONVERSIONS)
-    assert _parse_split(data, DEFAULT_SCHEMA, _CONVERSIONS, _cuts(data, 4)) is None
-    assert_no_child_left()
-    # Through the public parser, on two to four chunks
-    monkeypatch.setattr(mfirank.data, "_CHUNK_BYTES", len(data) // 4)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    source = str(path) if given == "path" else io.BytesIO(data)
-    with pytest.raises(DataError) as got:
-        parse_conversions(source)
-    assert str(got.value) == str(expected.value)
-    assert_no_child_left()
+    path.write_bytes(raw)
+    for source, rows in ((io.BytesIO(raw), _text_rows(raw)), (str(path), _open_rows(str(path)))):
+        expected = _parsed_or_error(lambda rows: _parse_whole(rows, DEFAULT_SCHEMA, _CONVERSIONS), rows)
+        got = _parsed_or_error(parse_conversions, source)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert_same_table(got, expected)
 
 
-def _dies(rows, index, config, dataset, *, parent=os.getpid(), read=mfirank.data._read_chunk):
-    if os.getpid() != parent:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return read(rows, index, config, dataset)
-
-
-def _raises(rows, index, config, dataset, *, parent=os.getpid(), read=mfirank.data._read_chunk):
-    if os.getpid() != parent:
-        raise RuntimeError("a reader fault")
-    return read(rows, index, config, dataset)
-
-
-@pytest.mark.parametrize("reader", [_dies, _raises])
-def test_a_reader_that_dies_or_fails_leaves_the_one_chunk_read(monkeypatch, reader):
-    data = big_conversions()
-    expected = _parse_whole(_text_rows(data), DEFAULT_SCHEMA, _CONVERSIONS)
-    monkeypatch.setattr(mfirank.data, "_read_chunk", reader)
-    assert _parse_split(data, DEFAULT_SCHEMA, _CONVERSIONS, _cuts(data, 3)) is None
-    assert_no_child_left()
-    monkeypatch.setattr(mfirank.data, "_CHUNK_BYTES", len(data) // 3)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert_same_table(parse_conversions(io.BytesIO(data)), expected)
-    assert_no_child_left()
-
-
-def test_a_large_file_is_read_in_chunks_with_the_one_chunk_result(tmp_path, monkeypatch):
-    data = big_conversions()
+def test_a_parse_starts_no_process(tmp_path, monkeypatch):
     path = tmp_path / "conversions.csv"
-    path.write_bytes(data)
+    path.write_text(serialize_conversions(generate_fixture(0, n_clients=5000)[0]))
+    assert path.stat().st_size >= 1 << 20
     expected = _parse_whole(_open_rows(str(path)), DEFAULT_SCHEMA, _CONVERSIONS)
-    split = []
-    real = mfirank.data._fork_reader
-    monkeypatch.setattr(mfirank.data, "_fork_reader", lambda *a: split.append(a[1]) or real(*a))
-    monkeypatch.setattr(mfirank.data, "_CHUNK_BYTES", len(data) // 3)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def no_fork():
+        raise AssertionError("a parse forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     assert_same_table(parse_conversions(str(path)), expected)
-    assert len(split) == 2
-    assert_no_child_left()
+    with open(path, "rb") as fh:
+        assert_same_table(parse_conversions(fh), expected)
