@@ -16,25 +16,30 @@ bad mandatory cell drops its row with a ``RowError``; an unparseable
 optional cell becomes empty (None; False for a flag, 0 for a review
 count), and ``nan``, ``inf`` or an overflowing number is unparseable.
 
-The csv module splits the rows, which are read in blocks, each
-transposed into columns.  Every cell parser and check is a pure function
-of the cell text, so each distinct cell of a column is parsed and checked
-once per block; a timestamp column in the default format is read in
-bulk, as fixed-width digits, and only the cells that do not fit that
-shape go through the cell parser.  A plain conversions or clicks input
-is read column-wise instead: one mask of its commas and line ends gives
-every cell's offsets, and only the distinct cells of each column are
-decoded, parsed and checked.  An input is plain where it is UTF-8 with
-no ``"``, no NUL and no CR outside a CRLF, and every line has the
-header's number of cells, none over ``csv.field_size_limit()``, and is
-no comment and not blank.
+Each input is read once, a piece of whole lines at a time, and split
+into columns by one of two front ends.  A plain input is read
+column-wise: one mask of its commas and line ends gives every cell's
+offsets, and each column is numbered first-seen by its cells' bytes.  An
+input is plain where it is UTF-8 with no ``"``, no NUL and no CR outside
+a CRLF, and every line has the header's number of cells, none over
+``csv.field_size_limit()``, and is no comment and not blank.  Any other
+input is split into rows by the csv module and read in blocks, each
+transposed into columns.  Both hand each column to one back end,
+:func:`_accept`, as its distinct cells and each row's place among them,
+or a timestamp column as its microseconds: in the default format those
+are read in bulk, as fixed-width digits, and only the cells that do not
+fit that shape go through the cell parser.  Every cell parser and check
+is a pure function of the cell text, so the back end parses and checks
+each distinct cell once; it rejects a row by the first check it fails,
+finds repeats of a unique column in row order, numbers the row errors
+and codes the accepted rows.
 
-Either way the accepted rows fill one columnar :class:`Table` per file,
-in file order: id and text cells as first-seen integer codes, timestamps
-as integer microseconds with a missing mask, numbers as floats with NaN
-for missing, status and loan type as small integer codes.  The result is
-the one a row-by-row reading gives: records and row errors in row order,
-and the same ``DataError`` where the file has one.
+The accepted rows fill one columnar :class:`Table` per file, in file
+order: id and text cells as first-seen integer codes, timestamps as
+integer microseconds with a missing mask, numbers as floats with NaN for
+missing, status and loan type as small integer codes.  The result is the
+one a row-by-row reading gives: records and row errors in row order, and
+the same ``DataError`` where the file has one.
 
 Every stage reads the tables, :func:`validate` included: its counts,
 key join and record checks are array reductions.  The frozen slotted
@@ -54,14 +59,13 @@ import csv
 import gc
 import io
 import math
-import os
 import re
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta
 from enum import Enum
-from itertools import compress, islice, repeat, zip_longest
-from typing import IO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from itertools import count, islice, repeat, zip_longest
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -292,18 +296,7 @@ class ValidationReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "n_mfis": self.n_mfis,
-            "n_clients": self.n_clients,
-            "n_applications": self.n_applications,
-            "n_sales": self.n_sales,
-            "status_shares": dict(self.status_shares),
-            "n_products": self.n_products,
-            "n_product_mfis": self.n_product_mfis,
-            "n_clicks": self.n_clicks,
-            "n_invalid_timelines": self.n_invalid_timelines,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +431,20 @@ def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct[by_first], place[inverse]
 
 
-def _codes(kind: str, memo: Mapping, names: dict) -> dict:
-    """The column entry of each parsed value in ``memo`` (not a timestamp),
-    by key: id and text values are interned into ``names``, new ones in
-    ``memo``'s order; an unmapped loan type (of a rejected row) reads as -1."""
+def _codes(kind: str, values: Sequence, names: dict) -> list:
+    """The column entry of each parsed value (not a timestamp): id and text
+    values are interned into ``names``, new ones in order; an unmapped loan
+    type (of a rejected row) reads as -1."""
     if kind in (_ID, _TEXT):
-        fresh = [value for value in dict.fromkeys(memo.values()) if value not in names]
+        fresh = [value for value in dict.fromkeys(values) if value not in names]
         names.update(zip(fresh, range(len(names), len(names) + len(fresh))))
-        return {key: names[value] for key, value in memo.items()}
+        return list(map(names.__getitem__, values))
     if kind in _MEMBERS:
         code = {None: -1, **{member: n for n, member in enumerate(_MEMBERS[kind])}}
-        return {key: code[value] for key, value in memo.items()}
+        return list(map(code.__getitem__, values))
     if kind == _BOOL:
-        return {key: bool(value) for key, value in memo.items()}
-    return {key: math.nan if value is None else value for key, value in memo.items()}
+        return list(map(bool, values))
+    return [math.nan if value is None else value for value in values]
 
 
 @contextlib.contextmanager
@@ -535,12 +528,7 @@ class Table:
                 micros = (0 if v is None else to_micros(v) for v in values)
                 columns[name] = np.fromiter(micros, np.int64, len(values))
                 continue
-            if kind in (_ID, _TEXT, _BOOL, *_MEMBERS):
-                distinct = dict.fromkeys(values)
-                codes = _codes(kind, dict(zip(distinct, distinct)), names.setdefault(name, {}))
-                columns[name] = np.fromiter(map(codes.__getitem__, values), _DTYPES[kind], len(values))
-            else:  # no dict: 0.0 and -0.0, or 1 and 1.0, are equal keys
-                columns[name] = np.array([math.nan if v is None else v for v in values], _DTYPES[kind])
+            columns[name] = np.array(_codes(kind, values, names.setdefault(name, {})), _DTYPES[kind])
         return cls(dataset, columns, _names(dataset, names), missing)
 
 
@@ -577,30 +565,35 @@ def _norm_header(name: str) -> str:
     return re.sub(r"[\s\-,]+", "_", name.strip().lower()).strip("_")
 
 
-def _text_rows(raw: bytes | str) -> Iterator[list[str]]:
-    """The CSV rows of what a stream read gave, decoded whole first."""
-    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
-    yield from csv.reader(io.StringIO(text, newline=""))
+# The bytes of an input are read this many at a time, and then to the end
+# of the line: each piece is whole lines, decodable on its own.
+_PIECE_BYTES = 1 << 16
 
 
-def _open_rows(source: str | os.PathLike | IO) -> Iterator[list[str]]:
-    # "utf-8-sig" and the removeprefix drop the byte-order mark that
-    # spreadsheet exports put before the header.  newline="" leaves line
-    # breaks to the csv module, as its docs ask: a bare "\r" ends a row
-    # instead of failing the whole file.  A file is decoded as it is
-    # parsed, so the first decode or framing fault read wins; a stream is
-    # read and decoded whole first.
-    if hasattr(source, "read"):
-        yield from _text_rows(source.read())
-        return
-    if isinstance(source, str) and "\n" in source:
-        raise DataError("a CSV source must be a path or an open text stream, not CSV text")
-    try:
-        fh = open(source, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {source}: {exc}") from None
-    with fh:
-        yield from csv.reader(fh)
+def _pieces(stream) -> Iterator[bytes | str]:
+    """The input ``stream``, read once, past a leading byte-order mark
+    (which spreadsheet exports put before the header): a text stream's
+    text whole, the bytes of a file or binary stream as pieces of whole
+    lines, each read when it is asked for."""
+    piece = stream.read(_PIECE_BYTES)
+    text = isinstance(piece, str)
+    piece += stream.read() if text else stream.readline()
+    piece = piece.removeprefix("\ufeff" if text else codecs.BOM_UTF8)
+    while piece:
+        yield piece
+        piece = "" if text else stream.read(_PIECE_BYTES) + stream.readline()
+
+
+def _lines(head: list, rest: Iterator) -> Iterator[str]:
+    """The lines of the input pieces in ``head`` and then ``rest`` (see
+    :func:`_pieces`), each piece decoded when its lines are reached and
+    dropped once read, so the first decode or framing fault read wins.
+    newline="" leaves line breaks to the csv module, as its docs ask: a
+    bare CR ends a row instead of failing the whole file."""
+    head.reverse()
+    while head or (head := list(islice(rest, 1))):
+        piece = head.pop()
+        yield from io.StringIO(piece if isinstance(piece, str) else piece.decode(), newline="")
 
 
 def _clean(cell: str | None) -> str | None:
@@ -730,26 +723,37 @@ def _read_header(
 
 
 def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> ParseResult:
-    """Read one dataset: every row becomes a table row or a RowError.  A
-    plain input is read column-wise (:func:`_parse_columns`), any other by
-    the csv module (:func:`_parse_whole`)."""
+    """Read one dataset from a path or an open stream, once, a piece at a
+    time: every row becomes a table row or a RowError.  The pieces are kept
+    while each is plain, and a plain input is read column-wise
+    (:func:`_parse_columns`); from the first piece that is not, the csv
+    module reads the input (:func:`_parse_whole`)."""
     config = config or DEFAULT_SCHEMA
     if hasattr(source, "read"):
-        raw = source.read()
-        parsed = _parse_columns(raw, config, dataset)
-        return parsed if parsed is not None else _parse_whole(_text_rows(raw), config, dataset)
-    parsed = _parse_columns(_read_bytes(source), config, dataset)
-    return parsed if parsed is not None else _parse_whole(_open_rows(source), config, dataset)
-
-
-def _read_bytes(source) -> bytes | None:
-    """The bytes of the file ``source``; None where it cannot be read, or
-    is CSV text, as the csv path then says."""
-    if isinstance(source, str) and "\n" in source:
-        return None
-    with contextlib.suppress(OSError, ValueError), open(source, "rb") as fh:
-        return fh.read()
-    return None
+        opened = contextlib.nullcontext(source)
+    elif isinstance(source, str) and "\n" in source:
+        raise DataError("a CSV source must be a path or an open text stream, not CSV text")
+    else:
+        try:
+            opened = open(source, "rb")
+        except OSError as exc:
+            raise DataError(f"cannot read {source}: {exc}") from None
+    with opened as stream:
+        pieces = _pieces(stream)
+        head = []
+        for piece in pieces:
+            head.append(piece)
+            if not _plain_piece(piece):
+                break
+        else:
+            if head:
+                buf = _plain_bytes(head)
+                parsed = _parse_columns(buf, config, dataset)
+                if parsed is not None:
+                    return parsed
+                head = [buf[: len(buf) - 8].tobytes()]  # the same rows, for the csv module
+                del buf
+        return _parse_whole(csv.reader(_lines(head, pieces)), config, dataset)
 
 
 def _parse_whole(rows: Iterator[list[str]], config: SchemaConfig, dataset: _Dataset) -> ParseResult:
@@ -792,79 +796,74 @@ def _bulk_stamps(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ok, seconds * 1_000_000
 
 
-def _parse_stamps(
-    cells: Iterable[tuple[int, str]], parse: Callable, micros: np.ndarray, missing: np.ndarray
-) -> None:
-    """Read the cell of each ``(row, cell)`` with ``parse``, once per
-    distinct cell, into ``micros``, or mark its row in ``missing``."""
+def _stamps(
+    widths: np.ndarray, shaped: Callable, texts: Callable, parse: Callable, bulk: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The microseconds since 1970 of each cell of a timestamp column and
+    the mask of the cells that read as no timestamp, as the cell parser
+    ``parse`` reads them, from the ``widths`` of the cells.
+
+    With ``bulk`` (the default format), a cell of the shape
+    ``NNNN-NN-NN NN:NN:NN`` that names a real moment is read arithmetically
+    from its digits, ``shaped(rows)`` (a row of ``_STAMP_WIDTH`` or more
+    bytes per cell), as ``parse`` (``strptime`` with that format) reads it.
+    Every other non-empty cell, ``texts(rows)``, goes to ``parse``, once
+    per distinct cell.
+    """
+    micros = np.zeros(len(widths), np.int64)
+    missing = widths == 0
+    rest = ~missing
+    if bulk:
+        rows = np.flatnonzero(widths == _STAMP_WIDTH)
+        ok, read = _bulk_stamps(shaped(rows))
+        micros[rows[ok]] = read[ok]
+        rest[rows[ok]] = False
+    rows = np.flatnonzero(rest)
     memo: dict = {}
-    for j, cell in cells:
+    for j, cell in zip(rows.tolist(), texts(rows)):
         if cell not in memo:
             memo[cell] = parse(cell)
         if memo[cell] is None:
             missing[j] = True
         else:
             micros[j] = to_micros(memo[cell])
+    return micros, missing
 
 
 def _timestamps(
     column: Sequence[str | None], parse: Callable[[str | None], datetime | None], bulk: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The microseconds since 1970 of each cell and the mask of the cells
-    that read as no timestamp, as the cell parser ``parse`` reads them.
-
-    With ``bulk`` (the default format), a cell of the shape
-    ``NNNN-NN-NN NN:NN:NN`` that names a real moment is read arithmetically
-    from its digits, as ``parse`` (``strptime`` with that format) reads it.
-    Every other non-empty cell, padded ones included, goes to ``parse``,
-    once per distinct cell.
-    """
+    """:func:`_stamps` of a column of cell texts, None read as empty."""
     if None in column:
         column = ["" if cell is None else cell for cell in column]
-    lengths = np.fromiter(map(len, column), np.int64, len(column))
-    micros = np.zeros(len(column), np.int64)
-    missing = lengths == 0
-    rest = ~missing
-    if bulk:
-        shaped = lengths == _STAMP_WIDTH
-        candidates = list(compress(column, shaped))
-        if not "".join(candidates).isascii():
-            candidates = [c if c.isascii() else _UNSHAPED for c in candidates]
-        if candidates:
-            raw = np.frombuffer("".join(candidates).encode("ascii"), np.uint8)
-            ok, read = _bulk_stamps(raw.reshape(-1, _STAMP_WIDTH))
-            shaped[shaped] = ok
-            micros[shaped] = read[ok]
-            rest &= ~shaped
-    rows = np.flatnonzero(rest).tolist()
-    _parse_stamps(zip(rows, map(column.__getitem__, rows)), parse, micros, missing)
-    return micros, missing
+
+    def texts(rows: np.ndarray) -> list[str]:
+        return list(map(column.__getitem__, rows.tolist()))
+
+    def shaped(rows: np.ndarray) -> np.ndarray:
+        cells = "".join([c if c.isascii() else _UNSHAPED for c in texts(rows)])
+        return np.frombuffer(cells.encode("ascii"), np.uint8).reshape(-1, _STAMP_WIDTH)
+
+    return _stamps(np.fromiter(map(len, column), np.int64, len(column)), shaped, texts, parse, bulk)
 
 
 def _read_blocks(
     rows: Iterator[list[str]], index: Mapping[str, int], config: SchemaConfig, dataset: _Dataset
 ) -> ParseResult:
-    """Read the data rows block by block and, within a block, column by
-    column.  The cell parsers and the checks are pure functions of the cell,
-    so each runs once per distinct cell of a column (a timestamp column is
-    read in bulk); the accepted rows of the block then extend one buffer per
-    column, grown in place, so no scattered small arrays are left behind."""
+    """Read the data rows block by block: each block goes to
+    :func:`_accept` as its columns' distinct cells and each row's place
+    among them, a timestamp column read in bulk; the accepted rows then
+    extend one buffer per column, grown in place, so no scattered small
+    arrays are left behind."""
     parsers = _cell_parsers(config)
     bulk = config.timestamp_format == TIMESTAMP_FORMAT
-    kinds = dict(dataset.columns)
-    # (name, kind, header index or None, parser) per record field.
-    columns = [(name, kind, index.get(name), parsers[kind]) for name, kind in dataset.columns]
-    checks = [(name, _REJECTS[kinds[name]]) for name in dataset.checks]
-    width = 1 + max(i for _, _, i, _ in columns if i is not None)
-    unique = dataset.unique
-    # A row rejected at or before the unique column's check never reaches it.
-    after_unique = dataset.checks.index(unique) + 1 if unique is not None else 0
-    seen: dict[object, int] = {}
+    # (name, kind, header index or None) per record field.
+    columns = [(name, kind, index.get(name)) for name, kind in dataset.columns]
+    width = 1 + max(i for _, _, i in columns if i is not None)
     parts = {name: bytearray() for name, kind in dataset.columns}
     missing = {name: bytearray() for name, kind in dataset.columns if kind == _TIMESTAMP}
-    # Each id and text column's values by code, in the order first seen,
-    # rejected rows' values included.
-    interned: dict[str, dict] = {name: {} for name, kind in dataset.columns}
+    interned: dict[str, dict] = {}
+    seen: dict[object, int] = {}
     errors: list[RowError] = []
     n = 0
     while block := list(islice(rows, _BLOCK_ROWS)):
@@ -887,71 +886,34 @@ def _read_blocks(
         # every cell of a column missing from the header.
         transposed = list(islice(zip_longest(*block), width))
         empty = (None,) * len(block)
-        cells: dict[str, tuple] = {}
-        # Per column, its parsed distinct cells, or for a timestamp column
-        # its microseconds and missing mask.
-        memos: dict[str, dict] = {}
-        stamps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for name, kind, i, parse in columns:
+        del block  # its cells live on in the columns
+        cells, distinct, stamps = {}, {}, {}
+        for name, kind, i in columns:
             column = transposed[i] if i is not None and i < len(transposed) else empty
-            cells[name] = column
             if kind == _TIMESTAMP:
-                stamps[name] = _timestamps(column, parse, bulk)
-            else:
-                # An id or text column is interned in row order, first-seen.
-                distinct = dict.fromkeys(column) if kind in (_ID, _TEXT) else set(column)
-                memos[name] = {cell: parse(cell) for cell in distinct}
-        # The first failing check of each rejected row: (check, column, message).
-        rejected: dict[int, tuple[int, str, str]] = {}
-        for order, (name, reject) in enumerate(checks):
-            if name in stamps:
-                failing = [
-                    (j, reject(None, cells[name][j]))
-                    for j in np.flatnonzero(stamps[name][1]).tolist()
-                ]
-            else:
-                bad = {
-                    cell: message
-                    for cell, value in memos[name].items()
-                    if (message := reject(value, cell)) is not None
-                }
-                failing = (
-                    [(j, bad[cell]) for j, cell in enumerate(cells[name]) if cell in bad]
-                    if bad
-                    else []
-                )
-            for j, message in failing:
-                rejected.setdefault(j, (order, name, message))
-        if unique is not None:
-            memo = memos[unique]
-            for j, cell in enumerate(cells[unique]):
-                failed = rejected.get(j)
-                if failed is not None and failed[0] < after_unique:
-                    continue
-                value = memo[cell]
-                if value in seen:
-                    _raise_after_framing(
-                        rows,
-                        f"{dataset.name}: duplicate {unique} {value!r} "
-                        f"(rows {seen[value]} and {numbers[j]})",
-                    )
-                if failed is None:
-                    seen[value] = numbers[j]
-        errors.extend(
-            RowError(numbers[j], name, message)
-            for j, (_, name, message) in sorted(rejected.items())
-        )
-        accepted = [j not in rejected for j in range(len(block))] if rejected else None
-        kept = len(block) - len(rejected)
-        for name, kind, _, _ in columns:
-            if name in stamps:
-                for part, values in zip((parts, missing), stamps[name]):
-                    part[name] += memoryview(values[np.array(accepted)] if accepted else values).cast("B")
+                cells[name] = column
+                stamps[name] = _timestamps(column, parsers[kind], bulk)
                 continue
-            codes = _codes(kind, memos[name], interned[name])
-            column = compress(cells[name], accepted) if accepted else cells[name]
-            values = np.fromiter(map(codes.__getitem__, column), _DTYPES[kind], kept)
+            place = dict(zip(dict.fromkeys(column), count()))
+            rows_place = np.fromiter(map(place.__getitem__, column), np.int32, len(column))
+            distinct[name] = list(place), rows_place
+
+        def texts(name: str, rows_at: np.ndarray) -> list:
+            return list(map(cells[name].__getitem__, rows_at.tolist()))
+
+        try:
+            arrays, masks, found = _accept(
+                dataset, parsers, distinct, stamps, texts, numbers, interned, seen
+            )
+        except DataError as exc:
+            _raise_after_framing(rows, str(exc))
+        errors += found
+        for name, values in arrays.items():
             parts[name] += memoryview(values).cast("B")
+        for name, mask in masks.items():
+            missing[name] += memoryview(mask).cast("B")
+        # The next block is read with none of this one's cells alive.
+        del transposed, empty, cells, distinct, stamps, texts
     return _finish_table(
         dataset,
         {name: np.frombuffer(parts[name], _DTYPES[kind]) for name, kind in dataset.columns},
@@ -959,6 +921,65 @@ def _read_blocks(
         interned,
         errors,
     )
+
+
+def _accept(
+    dataset: _Dataset, parsers: Mapping[str, Callable], distinct: Mapping, stamps: Mapping,
+    texts: Callable[[str, np.ndarray], list], numbers: Sequence[int], interned: dict, seen: dict,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], list[RowError]]:
+    """The columns and missing masks of the accepted rows of ``numbers``,
+    and the row errors of the others.  A reader hands over each column as
+    its distinct cells, first-seen, and each row's place among them
+    (``distinct``), or a timestamp column as its microseconds and missing
+    mask (``stamps``), ``texts(name, rows)`` giving those rows' cells.  A
+    row is rejected by the first of ``dataset.checks`` it fails; a value of
+    the unique column repeated by a row not rejected up to its check is a
+    DataError naming both rows (``seen``: each accepted value's row).  Id
+    and text values are interned into ``interned``, rejected rows' too."""
+    kinds = dict(dataset.columns)
+    values = {name: list(map(parsers[kinds[name]], cells)) for name, (cells, _) in distinct.items()}
+    # The first failing check of each rejected row: (check, column, message).
+    rejected: dict[int, tuple[int, str, str]] = {}
+    for order, name in enumerate(dataset.checks):
+        reject = _REJECTS[kinds[name]]
+        if name in stamps:
+            rows = np.flatnonzero(stamps[name][1])
+            failing = zip(rows.tolist(), [reject(None, cell) for cell in texts(name, rows)])
+        else:
+            cells, place = distinct[name]
+            bad = [reject(value, cell) for value, cell in zip(values[name], cells)]
+            rows = np.flatnonzero(np.array([m is not None for m in bad], bool)[place])
+            failing = zip(rows.tolist(), map(bad.__getitem__, place[rows].tolist()))
+        for j, message in failing:
+            rejected.setdefault(j, (order, name, message))
+    unique = dataset.unique
+    if unique is not None:
+        # A row rejected at or before the unique column's check never reaches it.
+        after = dataset.checks.index(unique) + 1
+        for j, k in enumerate(distinct[unique][1].tolist()):
+            failed = rejected.get(j)
+            if failed is not None and failed[0] < after:
+                continue
+            value = values[unique][k]
+            if value in seen:
+                raise DataError(
+                    f"{dataset.name}: duplicate {unique} {value!r} "
+                    f"(rows {seen[value]} and {numbers[j]})"
+                )
+            if failed is None:
+                seen[value] = numbers[j]
+    errors = [RowError(numbers[j], column, why) for j, (_, column, why) in sorted(rejected.items())]
+    accepted = slice(None)
+    if rejected:
+        accepted = np.isin(np.arange(len(numbers)), list(rejected), invert=True)
+    arrays = {}
+    for name, kind in dataset.columns:
+        if name in stamps:
+            arrays[name] = stamps[name][0][accepted]
+            continue
+        codes = np.array(_codes(kind, values.pop(name), interned.setdefault(name, {})), _DTYPES[kind])
+        arrays[name] = codes[distinct[name][1][accepted]]
+    return arrays, {name: mask[accepted] for name, (_, mask) in stamps.items()}, errors
 
 
 def _finish_table(
@@ -1033,31 +1054,39 @@ def _distinct(windows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     return first[by_first], place[codes]
 
 
-def _plain_bytes(raw: bytes | str) -> np.ndarray | None:
-    """``raw`` past a byte-order mark as UTF-8 bytes with LF line ends and a
-    last LF, then eight NULs; None where it is empty or has a ``"``, a NUL,
-    a CR outside a CRLF, or a fault of UTF-8."""
-    if isinstance(raw, str):
-        raw = raw.removeprefix("\ufeff").encode("utf-8", "surrogatepass")
-    else:
-        raw = raw.removeprefix(codecs.BOM_UTF8)
-    if not raw or b'"' in raw or b"\0" in raw:
-        return None
-    # An undecodable byte comes back from "surrogateescape" as a lone
-    # surrogate, three bytes long once encoded.
-    if not raw.isascii() and len(
-        raw.decode("utf-8", "surrogateescape").encode("utf-8", "surrogatepass")
-    ) != len(raw):
-        return None
-    if b"\r" in raw:
-        if raw.count(b"\r") != raw.count(b"\r\n"):
-            return None
-        raw = raw.replace(b"\r\n", b"\n")
-    end = len(raw) + (raw[-1] != _NEWLINE)
-    buf = np.zeros(end + 8, np.uint8)
-    buf[: len(raw)] = np.frombuffer(raw, np.uint8)
+def _plain_piece(piece: bytes | str) -> bool:
+    """Whether the input piece has no ``"``, no NUL, no CR outside a CRLF
+    and no fault of UTF-8: an undecodable byte comes back from
+    "surrogateescape" as a lone surrogate, three bytes long once encoded."""
+    if isinstance(piece, str):
+        piece = piece.encode("utf-8", "surrogatepass")
+    return (
+        b'"' not in piece
+        and b"\0" not in piece
+        and (b"\r" not in piece or piece.count(b"\r") == piece.count(b"\r\n"))
+        and (piece.isascii() or len(piece) == len(
+            piece.decode("utf-8", "surrogateescape").encode("utf-8", "surrogatepass")
+        ))
+    )
+
+
+def _plain_bytes(pieces: list) -> np.ndarray:
+    """The plain input ``pieces`` as UTF-8 bytes with LF line ends and a
+    last LF, then eight NULs; each piece is dropped once copied."""
+    if isinstance(pieces[0], str):  # a text stream's one piece
+        pieces[0] = pieces[0].encode("utf-8")
+    buf = np.zeros(sum(map(len, pieces)) + 9, np.uint8)
+    end = 0
+    pieces.reverse()
+    while pieces:
+        piece = pieces.pop()
+        if b"\r" in piece:
+            piece = piece.replace(b"\r\n", b"\n")
+        buf[end : end + len(piece)] = np.frombuffer(piece, np.uint8)
+        end += len(piece)
+    end += int(buf[end - 1] != _NEWLINE)
     buf[end - 1] = _NEWLINE
-    return buf
+    return buf[: end + 8]
 
 
 def _separators(text: np.ndarray) -> np.ndarray:
@@ -1077,17 +1106,14 @@ def _column(ends: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     return (ends[1:, i - 1] if i else ends[:-1, -1]) + 1, ends[1:, i]
 
 
-def _parse_columns(raw: bytes | str | None, config: SchemaConfig, dataset: _Dataset):
-    """Read ``raw``, the whole input, column by column, as
-    :func:`_parse_whole` reads it; None where the input is not plain (see
-    the module docstring), or where its dataset has a unique column, whose
-    repeats are found in row order."""
-    if raw is None or dataset.unique is not None:
-        return None
-    buf = _plain_bytes(raw)
-    del raw  # where the caller holds no other reference (a file's bytes), freed
-    if buf is None:
-        return None
+@_collector_paused()
+def _parse_columns(buf: np.ndarray, config: SchemaConfig, dataset: _Dataset) -> ParseResult | None:
+    """Read ``buf``, the whole input from :func:`_plain_bytes`, column by
+    column, as :func:`_parse_whole` reads it, or None where it is not plain
+    after all (see the module docstring).  The offsets ``ends`` of every
+    separator, a row of them per line, give each column's cells; a column
+    is numbered first-seen by the bytes of its cells, a timestamp column
+    read in bulk, and all of them go to :func:`_accept` at once."""
     ends = _separators(buf[: len(buf) - 8])
     newline = buf[ends] == _NEWLINE
     lines = int(np.count_nonzero(newline))
@@ -1104,74 +1130,40 @@ def _parse_columns(raw: bytes | str | None, config: SchemaConfig, dataset: _Data
         if _is_comment(row) or not "".join(row).strip():
             return None
     header = _texts(buf, np.insert(ends[0, :-1] + 1, 0, 0), ends[0])
-    return _read_columns(buf, ends, _read_header(iter([header]), config, dataset), config, dataset)
-
-
-@_collector_paused()
-def _read_columns(
-    buf: np.ndarray, ends: np.ndarray, index: Mapping[str, int], config: SchemaConfig, dataset
-) -> ParseResult:
-    """Read the data rows column by column, from the offsets ``ends`` of
-    every separator in ``buf``, a row of them per line."""
+    index = _read_header(iter([header]), config, dataset)
     parsers = _cell_parsers(config)
-    kinds = dict(dataset.columns)
     # The little-endian 8-byte word at each offset, unaligned.
     windows = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
     n = len(ends) - 1
-    # Per column, the text and parsed value of each distinct cell and each
-    # row's place among them; for a timestamp column, micros and mask.
-    distinct: dict[str, tuple[list, list, np.ndarray]] = {}
+    distinct: dict[str, tuple[list, np.ndarray]] = {}
     stamps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     # Every parser reads an empty cell as it reads a cell past the end of a
     # short row, or of a column missing from the header.
     nowhere = np.zeros(n, ends.dtype)
     for name, kind in dataset.columns:
-        parse = parsers[kind]
         i = index.get(name)
         s, e = _column(ends, i) if i is not None else (nowhere, nowhere)
         if kind == _TIMESTAMP:
-            micros, missing = np.zeros(n, np.int64), s == e
-            rest = ~missing
-            if config.timestamp_format == TIMESTAMP_FORMAT:
-                shaped = np.flatnonzero(e - s == _STAMP_WIDTH)
-                at = s[shaped]  # three words hold the 19 bytes, and 5 of the next
-                ok, read = _bulk_stamps(np.stack([windows[at + k] for k in (0, 8, 16)], 1).view(np.uint8))
-                micros[shaped[ok]] = read[ok]
-                rest[shaped[ok]] = False
-            rows = np.flatnonzero(rest)
-            _parse_stamps(zip(rows.tolist(), _texts(buf, s[rows], e[rows])), parse, micros, missing)
-            stamps[name] = micros, missing
+            # Three words hold a cell of the default shape, and 5 bytes past it.
+            stamps[name] = _stamps(
+                e - s,
+                lambda rows: np.stack([windows[s[rows] + k] for k in (0, 8, 16)], 1).view(np.uint8),
+                lambda rows: _texts(buf, s[rows], e[rows]),
+                parsers[kind],
+                config.timestamp_format == TIMESTAMP_FORMAT,
+            )
             continue
         first, place = _distinct(windows, s, e)
-        texts = _texts(buf, s[first], e[first])
-        distinct[name] = texts, list(map(parse, texts)), place
-    # The first failing check of each rejected row: (check, column, message).
-    rejected: dict[int, tuple[int, str, str]] = {}
-    for order, name in enumerate(dataset.checks):
-        reject = _REJECTS[kinds[name]]
-        if name in stamps:
-            rows = np.flatnonzero(stamps[name][1])
-            s, e = _column(ends, index[name])
-            cells = _texts(buf, s[rows], e[rows])
-            failing = zip(rows.tolist(), (reject(None, cell) for cell in cells))
-        else:
-            texts, values, place = distinct[name]
-            bad = [reject(value, cell) for value, cell in zip(values, texts)]
-            rows = np.flatnonzero(np.array([m is not None for m in bad])[place])
-            failing = ((j, bad[k]) for j, k in zip(rows.tolist(), place[rows].tolist()))
-        for j, message in failing:
-            rejected.setdefault(j, (order, name, message))
-    errors = [RowError(j + 1, name, message) for j, (_, name, message) in sorted(rejected.items())]
-    accepted = np.isin(np.arange(n), list(rejected), invert=True) if rejected else slice(None)
-    arrays, interned = {}, {}
-    for name, kind in dataset.columns:
-        if name in stamps:
-            arrays[name] = stamps[name][0][accepted]
-            continue
-        _, values, place = distinct.pop(name)
-        codes = _codes(kind, dict(enumerate(values)), interned.setdefault(name, {}))
-        arrays[name] = np.fromiter(codes.values(), _DTYPES[kind], len(codes))[place[accepted]]
-    missing = {name: mask[accepted] for name, (_, mask) in stamps.items()}
+        distinct[name] = _texts(buf, s[first], e[first]), place
+
+    def texts(name: str, rows: np.ndarray) -> list:
+        s, e = _column(ends, index[name])
+        return _texts(buf, s[rows], e[rows])
+
+    interned: dict[str, dict] = {}
+    arrays, missing, errors = _accept(
+        dataset, parsers, distinct, stamps, texts, range(1, n + 1), interned, {}
+    )
     return _finish_table(dataset, arrays, missing, interned, errors)
 
 

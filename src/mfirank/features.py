@@ -372,7 +372,10 @@ def feature_csv(vectors: Sequence[FeatureVector], comments: Sequence[str] = ()) 
 
 def parse_feature_csv(text: str) -> list[FeatureVector]:
     """Read back a feature table written by :func:`feature_csv`."""
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].lstrip().startswith("#")]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].lstrip().startswith("#")]
+    except csv.Error as exc:
+        raise DataError(f"feature CSV is malformed: {exc}") from None
     if not rows:
         raise DataError("feature CSV is empty")
     header = [h.strip() for h in rows[0]]

@@ -240,6 +240,15 @@ def test_rank_rejects_a_repeated_mfi_id(golden_vectors, tmp_path, capsys):
     assert f"mfi_id '{golden_vectors[2].mfi_id}' more than once" in capsys.readouterr().err
 
 
+def test_rank_on_a_malformed_feature_csv_is_a_data_error(golden_vectors, tmp_path, capsys):
+    table = tmp_path / "features.csv"
+    table.write_text(feature_csv(golden_vectors) + "m99," + "9" * 200_000 + "\n")
+    assert main(["rank", "--features-csv", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mfirank: data error: feature CSV is malformed: field larger than")
+    assert "Traceback" not in err
+
+
 def test_rank_on_a_one_mfi_table_is_a_data_error(golden_vectors, tmp_path, capsys):
     table = tmp_path / "features.csv"
     table.write_text(feature_csv(golden_vectors[:1]))

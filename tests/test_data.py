@@ -52,12 +52,14 @@ from mfirank.data import (
     _cell_parsers,
     _has_click,
     _is_comment,
+    _lines,
     _norm_header,
-    _open_rows,
     _parse_columns,
     _parse_whole,
+    _pieces,
+    _plain_bytes,
+    _plain_piece,
     _recoded,
-    _text_rows,
 )
 from mfirank.errors import DataError
 from mfirank.features import feature_table
@@ -431,8 +433,9 @@ def test_parsers_survive_arbitrary_cells(fixture_triple, data, which, bom):
 
 def reference_read_table(source, config, dataset):
     """The header's column index by canonical name, and the data rows."""
+    text = source.read().removeprefix("\ufeff")
     try:
-        rows = [row for row in _open_rows(source) if not _is_comment(row)]
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if not _is_comment(row)]
     except csv.Error as exc:
         raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
     if not rows:
@@ -1105,8 +1108,26 @@ CHUNK_CELLS = {
         "page_rank": ["1", "2.5", "", "-3"],
         "income": ["3.0", "", "inf"],
     },
+    "products": {
+        "mfi_id": ["18", "20", "", " ", "Ж7"],
+        # Repeats, one of them padded, and empty ids; a repeat on a row
+        # rejected at or before its card id is no duplicate.
+        "card_id": ["card-1", "card-2", "card-3", "card-4", "card-5", "card-6", " card-1",
+                    "", " ", "карта-7", "card-1 long name"],
+        "loan_type": ["standard", "interest-free", "long_term", "mortgage", ""],
+        # Checked after the card id: a rejected row may repeat a card id.
+        "avg_user_rating": ["4.5", "", "1", "5", "0.5", "7", "nan", "inf", "x", " 3"],
+        "region": ["Москва", "", " Kazan", "Saint Petersburg"],
+        "n_reviews": ["3", "", "-1", "2.5", "1e400"],
+        "unreliability": ["да", "нет", "true", "", "x"],
+        "loan_amount_min": ["1000", "", "-0.0", "1e400"],
+        "interest_max": ["0.5", "", "nan"],
+    },
 }
-CHUNK_DATASETS = {"conversions": _CONVERSIONS, "clicks": _CLICKS}
+CHUNK_DATASETS = {"conversions": _CONVERSIONS, "clicks": _CLICKS, "products": _PRODUCTS}
+CHUNK_PARSERS = {
+    "conversions": parse_conversions, "clicks": parse_clicks, "products": parse_products,
+}
 # A column no dataset reads.
 EXTRA_CELLS = ["x", "", "ü", "1"]
 
@@ -1152,8 +1173,13 @@ def chunk_texts(draw, name, plain=False):
     return prefix, "".join(rows)
 
 
-def assert_same_table(got: ParseResult, expected: ParseResult) -> None:
-    """The same row errors, names, column bytes and missing masks."""
+def assert_same_table(got: ParseResult | str, expected: ParseResult | str) -> None:
+    """The same row errors, names, column bytes and missing masks, or the
+    same DataError."""
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
     assert got.errors == expected.errors
     assert got.table.names == expected.table.names
     assert got.table.columns.keys() == expected.table.columns.keys()
@@ -1165,8 +1191,24 @@ def assert_same_table(got: ParseResult, expected: ParseResult) -> None:
         assert got.table.missing[name].tobytes() == mask.tobytes(), name
 
 
-def csv_path(raw, dataset) -> ParseResult:
-    return _parse_whole(_text_rows(raw), DEFAULT_SCHEMA, dataset)
+def stream(raw: str | bytes):
+    return io.BytesIO(raw) if isinstance(raw, bytes) else io.StringIO(raw)
+
+
+def csv_path(raw: str | bytes, dataset) -> ParseResult | str:
+    """The csv module's reading of ``raw``, or its DataError."""
+    rows = csv.reader(_lines([], _pieces(stream(raw))))
+    return _parsed_or_error(lambda rows: _parse_whole(rows, DEFAULT_SCHEMA, dataset), rows)
+
+
+def column_reader(raw: str | bytes, dataset) -> ParseResult | str | None:
+    """The column reader's reading of ``raw``, or its DataError; None where
+    ``raw`` is not plain."""
+    pieces = list(_pieces(stream(raw)))
+    if not pieces or not all(map(_plain_piece, pieces)):
+        return None
+    buf = _plain_bytes(pieces)
+    return _parsed_or_error(lambda buf: _parse_columns(buf, DEFAULT_SCHEMA, dataset), buf)
 
 
 @settings(max_examples=150)
@@ -1176,12 +1218,21 @@ def test_the_column_reader_matches_the_csv_path(data, name, as_bytes):
     prefix, body = data.draw(chunk_texts(name, plain=True))
     raw = (prefix + body).encode() if as_bytes else prefix + body
     expected = csv_path(raw, dataset)
-    got = _parse_columns(raw, DEFAULT_SCHEMA, dataset)
+    got = column_reader(raw, dataset)
     # A row of blank cells alone is not plain: the csv path skips it.
     blank = any(not row.replace(",", "").strip() for row in body.splitlines())
     assert (got is None) == blank
     if got is not None:
         assert_same_table(got, expected)
+    # The row-at-a-time reference shares no code with either reader.
+    reference = _parsed_or_error(
+        lambda source: reference_parse_rows(source, None, dataset), io.StringIO(prefix + body)
+    )
+    if isinstance(reference, str):
+        assert expected == reference
+    else:
+        assert expected.errors == reference.errors
+        assert repr(expected.records) == repr(reference.records)
 
 
 @settings(max_examples=60)
@@ -1190,20 +1241,18 @@ def test_an_input_that_is_not_plain_reads_as_the_csv_path_reads_it(data, name):
     dataset = CHUNK_DATASETS[name]
     prefix, body = data.draw(chunk_texts(name))
     raw = (prefix + body).encode()
-    parse = parse_conversions if name == "conversions" else parse_clicks
-    assert_same_table(parse(io.BytesIO(raw)), csv_path(raw, dataset))
+    parse = CHUNK_PARSERS[name]
+    assert_same_table(_parsed_or_error(parse, io.BytesIO(raw)), csv_path(raw, dataset))
 
 
 def test_the_column_reader_reads_the_fixture_as_the_csv_path_does(fixture_triple):
-    conversions, _, clicks = fixture_triple
-    for text, dataset in (
-        (serialize_conversions(conversions), _CONVERSIONS), (serialize_clicks(clicks), _CLICKS)
-    ):
+    for which, (_, serialize) in enumerate(PARSERS):
+        text = serialize(fixture_triple[which])
         crlf = text.replace("\n", "\r\n")
         for raw in (text, text.encode(), crlf, crlf.encode()):
-            got = _parse_columns(raw, DEFAULT_SCHEMA, dataset)
+            got = column_reader(raw, DATASETS[which])
             assert got is not None
-            assert_same_table(got, csv_path(text, dataset))
+            assert_same_table(got, csv_path(text, DATASETS[which]))
 
 
 def test_the_column_reader_numbers_each_distinct_cell_once():
@@ -1211,7 +1260,7 @@ def test_the_column_reader_numbers_each_distinct_cell_once():
     # first words alone would interleave them.
     cells = ["Windows Phone 10", "Windows Phone 8", "", "iOS", "Windows Phone 10 Mobile"] * 40
     random.Random(0).shuffle(cells)
-    buf = mfirank.data._plain_bytes("os\n" + "\n".join(cells))
+    buf = _plain_bytes(["os\n" + "\n".join(cells)])
     ends = mfirank.data._separators(buf[: len(buf) - 8]).reshape(-1, 1)
     starts, ends = mfirank.data._column(ends, 0)
     windows = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
@@ -1226,7 +1275,7 @@ def test_drawn_chunk_texts_reject_rows_by_ghost_ids_only():
     # names must be renumbered first-seen.
     def ghost_only(texts):
         prefix, body = texts
-        result = _parse_whole(_text_rows(prefix + body), DEFAULT_SCHEMA, _CONVERSIONS)
+        result = csv_path(prefix + body, _CONVERSIONS)
         rows = body.replace("\r", "\n").split("\n")
         return any(row.startswith("ghost,") for row in rows) and (
             "ghost" not in result.table.names["mfi_id"]
@@ -1238,14 +1287,18 @@ def test_drawn_chunk_texts_reject_rows_by_ghost_ids_only():
 
 def test_quoted_text_and_unique_columns_are_read_in_one_chunk(fixture_triple):
     text = serialize_conversions(fixture_triple[0])
-    assert _parse_columns(text, DEFAULT_SCHEMA, _CONVERSIONS) is not None
+    assert column_reader(text, _CONVERSIONS) is not None
     # A quote may hide a newline or a comma inside a cell: the csv path reads it.
     quoted = text.replace(",Moscow,", ',"Mos\ncow",', 1)
     assert quoted != text
-    assert _parse_columns(quoted, DEFAULT_SCHEMA, _CONVERSIONS) is None
-    # Repeated card ids are found in row order.
+    assert column_reader(quoted, _CONVERSIONS) is None
+    # Repeated card ids are found in row order by both readers.
     products = serialize_products(fixture_triple[1])
-    assert _parse_columns(products, DEFAULT_SCHEMA, _PRODUCTS) is None
+    assert_same_table(column_reader(products, _PRODUCTS), csv_path(products, _PRODUCTS))
+    repeated = products + products.splitlines(keepends=True)[2]
+    message = column_reader(repeated, _PRODUCTS)
+    assert message == csv_path(repeated, _PRODUCTS)
+    assert re.fullmatch(r"products: duplicate card_id '.*' \(rows 2 and \d+\)", message)
 
 
 PLAIN_CONVERSIONS = (
@@ -1272,23 +1325,19 @@ PLAIN_ROW = b"18,standard,2021-03-01 10:00:00,sale,"
                  id="encoded surrogate"),
 ])
 def test_an_input_that_is_not_plain_goes_to_the_csv_path(raw, tmp_path):
-    assert _parse_columns(raw, DEFAULT_SCHEMA, _CONVERSIONS) is None
+    assert column_reader(raw, _CONVERSIONS) is None
     path = tmp_path / "conversions.csv"
     path.write_bytes(raw)
-    for source, rows in ((io.BytesIO(raw), _text_rows(raw)), (str(path), _open_rows(str(path)))):
-        expected = _parsed_or_error(lambda rows: _parse_whole(rows, DEFAULT_SCHEMA, _CONVERSIONS), rows)
-        got = _parsed_or_error(parse_conversions, source)
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            assert_same_table(got, expected)
+    expected = csv_path(raw, _CONVERSIONS)
+    for source in (io.BytesIO(raw), str(path)):
+        assert_same_table(_parsed_or_error(parse_conversions, source), expected)
 
 
 def test_a_parse_starts_no_process(tmp_path, monkeypatch):
     path = tmp_path / "conversions.csv"
     path.write_text(serialize_conversions(generate_fixture(0, n_clients=5000)[0]))
     assert path.stat().st_size >= 1 << 20
-    expected = _parse_whole(_open_rows(str(path)), DEFAULT_SCHEMA, _CONVERSIONS)
+    expected = csv_path(path.read_bytes(), _CONVERSIONS)
 
     def no_fork():
         raise AssertionError("a parse forked")
@@ -1297,3 +1346,29 @@ def test_a_parse_starts_no_process(tmp_path, monkeypatch):
     assert_same_table(parse_conversions(str(path)), expected)
     with open(path, "rb") as fh:
         assert_same_table(parse_conversions(fh), expected)
+
+
+@settings(max_examples=60)
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(CHUNK_CELLS)),
+    plain=st.booleans(),
+    piece_bytes=st.sampled_from([1, 2, 7, 40]),
+)
+def test_an_input_read_in_small_pieces_reads_the_same(data, name, plain, piece_bytes):
+    # A piece ends a line, so neither a CRLF nor a UTF-8 character nor the
+    # byte-order mark is ever cut in two, and a fault of UTF-8 anywhere is
+    # still a data error (whose byte position counts from its piece).
+    prefix, body = data.draw(chunk_texts(name, plain=plain))
+    raw = (prefix + body).encode()
+    if data.draw(st.booleans()):
+        raw += "\nодобрен".encode("cp1251")
+
+    def parse(source):
+        got = _parsed_or_error(CHUNK_PARSERS[name], source)
+        return re.sub(r"position \d+", "position N", got) if isinstance(got, str) else got
+
+    expected = parse(io.BytesIO(raw))
+    with mock.patch.object(mfirank.data, "_PIECE_BYTES", piece_bytes):
+        assert all(piece.endswith(b"\n") for piece in list(_pieces(io.BytesIO(raw)))[:-1])
+        assert_same_table(parse(io.BytesIO(raw)), expected)
