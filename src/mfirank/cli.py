@@ -291,6 +291,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
             text = Path(args.features_csv).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise DataError(f"cannot read feature table: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"feature table is not UTF-8 text: {args.features_csv}: {exc}") from None
         vectors = _stage.parse_feature_csv(text)
     elif args.conversions and args.products and args.clicks:
         vectors, cards = _feature_table(args, config)
@@ -549,6 +551,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         payload = json.loads(Path(args.evaluation).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise DataError(f"cannot read evaluation file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"evaluation file is not UTF-8 text: {args.evaluation}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"evaluation file is not valid JSON: {exc}") from None
     daily = payload.get("daily") if isinstance(payload, dict) else None

@@ -252,6 +252,8 @@ def load_config(
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8 text: {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(data, dict):

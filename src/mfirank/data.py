@@ -16,23 +16,26 @@ bad mandatory cell drops its row with a ``RowError``; an unparseable
 optional cell becomes empty (None; False for a flag, 0 for a review
 count), and ``nan``, ``inf`` or an overflowing number is unparseable.
 
-Each input is read once, a piece of whole lines at a time, and split
-into columns by one of two front ends.  A plain input is read
-column-wise: one mask of its commas and line ends gives every cell's
-offsets, and each column is numbered first-seen by its cells' bytes.  An
+Each input is read once, a piece of whole lines at a time, and laid out
+by one of two splitters for one column reader: every cell in one byte
+buffer, followed by one separator byte, and the separators' offsets, a
+row of them per line, the header line first.  A plain input is its own
+buffer, and one mask of its commas and line ends gives the offsets.  An
 input is plain where it is UTF-8 with no ``"``, no NUL and no CR outside
 a CRLF, and every line has the header's number of cells, none over
 ``csv.field_size_limit()``, and is no comment and not blank.  Any other
-input is split into rows by the csv module and read in blocks, each
-transposed into columns.  Both hand each column to one back end,
-:func:`_accept`, as its distinct cells and each row's place among them,
-or a timestamp column as its microseconds: in the default format those
-are read in bulk, as fixed-width digits, and only the cells that do not
-fit that shape go through the cell parser.  Every cell parser and check
-is a pure function of the cell text, so the back end parses and checks
-each distinct cell once; it rejects a row by the first check it fails,
-finds repeats of a unique column in row order, numbers the row errors
-and codes the accepted rows.
+input is split into rows by the csv module, and the rows are written
+into the same layout a block at a time, so that only a block's cells are
+alive as strings: comment rows are dropped, blank rows keep their
+number, and a short row is padded with absent cells, which read as None.
+The column reader numbers each column first-seen by its cells' bytes and
+widths, or reads a timestamp column as its microseconds: in the default
+format those are read in bulk, as fixed-width digits, and only the cells
+that do not fit that shape go through the cell parser.  Every cell
+parser and check is a pure function of the cell text, so
+:func:`_accept` parses and checks each distinct cell once; it rejects a
+row by the first check it fails, finds repeats of a unique column in row
+order, numbers the row errors and codes the accepted rows.
 
 The accepted rows fill one columnar :class:`Table` per file, in file
 order: id and text cells as first-seen integer codes, timestamps as
@@ -60,12 +63,13 @@ import gc
 import io
 import math
 import re
+from array import array
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta
 from enum import Enum
-from itertools import count, islice, repeat, zip_longest
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from itertools import chain, islice, repeat
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -689,25 +693,8 @@ def _is_comment(row: list[str]) -> bool:
     return bool(row) and row[0].lstrip().startswith("#")
 
 
-# Data rows read, parsed and assembled at a time.  A block bounds the raw
-# cells alive at once, and its distinct cells are parsed once each.
-_BLOCK_ROWS = 1024
-
-
-def _raise_after_framing(rows: Iterator[list[str]], message: str) -> NoReturn:
-    """Raise ``message`` as a DataError once the rest of the file has been
-    read: a CSV framing fault anywhere in the file takes precedence."""
-    deque(rows, maxlen=0)
-    raise DataError(message)
-
-
-def _read_header(
-    rows: Iterator[list[str]], config: SchemaConfig, dataset: _Dataset
-) -> dict[str, int]:
+def _read_header(header: list[str], config: SchemaConfig, dataset: _Dataset) -> dict[str, int]:
     """The header's column index by canonical name."""
-    header = next((row for row in rows if not _is_comment(row)), None)
-    if header is None:
-        raise DataError(f"{dataset.name}: file is empty (no header row)")
     # Alias keys match after the same normalization as the header.  Sorted,
     # so which of two keys normalizing alike wins does not hang on dict order.
     aliases = {_norm_header(k): v for k, v in sorted(config.column_aliases.items())}
@@ -718,16 +705,16 @@ def _read_header(
         index.setdefault(canon, i)
     for column in dataset.mandatory:
         if column not in index:
-            _raise_after_framing(rows, f"{dataset.name}: missing mandatory column '{column}'")
+            raise DataError(f"{dataset.name}: missing mandatory column '{column}'")
     return index
 
 
 def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> ParseResult:
     """Read one dataset from a path or an open stream, once, a piece at a
     time: every row becomes a table row or a RowError.  The pieces are kept
-    while each is plain, and a plain input is read column-wise
+    while each is plain, and a plain input is split column-wise
     (:func:`_parse_columns`); from the first piece that is not, the csv
-    module reads the input (:func:`_parse_whole`)."""
+    module splits the input (:func:`_parse_whole`)."""
     config = config or DEFAULT_SCHEMA
     if hasattr(source, "read"):
         opened = contextlib.nullcontext(source)
@@ -751,21 +738,16 @@ def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> Parse
                 parsed = _parse_columns(buf, config, dataset)
                 if parsed is not None:
                     return parsed
-                head = [buf[: len(buf) - 8].tobytes()]  # the same rows, for the csv module
+                # The same rows for the csv module, decoded as they are read.
+                raw = io.BytesIO(buf[: len(buf) - 8].tobytes())
                 del buf
+                rows = io.TextIOWrapper(raw, "utf-8", newline="")
+                return _parse_whole(csv.reader(rows), config, dataset)
         return _parse_whole(csv.reader(_lines(head, pieces)), config, dataset)
 
 
-def _parse_whole(rows: Iterator[list[str]], config: SchemaConfig, dataset: _Dataset) -> ParseResult:
-    """Read one dataset from its rows, as the csv module splits them."""
-    try:
-        with _collector_paused():
-            return _read_blocks(rows, _read_header(rows, config, dataset), config, dataset)
-    except csv.Error as exc:
-        raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{dataset.name}: not UTF-8 text: {exc}") from None
-
+# ---------------------------------------------------------------------------
+# the column reader
 
 # Byte positions of the digits and the separators in a cell of the default
 # timestamp format, ``NNNN-NN-NN NN:NN:NN``.
@@ -773,7 +755,71 @@ _STAMP_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
 _STAMP_SEPARATORS = np.array([4, 7, 10, 13, 16])
 _STAMP_SEPARATOR_BYTES = np.frombuffer(b"-- ::", np.uint8)
 _STAMP_WIDTH = 19
-_UNSHAPED = "-" * _STAMP_WIDTH  # stands in for a cell of another shape
+# The low ``r`` bytes of a little-endian word, by ``r``.
+_WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte word at each offset of ``buf``, unaligned."""
+    return np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+
+
+def _texts(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str | None]:
+    """The text of each cell ``buf[start:end]``, None for an absent cell
+    (one that ends before it starts): one gather puts a NUL (the last byte
+    of ``buf``) after each cell, one decode reads them all, and where a
+    cell holds a NUL itself, each cell is decoded on its own."""
+    lengths = np.maximum(ends - starts, 0)
+    stops = np.cumsum(lengths + 1, dtype=np.int64)  # past each cell's NUL
+    at = np.arange(len(lengths) + int(lengths.sum()))
+    at -= np.repeat(stops - lengths - 1 - starts, lengths + 1)
+    at[stops - 1] = len(buf) - 1
+    texts = buf[at].tobytes().decode("utf-8", "surrogatepass").split("\0")[:-1]
+    if len(texts) != len(lengths):
+        texts = [
+            buf[s:e].tobytes().decode("utf-8", "surrogatepass")
+            for s, e in zip(starts.tolist(), (starts + lengths).tolist())
+        ]
+    for j in np.flatnonzero(ends < starts).tolist():
+        texts[j] = None
+    return texts
+
+
+def _boundaries(keys: list[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """Where, in ``order``, a key of ``keys`` differs from the one before."""
+    new = np.zeros(len(order), bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    return new
+
+
+def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The first row of each distinct cell ``buf[start:end]``, in first-seen
+    order, and each row's place in that order.  A cell's key is its bytes
+    as 8-byte words, the bytes past it masked off, and its width, so that a
+    trailing NUL and an absent cell (-1 wide) count; one sort of the first
+    words, or of all keys where one first word opens two cells, puts equal
+    cells side by side."""
+    windows = _words(buf)
+    widths = ends - starts
+    keys = [
+        windows[np.minimum(starts + k, ends)] & _WORD_MASKS[np.clip(widths - k, 0, 8)]
+        for k in range(0, max(int(widths.max(initial=0)), 1), 8)
+    ] + [widths]
+    order = np.argsort(keys[0])
+    new = _boundaries(keys[:1], order)
+    if (_boundaries(keys[1:], order) > new).any():
+        order = np.lexsort(keys[::-1])
+        new = _boundaries(keys, order)
+    codes = np.empty(len(order), np.int64)
+    codes[order] = np.cumsum(new) - 1
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_first = np.argsort(first)
+    place = np.empty(len(first), np.int32)
+    place[by_first] = np.arange(len(first))
+    return first[by_first], place[codes]
 
 
 def _bulk_stamps(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -797,30 +843,32 @@ def _bulk_stamps(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stamps(
-    widths: np.ndarray, shaped: Callable, texts: Callable, parse: Callable, bulk: bool
+    buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, parse: Callable, bulk: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The microseconds since 1970 of each cell of a timestamp column and
-    the mask of the cells that read as no timestamp, as the cell parser
-    ``parse`` reads them, from the ``widths`` of the cells.
+    """The microseconds since 1970 of each timestamp cell ``buf[start:end]``
+    and the mask of the cells that read as no timestamp, as the cell parser
+    ``parse`` reads them.
 
     With ``bulk`` (the default format), a cell of the shape
     ``NNNN-NN-NN NN:NN:NN`` that names a real moment is read arithmetically
-    from its digits, ``shaped(rows)`` (a row of ``_STAMP_WIDTH`` or more
-    bytes per cell), as ``parse`` (``strptime`` with that format) reads it.
-    Every other non-empty cell, ``texts(rows)``, goes to ``parse``, once
-    per distinct cell.
+    from its digits, as ``parse`` (``strptime`` with that format) reads it.
+    Every other non-empty cell goes to ``parse``, once per distinct cell.
     """
+    widths = ends - starts
     micros = np.zeros(len(widths), np.int64)
-    missing = widths == 0
+    missing = widths <= 0
     rest = ~missing
     if bulk:
         rows = np.flatnonzero(widths == _STAMP_WIDTH)
-        ok, read = _bulk_stamps(shaped(rows))
+        # Three words hold a cell of the default shape, and 5 bytes past it.
+        windows = _words(buf)
+        shaped = np.stack([windows[starts[rows] + k] for k in (0, 8, 16)], 1).view(np.uint8)
+        ok, read = _bulk_stamps(shaped)
         micros[rows[ok]] = read[ok]
         rest[rows[ok]] = False
     rows = np.flatnonzero(rest)
     memo: dict = {}
-    for j, cell in zip(rows.tolist(), texts(rows)):
+    for j, cell in zip(rows.tolist(), _texts(buf, starts[rows], ends[rows])):
         if cell not in memo:
             memo[cell] = parse(cell)
         if memo[cell] is None:
@@ -830,112 +878,70 @@ def _stamps(
     return micros, missing
 
 
-def _timestamps(
-    column: Sequence[str | None], parse: Callable[[str | None], datetime | None], bulk: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_stamps` of a column of cell texts, None read as empty."""
-    if None in column:
-        column = ["" if cell is None else cell for cell in column]
-
-    def texts(rows: np.ndarray) -> list[str]:
-        return list(map(column.__getitem__, rows.tolist()))
-
-    def shaped(rows: np.ndarray) -> np.ndarray:
-        cells = "".join([c if c.isascii() else _UNSHAPED for c in texts(rows)])
-        return np.frombuffer(cells.encode("ascii"), np.uint8).reshape(-1, _STAMP_WIDTH)
-
-    return _stamps(np.fromiter(map(len, column), np.int64, len(column)), shaped, texts, parse, bulk)
+def _column(ends: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the data cells of column ``i`` start (past the separator before
+    each) and end, from ``ends``, the separators' offsets a line to a row."""
+    return (ends[1:, i - 1] if i else ends[:-1, -1]) + 1, ends[1:, i]
 
 
-def _read_blocks(
-    rows: Iterator[list[str]], index: Mapping[str, int], config: SchemaConfig, dataset: _Dataset
+@_collector_paused()
+def _read_columns(
+    buf: np.ndarray, ends: np.ndarray, numbers: Sequence[int], counts: np.ndarray | None,
+    config: SchemaConfig, dataset: _Dataset,
 ) -> ParseResult:
-    """Read the data rows block by block: each block goes to
-    :func:`_accept` as its columns' distinct cells and each row's place
-    among them, a timestamp column read in bulk; the accepted rows then
-    extend one buffer per column, grown in place, so no scattered small
-    arrays are left behind."""
+    """Read one dataset from ``buf``, where each cell is followed by one
+    separator byte, and ``ends``, the separators' offsets a line to a row,
+    the header line first.  ``numbers`` are the data lines' row numbers and
+    ``counts`` their counts of cells (None where each line has the
+    header's): a cell past the end of its row is absent.  A column is
+    numbered first-seen by the bytes of its cells, a timestamp column read
+    in bulk, and all of them go to :func:`_accept` at once."""
+    header = _texts(buf, np.insert(ends[0, :-1] + 1, 0, 0), ends[0])
+    index = _read_header(header, config, dataset)
     parsers = _cell_parsers(config)
-    bulk = config.timestamp_format == TIMESTAMP_FORMAT
-    # (name, kind, header index or None) per record field.
-    columns = [(name, kind, index.get(name)) for name, kind in dataset.columns]
-    width = 1 + max(i for _, _, i in columns if i is not None)
-    parts = {name: bytearray() for name, kind in dataset.columns}
-    missing = {name: bytearray() for name, kind in dataset.columns if kind == _TIMESTAMP}
-    interned: dict[str, dict] = {}
-    seen: dict[object, int] = {}
-    errors: list[RowError] = []
-    n = 0
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        # Only a row whose first cell is blank or opens with "#" can be a
-        # comment or a blank row.
-        firsts = {row[0] if row else "" for row in block}
-        odd = any(not cell.strip() or cell.lstrip().startswith("#") for cell in firsts)
-        if odd:
-            block = [row for row in block if not _is_comment(row)]
-        numbers = range(n + 1, n + 1 + len(block))
-        n += len(block)
-        if odd:
-            # A blank row keeps its number but yields nothing.
-            filled = [j for j, row in enumerate(block) if "".join(row).strip()]
-            block = [block[j] for j in filled]
-            numbers = [numbers[j] for j in filled]
-        if not block:
-            continue
-        # A cell past the end of a short row reads as None, and so does
-        # every cell of a column missing from the header.
-        transposed = list(islice(zip_longest(*block), width))
-        empty = (None,) * len(block)
-        del block  # its cells live on in the columns
-        cells, distinct, stamps = {}, {}, {}
-        for name, kind, i in columns:
-            column = transposed[i] if i is not None and i < len(transposed) else empty
-            if kind == _TIMESTAMP:
-                cells[name] = column
-                stamps[name] = _timestamps(column, parsers[kind], bulk)
-                continue
-            place = dict(zip(dict.fromkeys(column), count()))
-            rows_place = np.fromiter(map(place.__getitem__, column), np.int32, len(column))
-            distinct[name] = list(place), rows_place
+    n = len(ends) - 1
 
-        def texts(name: str, rows_at: np.ndarray) -> list:
-            return list(map(cells[name].__getitem__, rows_at.tolist()))
+    def cells(name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Where the column's cells start and end; absent ones end before
+        they start, and so does every cell of a column missing from the
+        header."""
+        i = index.get(name)
+        if i is None:
+            return np.zeros(n, ends.dtype), np.full(n, -1, ends.dtype)
+        starts, stops = _column(ends, i)
+        return starts, stops if counts is None else np.where(counts > i, stops, starts - 1)
 
-        try:
-            arrays, masks, found = _accept(
-                dataset, parsers, distinct, stamps, texts, numbers, interned, seen
+    distinct: dict[str, tuple[list, np.ndarray]] = {}
+    stamps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for name, kind in dataset.columns:
+        s, e = cells(name)
+        if kind == _TIMESTAMP:
+            stamps[name] = _stamps(
+                buf, s, e, parsers[kind], config.timestamp_format == TIMESTAMP_FORMAT
             )
-        except DataError as exc:
-            _raise_after_framing(rows, str(exc))
-        errors += found
-        for name, values in arrays.items():
-            parts[name] += memoryview(values).cast("B")
-        for name, mask in masks.items():
-            missing[name] += memoryview(mask).cast("B")
-        # The next block is read with none of this one's cells alive.
-        del transposed, empty, cells, distinct, stamps, texts
-    return _finish_table(
-        dataset,
-        {name: np.frombuffer(parts[name], _DTYPES[kind]) for name, kind in dataset.columns},
-        {name: np.frombuffer(part, bool) for name, part in missing.items()},
-        interned,
-        errors,
-    )
+            continue
+        first, place = _distinct(buf, s, e)
+        distinct[name] = _texts(buf, s[first], e[first]), place
+
+    def texts(name: str, rows: np.ndarray) -> list:
+        s, e = cells(name)
+        return _texts(buf, s[rows], e[rows])
+
+    return _accept(dataset, parsers, distinct, stamps, texts, numbers)
 
 
 def _accept(
     dataset: _Dataset, parsers: Mapping[str, Callable], distinct: Mapping, stamps: Mapping,
-    texts: Callable[[str, np.ndarray], list], numbers: Sequence[int], interned: dict, seen: dict,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], list[RowError]]:
-    """The columns and missing masks of the accepted rows of ``numbers``,
-    and the row errors of the others.  A reader hands over each column as
-    its distinct cells, first-seen, and each row's place among them
-    (``distinct``), or a timestamp column as its microseconds and missing
-    mask (``stamps``), ``texts(name, rows)`` giving those rows' cells.  A
-    row is rejected by the first of ``dataset.checks`` it fails; a value of
-    the unique column repeated by a row not rejected up to its check is a
-    DataError naming both rows (``seen``: each accepted value's row).  Id
-    and text values are interned into ``interned``, rejected rows' too."""
+    texts: Callable[[str, np.ndarray], list], numbers: Sequence[int],
+) -> ParseResult:
+    """The table of the accepted rows of ``numbers`` and the row errors of
+    the others.  Each column comes as its distinct cells, first-seen, and
+    each row's place among them (``distinct``), or a timestamp column as its
+    microseconds and missing mask (``stamps``), ``texts(name, rows)`` giving
+    those rows' cells.  A row is rejected by the first of ``dataset.checks``
+    it fails; a value of the unique column repeated by a row not rejected up
+    to its check is a DataError naming both rows.  Id and text columns are
+    coded by the first-seen values of the accepted rows."""
     kinds = dict(dataset.columns)
     values = {name: list(map(parsers[kinds[name]], cells)) for name, (cells, _) in distinct.items()}
     # The first failing check of each rejected row: (check, column, message).
@@ -956,6 +962,7 @@ def _accept(
     if unique is not None:
         # A row rejected at or before the unique column's check never reaches it.
         after = dataset.checks.index(unique) + 1
+        seen: dict[object, int] = {}  # each accepted value's row
         for j, k in enumerate(distinct[unique][1].tolist()):
             failed = rejected.get(j)
             if failed is not None and failed[0] < after:
@@ -972,86 +979,30 @@ def _accept(
     accepted = slice(None)
     if rejected:
         accepted = np.isin(np.arange(len(numbers)), list(rejected), invert=True)
-    arrays = {}
+    columns, interned = {}, {}
     for name, kind in dataset.columns:
         if name in stamps:
-            arrays[name] = stamps[name][0][accepted]
+            columns[name] = stamps[name][0][accepted]
             continue
         codes = np.array(_codes(kind, values.pop(name), interned.setdefault(name, {})), _DTYPES[kind])
-        arrays[name] = codes[distinct[name][1][accepted]]
-    return arrays, {name: mask[accepted] for name, (_, mask) in stamps.items()}, errors
-
-
-def _finish_table(
-    dataset: _Dataset, arrays: dict, missing: dict, interned: Mapping[str, dict], errors: list
-) -> ParseResult:
-    """The table and the row errors of the whole file, from the accepted
-    rows' ``arrays`` and ``missing`` masks; id and text columns are coded
-    by the first-seen values of every row in ``interned``."""
+        columns[name] = codes[distinct[name][1][accepted]]
     names = _names(dataset, interned)
     if errors:  # drop the names that only rejected rows had
         for name, values in names.items():
-            distinct, arrays[name] = first_seen(arrays[name])
-            names[name] = tuple(map(values.__getitem__, distinct.tolist()))
-    return ParseResult(Table(dataset, arrays, names, missing), errors)
+            kept, columns[name] = first_seen(columns[name])
+            names[name] = tuple(map(values.__getitem__, kept.tolist()))
+    missing = {name: mask[accepted] for name, (_, mask) in stamps.items()}
+    return ParseResult(Table(dataset, columns, names, missing), errors)
 
 
 # ---------------------------------------------------------------------------
-# reading a plain input column-wise
+# splitting a plain input column-wise
 
 _NEWLINE, _COMMA = ord("\n"), ord(",")
 _MASK_BYTES = 1 << 20
 # The first bytes of a line that may open a comment or a blank row: "#", a
 # separator, whitespace, and any non-ASCII byte (Unicode whitespace).
 _ODD_FIRST = np.array([b >= 128 or chr(b) in "#,\n" or chr(b).isspace() for b in range(256)])
-# The low ``r`` bytes of a little-endian word, by ``r``.
-_WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
-
-
-def _texts(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-    """The text of each cell ``buf[start:end]``: one gather puts a NUL (the
-    last byte of ``buf``) after each cell, one decode reads them all."""
-    lengths = ends - starts
-    stops = np.cumsum(lengths + 1, dtype=np.int64)  # past each cell's NUL
-    at = np.arange(len(lengths) + int(lengths.sum()))
-    at -= np.repeat(stops - lengths - 1 - starts, lengths + 1)
-    at[stops - 1] = len(buf) - 1
-    return buf[at].tobytes().decode("utf-8").split("\0")[:-1]
-
-
-def _boundaries(words: list[np.ndarray], order: np.ndarray) -> np.ndarray:
-    """Where, in ``order``, a key of ``words`` differs from the one before."""
-    new = np.zeros(len(order), bool)
-    new[0] = True
-    for word in words:
-        ranked = word[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
-    return new
-
-
-def _distinct(windows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The first row of each distinct cell (``starts`` to ``ends`` under
-    ``windows``), in first-seen order, and each row's place in that order.
-    A cell's key is its bytes as 8-byte words, the bytes past it masked
-    off (the input has no NUL); one sort of the first words, or of all
-    where one first word opens two cells, puts equal cells side by side."""
-    widths = ends - starts
-    words = [
-        windows[np.minimum(starts + k, ends)] & _WORD_MASKS[np.clip(widths - k, 0, 8)]
-        for k in range(0, max(int(widths.max()), 1), 8)
-    ]
-    order = np.argsort(words[0])
-    new = _boundaries(words, order)
-    if len(words) > 1 and new.sum() != _boundaries(words[:1], order).sum():
-        order = np.lexsort(words[::-1])
-        new = _boundaries(words, order)
-    codes = np.empty(len(order), np.int64)
-    codes[order] = np.cumsum(new) - 1
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
-    by_first = np.argsort(first)
-    place = np.empty(len(first), np.int32)
-    place[by_first] = np.arange(len(first))
-    return first[by_first], place[codes]
 
 
 def _plain_piece(piece: bytes | str) -> bool:
@@ -1100,26 +1051,18 @@ def _separators(text: np.ndarray) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _column(ends: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the data cells of column ``i`` start (past the separator before
-    each) and end, from ``ends``, the separators' offsets a line to a row."""
-    return (ends[1:, i - 1] if i else ends[:-1, -1]) + 1, ends[1:, i]
-
-
-@_collector_paused()
 def _parse_columns(buf: np.ndarray, config: SchemaConfig, dataset: _Dataset) -> ParseResult | None:
-    """Read ``buf``, the whole input from :func:`_plain_bytes`, column by
-    column, as :func:`_parse_whole` reads it, or None where it is not plain
-    after all (see the module docstring).  The offsets ``ends`` of every
-    separator, a row of them per line, give each column's cells; a column
-    is numbered first-seen by the bytes of its cells, a timestamp column
-    read in bulk, and all of them go to :func:`_accept` at once."""
+    """Read ``buf``, the whole input from :func:`_plain_bytes`, with the
+    column reader, or None where it is not plain after all (see the module
+    docstring).  One mask of the commas and line ends gives the offsets of
+    every separator, a row of them per line."""
     ends = _separators(buf[: len(buf) - 8])
     newline = buf[ends] == _NEWLINE
     lines = int(np.count_nonzero(newline))
     width = int(np.argmax(newline)) + 1
     if lines < 2 or len(ends) != lines * width or not newline[width - 1 :: width].all():
         return None
+    del newline  # not alive while the columns are read
     if int(np.diff(ends).max(initial=ends[0] + 1)) - 1 > csv.field_size_limit():
         return None
     # Column-major, so that each column's offsets are contiguous.
@@ -1129,42 +1072,87 @@ def _parse_columns(buf: np.ndarray, config: SchemaConfig, dataset: _Dataset) -> 
         row = _texts(buf, np.insert(ends[r, :-1] + 1, 0, line_starts[r]), ends[r])
         if _is_comment(row) or not "".join(row).strip():
             return None
-    header = _texts(buf, np.insert(ends[0, :-1] + 1, 0, 0), ends[0])
-    index = _read_header(iter([header]), config, dataset)
-    parsers = _cell_parsers(config)
-    # The little-endian 8-byte word at each offset, unaligned.
-    windows = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
-    n = len(ends) - 1
-    distinct: dict[str, tuple[list, np.ndarray]] = {}
-    stamps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    # Every parser reads an empty cell as it reads a cell past the end of a
-    # short row, or of a column missing from the header.
-    nowhere = np.zeros(n, ends.dtype)
-    for name, kind in dataset.columns:
-        i = index.get(name)
-        s, e = _column(ends, i) if i is not None else (nowhere, nowhere)
-        if kind == _TIMESTAMP:
-            # Three words hold a cell of the default shape, and 5 bytes past it.
-            stamps[name] = _stamps(
-                e - s,
-                lambda rows: np.stack([windows[s[rows] + k] for k in (0, 8, 16)], 1).view(np.uint8),
-                lambda rows: _texts(buf, s[rows], e[rows]),
-                parsers[kind],
-                config.timestamp_format == TIMESTAMP_FORMAT,
-            )
-            continue
-        first, place = _distinct(windows, s, e)
-        distinct[name] = _texts(buf, s[first], e[first]), place
+    return _read_columns(buf, ends, range(1, lines), None, config, dataset)
 
-    def texts(name: str, rows: np.ndarray) -> list:
-        s, e = _column(ends, index[name])
-        return _texts(buf, s[rows], e[rows])
 
-    interned: dict[str, dict] = {}
-    arrays, missing, errors = _accept(
-        dataset, parsers, distinct, stamps, texts, range(1, n + 1), interned, {}
-    )
-    return _finish_table(dataset, arrays, missing, interned, errors)
+# ---------------------------------------------------------------------------
+# splitting any other input with the csv module
+
+# Data rows laid out at a time: a block bounds the cells alive as strings.
+_BLOCK_ROWS = 1024
+
+
+def _parse_whole(rows: Iterator[list[str]], config: SchemaConfig, dataset: _Dataset) -> ParseResult:
+    """Read one dataset from its rows, as the csv module splits them, with
+    the column reader."""
+    try:
+        with _collector_paused():
+            laid_out = _lay_out(rows, dataset)
+    except csv.Error as exc:
+        raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{dataset.name}: not UTF-8 text: {exc}") from None
+    return _read_columns(*laid_out, config, dataset)
+
+
+def _lay_out(
+    rows: Iterator[list[str]], dataset: _Dataset
+) -> tuple[np.ndarray, np.ndarray, Sequence[int], np.ndarray]:
+    """The rows in the layout of a plain input: every cell, cut or padded
+    to the header's width, in one buffer with a NUL after it as its
+    separator; the separators' offsets, a line to a row, the header line
+    first; and each data line's row number and count of cells.  A comment
+    row takes no number and a blank row gives no line.  Every row is read
+    before any check of its cells, so a framing fault anywhere in the file
+    wins."""
+    header = next((row for row in rows if not _is_comment(row)), None)
+    if header is None:
+        raise DataError(f"{dataset.name}: file is empty (no header row)")
+    width = max(len(header), 1)
+    data = bytearray()
+    parts = []  # each block's offset and its separators' offsets within it
+    numbers, counts = array("q"), array("q")
+
+    def append(block: list[list[str]]) -> None:
+        if any(len(row) != width for row in block):
+            pad = [""] * width
+            block = [row[:width] + pad[len(row) :] for row in block]
+        text = "\0".join(chain.from_iterable(block)) + "\0"
+        raw = text.encode("utf-8", "surrogatepass")
+        dtype = np.int32 if len(raw) < 2**31 else np.int64
+        if text.count("\0") == len(block) * width:
+            stops = np.flatnonzero(np.frombuffer(raw, np.uint8) == 0).astype(dtype)
+        else:  # a cell holds a NUL: the separators are found from the cells' sizes
+            cells = chain.from_iterable(block)
+            sizes = (len(cell.encode("utf-8", "surrogatepass")) for cell in cells)
+            stops = np.cumsum(np.fromiter(sizes, dtype, len(block) * width) + 1, dtype=dtype) - 1
+        parts.append((len(data), stops.reshape(-1, width)))
+        data.extend(raw)
+
+    append([header])
+    n = 0
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        # Only a row whose first cell is blank or opens with "#" can be a
+        # comment or a blank row.
+        firsts = {row[0] if row else "" for row in block}
+        odd = any(not cell.strip() or cell.lstrip().startswith("#") for cell in firsts)
+        if odd:
+            block = [row for row in block if not _is_comment(row)]
+        lines = range(n + 1, n + 1 + len(block))
+        n += len(block)
+        if odd:
+            # A blank row keeps its number but gives no line.
+            filled = [j for j, row in enumerate(block) if "".join(row).strip()]
+            block = [block[j] for j in filled]
+            lines = [lines[j] for j in filled]
+        if block:
+            numbers.extend(lines)
+            counts.extend(map(len, block))
+            append(block)
+    data += bytes(8)
+    dtype = np.int32 if len(data) < 2**31 else np.int64
+    ends = np.concatenate([stops.astype(dtype) + at for at, stops in parts])
+    return np.frombuffer(data, np.uint8), ends, numbers, np.frombuffer(counts, np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -684,6 +684,32 @@ def test_report_missing_file_is_a_data_error(tmp_path):
     assert main(["report", "--evaluation", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "option, code, message",
+    [
+        ("--config", 1, "config error: config file is not UTF-8 text"),
+        ("--features-csv", 2, "data error: feature table is not UTF-8 text"),
+        ("--evaluation", 2, "data error: evaluation file is not UTF-8 text"),
+    ],
+)
+def test_an_input_file_that_is_not_utf8_is_named_in_one_line(
+    golden_vectors, tmp_path, capsys, option, code, message
+):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b'{"damping": "\xff"}\n')
+    table = tmp_path / "features.csv"
+    table.write_text(feature_csv(golden_vectors))
+    argv = {
+        "--config": ["rank", "--features-csv", str(table), "--config", str(bad)],
+        "--features-csv": ["rank", "--features-csv", str(bad)],
+        "--evaluation": ["report", "--evaluation", str(bad)],
+    }[option]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"mfirank: {message}: {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def _one_day_changed(evaluation_json, path, change) -> str:
     """Write ``evaluation_json`` with ``change`` applied to its first day;
     a value of ``RAW`` below is replaced by raw JSON text, so that NaN and

@@ -499,14 +499,14 @@ DATASETS = (_CONVERSIONS, _PRODUCTS, _CLICKS)
 BLOCK_SIZES = (1, 2, 3, 7, _BLOCK_ROWS)
 
 
-def assert_same_parse(parse, dataset, text: str) -> None:
+def assert_same_parse(parse, dataset, text: str, as_bytes: bool = False) -> None:
     """The parser gives the reference's records, row errors or DataError,
-    whatever the block size."""
+    whatever the block size, from a text stream or a byte stream."""
     expected = _parsed_or_error(lambda source: reference_parse_rows(source, None, dataset),
                                 io.StringIO(text))
     for size in BLOCK_SIZES:
         with mock.patch.object(mfirank.data, "_BLOCK_ROWS", size):
-            got = _parsed_or_error(parse, io.StringIO(text))
+            got = _parsed_or_error(parse, stream(text.encode() if as_bytes else text))
         if isinstance(expected, str):
             assert got == expected
             continue
@@ -616,10 +616,24 @@ def cell_stamps(column, parse) -> tuple[list, list]:
     )
 
 
+def stamp_buffer(column) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``column`` in a buffer built by ``_plain_bytes``, each cell followed
+    by a comma, and where each cell starts and ends in it; a None cell is
+    absent, and ends before it starts."""
+    raw = [b"" if cell is None else cell.encode() for cell in column]
+    sizes = np.array([len(cell) for cell in raw], np.int64)
+    stops = np.cumsum(sizes + 1) - 1
+    starts = stops - sizes
+    ends = np.where([cell is None for cell in column], starts - 1, stops)
+    return _plain_bytes([b"".join(cell + b"," for cell in raw)]), starts, ends
+
+
 def assert_bulk_stamps_match(column, config=DEFAULT_SCHEMA):
+    # The buffer holds a CRLF as the LF that _plain_bytes makes of it.
+    column = [cell if cell is None else cell.replace("\r\n", "\n") for cell in column]
     parse = _cell_parsers(config)[mfirank.data._TIMESTAMP]
     bulk = config.timestamp_format == TIMESTAMP_FORMAT
-    micros, missing = mfirank.data._timestamps(column, parse, bulk)
+    micros, missing = mfirank.data._stamps(*stamp_buffer(column), parse, bulk)
     assert (micros.tolist(), missing.tolist()) == cell_stamps(column, parse)
 
 
@@ -631,7 +645,7 @@ def test_bulk_timestamps_match_the_cell_parser():
 
 def test_well_shaped_stamps_never_reach_the_cell_parser():
     parse = mock.Mock(side_effect=_cell_parsers(DEFAULT_SCHEMA)[mfirank.data._TIMESTAMP])
-    mfirank.data._timestamps(STAMP_CELLS, parse, True)
+    mfirank.data._stamps(*stamp_buffer(STAMP_CELLS), parse, True)
     sent = {call.args[0] for call in parse.call_args_list}
     assert "2021-03-01 10:00:00" not in sent and "9999-12-31 23:59:59" not in sent
     assert {"2021-02-29 10:00:00", " 2021-03-01 10:00:00", "2021-03-01 10:00:0"} <= sent
@@ -1130,6 +1144,13 @@ CHUNK_PARSERS = {
 }
 # A column no dataset reads.
 EXTRA_CELLS = ["x", "", "ü", "1"]
+# Cells that only a text that is not plain draws, in the columns named
+# below, each written quoted: a NUL, next to the same cell without it, and
+# commas, quotes and line breaks.
+QUOTED_CELLS = ["c", "c\0", "x\0y", "a,b", "two\nlines", 'say "hi"', "\r", ",\n"]
+QUOTED_COLUMNS = {
+    "conversions": ("client_id", "os"), "clicks": ("client_id",), "products": ("card_id", "region"),
+}
 
 
 @st.composite
@@ -1139,23 +1160,35 @@ def chunk_texts(draw, name, plain=False):
     an extra one.  A byte-order mark and comment rows may come first; then
     data rows of drawn cells, some short, with comment and blank rows
     anywhere; every row ends in LF, CRLF or a bare CR, the last maybe in
-    none.  A ``plain`` text has no comment, short row or bare CR."""
+    none.  A text that is not ``plain`` may also have its columns in any
+    order, rows longer than the header, quoted cells, some holding a NUL,
+    a comma, a quote or a line break.  A ``plain`` text has none of these,
+    and no comment, short row or bare CR."""
     mandatory = CHUNK_DATASETS[name].mandatory
     cells = {
         column: choices for column, choices in CHUNK_CELLS[name].items()
         if column in mandatory or draw(st.booleans())
     }
-    columns = list(cells)
+    if not plain:
+        for column in QUOTED_COLUMNS[name]:
+            cells[column] = cells.get(column, CHUNK_CELLS[name][column]) + QUOTED_CELLS
+    columns = list(cells) if plain else list(draw(st.permutations(list(cells))))
     if draw(st.booleans()):
         columns.insert(draw(st.integers(0, len(columns))), "extra")
         cells["extra"] = EXTRA_CELLS
+
+    def written(cell: str) -> str:
+        if plain or not (set(cell) & set(',"\n\r\0') or draw(st.integers(0, 9)) == 0):
+            return cell
+        return '"' + cell.replace('"', '""') + '"'
+
     line_ends = st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"])
     prefix = draw(st.sampled_from(["", "\ufeff"]))
     for comment in [] if plain else draw(st.lists(st.sampled_from(["# exported", "#, x"]), max_size=2)):
         prefix += comment + draw(line_ends)
     prefix += ",".join(columns) + draw(line_ends)
     rows = []
-    kinds = ["row"] if plain else ["row", "row", "row", "short", "comment", "blank"]
+    kinds = ["row"] if plain else ["row", "row", "row", "short", "long", "comment", "blank"]
     for _ in range(draw(st.integers(1, 24))):
         kind = draw(st.sampled_from(kinds))
         if kind == "comment":
@@ -1166,7 +1199,9 @@ def chunk_texts(draw, name, plain=False):
             row = [draw(st.sampled_from(cells[column])) for column in columns]
             if kind == "short":
                 row = row[: draw(st.integers(0, len(row) - 1))]
-            row = ",".join(row)
+            elif kind == "long":
+                row += draw(st.lists(st.sampled_from(EXTRA_CELLS), min_size=1, max_size=3))
+            row = ",".join(map(written, row))
         rows.append(row + draw(line_ends))
     if draw(st.booleans()):  # no line end after the last row
         rows[-1] = rows[-1].rstrip("\r\n")
@@ -1235,14 +1270,39 @@ def test_the_column_reader_matches_the_csv_path(data, name, as_bytes):
         assert repr(expected.records) == repr(reference.records)
 
 
-@settings(max_examples=60)
-@given(data=st.data(), name=st.sampled_from(sorted(CHUNK_CELLS)))
-def test_an_input_that_is_not_plain_reads_as_the_csv_path_reads_it(data, name):
-    dataset = CHUNK_DATASETS[name]
+@settings(max_examples=100)
+@given(data=st.data(), name=st.sampled_from(sorted(CHUNK_CELLS)), as_bytes=st.booleans())
+def test_an_input_that_is_not_plain_reads_as_the_csv_path_reads_it(data, name, as_bytes):
+    # The row-at-a-time reference, with a csv reader of its own, is the
+    # csv path to match.
     prefix, body = data.draw(chunk_texts(name))
-    raw = (prefix + body).encode()
-    parse = CHUNK_PARSERS[name]
-    assert_same_table(_parsed_or_error(parse, io.BytesIO(raw)), csv_path(raw, dataset))
+    assert_same_parse(CHUNK_PARSERS[name], CHUNK_DATASETS[name], prefix + body, as_bytes)
+
+
+@pytest.mark.parametrize("as_bytes", [False, True])
+def test_a_nul_in_a_cell_and_a_cell_past_the_row_end_are_their_own_values(as_bytes):
+    header = "mfi_id,click_time,loan_type,status,client_id,os\n"
+    stamp = "2021-03-01 10:00:00"
+    text = header + "".join(f"{row}\n" for row in [
+        f'18,{stamp},standard,sale,c,"a\0"',
+        f'18,{stamp},standard,sale,"c\0",a',
+        f'18,{stamp},standard,sale,"x\0y"',
+        f"18,{stamp},standard,sale,x,",
+        f"18,{stamp}",
+        f"18,{stamp},",
+        "18",
+        "18,",
+    ])
+    got = parse_conversions(stream(text.encode() if as_bytes else text))
+    assert got.table.names["client_id"] == ("c", "c\0", "x\0y", "x")
+    assert got.table.names["os"] == ("a\0", "a", None)
+    assert got.errors == [
+        RowError(5, "loan_type", "unmapped loan type None"),
+        RowError(6, "loan_type", "unmapped loan type ''"),
+        RowError(7, "click_time", "malformed timestamp None"),
+        RowError(8, "click_time", "malformed timestamp ''"),
+    ]
+    assert_same_parse(parse_conversions, _CONVERSIONS, text, as_bytes)
 
 
 def test_the_column_reader_reads_the_fixture_as_the_csv_path_does(fixture_triple):
@@ -1263,8 +1323,7 @@ def test_the_column_reader_numbers_each_distinct_cell_once():
     buf = _plain_bytes(["os\n" + "\n".join(cells)])
     ends = mfirank.data._separators(buf[: len(buf) - 8]).reshape(-1, 1)
     starts, ends = mfirank.data._column(ends, 0)
-    windows = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
-    first, place = mfirank.data._distinct(windows, starts, ends)
+    first, place = mfirank.data._distinct(buf, starts, ends)
     distinct = list(dict.fromkeys(cells))
     assert [cells[j] for j in first.tolist()] == distinct
     assert [distinct[k] for k in place.tolist()] == cells
