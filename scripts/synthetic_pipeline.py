@@ -10,7 +10,7 @@ exercise and as a seed-by-seed behaviour probe.
 import argparse
 import logging
 
-from mfirank.data import LoanType, filter_loan_type
+from mfirank.data import LoanType, click_table, conversion_table, filter_loan_type
 from mfirank.evaluate import evaluate_ranking
 from mfirank.features import feature_table
 from mfirank.fixtures import generate_fixture
@@ -27,14 +27,16 @@ def main() -> None:
     args = parser.parse_args()
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
 
-    fixture = generate_fixture(args.seed, n_mfis=args.n_mfis, n_clients=args.n_clients)
-    conversions, products, clicks = fixture
+    conversions, products, clicks = generate_fixture(
+        args.seed, n_mfis=args.n_mfis, n_clients=args.n_clients
+    )
     print(f"fixture: {len(conversions)} applications, {len(products)} cards, "
           f"{len(clicks)} clicks")
-    # Standard loans only, as the CLI selects them by default.
-    conversions, products, clicks = (
-        filter_loan_type(records, LoanType.STANDARD) for records in fixture
-    )
+    # Standard loans only, as the CLI selects them by default: the
+    # conversions and clicks as tables, the product cards as records.
+    conversions = filter_loan_type(conversion_table(conversions), LoanType.STANDARD)
+    clicks = filter_loan_type(click_table(clicks), LoanType.STANDARD)
+    products = [p for p in products if p.loan_type is LoanType.STANDARD]
 
     table = feature_table(conversions, products, clicks)
     print("\nfeature table:")

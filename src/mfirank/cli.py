@@ -222,17 +222,17 @@ def _load_datasets(args: argparse.Namespace, config: PipelineConfig):
     name another loan type).  The one place that selects a loan type:
     later stages use every row given."""
     conversions = _logged(_parse(_stage.parse_conversions, args.conversions, config), "conversions")
-    cards = _logged(_parse(_stage.parse_products, args.products, config), "products").records
+    products = _logged(_parse(_stage.parse_products, args.products, config), "products").table
     clicks = _logged(_parse(_stage.parse_clicks, args.clicks, config), "clicks")
-    selected = [
-        _stage.filter_loan_type(rows, config.loan_type)
-        for rows in (conversions.table, cards, clicks.table)
-    ]
-    return (*selected, cards)
+    conversions, cards, clicks = (
+        _stage.filter_loan_type(table, config.loan_type)
+        for table in (conversions.table, products, clicks.table)
+    )
+    return conversions, cards.records(), clicks, products.records()
 
 
 def _feature_table(args: argparse.Namespace, config: PipelineConfig):
-    """The feature table of the selected records, and every product card."""
+    """The feature table of the selected rows, and every product card."""
     conversions, products, clicks, cards = _load_datasets(args, config)
     table = _stage.feature_table(
         conversions, products, clicks,

@@ -485,6 +485,11 @@ class Table:
     def __len__(self) -> int:
         return len(self.columns[self.dataset.columns[0][0]])
 
+    def expect(self, dataset: str) -> None:
+        """Raise ValueError unless this is a table of ``dataset``."""
+        if self.dataset.name != dataset:
+            raise ValueError(f"expected a {dataset} table, not {self.dataset.name}")
+
     def take(self, rows: np.ndarray) -> Table:
         """The table of ``rows``: positions, or a mask over the rows."""
         return Table(
@@ -543,22 +548,14 @@ def _names(dataset: _Dataset, interned: Mapping[str, dict]) -> dict[str, tuple]:
     }
 
 
-def _as_table(rows: Table | Iterable, dataset: _Dataset) -> Table:
-    if isinstance(rows, Table):
-        if rows.dataset is not dataset:
-            raise ValueError(f"expected a {dataset.name} table, not {rows.dataset.name}")
-        return rows
-    return Table.from_records(list(rows), dataset)
+def conversion_table(records: Iterable[ConversionRecord]) -> Table:
+    """The conversions table of ``records``."""
+    return Table.from_records(list(records), _CONVERSIONS)
 
 
-def conversion_table(rows: Table | Iterable[ConversionRecord]) -> Table:
-    """``rows`` as a conversions table: a table as it is, records converted."""
-    return _as_table(rows, _CONVERSIONS)
-
-
-def click_table(rows: Table | Iterable[ClickRecord]) -> Table:
-    """``rows`` as a clicks table: a table as it is, records converted."""
-    return _as_table(rows, _CLICKS)
+def click_table(records: Iterable[ClickRecord]) -> Table:
+    """The clicks table of ``records``."""
+    return Table.from_records(list(records), _CLICKS)
 
 
 # ---------------------------------------------------------------------------
@@ -1283,16 +1280,12 @@ def timeline_columns(conversions: Table) -> tuple[np.ndarray, np.ndarray, np.nda
     )
 
 
-def filter_loan_type(rows: Table | Sequence, loan_type: LoanType | None) -> Table | list:
-    """The rows of ``loan_type``, or all rows for None: a table selects
-    them by a mask over its loan-type codes, a record list by each record."""
-    if isinstance(rows, Table):
-        if loan_type is None:
-            return rows
-        return rows.take(rows.columns["loan_type"] == LOAN_TYPES.index(loan_type))
+def filter_loan_type(rows: Table, loan_type: LoanType | None) -> Table:
+    """The rows of ``loan_type``, selected by a mask over the loan-type
+    codes, or all rows for None."""
     if loan_type is None:
-        return list(rows)
-    return [r for r in rows if r.loan_type is loan_type]
+        return rows
+    return rows.take(rows.columns["loan_type"] == LOAN_TYPES.index(loan_type))
 
 
 def _recoded(source: Table, target: Table, name: str) -> np.ndarray:
@@ -1327,13 +1320,10 @@ def _has_click(conversions: Table, clicks: Table) -> np.ndarray:
 
 
 def validate(
-    conversions: Table | Iterable[ConversionRecord],
-    products: Sequence[ProductRecord],
-    clicks: Table | Iterable[ClickRecord],
+    conversions: Table, products: Sequence[ProductRecord], clicks: Table
 ) -> ValidationReport:
-    """Report-only integrity check across the three datasets.  Conversion
-    and click records are converted to tables once, here."""
-    conversions, clicks = conversion_table(conversions), click_table(clicks)
+    """Report-only integrity check across the three datasets."""
+    clicks.expect("clicks")
     columns, missing = conversions.columns, conversions.missing
     n = len(conversions)
     sale_code = STATUSES.index(Status.SALE)

@@ -12,10 +12,10 @@ Rankings are refreshed weekly: each ISO week is served by a ranking
 trained on everything strictly before its Monday, so no application is
 scored by a model that saw it.
 
-Every stage reads the columnar tables of the conversions and clicks
-(:class:`mfirank.data.Table`); records given to an entry point are
-converted once.  The weekly schedule trains on prefixes of the tables
-in click-time order through one :class:`mfirank.features.FeaturePrefixes`.
+Every stage takes the columnar tables of the conversions and clicks
+(:class:`mfirank.data.Table`).  The weekly schedule trains on prefixes
+of the tables in click-time order through one
+:class:`mfirank.features.FeaturePrefixes`.
 The replay runs on one code table of the conversions
 (:class:`ReplayCodes`), read from the table once by
 :func:`reapproval_table` and carried to :func:`simulate`: integer MFI,
@@ -42,20 +42,16 @@ import numpy as np
 from .config import DEFAULT_MIN_SUPPORT, TIE_EPS, DurationRule
 from .data import (
     STATUSES,
-    ClickRecord,
-    ConversionRecord,
     ProductRecord,
     Status,
     Table,
-    click_table,
-    conversion_table,
     filter_loan_type,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
     first_seen,
     from_micros,
     ordinal_days,
     to_micros,
 )
-from .errors import MfiRankError
+from .errors import DataError, MfiRankError
 from .features import (
     FeaturePrefixes,
     LarPrior,
@@ -102,13 +98,12 @@ def _latest(order: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return by[starts + sizes - 1], np.minimum.reduceat(by, starts)
 
 
-def historical_ranking(conversions: Table | Sequence[ConversionRecord]) -> list[str]:
+def historical_ranking(conversions: Table) -> list[str]:
     """The ordering the site actually used, recovered from the logs.
 
     Each MFI takes the site-wide rank stamped on its latest application;
     MFIs that never carried one go to the back in id order.
     """
-    conversions = conversion_table(conversions)
     mfi_ids = conversions.names["mfi_id"]
     mfi, rank = conversions.columns["mfi_id"], conversions.columns["global_rank"]
     stamped = np.flatnonzero(~np.isnan(rank))
@@ -154,9 +149,8 @@ def _realized(status: np.ndarray, income: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.where(paid, income, 0.0), paid
 
 
-def replay_codes(conversions: Table | Sequence[ConversionRecord]) -> ReplayCodes:
+def replay_codes(conversions: Table) -> ReplayCodes:
     """The code table of ``conversions``."""
-    conversions = conversion_table(conversions)
     columns = conversions.columns
     mfi_codes, mfi = first_seen(columns["mfi_id"])
     _, client = first_seen(columns["client_id"])
@@ -262,8 +256,7 @@ def _pair_stats(
 
 
 def reapproval_table(
-    conversions: Table | Sequence[ConversionRecord],
-    min_support: int = DEFAULT_MIN_SUPPORT,
+    conversions: Table, min_support: int = DEFAULT_MIN_SUPPORT
 ) -> ReapprovalTable:
     """The reapproval table of ``conversions``, carrying their code table and
     client history."""
@@ -329,9 +322,9 @@ class WeekEntry:
 
 
 def weekly_schedule(
-    conversions: Table | Sequence[ConversionRecord],
+    conversions: Table,
     products: Sequence[ProductRecord],
-    clicks: Table | Sequence[ClickRecord],
+    clicks: Table,
     *,
     features: Sequence[str] | None = None,
     damping: float = 0.0,
@@ -350,20 +343,22 @@ def weekly_schedule(
     before the week's Monday.  ``tests/test_evaluate.py`` checks the
     result against calling :func:`feature_table` on every prefix.  Like
     it, the schedule trains on every row given (selected by
-    ``filter_loan_type``).
+    ``filter_loan_type``).  A conversion clicked in the last week of year
+    9999 raises DataError before the walk, which could not step past it.
     """
-    conversions, clicks = conversion_table(conversions), click_table(clicks)
     if not len(conversions):
         return []
     by_time = conversions.take(np.argsort(conversions.columns["click_time"], kind="stable"))
     clicks = clicks.take(np.argsort(clicks.columns["click_time"], kind="stable"))
     conv_times, click_times = by_time.columns["click_time"], clicks.columns["click_time"]
+    first = week_start(from_micros(int(conv_times[0])))
+    latest = from_micros(int(conv_times[-1]))
+    last = week_start(latest)
+    if last > datetime.max - timedelta(days=7):
+        raise DataError(f"click_time {latest} is too late: the week after it is past year 9999")
     prefixes = FeaturePrefixes(
         by_time, products, clicks, features=features, duration_rules=duration_rules
     )
-
-    first = week_start(from_micros(int(conv_times[0])))
-    last = week_start(from_micros(int(conv_times[-1])))
     fallback = tuple(historical_ranking(conversions))
 
     entries: list[WeekEntry] = []
@@ -460,7 +455,7 @@ def _pair_arrays(
 
 
 def simulate(
-    conversions: Table | Sequence[ConversionRecord],
+    conversions: Table,
     schedule: Sequence[WeekEntry],
     table: ReapprovalTable,
 ) -> SimulationResult:
@@ -588,18 +583,18 @@ def weekly_totals(result: SimulationResult) -> list[dict]:
     return rows
 
 
-def daily_series(
-    result: SimulationResult, clicks: Table | Sequence[ClickRecord]
-) -> list[dict]:
+def daily_series(result: SimulationResult, clicks: Table) -> list[dict]:
     """Per-day income and sales totals for both algorithms, plus click counts.
 
     The date range spans every day between the first and last click (or
     replayed application, whichever is wider); days without traffic emit
     zero entries so the series always covers the full range.  The
     "historical" totals are restricted to the replayed applications, so
-    they compare like with like against the "vra" totals.
+    they compare like with like against the "vra" totals.  A day of
+    9999-12-31 raises DataError before the walk, which could not step past it.
     """
-    days, counts = np.unique(ordinal_days(click_table(clicks).columns["click_time"]), return_counts=True)
+    clicks.expect("clicks")
+    days, counts = np.unique(ordinal_days(clicks.columns["click_time"]), return_counts=True)
     click_days = dict(zip(map(date.fromordinal, days.tolist()), counts.tolist()))
     sums = result.days
     all_days = set(click_days) | set(sums)
@@ -609,6 +604,8 @@ def daily_series(
     rows = []
     day = min(all_days)
     last = max(all_days)
+    if last == date.max:
+        raise DataError(f"click_time on {last} is too late: the day after it is past year 9999")
     while day <= last:
         _, sales, income, hist_sales, hist_income = sums.get(day, _NO_SUMS)
         rows.append(
@@ -624,9 +621,9 @@ def daily_series(
 
 
 def evaluate_ranking(
-    conversions: Table | Sequence[ConversionRecord],
+    conversions: Table,
     products: Sequence[ProductRecord],
-    clicks: Table | Sequence[ClickRecord],
+    clicks: Table,
     *,
     features: Sequence[str] | None = None,
     damping: float = 0.0,
@@ -634,11 +631,9 @@ def evaluate_ranking(
     duration_rules: Sequence[DurationRule] | None = None,
     tie_eps: float = TIE_EPS,
 ) -> tuple[SimulationResult, list[WeekEntry]]:
-    """Full replay of the records given, which
+    """Full replay of the rows given, which
     :func:`mfirank.data.filter_loan_type` selected for one loan type:
-    weekly rankings, reapproval table, simulation.  Records are converted
-    to tables once, here."""
-    conversions, clicks = conversion_table(conversions), click_table(clicks)
+    weekly rankings, reapproval table, simulation."""
     schedule = weekly_schedule(
         conversions,
         products,
@@ -656,28 +651,23 @@ def evaluate_ranking(
 # experiment-group helpers
 
 
-def group_counts(conversions: Table | Sequence[ConversionRecord]) -> tuple[int, int]:
+def group_counts(conversions: Table) -> tuple[int, int]:
     """(sales, applications) of one experiment group."""
-    conversions = conversion_table(conversions)
     return int(np.count_nonzero(conversions.columns["status"] == _SALE)), len(conversions)
 
 
-def sale_incomes(conversions: Table | Sequence[ConversionRecord]) -> list[float]:
+def sale_incomes(conversions: Table) -> list[float]:
     """The incomes of the group's sales that have one, in row order."""
-    conversions = conversion_table(conversions)
     income = conversions.columns["income"]
     return income[(conversions.columns["status"] == _SALE) & ~np.isnan(income)].tolist()
 
 
-def os_contingency(
-    groups: Sequence[Table | Sequence[ConversionRecord]], os_name: str
-) -> TwoByTwo:
+def os_contingency(groups: Sequence[Table], os_name: str) -> TwoByTwo:
     """2x2 table of (runs ``os_name``) against (application approved) over
     the rows of every group: each group is counted and the cells added."""
     target = os_name.strip().lower()
     cells = np.zeros(4, np.int64)  # n00, n01, n10, n11
     for group in groups:
-        group = conversion_table(group)
         names = group.names["os"]
         runs = np.array([n is not None and n.strip().lower() == target for n in names], bool)
         sold = group.columns["status"] == _SALE

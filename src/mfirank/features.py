@@ -41,13 +41,9 @@ import numpy as np
 from .config import ALL_FEATURES, DEFAULT_DURATION_RULES, DurationRule
 from .data import (
     STATUSES,
-    ClickRecord,
-    ConversionRecord,
     ProductRecord,
     Status,
     Table,
-    click_table,
-    conversion_table,
     derive_timeline,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
     filter_loan_type,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
     timeline_columns,
@@ -480,14 +476,13 @@ class FeaturePrefixes:
     and clicks.
 
     Built once from the product cards of one loan type and the conversion
-    and click tables of that type (records are converted once);
-    :meth:`table` then emits the feature table of the first ``n``
-    conversions and the first ``m`` clicks, in table order.  The rows are
-    grouped by MFI once, and every count is a difference of per-MFI prefix
-    sums.  The EPC numerator is the MFI's running sum of sale incomes in
-    table order, added one at a time as a loop over the rows would.  The
-    processing periods are summed exactly, as integers, so each mean is
-    the one ``statistics.fmean`` gives.
+    and click tables of that type; :meth:`table` then emits the feature
+    table of the first ``n`` conversions and the first ``m`` clicks, in
+    table order.  The rows are grouped by MFI once, and every count is a
+    difference of per-MFI prefix sums.  The EPC numerator is the MFI's
+    running sum of sale incomes in table order, added one at a time as a
+    loop over the rows would.  The processing periods are summed exactly,
+    as integers, so each mean is the one ``statistics.fmean`` gives.
 
     The population is the set of MFIs with conversions and a product
     card, ordered by id; MFIs without a card are excluded with a
@@ -496,9 +491,9 @@ class FeaturePrefixes:
 
     def __init__(
         self,
-        conversions: Table | Sequence[ConversionRecord],
+        conversions: Table,
         products: Sequence[ProductRecord],
-        clicks: Table | Sequence[ClickRecord],
+        clicks: Table,
         *,
         features: Sequence[str] | None = None,
         duration_rules: Sequence[DurationRule] | None = None,
@@ -514,7 +509,7 @@ class FeaturePrefixes:
         for p in products:
             cards_by_mfi[p.mfi_id].append(p)
         self._card = {m: _pick_card(cards) for m, cards in cards_by_mfi.items()}
-        conversions, clicks = conversion_table(conversions), click_table(clicks)
+        clicks.expect("clicks")
 
         self._mfi_ids = mfi_ids = conversions.names["mfi_id"]
         k = len(mfi_ids)
@@ -644,9 +639,9 @@ class FeaturePrefixes:
 
 
 def feature_table(
-    conversions: Table | Sequence[ConversionRecord],
+    conversions: Table,
     products: Sequence[ProductRecord],
-    clicks: Table | Sequence[ClickRecord],
+    clicks: Table,
     *,
     features: Sequence[str] | None = None,
     duration_rules: Sequence[DurationRule] | None = None,
@@ -657,7 +652,6 @@ def feature_table(
     :func:`mfirank.data.filter_loan_type`: :class:`FeaturePrefixes` over
     the whole tables.  Sale incomes are summed in input order.
     """
-    conversions, clicks = conversion_table(conversions), click_table(clicks)
     prefixes = FeaturePrefixes(
         conversions, products, clicks, features=features, duration_rules=duration_rules
     )

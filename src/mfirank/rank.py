@@ -61,6 +61,10 @@ class StationaryDistribution:
 
 @dataclass(frozen=True)
 class RankingResult:
+    """One ranking pass.  ``table`` is the feature table ranked, in
+    ``mfi_id`` order whatever the order it was given in, and the matrix
+    and stationary vector follow that order."""
+
     table: list[FeatureVector]
     matrix: ComparisonMatrix
     stationary: StationaryDistribution
@@ -334,9 +338,11 @@ def rank_mfis(
     damping: float = 0.0,
     tie_eps: float = TIE_EPS,
 ) -> RankingResult:
-    """Full ranking pass over a precomputed feature table."""
+    """Full ranking pass over a precomputed feature table, taken in
+    ``mfi_id`` order so that the row order cannot change the solve."""
+    vectors = sorted(vectors, key=lambda v: v.mfi_id)
     matrix = comparison_matrix(vectors, features=features, tie_eps=tie_eps)
     p = transition(matrix, damping=damping)
     dist = stationary(p, order=matrix.order)
     ranking = rank_list(dist, vectors, tie_eps=tie_eps)
-    return RankingResult(table=list(vectors), matrix=matrix, stationary=dist, ranking=ranking)
+    return RankingResult(table=vectors, matrix=matrix, stationary=dist, ranking=ranking)

@@ -18,7 +18,9 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from mfirank.data import parse_clicks, parse_conversions, parse_products
+from mfirank.data import (
+    click_table, conversion_table, parse_clicks, parse_conversions, parse_products,
+)
 from mfirank.features import FeatureVector
 from mfirank.fixtures import generate_fixture
 
@@ -109,10 +111,22 @@ def golden_vectors() -> list[FeatureVector]:
     return reference_vectors()
 
 
+def tables(conversions, products, clicks):
+    """A record triple as the stages take it: the conversions and clicks as
+    tables, the product cards as records."""
+    return conversion_table(conversions), products, click_table(clicks)
+
+
 @pytest.fixture(scope="session")
 def fixture_triple():
     """A deterministic synthetic dataset shared by read-only tests."""
     return generate_fixture(0)
+
+
+@pytest.fixture(scope="session")
+def fixture_tables(fixture_triple):
+    """The same dataset as the stages take it."""
+    return tables(*fixture_triple)
 
 
 def dataset_dir() -> Path | None:
@@ -140,16 +154,16 @@ _dataset_cache: dict = {}
 
 
 def load_published():
-    """Parse the published dataset once per test session."""
+    """Parse the published dataset once per test session: the three tables."""
     if "triple" not in _dataset_cache:
         path = require_dataset()
-        conversions = parse_conversions(str(path / "conversions.csv"))
-        products = parse_products(str(path / "products.csv"))
-        clicks = parse_clicks(str(path / "clicks.csv"))
-        _dataset_cache["triple"] = (
-            conversions.records,
-            products.records,
-            clicks.records,
+        _dataset_cache["triple"] = tuple(
+            parse(str(path / f"{name}.csv")).table
+            for parse, name in (
+                (parse_conversions, "conversions"),
+                (parse_products, "products"),
+                (parse_clicks, "clicks"),
+            )
         )
     return _dataset_cache["triple"]
 

@@ -29,7 +29,7 @@ from conftest import (
 from test_evaluate import brute_force_pair, identity_schedule
 from test_stats import enumerate_fisher
 
-from mfirank.data import LoanType, Status, filter_loan_type, validate
+from mfirank.data import LoanType, Status, conversion_table, filter_loan_type, validate
 from mfirank.evaluate import (
     evaluate_ranking,
     os_contingency,
@@ -55,9 +55,13 @@ from mfirank.stats import (
 )
 
 
-def standard_loans(*datasets):
-    """The records the paper's figures cover, as the CLI selects them by default."""
-    return [filter_loan_type(records, LoanType.STANDARD) for records in datasets]
+def standard_loans(conversions, products, clicks):
+    """The rows the paper's figures cover, as the CLI selects them by
+    default: the conversions and clicks tables and the product cards."""
+    conversions, products, clicks = (
+        filter_loan_type(table, LoanType.STANDARD) for table in (conversions, products, clicks)
+    )
+    return conversions, products.records(), clicks
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -135,7 +139,7 @@ def test_criterion_4_published_dataset_reproduction():
 
     start = time.perf_counter()
     conversions, products, clicks = load_published()
-    report = validate(conversions, products, clicks)
+    report = validate(conversions, products.records(), clicks)
 
     problems: list[str] = []
     counts = (report.n_mfis, report.n_clients, report.n_applications, report.n_sales)
@@ -231,9 +235,8 @@ def test_criterion_6_property_bundle_under_budget():
 
     # identity-ranking replay reproduces history exactly
     conversions, _, _ = generate_fixture(0)
-    result = simulate(
-        conversions, identity_schedule(conversions), reapproval_table(conversions)
-    )
+    table = conversion_table(conversions)
+    result = simulate(table, identity_schedule(conversions), reapproval_table(table))
     true_lar = sum(1 for r in conversions if r.status is Status.SALE) / len(conversions)
     assert result.n_copied == result.n_processed == len(conversions)
     assert result.total_lar == true_lar
@@ -243,7 +246,7 @@ def test_criterion_6_property_bundle_under_budget():
     oracle_pairs = 0
     for seed in range(50):
         convs, _, _ = generate_fixture(seed, n_mfis=4, n_clients=30)
-        table = reapproval_table(convs, min_support=1)
+        table = reapproval_table(conversion_table(convs), min_support=1)
         mfis = sorted({r.mfi_id for r in convs})
         for target in mfis:
             for source in mfis:
@@ -344,15 +347,13 @@ def test_criterion_7_non_reproducibles_are_documented():
         return
 
     conversions, _, _ = load_published()
-    per_mfi: dict[str, list] = {}
-    for rec in conversions:
-        per_mfi.setdefault(rec.mfi_id, []).append(rec)
+    mfi = conversions.columns["mfi_id"]
     lower_bounds: list[float] = []
     upper_bounds: list[float] = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for records in per_mfi.values():
-            table = os_contingency([records], "iOS")
+        for code in range(len(conversions.names["mfi_id"])):
+            table = os_contingency([conversions.take(mfi == code)], "iOS")
             try:
                 lo, hi = yule_ci(table)
             except ValueError:

@@ -7,8 +7,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -32,7 +34,7 @@ from mfirank.data import (
     serialize_products,
 )
 from mfirank.evaluate import week_start
-from mfirank.features import feature_csv
+from mfirank.features import FeatureVector, feature_csv
 from mfirank.fixtures import FixtureConfig, generate_fixture
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -463,6 +465,72 @@ def test_evaluate_ranks_every_week_with_the_configured_tie_eps(
     assert main([*args, "--out", str(out)]) == 0
     weeks = ranked_weeks(json.loads(out.read_text()))
     assert weeks and all(r == sorted(r) for r in weeks)
+
+
+def _with_last_click_time(path: Path, stamp: str) -> None:
+    """Rewrite the last row of the CSV at ``path`` with ``stamp`` as its click_time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    rows[-1][header.index("click_time")] = stamp
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+@pytest.mark.parametrize("dataset", ["conversions", "clicks"])
+def test_a_click_in_the_last_days_of_year_9999_is_a_data_error(tmp_path, capsys, dataset):
+    # No week (no day, for a click) follows 9999-12-31: the replay stops on
+    # the click before it walks a single week.
+    assert main(["fixture", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    _with_last_click_time(tmp_path / f"{dataset}.csv", "9999-12-31 23:59:59")
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc = main(["evaluate", *dataset_flags(tmp_path), "--out", str(tmp_path / "evaluation.json")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("mfirank: data error: click_time ") and "9999-12-31" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert elapsed < 1.0
+
+
+def shuffled_feature_csvs(k: int, directory: Path) -> tuple[Path, Path]:
+    """A feature CSV of ``k`` MFIs with tied integer fairness, and a copy
+    with its data rows shuffled."""
+    rng = random.Random(k)
+    vectors = [
+        FeatureVector(
+            mfi_id=f"m{n:05d}", rating_norm=rng.uniform(3.0, 4.5), lar_norm=rng.uniform(0.05, 0.3),
+            fairness=rng.randint(0, 4), service_p90_sec=rng.uniform(1e3, 3e5),
+            epc=rng.uniform(0.5, 6.0),
+        )
+        for n in range(k)
+    ]
+    shuffled = list(vectors)
+    rng.shuffle(shuffled)
+    paths = directory / f"features-{k}.csv", directory / f"shuffled-{k}.csv"
+    for path, rows in zip(paths, (vectors, shuffled)):
+        path.write_text(feature_csv(rows), encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("k", [40, 1000])
+def test_rank_bytes_do_not_depend_on_the_row_order(tmp_path, k):
+    # The solve rounds differently on a permuted matrix; rank_mfis takes the
+    # table in id order first.  Both runs share one environment, BLAS
+    # threads included.
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    outputs = []
+    for table in shuffled_feature_csvs(k, tmp_path):
+        out = tmp_path / table.stem
+        out.mkdir()
+        subprocess.run(
+            [sys.executable, "-m", "mfirank.cli", "rank", "--features-csv", str(table),
+             "--out", str(out / "ranking.json"), "--pi-csv", str(out / "pi.csv")],
+            env=env, check=True,
+        )
+        outputs.append({name: (out / name).read_bytes() for name in ("ranking.json", "pi.csv")})
+    assert outputs[0] == outputs[1]
 
 
 # SHA-256 of the `mfirank fixture --seed 0` CSVs and of the artifacts

@@ -20,6 +20,8 @@ import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
+from conftest import tables
+
 import mfirank.data
 from mfirank.data import (
     _BLOCK_ROWS,
@@ -309,7 +311,7 @@ def test_a_nan_sale_income_leaves_epc_finite():
             "18,standard,2021-03-01 10:00:00,2021-03-01 10:05:00,2021-03-01 12:00:00,sale,c1,nan\n"
             "18,standard,2021-03-02 10:00:00,2021-03-02 10:05:00,2021-03-02 12:00:00,sale,c2,30\n"
         )
-    ).records
+    ).table
     products = parse_products(
         io.StringIO("mfi_id,card_id,loan_type,avg_user_rating,n_reviews\n18,card-1,standard,4,3\n")
     ).records
@@ -319,7 +321,7 @@ def test_a_nan_sale_income_leaves_epc_finite():
             "18,2021-03-01 10:00:00,c1,standard\n"
             "18,2021-03-02 10:00:00,c2,standard\n"
         )
-    ).records
+    ).table
     (vector,) = feature_table(conversions, products, clicks, features=["epc"])
     assert vector.epc == 15.0
 
@@ -743,20 +745,32 @@ def test_timeline_processing_needs_a_sale():
     assert derive_timeline(rec).processing_period is None
 
 
+def reference_filter_loan_type(records, loan_type):
+    """The record-by-record filter the table mask replaced."""
+    if loan_type is None:
+        return list(records)
+    return [r for r in records if r.loan_type is loan_type]
+
+
 def test_loan_type_filters():
-    records = [
-        _app(),
-        _app(loan_type=LoanType.LONG_TERM),
-        _app(loan_type=LoanType.INTEREST_FREE),
-    ]
-    assert filter_loan_type(records, LoanType.STANDARD) == [records[0]]
-    assert filter_loan_type(records, LoanType.LONG_TERM) == [records[1]]
-    assert filter_loan_type(records, None) == records
+    loan_types = [LoanType.STANDARD, LoanType.LONG_TERM, LoanType.STANDARD, LoanType.INTEREST_FREE]
+    conversions = [_app(client_id=f"c{i}", loan_type=t) for i, t in enumerate(loan_types)]
+    clicks = [ClickRecord(r.mfi_id, r.click_time, r.client_id, r.loan_type) for r in conversions]
+    products = [ProductRecord("18", f"card-{i}", t) for i, t in enumerate(loan_types)]
+    cards = parse_products(io.StringIO(serialize_products(products))).table
+    for records, table in (
+        (conversions, conversion_table(conversions)),
+        (clicks, click_table(clicks)),
+        (products, cards),
+    ):
+        for loan_type in (*LoanType, None):
+            selected = filter_loan_type(table, loan_type)
+            assert selected.records() == reference_filter_loan_type(records, loan_type)
 
 
-def test_validate_counts_on_the_fixture(fixture_triple):
+def test_validate_counts_on_the_fixture(fixture_triple, fixture_tables):
     conversions, products, clicks = fixture_triple
-    report = validate(conversions, products, clicks)
+    report = validate(*fixture_tables)
     assert report.n_applications == len(conversions)
     assert report.n_mfis == len({r.mfi_id for r in conversions})
     assert report.n_clients == len({r.client_id for r in conversions})
@@ -771,7 +785,7 @@ def test_validate_flags_orphans_and_unmatched_conversions():
     conversions = [_app(sale_time=datetime(2021, 3, 1, 11, 0), income=10.0)]
     text = io.StringIO("mfi_id,card_id,loan_type\n99,card-9,standard\n")
     products = parse_products(text).records
-    report = validate(conversions, products, [])
+    report = validate(*tables(conversions, products, []))
     assert any("absent from products" in w for w in report.warnings)
 
 
@@ -937,7 +951,7 @@ def parsed_log(conversions, products, clicks):
 def test_validate_matches_the_record_reference(log):
     conversions, products, clicks = log
     expected = reference_validate(conversions, products, clicks)
-    assert validate(conversions, products, clicks) == expected
+    assert validate(*tables(conversions, products, clicks)) == expected
     conv, prod, clk = parsed_log(conversions, products, clicks)
     assert validate(conv.table, prod.records, clk.table) == expected
     # A table made by ``take`` keeps every name of its parent table.
@@ -1021,7 +1035,7 @@ def test_a_nan_income_in_a_record_reads_as_missing():
     # As everywhere in the table engine: a float column holds NaN for an
     # empty cell, so a hand-built record's NaN income is no income.
     rec = _app(sale_time=datetime(2021, 3, 1, 11, 0), income=math.nan)
-    assert validate([rec], [], []).warnings == ["1 records: sale without income"]
+    assert validate(*tables([rec], [], [])).warnings == ["1 records: sale without income"]
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tables
+
 import mfirank.evaluate
 from mfirank.data import (
     ClickRecord,
     ConversionRecord,
     LoanType,
     Status,
-    filter_loan_type,
+    click_table,
+    conversion_table,
     parse_conversions,
     serialize_conversions,
+    validate,
 )
 from mfirank.errors import MfiRankError
 from mfirank.evaluate import (
@@ -49,7 +53,7 @@ from mfirank.evaluate import (
     weekly_schedule,
     weekly_totals,
 )
-from mfirank.features import LarPrior, feature_table, normalize_lar
+from mfirank.features import FeaturePrefixes, LarPrior, feature_table, normalize_lar
 from mfirank.fixtures import FixtureConfig, generate_fixture
 from mfirank.rank import rank_mfis
 from mfirank.stats import TwoByTwo
@@ -82,7 +86,7 @@ def capp(
 def history(conversions):
     """client -> MFI -> record of :func:`client_outcomes`, in its order."""
     out: dict[str, dict[str, ConversionRecord]] = {}
-    for row in client_outcomes(replay_codes(conversions)).tolist():
+    for row in client_outcomes(replay_codes(conversion_table(conversions))).tolist():
         rec = conversions[row]
         out.setdefault(rec.client_id, {})[rec.mfi_id] = rec
     return out
@@ -124,7 +128,7 @@ def test_historical_ranking_uses_the_latest_stamp():
         capp("b", "c3", rank=2, hours=6),
         capp("z", "c4"),  # never ranked: goes to the back
     ]
-    assert historical_ranking(records) == ["a", "b", "z"]
+    assert historical_ranking(conversion_table(records)) == ["a", "b", "z"]
 
 
 def test_client_outcomes_keep_the_latest_final_status_and_income():
@@ -150,7 +154,7 @@ def test_reapproval_certainty_case():
     for i in range(10):
         records.append(capp("A", f"c{i}", income=10.0, hours=i))
         records.append(capp("B", f"c{i}", income=10.0, hours=i + 0.5))
-    table = reapproval_table(records)
+    table = reapproval_table(conversion_table(records))
     stats = p_sale(table, "A", "B")
     assert stats.p == 1.0
     assert stats.support == 10
@@ -163,20 +167,20 @@ def test_reapproval_hand_counted_fraction():
         records.append(capp("B", f"c{i}", income=5.0, hours=i))
         status = Status.SALE if i < 3 else Status.REJECTED
         records.append(capp("A", f"c{i}", status, income=5.0, hours=i + 0.5))
-    table = reapproval_table(records, min_support=1)
+    table = reapproval_table(conversion_table(records), min_support=1)
     assert p_sale(table, "A", "B").p == pytest.approx(0.375)
     assert p_sale(table, "A", "B").support == 8
 
 
 def test_reapproval_identity_pairs_are_certain():
     # an application re-served by its own MFI keeps its own outcome
-    records = [
+    conversions = conversion_table([
         capp("A", "c1", income=5.0, rank=1),
         capp("A", "c2", Status.REJECTED, hours=1, rank=1),
-    ]
-    table = reapproval_table(records)
+    ])
+    table = reapproval_table(conversions)
     schedule = [WeekEntry(week_start(T0), ("A",), 0, "ranked")]
-    result = simulate(records, schedule, table)
+    result = simulate(conversions, schedule, table)
     assert (result.n_copied, result.total_lar, result.avg_income) == (2, 0.5, 2.5)
 
 
@@ -184,7 +188,7 @@ def test_reapproval_pairs_join_two_different_mfis():
     records = [
         capp(m, f"c{i}", income=5.0, hours=i + n / 2) for i in range(3) for n, m in enumerate("AB")
     ]
-    table = reapproval_table(records, min_support=1)
+    table = reapproval_table(conversion_table(records), min_support=1)
     assert set(table.sale) == {("A", "B"), ("B", "A")}
     assert table.reject == {}
 
@@ -196,7 +200,7 @@ def test_reapproval_low_support_falls_back_to_the_marginal():
         capp("A", "c2", Status.REJECTED, hours=2),
         capp("A", "c3", Status.PENDING, hours=3),
     ]
-    table = reapproval_table(records, min_support=5)
+    table = reapproval_table(conversion_table(records), min_support=5)
     stats = p_sale(table, "B", "A")  # one co-client, below min_support
     assert stats.fallback and stats.support == 1
     # marginal normalized LAR of B: prior (1 sale / 4 apps) + (0 of 1)
@@ -209,9 +213,9 @@ def test_reapproval_low_support_falls_back_to_the_marginal():
 
 
 def test_reapproval_without_co_applicants_warns(caplog):
-    records = [capp("A", "c1", income=5.0), capp("B", "c2", Status.REJECTED)]
+    conversions = conversion_table([capp("A", "c1", income=5.0), capp("B", "c2", Status.REJECTED)])
     with caplog.at_level(logging.WARNING, logger="mfirank.evaluate"):
-        table = reapproval_table(records)
+        table = reapproval_table(conversions)
     assert any("no client dealt with two MFIs" in m for m in caplog.messages)
     assert p_sale(table, "A", "B").fallback
 
@@ -237,7 +241,7 @@ def brute_force_pair(records, target, source):
 def test_reapproval_matches_the_counting_oracle_on_fixtures():
     for seed in range(5):
         conversions, _, _ = generate_fixture(seed, n_mfis=4, n_clients=40)
-        table = reapproval_table(conversions, min_support=1)
+        table = reapproval_table(conversion_table(conversions), min_support=1)
         mfis = sorted({r.mfi_id for r in conversions})
         for target in mfis:
             for source in mfis:
@@ -295,8 +299,7 @@ def three_week_dataset():
 
 
 def test_weekly_schedule_trains_on_the_strict_past():
-    records, products, clicks = three_week_dataset()
-    schedule = weekly_schedule(records, products, clicks)
+    schedule = weekly_schedule(*tables(*three_week_dataset()))
     assert len(schedule) == 3
     assert schedule[0].source == "historical"
     assert schedule[0].trained_on == 0
@@ -332,16 +335,13 @@ def test_weekly_schedule_has_no_leakage():
             n_reviews=50,
         )
     ]
-    schedule = weekly_schedule(
-        records + star_apps, products, clicks + star_clicks
-    )
+    schedule = weekly_schedule(*tables(records + star_apps, products, clicks + star_clicks))
     assert "star" not in schedule[1].ranking  # trained before it existed
     assert "star" in schedule[2].ranking
 
 
 def test_weekly_schedule_is_stationary_on_constant_data():
-    records, products, clicks = three_week_dataset()
-    schedule = weekly_schedule(records, products, clicks)
+    schedule = weekly_schedule(*tables(*three_week_dataset()))
     ranked = [e for e in schedule if e.source == "ranked"]
     assert len(ranked) == 2
     assert ranked[0].ranking == ranked[1].ranking
@@ -351,7 +351,7 @@ def test_weekly_schedule_carries_degenerate_weeks():
     records, products, clicks = three_week_dataset()
     # drop one MFI's product card: its training slices keep a single
     # rankable MFI, so every week falls back
-    schedule = weekly_schedule(records, products[:1], clicks)
+    schedule = weekly_schedule(*tables(records, products[:1], clicks))
     assert [e.source for e in schedule] == ["historical", "carried", "carried"]
     first = schedule[0].ranking
     assert all(e.ranking == first for e in schedule)
@@ -365,7 +365,7 @@ def prefix_schedule(conversions, products, clicks, *, features):
         return []
     by_time = sorted(conversions, key=lambda r: r.click_time)
     clicks_by_time = sorted(clicks, key=lambda c: c.click_time)
-    current = tuple(historical_ranking(conversions))
+    current = tuple(historical_ranking(conversion_table(conversions)))
     source = "historical"
     entries = []
     monday = week_start(by_time[0].click_time)
@@ -374,7 +374,7 @@ def prefix_schedule(conversions, products, clicks, *, features):
         seen = [c for c in clicks_by_time if c.click_time < monday]
         if training:
             try:
-                table = feature_table(training, products, seen, features=features)
+                table = feature_table(*tables(training, products, seen), features=features)
                 if len(table) < 2:
                     raise ValueError("fewer than two rankable MFIs")
                 current = tuple(rank_mfis(table, features=features).ranking)
@@ -428,7 +428,10 @@ def differential_variants(seed, n_mfis, n_clients, n_weeks):
         for half in (False, True):
             cards = products[: len(products) // 2] if half else products
             for loan_type in (LoanType.STANDARD, None):
-                selected = [filter_loan_type(r, loan_type) for r in (convs, cards, clicks)]
+                selected = [
+                    [r for r in rows if loan_type is None or r.loan_type is loan_type]
+                    for rows in (convs, cards, clicks)
+                ]
                 yield (bent, half, loan_type), selected
 
 
@@ -436,7 +439,7 @@ def differential_variants(seed, n_mfis, n_clients, n_weeks):
 @pytest.mark.parametrize("dataset", DIFFERENTIAL_DATASETS)
 def test_weekly_schedule_matches_per_prefix_feature_tables(dataset, features):
     for variant, (convs, cards, clicks) in differential_variants(*dataset):
-        got = weekly_schedule(convs, cards, clicks, features=features)
+        got = weekly_schedule(*tables(convs, cards, clicks), features=features)
         want = prefix_schedule(convs, cards, clicks, features=features)
         assert got == want, variant
 
@@ -446,7 +449,7 @@ def test_differential_cases_cover_carried_weeks_and_excluded_mfis():
     excluded = 0
     for dataset in DIFFERENTIAL_DATASETS:
         for _, (convs, cards, clicks) in differential_variants(*dataset):
-            schedule = weekly_schedule(convs, cards, clicks)
+            schedule = weekly_schedule(*tables(convs, cards, clicks))
             sources.update(e.source for e in schedule)
             excluded += bool({r.mfi_id for r in convs} - {p.mfi_id for p in cards})
     assert sources == {"historical", "ranked", "carried"}
@@ -458,7 +461,7 @@ def test_differential_cases_cover_carried_weeks_and_excluded_mfis():
 
 
 def identity_schedule(records):
-    ranking = tuple(historical_ranking(records))
+    ranking = tuple(historical_ranking(conversion_table(records)))
     weeks = sorted({week_start(r.click_time) for r in records})
     return [
         WeekEntry(week_start=w, ranking=ranking, trained_on=0, source="historical")
@@ -466,11 +469,11 @@ def identity_schedule(records):
     ]
 
 
-def test_identity_replay_reproduces_history_exactly(fixture_triple):
+def test_identity_replay_reproduces_history_exactly(fixture_triple, fixture_tables):
     conversions, _, _ = fixture_triple
-    table = reapproval_table(conversions)
+    table = reapproval_table(fixture_tables[0])
     schedule = identity_schedule(conversions)
-    result = simulate(conversions, schedule, table)
+    result = simulate(fixture_tables[0], schedule, table)
     assert result.n_processed == len(conversions)
     assert result.n_copied == result.n_processed
     want, outcomes = reference_simulate(conversions, schedule, table)
@@ -491,15 +494,16 @@ def test_swapped_position_uses_the_table():
     schedule = [
         WeekEntry(week_start=week_start(T0), ranking=("B", "A"), trained_on=0, source="ranked")
     ]
+    conversions = conversion_table(records)
     # the table of these records, with a pair and an MFI they never show
     table = dataclasses.replace(
-        reapproval_table(records),
+        reapproval_table(conversions),
         sale={("B", "A"): PairStats(0.6, support=10)},
         reject={},
         mean_income={"B": 100.0},
         marginal_lar={"A": 0.5, "B": 0.5},
     )
-    result = simulate(records, schedule, table)
+    result = simulate(conversions, schedule, table)
     assert (result.n_processed, result.n_copied, result.n_low_support) == (1, 0, 0)
     assert result.total_lar == 0.6
     assert result.avg_income == pytest.approx(60.0)
@@ -518,8 +522,9 @@ def test_client_history_copies_the_actual_outcome():
         WeekEntry(week_start=w, ranking=("B", "A"), trained_on=0, source="ranked")
         for w in sorted({week_start(r.click_time) for r in records})
     ]
-    table = reapproval_table(records, min_support=1)
-    result = simulate(records, schedule, table)
+    conversions = conversion_table(records)
+    table = reapproval_table(conversions, min_support=1)
+    result = simulate(conversions, schedule, table)
     assert result.n_copied == result.n_processed == 2
     # A's application, re-served by B, where c1 really got 77.0
     assert result.weeks[week_start(T0)] == ReplaySums(1, 1.0, 77.0, 1.0, 50.0)
@@ -539,8 +544,9 @@ def test_pending_history_uses_the_marginal():
             week_start=week_start(T0), ranking=("B", "A"), trained_on=0, source="ranked"
         )
     ]
-    table = reapproval_table(records, min_support=1)
-    result = simulate(records, schedule, table)
+    conversions = conversion_table(records)
+    table = reapproval_table(conversions, min_support=1)
+    result = simulate(conversions, schedule, table)
     assert result.n_pending_fallback == 1
     want, outcomes = reference_simulate(records, schedule, table)
     assert result == want
@@ -550,17 +556,17 @@ def test_pending_history_uses_the_marginal():
 
 
 def test_positions_outside_the_list_are_counted():
-    records = [
+    conversions = conversion_table([
         capp("A", "c1", Status.SALE, income=5.0, rank=9),
         capp("A", "c2", Status.SALE, income=5.0),  # no rank at all
-    ]
+    ])
     schedule = [
         WeekEntry(
             week_start=week_start(T0), ranking=("A", "B"), trained_on=0, source="ranked"
         )
     ]
-    table = reapproval_table(records)
-    result = simulate(records, schedule, table)
+    table = reapproval_table(conversions)
+    result = simulate(conversions, schedule, table)
     assert result.n_processed == 0
     assert result.n_skipped_out_of_range == 1
     assert result.n_skipped_no_rank == 1
@@ -570,9 +576,8 @@ def test_positions_outside_the_list_are_counted():
 # aggregates
 
 
-def test_weekly_totals_partition_the_replay(fixture_triple):
-    conversions, products, clicks = fixture_triple
-    result, schedule = evaluate_ranking(conversions, products, clicks)
+def test_weekly_totals_partition_the_replay(fixture_tables):
+    result, schedule = evaluate_ranking(*fixture_tables)
     rows = weekly_totals(result)
     assert sum(r["applications"] for r in rows) == result.n_processed
     blended = sum(r["lar"] * r["applications"] for r in rows) / result.n_processed
@@ -580,8 +585,8 @@ def test_weekly_totals_partition_the_replay(fixture_triple):
     assert [r["week"] for r in rows] == sorted(r["week"] for r in rows)
 
 
-def test_daily_series_covers_the_full_range(fixture_triple):
-    conversions, products, clicks = fixture_triple
+def test_daily_series_covers_the_full_range(fixture_tables):
+    conversions, products, clicks = fixture_tables
     result, _ = evaluate_ranking(conversions, products, clicks)
     rows = daily_series(result, clicks)
     first = date.fromisoformat(rows[0]["date"])
@@ -593,18 +598,18 @@ def test_daily_series_covers_the_full_range(fixture_triple):
     assert total_clicks == len(clicks)
 
 
-def test_daily_series_identity_twin_tracks(fixture_triple):
-    conversions, _, clicks = fixture_triple
+def test_daily_series_identity_twin_tracks(fixture_triple, fixture_tables):
+    conversions, _, clicks = fixture_tables
     table = reapproval_table(conversions)
-    result = simulate(conversions, identity_schedule(conversions), table)
+    result = simulate(conversions, identity_schedule(fixture_triple[0]), table)
     for row in daily_series(result, clicks):
         assert row["vra"]["income"] == pytest.approx(row["historical"]["income"])
         assert row["vra"]["sales"] == pytest.approx(row["historical"]["sales"])
 
 
-def test_evaluate_ranking_round_trip(fixture_triple):
-    conversions, products, clicks = fixture_triple
-    result, schedule = evaluate_ranking(conversions, products, clicks)
+def test_evaluate_ranking_round_trip(fixture_triple, fixture_tables):
+    conversions, _, _ = fixture_triple
+    result, schedule = evaluate_ranking(*fixture_tables)
     standard = [r for r in conversions if r.loan_type is LoanType.STANDARD]
     starts = [week_start(r.click_time) for r in standard]
     n_mondays = (max(starts) - min(starts)).days // 7 + 1
@@ -969,7 +974,7 @@ REPLAY_IDS = [case[0] for case in REPLAY_CASES]
 def replay_schedules(conversions, products, clicks):
     """A trained schedule, and the historical one with every third week
     missing so that some applications find no week."""
-    trained = weekly_schedule(conversions, products, clicks)
+    trained = weekly_schedule(*tables(conversions, products, clicks))
     gappy = [e for i, e in enumerate(identity_schedule(conversions)) if i % 3 != 1]
     return {"trained": trained, "gappy": gappy}
 
@@ -1005,13 +1010,13 @@ def table_items(table):
 def test_reapproval_table_matches_the_reference(case, min_support):
     _, conversions, _, _ = case
     want = table_items(reference_reapproval_table(conversions, min_support))
-    assert table_items(reapproval_table(conversions, min_support)) == want
+    assert table_items(reapproval_table(conversion_table(conversions), min_support)) == want
 
 
 @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
 def test_reapproval_table_carries_the_client_outcomes(case):
     _, conversions, _, _ = case
-    table = reapproval_table(conversions)
+    table = reapproval_table(conversion_table(conversions))
     assert table.history.tolist() == client_outcomes(table.codes).tolist()
     assert table.codes.mfi_ids == tuple(table.marginal_lar)
 
@@ -1020,26 +1025,29 @@ def test_reapproval_table_carries_the_client_outcomes(case):
 def test_simulate_matches_the_reference(case):
     _, conversions, products, clicks = case
     schedules = replay_schedules(conversions, products, clicks)
+    conv_table, _, click_tab = tables(conversions, products, clicks)
     for min_support, (name, schedule) in itertools.product([0, 1, 5], schedules.items()):
-        table = reapproval_table(conversions, min_support)
+        table = reapproval_table(conv_table, min_support)
         want, outcomes = reference_simulate(conversions, schedule, table)
-        got = simulate(conversions, schedule, table)
+        got = simulate(conv_table, schedule, table)
         # exact equality: every counter, every float of the totals and of
         # the week and day sums
         assert got == want, (name, min_support)
         assert repr(weekly_totals(got)) == repr(reference_weekly_totals(outcomes))
-        assert repr(daily_series(got, clicks)) == repr(reference_daily_series(outcomes, clicks))
+        assert repr(daily_series(got, click_tab)) == repr(
+            reference_daily_series(outcomes, clicks)
+        )
 
 
 @pytest.mark.parametrize("case", REPLAY_CASES[2::3], ids=REPLAY_IDS[2::3])
 def test_evaluate_ranking_matches_the_reference(case):
-    standard = [filter_loan_type(records, LoanType.STANDARD) for records in case[1:]]
-    schedule = weekly_schedule(*standard)
+    standard = [[r for r in rows if r.loan_type is LoanType.STANDARD] for rows in case[1:]]
+    schedule = weekly_schedule(*tables(*standard))
     conversions = standard[0]
     want, _ = reference_simulate(
         conversions, schedule, reference_reapproval_table(conversions)
     )
-    assert evaluate_ranking(*standard) == (want, schedule)
+    assert evaluate_ranking(*tables(*standard)) == (want, schedule)
 
 
 def test_replay_cases_cover_the_edge_rows():
@@ -1052,9 +1060,10 @@ def test_replay_cases_cover_the_edge_rows():
         (r.client_id, r.mfi_id, r.click_time) for r in conversions if r.status is not Status.PENDING
     )
     assert max(stamps.values()) == 2
-    table = reapproval_table(conversions)
+    conv_table = conversion_table(conversions)
+    table = reapproval_table(conv_table)
     schedules = replay_schedules(conversions, products, clicks)
-    assert simulate(conversions, schedules["gappy"], table).n_skipped_no_week > 0
+    assert simulate(conv_table, schedules["gappy"], table).n_skipped_no_week > 0
     rules = {
         o.rule
         for schedule in schedules.values()
@@ -1063,7 +1072,7 @@ def test_replay_cases_cover_the_edge_rows():
     assert rules == {"identity", "history", "table-sale", "table-reject", "table-pending"}
 
 
-def test_evaluate_ranking_builds_client_outcomes_once(monkeypatch, fixture_triple):
+def test_evaluate_ranking_builds_client_outcomes_once(monkeypatch, fixture_tables):
     calls = []
 
     def counted(codes):
@@ -1071,18 +1080,34 @@ def test_evaluate_ranking_builds_client_outcomes_once(monkeypatch, fixture_tripl
         return client_outcomes(codes)
 
     monkeypatch.setattr(mfirank.evaluate, "client_outcomes", counted)
-    evaluate_ranking(*fixture_triple)
+    evaluate_ranking(*fixture_tables)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("stage", ["feature_table", "FeaturePrefixes", "validate", "daily_series"])
+def test_a_conversions_table_given_as_the_clicks_is_refused(fixture_tables, stage):
+    # It has every column a clicks stage reads, so only the guard stops it.
+    conversions, products, _ = fixture_tables
+    result = simulate(conversions, [], reapproval_table(conversions))
+    call = {
+        "feature_table": lambda: feature_table(conversions, products, conversions),
+        "FeaturePrefixes": lambda: FeaturePrefixes(conversions, products, conversions),
+        "validate": lambda: validate(conversions, products, conversions),
+        "daily_series": lambda: daily_series(result, conversions),
+    }[stage]
+    with pytest.raises(ValueError, match="^expected a clicks table, not conversions$"):
+        call()
 
 
 def test_simulate_rejects_a_table_of_other_conversions():
     records = [capp("A", "c1", rank=1), capp("B", "c2", rank=1)]
     schedule = identity_schedule(records)
+    conversions = conversion_table(records)
     with pytest.raises(ValueError, match="reapproval table of these conversions"):
-        simulate(records, schedule, reapproval_table(records[:1]))
+        simulate(conversions, schedule, reapproval_table(conversion_table(records[:1])))
     hand_built = ReapprovalTable(sale={}, reject={}, mean_income={}, marginal_lar={}, min_support=5)
     with pytest.raises(ValueError, match="reapproval table of these conversions"):
-        simulate(records, schedule, hand_built)
+        simulate(conversions, schedule, hand_built)
 
 
 # ---------------------------------------------------------------------------
@@ -1148,18 +1173,21 @@ def small_logs(draw):
 @given(small_logs(), st.integers(0, 6))
 def test_the_replay_of_a_small_log_matches_the_references(log, min_support):
     conversions, schedule, clicks = log
-    table = reapproval_table(conversions, min_support)
+    conv_table = conversion_table(conversions)
+    table = reapproval_table(conv_table, min_support)
     reference = reference_reapproval_table(conversions, min_support)
     assert table_items(table) == table_items(reference)
     assert nested_items(history(conversions)) == nested_items(
         reference_client_outcomes(conversions)
     )
-    got = simulate(conversions, schedule, table)
+    got = simulate(conv_table, schedule, table)
     want, outcomes = reference_simulate(conversions, schedule, reference)
     assert got == want
     assert repr(got.to_dict()) == repr(want.to_dict())
     assert repr(weekly_totals(got)) == repr(reference_weekly_totals(outcomes))
-    assert repr(daily_series(got, clicks)) == repr(reference_daily_series(outcomes, clicks))
+    assert repr(daily_series(got, click_table(clicks))) == repr(
+        reference_daily_series(outcomes, clicks)
+    )
 
 
 def test_replay_sums_add_left_to_right_in_replay_order():
@@ -1185,13 +1213,14 @@ def test_replay_sums_add_left_to_right_in_replay_order():
         assert left_to_right(values) != float(np.sum(values))
 
     schedule = [WeekEntry(week_start(T0), ("A",), 0, "historical")]
-    result = simulate(records, schedule, reapproval_table(records))
+    conversions = conversion_table(records)
+    result = simulate(conversions, schedule, reapproval_table(conversions))
     n = len(incomes)
     assert result.avg_income == left_to_right(incomes) / n
     assert result.historical_avg_income == left_to_right(incomes) / n
     (week,) = weekly_totals(result)
     assert week["avg_income"] == left_to_right(incomes) / n
-    first, second = daily_series(result, [])
+    first, second = daily_series(result, click_table([]))
     assert first["vra"]["income"] == first["historical"]["income"] == left_to_right(day_one)
     assert second["vra"]["income"] == second["historical"]["income"] == left_to_right(day_two)
     assert first["vra"]["sales"] == 16.0 and second["vra"]["sales"] == 19.0
@@ -1254,7 +1283,7 @@ def experiment_groups(draw):
 def test_abtest_helpers_match_the_record_references(groups, os_name):
     parsed = [parse_conversions(io.StringIO(serialize_conversions(g))).table for g in groups]
     expected = reference_os_contingency(groups[0] + groups[1], os_name)
-    for given_groups in (groups, parsed):
+    for given_groups in ([conversion_table(g) for g in groups], parsed):
         for group, records in zip(given_groups, groups):
             assert group_counts(group) == reference_group_counts(records)
             # repr tells -0.0 from 0.0, and the incomes stay in row order
@@ -1265,4 +1294,4 @@ def test_abtest_helpers_match_the_record_references(groups, os_name):
 def test_a_nan_income_in_a_record_is_no_sale_income():
     # As everywhere in the table engine: NaN in a float column is an empty cell.
     rec = dataclasses.replace(capp("a", "c0", income=1.0), income=math.nan)
-    assert sale_incomes([rec, capp("a", "c1", income=2.0)]) == [2.0]
+    assert sale_incomes(conversion_table([rec, capp("a", "c1", income=2.0)])) == [2.0]

@@ -23,6 +23,8 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from conftest import tables
+
 from mfirank.data import (
     ClickRecord,
     ConversionRecord,
@@ -817,7 +819,7 @@ def test_feature_table_identical_mfis_get_identical_vectors():
     twins_clicks = clicks[:4] + [
         replace(c, mfi_id="99") for c in clicks[:4]
     ]
-    table = feature_table(twins_conv, twins_prod, twins_clicks)
+    table = feature_table(*tables(twins_conv, twins_prod, twins_clicks))
     assert len(table) == 2
     a, b = table
     for attr in FEATURE_ATTRS.values():
@@ -826,7 +828,7 @@ def test_feature_table_identical_mfis_get_identical_vectors():
 
 def test_feature_table_honors_the_subset():
     conversions, products, clicks = small_dataset()
-    table = feature_table(conversions, products, clicks, features=("rating", "lar", "epc"))
+    table = feature_table(*tables(conversions, products, clicks), features=("rating", "lar", "epc"))
     for vector in table:
         assert vector.rating_norm is not None
         assert vector.lar_norm is not None
@@ -839,7 +841,7 @@ def test_feature_table_excludes_cardless_mfis(caplog):
     conversions, products, clicks = small_dataset()
     conversions.append(app(mfi="12", client="z", conv_sec=100.0, proc_sec=10.0, income=1.0))
     with caplog.at_level(logging.WARNING, logger="mfirank.features"):
-        table = feature_table(conversions, products, clicks)
+        table = feature_table(*tables(conversions, products, clicks))
     assert [v.mfi_id for v in table] == ["10", "11"]
     assert any("no product card" in m for m in caplog.messages)
 
@@ -848,14 +850,14 @@ def test_feature_table_drops_mfis_with_impossible_epc(caplog):
     conversions, products, clicks = small_dataset()
     clicks = [c for c in clicks if c.mfi_id != "11"]  # sales but no clicks
     with caplog.at_level(logging.WARNING, logger="mfirank.features"):
-        table = feature_table(conversions, products, clicks)
+        table = feature_table(*tables(conversions, products, clicks))
     assert [v.mfi_id for v in table] == ["10"]
     assert any("dropping MFI 11" in m for m in caplog.messages)
 
 
 def test_feature_table_values_are_reproducible():
     conversions, products, clicks = small_dataset()
-    table = feature_table(conversions, products, clicks)
+    table = feature_table(*tables(conversions, products, clicks))
     # prior over both cards: (40 + 15) / 15 reviews
     prior_mean = 55.0 / 15.0
     v10 = table[0]
@@ -884,7 +886,7 @@ def test_accumulator_fed_in_batches_matches_feature_table(seed):
         acc.add_conversions(conversions[conv_done:conv_cut])
         acc.add_clicks(clicks[click_done:click_cut])
         conv_done, click_done = conv_cut, click_cut
-        want = feature_table(conversions[:conv_cut], products, clicks[:click_cut])
+        want = feature_table(*tables(conversions[:conv_cut], products, clicks[:click_cut]))
         # exact equality, floats included; fairness_detail is compare=False
         assert [(v, v.fairness_detail) for v in acc.table()] == [
             (v, v.fairness_detail) for v in want
@@ -1016,7 +1018,7 @@ def test_feature_prefixes_match_the_reference_at_every_cut(
     conversions.sort(key=lambda r: r.click_time)
     clicks.sort(key=lambda c: c.click_time)
     prefixes = FeaturePrefixes(
-        conversions, products, clicks, features=features, duration_rules=rules
+        *tables(conversions, products, clicks), features=features, duration_rules=rules
     )
     acc = FeatureAccumulator(products, features=features, duration_rules=rules)
     cuts = data.draw(st.lists(st.integers(0, len(conversions)), max_size=4)) + [len(conversions)]
@@ -1042,7 +1044,9 @@ def test_feature_table_matches_the_reference(conversions, products, clicks, feat
     acc.add_conversions(conversions)
     acc.add_clicks(clicks)
     got = table_outcome(
-        lambda: feature_table(conversions, products, clicks, features=features, duration_rules=rules)
+        lambda: feature_table(
+            *tables(conversions, products, clicks), features=features, duration_rules=rules
+        )
     )
     assert got == table_outcome(acc.table)
 
@@ -1062,7 +1066,7 @@ def test_feature_prefixes_match_the_reference_on_every_fixture_prefix(seed):
         bent.append(rec)
     clicks.sort(key=lambda c: c.click_time)
     products = products[1:]  # one MFI without a card
-    prefixes = FeaturePrefixes(bent, products, clicks)
+    prefixes = FeaturePrefixes(*tables(bent, products, clicks))
     acc = FeatureAccumulator(products)
     for n in range(len(bent) + 1):
         m = n * len(clicks) // len(bent)
@@ -1090,7 +1094,7 @@ def test_feature_table_cases_cover_drops_and_exclusions(case):
     # or not depending on the integers hypothesis scans out of the sources.
     find(
         st.tuples(engine_conversions(), engine_products(), engine_clicks()),
-        lambda tables: TABLE_CASES[case](*table_outcome(lambda: feature_table(*tables))),
+        lambda triple: TABLE_CASES[case](*table_outcome(lambda: feature_table(*tables(*triple)))),
         settings=settings(
             max_examples=5000, database=None, derandomize=True, phases=[Phase.generate]
         ),
@@ -1101,7 +1105,7 @@ def test_epc_numerator_starts_from_positive_zero():
     # 0.0 + -0.0 is 0.0: a lone sale of income -0.0 earns 0.0, not -0.0
     records = [app(conv_sec=60.0, proc_sec=60.0, income=-0.0)]
     clicks = [ClickRecord("18", T0, "k", LoanType.STANDARD)]
-    (vector,) = feature_table(records, [card(avg_user_rating=4.0, n_reviews=3)], clicks)
+    (vector,) = feature_table(*tables(records, [card(avg_user_rating=4.0, n_reviews=3)], clicks))
     assert repr(vector.epc) == repr(epc(records, 1)) == "0.0"
 
 
@@ -1115,7 +1119,7 @@ def test_epc_numerator_is_the_running_sum_in_input_order(seed):
         app(client=f"c{i}", conv_sec=60.0, proc_sec=60.0, income=x) for i, x in enumerate(incomes)
     ]
     clicks = [ClickRecord("18", T0, f"k{i}", LoanType.STANDARD) for i in range(3)]
-    (vector,) = feature_table(records, [card(avg_user_rating=4.0, n_reviews=3)], clicks)
+    (vector,) = feature_table(*tables(records, [card(avg_user_rating=4.0, n_reviews=3)], clicks))
     running = 0.0
     for x in incomes:
         running += x
