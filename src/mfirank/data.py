@@ -1280,6 +1280,15 @@ def timeline_columns(conversions: Table) -> tuple[np.ndarray, np.ndarray, np.nda
     )
 
 
+def realized(conversions: Table) -> tuple[np.ndarray, np.ndarray]:
+    """What each row of a conversions table realized, and whether it was
+    paid: a sale's income, 0.0 if it has none (NaN) or did not sell; paid
+    marks a sale with an income."""
+    income = conversions.columns["income"]
+    paid = (conversions.columns["status"] == STATUSES.index(Status.SALE)) & ~np.isnan(income)
+    return np.where(paid, income, 0.0), paid
+
+
 def filter_loan_type(rows: Table, loan_type: LoanType | None) -> Table:
     """The rows of ``loan_type``, selected by a mask over the loan-type
     codes, or all rows for None."""

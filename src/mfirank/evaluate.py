@@ -25,9 +25,9 @@ history, the pair counts, the substitutions and the sums are array
 reductions over it.  The tie rule "the latest record wins, the later
 row on equal click times" has one home, :func:`_latest`, which
 :func:`client_outcomes` and :func:`historical_ranking` share.  Every
-float that reaches an artifact is a sequential sum in input (replay)
-order, as ``np.bincount`` adds its weights, never a pairwise ``np.sum``
-or a compensated ``sum``.
+float that reaches an artifact, from the feature tables and the replay
+alike, is a sequential sum in input (replay) order, as ``np.bincount``
+adds its weights, never a pairwise ``np.sum`` or a compensated ``sum``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .data import (
     first_seen,
     from_micros,
     ordinal_days,
+    realized,
     to_micros,
 )
 from .errors import DataError, MfiRankError
@@ -124,10 +125,10 @@ class ReplayCodes:
 
     ``mfi_ids`` names the MFI codes in first-seen order; client codes are
     first-seen too.  ``rank`` is ``global_rank`` (NaN where missing),
-    ``income`` what the row realized (:func:`_realized`) and ``paid`` marks
-    a sale that carries an income.  ``order`` is the row's click-time order
-    (:func:`_click_order`); ``day`` and ``week`` are the proleptic ordinals
-    of its click date and of that week's Monday.
+    ``income`` what the row realized and ``paid`` marks a sale that
+    carries an income (:func:`mfirank.data.realized`).  ``order`` is the
+    row's click-time order (:func:`_click_order`); ``day`` and ``week``
+    are the proleptic ordinals of its click date and of that week's Monday.
     """
 
     mfi_ids: tuple[str, ...]
@@ -142,27 +143,19 @@ class ReplayCodes:
     week: np.ndarray  # int64
 
 
-def _realized(status: np.ndarray, income: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(income, paid) per record: a sale's income, 0.0 if it has none (NaN)
-    or did not sell; paid marks a sale with an income."""
-    paid = (status == _SALE) & ~np.isnan(income)
-    return np.where(paid, income, 0.0), paid
-
-
 def replay_codes(conversions: Table) -> ReplayCodes:
     """The code table of ``conversions``."""
     columns = conversions.columns
     mfi_codes, mfi = first_seen(columns["mfi_id"])
     _, client = first_seen(columns["client_id"])
-    status = columns["status"]
-    income, paid = _realized(status, columns["income"])
+    income, paid = realized(conversions)
     times = columns["click_time"]
     day = ordinal_days(times)
     return ReplayCodes(
         mfi_ids=tuple(map(conversions.names["mfi_id"].__getitem__, mfi_codes.tolist())),
         mfi=mfi,
         client=client,
-        status=status,
+        status=columns["status"],
         rank=columns["global_rank"],
         income=income,
         paid=paid,
@@ -343,7 +336,9 @@ def weekly_schedule(
     before the week's Monday.  ``tests/test_evaluate.py`` checks the
     result against calling :func:`feature_table` on every prefix.  Like
     it, the schedule trains on every row given (selected by
-    ``filter_loan_type``).  A conversion clicked in the last week of year
+    ``filter_loan_type``).  A week whose prefixes are those of the last
+    week trained on (no row fell in between) keeps that week's outcome
+    and ranks nothing.  A conversion clicked in the last week of year
     9999 raises DataError before the walk, which could not step past it.
     """
     if not len(conversions):
@@ -364,13 +359,16 @@ def weekly_schedule(
     entries: list[WeekEntry] = []
     current = fallback
     source = "historical"
+    trained = (0, 0)
     monday = first
     while monday <= last:
         cut = to_micros(monday)
         conv_idx = int(np.searchsorted(conv_times, cut))
-        if conv_idx:
+        prefix = (conv_idx, int(np.searchsorted(click_times, cut)))
+        if conv_idx and prefix != trained:
+            trained = prefix
             try:
-                table = prefixes.table(conv_idx, int(np.searchsorted(click_times, cut)))
+                table = prefixes.table(*prefix)
                 if len(table) < 2:
                     raise ValueError("fewer than two rankable MFIs")
                 current = tuple(
@@ -658,8 +656,8 @@ def group_counts(conversions: Table) -> tuple[int, int]:
 
 def sale_incomes(conversions: Table) -> list[float]:
     """The incomes of the group's sales that have one, in row order."""
-    income = conversions.columns["income"]
-    return income[(conversions.columns["status"] == _SALE) & ~np.isnan(income)].tolist()
+    income, paid = realized(conversions)
+    return income[paid].tolist()
 
 
 def os_contingency(groups: Sequence[Table], os_name: str) -> TwoByTwo:

@@ -16,12 +16,12 @@ All computations are per loan type: the caller selects the rows of one
 type with :func:`mfirank.data.filter_loan_type`.
 
 The features are computed on the columnar tables of the conversions and
-clicks (:class:`mfirank.data.Table`).  :class:`FeaturePrefixes` groups
-the rows by MFI once and keeps per-MFI prefix sums, so the feature table
-of any prefix of the tables (the weekly replay trains on one per week)
-is read from them without visiting the rows again; only the service
-period selects from the MFI's periods (``np.partition``).  The formulas are
-:func:`fairness_score`, :func:`service_p90` and :func:`earnings_per_click`.
+clicks (:class:`mfirank.data.Table`).  :class:`FeaturePrefixes` weighs
+every row once, so each per-MFI count and sum of any prefix of the
+tables (the weekly replay trains on one per week) is one ``np.bincount``
+of the prefix's rows; the service period selects from the MFI's periods
+(``np.partition``).  The formulas are :func:`fairness_score`,
+:func:`service_p90` and :func:`earnings_per_click`.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .data import (
     Table,
     derive_timeline,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
     filter_loan_type,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
+    realized,
     timeline_columns,
 )
 from .errors import DataError
@@ -435,42 +436,6 @@ def _pick_card(cards: list[ProductRecord]) -> ProductRecord:
     return min(cards, key=lambda p: (-p.n_reviews, p.card_id))
 
 
-class _Groups:
-    """The rows of a table grouped by MFI code, each group in row order."""
-
-    def __init__(self, group: np.ndarray, n_groups: int):
-        self.order = np.argsort(group, kind="stable")
-        stride = len(group) + 1
-        self._keys = group[self.order].astype(np.int64) * stride + self.order
-        self._bases = np.arange(n_groups, dtype=np.int64) * stride
-        self.start = np.searchsorted(self._keys, self._bases)
-
-    def counts(self, n: int) -> np.ndarray:
-        """How many of each group's rows are among the first ``n`` rows."""
-        return np.searchsorted(self._keys, self._bases + n) - self.start
-
-    def tally(self, flags: np.ndarray) -> np.ndarray:
-        """Prefix counts of ``flags`` in group order, from a leading 0: a
-        group's flagged rows among its first ``c`` rows are
-        ``tally[start + c] - tally[start]``."""
-        return np.concatenate(([0], np.cumsum(flags[self.order])))
-
-    def running_sums(self, values: np.ndarray) -> np.ndarray:
-        """Each group's running sum of ``values`` in row order, added one at
-        a time from 0.0: the sum of group g's first ``c`` rows is at
-        ``start[g] + g + c``."""
-        ordered = values[self.order]
-        out = np.zeros(len(ordered) + len(self.start))
-        ends = np.append(self.start[1:], len(ordered)).tolist()
-        for g, (a, b) in enumerate(zip(self.start.tolist(), ends)):
-            np.cumsum(np.concatenate(([0.0], ordered[a:b])), out=out[a + g : b + g + 1])
-        return out
-
-
-def _taken(tally: np.ndarray, start: np.ndarray, counts: np.ndarray) -> list[int]:
-    return (tally[start + counts] - tally[start]).tolist()
-
-
 class FeaturePrefixes:
     """The feature tables of the prefixes of one loan type's conversions
     and clicks.
@@ -478,10 +443,12 @@ class FeaturePrefixes:
     Built once from the product cards of one loan type and the conversion
     and click tables of that type; :meth:`table` then emits the feature
     table of the first ``n`` conversions and the first ``m`` clicks, in
-    table order.  The rows are grouped by MFI once, and every count is a
-    difference of per-MFI prefix sums.  The EPC numerator is the MFI's
-    running sum of sale incomes in table order, added one at a time as a
-    loop over the rows would.  The processing periods are summed exactly,
+    table order.  Each row's weights (sold, rejected, realized income,
+    submitted, quick, paid, in budget) are computed once, and every
+    per-MFI count and sum of a prefix is one ``np.bincount`` of its rows,
+    which adds the weights one at a time in row order, as a loop over the
+    rows would.  The service period reads each MFI's periods in row order
+    from one offset per MFI; the processing periods are summed exactly,
     as integers, so each mean is the one ``statistics.fmean`` gives.
 
     The population is the set of MFIs with conversions and a product
@@ -520,27 +487,32 @@ class FeaturePrefixes:
             ]
         self._by_id = sorted(range(k), key=mfi_ids.__getitem__)
 
-        mfi = conversions.columns["mfi_id"]
+        # The bincount weights of every row, cast once: bincount would
+        # otherwise convert the codes and the flags on every call.
+        self._mfi = mfi = conversions.columns["mfi_id"].astype(np.intp)
         status = conversions.columns["status"]
-        sold = status == _SALE
-        income = conversions.columns["income"]
-        self._apps = _Groups(mfi, k)
-        self._sales = self._apps.tally(sold)
-        self._rejected = self._apps.tally(status == _REJECTED)
-        self._income = self._apps.running_sums(np.where(sold & ~np.isnan(income), income, 0.0))
-
-        # The applications with a valid submission period, grouped alike.
+        self._income, _ = realized(conversions)
         conversion, processing, _ = timeline_columns(conversions)
         submitted = ~np.isnan(conversion)
-        self._submitted_rows = np.flatnonzero(submitted)
-        self._submitted = sub = _Groups(mfi[submitted], k)
-        conversion, processing = conversion[submitted], processing[submitted]
-        paid = ~np.isnan(processing)
+        paid = ~np.isnan(processing)  # a processing period implies a submission period
         sla = np.array([np.nan if b is None else b for b in self._sla], np.float64)
-        self._quick = sub.tally(conversion < ON_TIME_LIMIT_SEC)
-        self._paid_count = sub.tally(paid)
-        self._in_sla = sub.tally(paid & (processing <= sla[mfi[submitted]]))
-        self._periods = conversion[sub.order], processing[sub.order], paid[sub.order]
+        self._flags = np.array(
+            [
+                status == _SALE,
+                status == _REJECTED,
+                submitted,
+                conversion < ON_TIME_LIMIT_SEC,
+                paid,
+                paid & (processing <= sla[mfi]),
+            ],
+            np.float64,
+        )
+
+        # The periods of the applications with a submission period, each
+        # MFI's in row order from its offset in ``self._start``.
+        order = np.flatnonzero(submitted)[np.argsort(mfi[submitted], kind="stable")]
+        self._periods = conversion[order], processing[order], paid[order]
+        self._start = [0, *np.bincount(mfi[submitted], minlength=k).cumsum().tolist()]
         # Each processing period is an integer multiple of 2**-shift, so the
         # prefix sums of those integers are exact, and a mean of periods is
         # statistics.fmean's: the exact sum rounded once (int / int rounds
@@ -555,10 +527,10 @@ class FeaturePrefixes:
             0, *accumulate(num << (shift - den.bit_length() + 1) for num, den in ratios)
         ]
 
-        # Clicks of an MFI without conversions go to one extra group.
+        # Clicks of an MFI without conversions go to one extra code.
         code = {m: n for n, m in enumerate(mfi_ids)}
-        click_mfi = np.array([code.get(m, k) for m in clicks.names["mfi_id"]], np.int64)
-        self._clicks = _Groups(click_mfi[clicks.columns["mfi_id"]], k + 1)
+        click_mfi = np.array([code.get(m, k) for m in clicks.names["mfi_id"]], np.intp)
+        self._clicks = click_mfi[clicks.columns["mfi_id"]]
 
     def _mean(self, total: int, n: int) -> float | None:
         """The mean of ``n`` processing periods whose exact sum, in units of
@@ -568,7 +540,9 @@ class FeaturePrefixes:
     def table(self, n: int, m: int) -> list[FeatureVector]:
         """The feature vectors of the first ``n`` conversions and ``m`` clicks."""
         mfi_ids, active, card = self._mfi_ids, self._active, self._card
-        apps = self._apps.counts(n)
+        k = len(mfi_ids)
+        mfi = self._mfi[:n]
+        apps = np.bincount(mfi, minlength=k)
         population = []
         for g in self._by_id:
             if not apps[g]:
@@ -580,23 +554,16 @@ class FeaturePrefixes:
         if not population:
             return []
 
-        start = self._apps.start
-        n_apps = apps.tolist()
-        sales = _taken(self._sales, start, apps)
-        rejected = _taken(self._rejected, start, apps)
-        income = self._income[start + np.arange(len(start)) + apps].tolist()
-        sub = self._submitted
-        submitted = sub.counts(int(np.searchsorted(self._submitted_rows, n)))
-        quick = _taken(self._quick, sub.start, submitted)
-        paid = _taken(self._paid_count, sub.start, submitted)
-        in_sla = _taken(self._in_sla, sub.start, submitted)
-        clicks = self._clicks.counts(m).tolist()
+        tallies = [np.bincount(mfi, weights=flags, minlength=k) for flags in self._flags[:, :n]]
+        rows = np.array([apps, *tallies], np.int64).T.tolist()
+        income = np.bincount(mfi, weights=self._income[:n], minlength=k).tolist()
+        clicks = np.bincount(self._clicks[:m], minlength=k + 1).tolist()
         counts, periods, processing_sums = {}, {}, {}
-        for g, a, b in zip(population, sub.start[population].tolist(),
-                           (sub.start + submitted)[population].tolist()):
-            counts[g] = MfiCounts(n_apps[g], sales[g], rejected[g], b - a, quick[g], paid[g], in_sla[g])
-            periods[g] = tuple(column[a:b] for column in self._periods)
-            processing_sums[g] = self._processing_sums[b] - self._processing_sums[a]
+        for g in population:
+            counts[g] = c = MfiCounts(*rows[g])
+            a = self._start[g]
+            periods[g] = tuple(column[a : a + c.submitted] for column in self._periods)
+            processing_sums[g] = self._processing_sums[a + c.submitted] - self._processing_sums[a]
 
         rprior = rating_prior([card[mfi_ids[g]] for g in population]) if "rating" in active else None
         lprior = None

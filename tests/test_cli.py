@@ -21,6 +21,7 @@ import pytest
 
 from conftest import PUBLISHED_PI, REFERENCE_RANKING, traced_peak
 import mfirank.cli as cli
+import mfirank.evaluate
 from mfirank.cli import SERIES_COLUMNS, _dump_ranking, main
 from mfirank.config import PipelineConfig, load_config
 from mfirank.data import (
@@ -491,6 +492,24 @@ def test_a_click_in_the_last_days_of_year_9999_is_a_data_error(tmp_path, capsys,
     assert err.startswith("mfirank: data error: click_time ") and "9999-12-31" in err
     assert err.count("\n") == 1 and err.endswith("\n")
     assert elapsed < 1.0
+
+
+def test_a_conversion_clicked_in_2200_ranks_each_training_prefix_once(tmp_path):
+    # The stray conversion stretches the replay to 9,236 weeks, but past the
+    # log's own eight no row falls in a week: each later week trains on the
+    # prefixes of the last week trained on, keeps its ranking and ranks
+    # nothing.  The artifact keeps the bytes that ranking every week gave.
+    assert main(["fixture", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    _with_last_click_time(tmp_path / "conversions.csv", "2200-01-01 00:00:00")
+    out = tmp_path / "evaluation.json"
+    with mock.patch("mfirank.evaluate.rank_mfis", wraps=mfirank.evaluate.rank_mfis) as ranked:
+        assert main(["evaluate", *dataset_flags(tmp_path), "--out", str(out)]) == 0
+    weeks = json.loads(out.read_bytes())["weeks"]
+    assert len(weeks) == 9236
+    assert ranked.call_count == len({w["trained_on"] for w in weeks if w["trained_on"]}) == 8
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5720d5104c532a34f7c2fe4a2b57477d5b3618ac5f91b155202d5ffdae31a400"
+    )
 
 
 def shuffled_feature_csvs(k: int, directory: Path) -> tuple[Path, Path]:

@@ -1001,6 +1001,7 @@ def table_outcome(make_table) -> tuple[object, list[str]]:
     return result, handler.messages
 
 
+@pytest.mark.parametrize("by_time", [True, False], ids=["click-time-order", "drawn-order"])
 @settings(max_examples=200)
 @given(
     conversions=engine_conversions(),
@@ -1011,12 +1012,14 @@ def table_outcome(make_table) -> tuple[object, list[str]]:
     data=st.data(),
 )
 def test_feature_prefixes_match_the_reference_at_every_cut(
-    conversions, products, clicks, features, rules, data
+    by_time, conversions, products, clicks, features, rules, data
 ):
-    # the cuts the weekly schedule makes: rows in click-time order, each
-    # cut a prefix of both tables
-    conversions.sort(key=lambda r: r.click_time)
-    clicks.sort(key=lambda c: c.click_time)
+    # Each cut is a prefix of both tables.  In click-time order these are
+    # the cuts the weekly schedule makes; in the drawn order a prefix is
+    # still the first rows, whatever their click times.
+    if by_time:
+        conversions.sort(key=lambda r: r.click_time)
+        clicks.sort(key=lambda c: c.click_time)
     prefixes = FeaturePrefixes(
         *tables(conversions, products, clicks), features=features, duration_rules=rules
     )
