@@ -446,7 +446,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "weekly_totals": ev.weekly_totals(result),
         "weeks": [
             {
-                "week_start": entry.week_start.strftime("%Y-%m-%d"),
+                "week_start": entry.week_start.date().isoformat(),
                 "source": entry.source,
                 "trained_on": entry.trained_on,
                 "ranking": list(entry.ranking),

@@ -65,7 +65,7 @@ import math
 import re
 from array import array
 from collections import Counter, deque
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
 from itertools import chain, islice, repeat
@@ -1192,7 +1192,7 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, datetime):
-        return value.strftime(TIMESTAMP_FORMAT)
+        return value.isoformat(" ", "seconds")
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Enum):
@@ -1389,6 +1389,7 @@ def validate(
     return report
 
 
-def product_fields() -> frozenset[str]:
-    """Names of ProductRecord fields (used to vet page constraints)."""
-    return frozenset(f.name for f in fields(ProductRecord))
+def product_fields() -> dict[str, bool]:
+    """Each ProductRecord field, and whether its cells are numbers a range
+    can bound (used to vet page constraints)."""
+    return {name: kind in (_FLOAT, _RATING, _COUNT, _BOOL) for name, kind in _PRODUCTS.columns}

@@ -22,12 +22,14 @@ The replay runs on one code table of the conversions
 client and status codes, the site rank, the realized income, the
 click-time order and the day and week of every row.  The client
 history, the pair counts, the substitutions and the sums are array
-reductions over it.  The tie rule "the latest record wins, the later
-row on equal click times" has one home, :func:`_latest`, which
-:func:`client_outcomes` and :func:`historical_ranking` share.  Every
-float that reaches an artifact, from the feature tables and the replay
-alike, is a sequential sum in input (replay) order, as ``np.bincount``
-adds its weights, never a pairwise ``np.sum`` or a compensated ``sum``.
+reductions over it.  The reapproval table is held in its MFI codes,
+per-MFI and K x K arrays that :func:`simulate` indexes directly.  The
+tie rule "the latest record wins, the later row on equal click times"
+has one home, :func:`_latest`, which :func:`client_outcomes` and
+:func:`historical_ranking` share.  Every float that reaches an
+artifact, from the feature tables and the replay alike, is a sequential
+sum in input (replay) order, as ``np.bincount`` adds its weights, never
+a pairwise ``np.sum`` or a compensated ``sum``.
 """
 
 from __future__ import annotations
@@ -169,33 +171,38 @@ def replay_codes(conversions: Table) -> ReplayCodes:
 # reapproval probabilities
 
 
-@dataclass(frozen=True)
-class PairStats:
-    p: float
-    support: int
-    fallback: bool = False
+class PairTable(NamedTuple):
+    """One conditional outcome frequency as K x K arrays over (target,
+    source) MFI codes: the estimate, the clients it was counted over, and
+    whether it is the target's marginal fallback instead."""
+
+    p: np.ndarray  # float64
+    support: np.ndarray  # int64
+    fallback: np.ndarray  # bool
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ReapprovalTable:
-    """Conditional outcome frequencies between pairs of MFIs.
+    """Conditional outcome frequencies between pairs of MFIs, in the MFI
+    codes of ``codes``.
 
-    ``sale[(a, b)]`` estimates P(client approved at a | approved at b)
-    over clients with a final status at both; ``reject`` mirrors it for
-    rejections.  Sparse pairs (support below ``min_support``) fall back
-    to a's marginal approval rate; a pair never seen falls back the same
-    way with zero support.  ``codes`` is the code table of the
-    conversions the table was counted from, and ``history`` the rows of
-    their :func:`client_outcomes`; the replay reads both.
+    ``sale.p[a, b]`` estimates P(client approved at a | approved at b)
+    over the ``sale.support[a, b]`` clients with a final status at both;
+    ``reject`` mirrors it for rejections.  A pair seen fewer than the
+    ``min_support`` of :func:`reapproval_table` times, or never, is a
+    ``fallback``: its ``p`` is a's marginal approval rate (its rejection
+    rate for ``reject``).  ``marginal_lar`` and ``mean_income`` are per
+    MFI code.  ``codes`` is the code table of the conversions the table
+    was counted from, and ``history`` the rows of their
+    :func:`client_outcomes`; the replay reads both.
     """
 
-    sale: dict[tuple[str, str], PairStats]
-    reject: dict[tuple[str, str], PairStats]
-    mean_income: dict[str, float]
-    marginal_lar: dict[str, float]
-    min_support: int
-    codes: ReplayCodes | None = field(default=None, compare=False, repr=False)
-    history: np.ndarray | None = field(default=None, compare=False, repr=False)
+    codes: ReplayCodes
+    history: np.ndarray
+    marginal_lar: np.ndarray  # float64
+    mean_income: np.ndarray  # float64
+    sale: PairTable
+    reject: PairTable
 
 
 def client_outcomes(codes: ReplayCodes) -> np.ndarray:
@@ -224,28 +231,18 @@ def _pairs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i[keep], j[keep]
 
 
-def _pair_stats(
-    pair: np.ndarray,
-    hit: np.ndarray,
-    mfi_ids: Sequence[str],
-    fallback: Sequence[float],
-    min_support: int,
-) -> dict[tuple[str, str], PairStats]:
-    """The PairStats of each ``target * K + source`` code in ``pair``, keys in
-    first-seen order: the share of its occurrences that ``hit``, or the
-    target's ``fallback`` below ``min_support``."""
-    seen_pairs, first, support = np.unique(pair, return_index=True, return_counts=True)
-    hits = np.bincount(np.searchsorted(seen_pairs, pair[hit]), minlength=len(seen_pairs))
-    out: dict[tuple[str, str], PairStats] = {}
-    for n in np.argsort(first).tolist():
-        target, source = divmod(int(seen_pairs[n]), len(mfi_ids))
-        seen = int(support[n])
-        key = (mfi_ids[target], mfi_ids[source])
-        if seen >= min_support:
-            out[key] = PairStats(int(hits[n]) / seen, seen)
-        else:
-            out[key] = PairStats(fallback[target], seen, fallback=True)
-    return out
+def _pair_table(
+    pair: np.ndarray, hit: np.ndarray, marginal: np.ndarray, min_support: int
+) -> PairTable:
+    """The PairTable of the ``target * K + source`` codes in ``pair``: the
+    share of each pair's occurrences that ``hit``, or the target's
+    ``marginal`` where it occurs less than ``min_support`` times or never."""
+    k = len(marginal)
+    support = np.bincount(pair, minlength=k * k).reshape(k, k)
+    hits = np.bincount(pair[hit], minlength=k * k).reshape(k, k)
+    fallback = (support == 0) | (support < min_support)
+    p = np.where(fallback, marginal[:, None], hits / np.maximum(support, 1))
+    return PairTable(p, support, fallback)
 
 
 def reapproval_table(
@@ -274,31 +271,22 @@ def reapproval_table(
     apps = np.bincount(codes.mfi, minlength=k).tolist()
     sales = np.bincount(codes.mfi[sold], minlength=k).tolist()
     paid_mfi = codes.mfi[codes.paid]
-    income_n = np.bincount(paid_mfi, minlength=k).tolist()
-    income_sum = np.bincount(paid_mfi, weights=codes.income[codes.paid], minlength=k).tolist()
+    income_n = np.bincount(paid_mfi, minlength=k)
+    income_sum = np.bincount(paid_mfi, weights=codes.income[codes.paid], minlength=k)
     prior = LarPrior(total_sales=sum(sales), total_apps=len(conversions))
-    marginal = [normalize_lar(prior, s, n) for s, n in zip(sales, apps)]
+    marginal = np.array([normalize_lar(prior, s, n) for s, n in zip(sales, apps)], np.float64)
 
     by_sale = codes.status[b] == _SALE
     by_reject = codes.status[b] == _REJECTED
     return ReapprovalTable(
-        sale=_pair_stats(
-            pair[by_sale], sold[a][by_sale], codes.mfi_ids, marginal, min_support
-        ),
-        reject=_pair_stats(
-            pair[by_reject],
-            (codes.status[a] == _REJECTED)[by_reject],
-            codes.mfi_ids,
-            [1.0 - p for p in marginal],
-            min_support,
-        ),
-        mean_income={
-            m: (s / n if n else 0.0) for m, s, n in zip(codes.mfi_ids, income_sum, income_n)
-        },
-        marginal_lar=dict(zip(codes.mfi_ids, marginal)),
-        min_support=min_support,
         codes=codes,
         history=history,
+        marginal_lar=marginal,
+        mean_income=income_sum / np.maximum(income_n, 1),  # 0.0 without a paid sale
+        sale=_pair_table(pair[by_sale], sold[a][by_sale], marginal, min_support),
+        reject=_pair_table(
+            pair[by_reject], (codes.status[a] == _REJECTED)[by_reject], 1.0 - marginal, min_support
+        ),
     )
 
 
@@ -438,25 +426,7 @@ class SimulationResult:
         }
 
 
-def _pair_arrays(
-    pairs: dict[tuple[str, str], PairStats], fallback: np.ndarray, code: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(p, fallback flag) of every (target, source) code pair as K x K arrays:
-    a pair the table lacks takes the target's ``fallback`` and is flagged."""
-    p = np.repeat(fallback[:, None], len(fallback), axis=1)
-    flagged = np.ones(p.shape, bool)
-    for (target, source), stats in pairs.items():
-        if target in code and source in code:
-            p[code[target], code[source]] = stats.p
-            flagged[code[target], code[source]] = stats.fallback
-    return p, flagged
-
-
-def simulate(
-    conversions: Table,
-    schedule: Sequence[WeekEntry],
-    table: ReapprovalTable,
-) -> SimulationResult:
+def simulate(schedule: Sequence[WeekEntry], table: ReapprovalTable) -> SimulationResult:
     """Replay every application against the scheduled rankings.
 
     Each application is re-served by whichever MFI the week's ranking
@@ -469,14 +439,14 @@ def simulate(
     without a usable position are skipped and counted, so coverage is
     visible in the result.
 
-    ``table`` must be the :func:`reapproval_table` of ``conversions``: the
-    replay reads their rows from its code table.  A week is served by the
+    The replayed applications are the rows of ``table.codes``, the
+    conversions the table was counted from.  A week is served by the
     schedule entry whose ``week_start`` is exactly its Monday 00:00 (the
-    last such entry).
+    last such entry).  A ranked MFI the conversions lack takes a code past
+    the table's: it has a marginal rate and a mean income of 0, and every
+    pair with it as the target is a fallback.
     """
     codes, history = table.codes, table.history
-    if codes is None or len(codes.mfi) != len(conversions):
-        raise ValueError("simulate needs the reapproval table of these conversions")
     code = {m: n for n, m in enumerate(codes.mfi_ids)}
 
     # The served weeks in calendar order, their rankings as MFI codes.
@@ -517,13 +487,14 @@ def simulate(
     copied = known >= 0
 
     # Otherwise the table estimates it, by the application's own status.
-    marginal = np.zeros(k)
-    mean_income = np.zeros(k)
-    for m, n in code.items():
-        marginal[n] = table.marginal_lar.get(m, 0.0)
-        mean_income[n] = table.mean_income.get(m, 0.0)
-    p_sale, flag_sale = _pair_arrays(table.sale, marginal, code)
-    p_reject, flag_reject = _pair_arrays(table.reject, 1.0 - marginal, code)
+    # Rows are padded for the MFIs the table lacks; only a target can be one.
+    extra = (0, k - len(codes.mfi_ids))
+    marginal = np.pad(table.marginal_lar, extra)
+    mean_income = np.pad(table.mean_income, extra)
+    p_sale = np.pad(table.sale.p, (extra, (0, 0)))
+    flag_sale = np.pad(table.sale.fallback, (extra, (0, 0)), constant_values=True)
+    p_reject = np.pad(table.reject.p, (extra, (0, 0)), constant_values=1.0)
+    flag_reject = np.pad(table.reject.fallback, (extra, (0, 0)), constant_values=True)
     is_sale = ~copied & (status == _SALE)
     is_reject = ~copied & (status == _REJECTED)
     p = np.where(
@@ -642,7 +613,7 @@ def evaluate_ranking(
         tie_eps=tie_eps,
     )
     table = reapproval_table(conversions, min_support=min_support)
-    return simulate(conversions, schedule, table), schedule
+    return simulate(schedule, table), schedule
 
 
 # ---------------------------------------------------------------------------

@@ -299,10 +299,12 @@ def page_filter(
     """
     if not constraints:
         return list(ranking)
-    known = product_fields()
-    for name in constraints:
-        if name not in known:
+    numeric = product_fields()
+    for name, want in constraints.items():
+        if name not in numeric:
             raise ValueError(f"unknown product field {name!r} in page constraints")
+        if isinstance(want, Mapping) and not numeric[name]:
+            raise ValueError(f"page constraint {name!r}: a range needs a numeric product field")
 
     def card_ok(card: ProductRecord) -> bool:
         for name, want in constraints.items():

@@ -11,8 +11,10 @@ products.csv, and clicks.csv.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tracemalloc
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -121,6 +123,22 @@ def tables(conversions, products, clicks):
 def fixture_triple():
     """A deterministic synthetic dataset shared by read-only tests."""
     return generate_fixture(0)
+
+
+@pytest.fixture(scope="session")
+def year_999_triple(fixture_triple):
+    """The same dataset with every timestamp moved to the year 999, where
+    a year is written with a leading zero."""
+
+    def moved(record):
+        values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        return dataclasses.replace(record, **{
+            name: value.replace(year=999)
+            for name, value in values.items()
+            if isinstance(value, datetime)
+        })
+
+    return tuple([moved(r) for r in records] for records in fixture_triple)
 
 
 @pytest.fixture(scope="session")

@@ -236,7 +236,7 @@ def test_criterion_6_property_bundle_under_budget():
     # identity-ranking replay reproduces history exactly
     conversions, _, _ = generate_fixture(0)
     table = conversion_table(conversions)
-    result = simulate(table, identity_schedule(conversions), reapproval_table(table))
+    result = simulate(identity_schedule(conversions), reapproval_table(table))
     true_lar = sum(1 for r in conversions if r.status is Status.SALE) / len(conversions)
     assert result.n_copied == result.n_processed == len(conversions)
     assert result.total_lar == true_lar
@@ -247,16 +247,17 @@ def test_criterion_6_property_bundle_under_budget():
     for seed in range(50):
         convs, _, _ = generate_fixture(seed, n_mfis=4, n_clients=30)
         table = reapproval_table(conversion_table(convs), min_support=1)
-        mfis = sorted({r.mfi_id for r in convs})
-        for target in mfis:
-            for source in mfis:
+        code = {m: n for n, m in enumerate(table.codes.mfi_ids)}
+        for target in code:
+            for source in code:
                 if target == source:
                     continue
                 expected, support = brute_force_pair(convs, target, source)
                 if expected is None:
                     continue
-                got = table.sale[(target, source)]
-                assert got.support == support and got.p == pytest.approx(expected)
+                at = code[target], code[source]
+                assert table.sale.support[at] == support
+                assert table.sale.p[at] == pytest.approx(expected)
                 oracle_pairs += 1
     assert oracle_pairs > 100
 

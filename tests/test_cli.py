@@ -882,6 +882,19 @@ def test_report_names_a_missing_and_a_mistyped_key_alike(evaluation_json, tmp_pa
     assert errors[0] == errors[1]
 
 
+def test_evaluate_writes_four_digit_years(year_999_triple, tmp_path):
+    conversions, products, clicks = year_999_triple
+    (tmp_path / "conversions.csv").write_text(serialize_conversions(conversions))
+    (tmp_path / "products.csv").write_text(serialize_products(products))
+    (tmp_path / "clicks.csv").write_text(serialize_clicks(clicks))
+    out = tmp_path / "evaluation.json"
+    assert main(["evaluate", *dataset_flags(tmp_path), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    weeks = [w["week_start"] for w in payload["weeks"]]
+    assert weeks == [t["week"] for t in payload["weekly_totals"]]
+    assert weeks[0].startswith("0998-12-")
+
+
 def test_single_week_replay_coincides_with_history(tmp_path):
     conversions, products, clicks = generate_fixture(3, config=FixtureConfig(n_weeks=1))
     monday = week_start(min(r.click_time for r in conversions))
@@ -1262,6 +1275,8 @@ def test_a_flag_gives_the_bytes_of_its_config_key(dataset_dir, tmp_path, command
          "page constraint 'age_max': a range holds only finite min/max"),
         ("rank", '{"page_constraints": {"age_max": {"min": NaN}}}',
          "page constraint 'age_max': a range holds only finite min/max"),
+        ("rank", '{"page_constraints": {"region": {"min": 1}}}',
+         "page constraint 'region': a range needs a numeric product field"),
     ],
 )
 def test_a_bad_duration_rule_or_page_range_is_a_config_error(

@@ -354,8 +354,9 @@ def test_click_parser_reads_the_superset_log():
     assert rec.income is None
 
 
-def test_serialize_round_trip(fixture_triple):
-    conversions, products, clicks = fixture_triple
+@pytest.mark.parametrize("triple", ["fixture_triple", "year_999_triple"])
+def test_serialize_round_trip(request, triple):
+    conversions, products, clicks = request.getfixturevalue(triple)
     back_conv = parse_conversions(io.StringIO(serialize_conversions(conversions)))
     back_prod = parse_products(io.StringIO(serialize_products(products)))
     back_clk = parse_clicks(io.StringIO(serialize_clicks(clicks)))

@@ -34,7 +34,7 @@ from mfirank.data import (
 from mfirank.errors import MfiRankError
 from mfirank.evaluate import (
     DEFAULT_MIN_SUPPORT,
-    PairStats,
+    PairTable,
     ReapprovalTable,
     ReplaySums,
     SimulationResult,
@@ -92,12 +92,53 @@ def history(conversions):
     return out
 
 
+# The reference form of the reapproval table: dicts keyed by MFI id.  The
+# reference replay reads it, and ``as_dicts`` reads an array table back
+# into it to compare the two.
+
+
+@dataclasses.dataclass(frozen=True)
+class PairStats:
+    p: float
+    support: int
+    fallback: bool = False
+
+
+@dataclasses.dataclass
+class ReapprovalDicts:
+    sale: dict[tuple[str, str], PairStats]
+    reject: dict[tuple[str, str], PairStats]
+    mean_income: dict[str, float]
+    marginal_lar: dict[str, float]
+
+
+def as_dicts(table: ReapprovalTable) -> ReapprovalDicts:
+    """The pairs of ``table`` with support, keyed by (target, source) MFI
+    ids, and its per-MFI values in code (first-seen) order."""
+    ids = table.codes.mfi_ids
+
+    def pairs(arrays: PairTable) -> dict[tuple[str, str], PairStats]:
+        return {
+            (ids[a], ids[b]): PairStats(
+                float(arrays.p[a, b]), int(arrays.support[a, b]), bool(arrays.fallback[a, b])
+            )
+            for a, b in np.argwhere(arrays.support > 0).tolist()
+        }
+
+    return ReapprovalDicts(
+        sale=pairs(table.sale),
+        reject=pairs(table.reject),
+        mean_income=dict(zip(ids, table.mean_income.tolist())),
+        marginal_lar=dict(zip(ids, table.marginal_lar.tolist())),
+    )
+
+
 # How the replay reads a table (the ``p_sale``/``p_reject`` methods of the
 # table before the replay moved onto arrays): identity pairs are certain,
 # a pair the table lacks falls back to the target's marginal rate.
 
 
-def p_sale(table: ReapprovalTable, target: str, source: str) -> PairStats:
+def p_sale(table: ReapprovalDicts, target: str, source: str) -> PairStats:
     if target == source:
         return PairStats(1.0, support=0)
     got = table.sale.get((target, source))
@@ -106,7 +147,7 @@ def p_sale(table: ReapprovalTable, target: str, source: str) -> PairStats:
     return PairStats(table.marginal_lar.get(target, 0.0), 0, fallback=True)
 
 
-def p_reject(table: ReapprovalTable, target: str, source: str) -> PairStats:
+def p_reject(table: ReapprovalDicts, target: str, source: str) -> PairStats:
     if target == source:
         return PairStats(1.0, support=0)
     got = table.reject.get((target, source))
@@ -154,7 +195,7 @@ def test_reapproval_certainty_case():
     for i in range(10):
         records.append(capp("A", f"c{i}", income=10.0, hours=i))
         records.append(capp("B", f"c{i}", income=10.0, hours=i + 0.5))
-    table = reapproval_table(conversion_table(records))
+    table = as_dicts(reapproval_table(conversion_table(records)))
     stats = p_sale(table, "A", "B")
     assert stats.p == 1.0
     assert stats.support == 10
@@ -167,7 +208,7 @@ def test_reapproval_hand_counted_fraction():
         records.append(capp("B", f"c{i}", income=5.0, hours=i))
         status = Status.SALE if i < 3 else Status.REJECTED
         records.append(capp("A", f"c{i}", status, income=5.0, hours=i + 0.5))
-    table = reapproval_table(conversion_table(records), min_support=1)
+    table = as_dicts(reapproval_table(conversion_table(records), min_support=1))
     assert p_sale(table, "A", "B").p == pytest.approx(0.375)
     assert p_sale(table, "A", "B").support == 8
 
@@ -180,7 +221,7 @@ def test_reapproval_identity_pairs_are_certain():
     ])
     table = reapproval_table(conversions)
     schedule = [WeekEntry(week_start(T0), ("A",), 0, "ranked")]
-    result = simulate(conversions, schedule, table)
+    result = simulate(schedule, table)
     assert (result.n_copied, result.total_lar, result.avg_income) == (2, 0.5, 2.5)
 
 
@@ -188,7 +229,7 @@ def test_reapproval_pairs_join_two_different_mfis():
     records = [
         capp(m, f"c{i}", income=5.0, hours=i + n / 2) for i in range(3) for n, m in enumerate("AB")
     ]
-    table = reapproval_table(conversion_table(records), min_support=1)
+    table = as_dicts(reapproval_table(conversion_table(records), min_support=1))
     assert set(table.sale) == {("A", "B"), ("B", "A")}
     assert table.reject == {}
 
@@ -200,7 +241,7 @@ def test_reapproval_low_support_falls_back_to_the_marginal():
         capp("A", "c2", Status.REJECTED, hours=2),
         capp("A", "c3", Status.PENDING, hours=3),
     ]
-    table = reapproval_table(conversion_table(records), min_support=5)
+    table = as_dicts(reapproval_table(conversion_table(records), min_support=5))
     stats = p_sale(table, "B", "A")  # one co-client, below min_support
     assert stats.fallback and stats.support == 1
     # marginal normalized LAR of B: prior (1 sale / 4 apps) + (0 of 1)
@@ -217,7 +258,7 @@ def test_reapproval_without_co_applicants_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="mfirank.evaluate"):
         table = reapproval_table(conversions)
     assert any("no client dealt with two MFIs" in m for m in caplog.messages)
-    assert p_sale(table, "A", "B").fallback
+    assert p_sale(as_dicts(table), "A", "B").fallback
 
 
 def brute_force_pair(records, target, source):
@@ -241,7 +282,7 @@ def brute_force_pair(records, target, source):
 def test_reapproval_matches_the_counting_oracle_on_fixtures():
     for seed in range(5):
         conversions, _, _ = generate_fixture(seed, n_mfis=4, n_clients=40)
-        table = reapproval_table(conversion_table(conversions), min_support=1)
+        table = as_dicts(reapproval_table(conversion_table(conversions), min_support=1))
         mfis = sorted({r.mfi_id for r in conversions})
         for target in mfis:
             for source in mfis:
@@ -471,12 +512,13 @@ def identity_schedule(records):
 
 def test_identity_replay_reproduces_history_exactly(fixture_triple, fixture_tables):
     conversions, _, _ = fixture_triple
-    table = reapproval_table(fixture_tables[0])
     schedule = identity_schedule(conversions)
-    result = simulate(fixture_tables[0], schedule, table)
+    result = simulate(schedule, reapproval_table(fixture_tables[0]))
     assert result.n_processed == len(conversions)
     assert result.n_copied == result.n_processed
-    want, outcomes = reference_simulate(conversions, schedule, table)
+    want, outcomes = reference_simulate(
+        conversions, schedule, reference_reapproval_table(conversions)
+    )
     assert result == want
     assert all(o.rule == "identity" for o in outcomes)
     true_lar = sum(1 for r in conversions if r.status is Status.SALE) / len(conversions)
@@ -490,25 +532,33 @@ def test_identity_replay_reproduces_history_exactly(fixture_triple, fixture_tabl
 
 
 def test_swapped_position_uses_the_table():
-    records = [capp("A", "c1", Status.SALE, income=50.0, rank=1)]
+    records = [
+        capp("A", "c1", Status.SALE, income=50.0, rank=1),
+        capp("B", "c2", Status.REJECTED),  # no rank: gives B a code, is not replayed
+    ]
     schedule = [
         WeekEntry(week_start=week_start(T0), ranking=("B", "A"), trained_on=0, source="ranked")
     ]
     conversions = conversion_table(records)
-    # the table of these records, with a pair and an MFI they never show
+    # the table of these records, with a pair they never show: B given A
     table = dataclasses.replace(
         reapproval_table(conversions),
-        sale={("B", "A"): PairStats(0.6, support=10)},
-        reject={},
-        mean_income={"B": 100.0},
-        marginal_lar={"A": 0.5, "B": 0.5},
+        sale=PairTable(
+            np.array([[0.5, 0.5], [0.6, 0.5]]),
+            np.array([[0, 0], [10, 0]]),
+            np.array([[True, True], [False, True]]),
+        ),
+        reject=PairTable(np.full((2, 2), 0.5), np.zeros((2, 2), np.int64), np.ones((2, 2), bool)),
+        mean_income=np.array([0.0, 100.0]),
+        marginal_lar=np.array([0.5, 0.5]),
     )
-    result = simulate(conversions, schedule, table)
+    result = simulate(schedule, table)
     assert (result.n_processed, result.n_copied, result.n_low_support) == (1, 0, 0)
+    assert result.n_skipped_no_rank == 1
     assert result.total_lar == 0.6
     assert result.avg_income == pytest.approx(60.0)
     assert result.historical_lar == 1.0 and result.historical_avg_income == 50.0
-    want, (outcome,) = reference_simulate(records, schedule, table)
+    want, (outcome,) = reference_simulate(records, schedule, as_dicts(table))
     assert result == want
     assert outcome.rule == "table-sale"
 
@@ -523,12 +573,11 @@ def test_client_history_copies_the_actual_outcome():
         for w in sorted({week_start(r.click_time) for r in records})
     ]
     conversions = conversion_table(records)
-    table = reapproval_table(conversions, min_support=1)
-    result = simulate(conversions, schedule, table)
+    result = simulate(schedule, reapproval_table(conversions, min_support=1))
     assert result.n_copied == result.n_processed == 2
     # A's application, re-served by B, where c1 really got 77.0
     assert result.weeks[week_start(T0)] == ReplaySums(1, 1.0, 77.0, 1.0, 50.0)
-    want, outcomes = reference_simulate(records, schedule, table)
+    want, outcomes = reference_simulate(records, schedule, reference_reapproval_table(records, 1))
     assert result == want
     assert {o.mfi_hist: o.rule for o in outcomes} == {"A": "history", "B": "history"}
 
@@ -545,9 +594,9 @@ def test_pending_history_uses_the_marginal():
         )
     ]
     conversions = conversion_table(records)
-    table = reapproval_table(conversions, min_support=1)
-    result = simulate(conversions, schedule, table)
+    result = simulate(schedule, reapproval_table(conversions, min_support=1))
     assert result.n_pending_fallback == 1
+    table = reference_reapproval_table(records, min_support=1)
     want, outcomes = reference_simulate(records, schedule, table)
     assert result == want
     pending = next(o for o in outcomes if o.mfi_hist == "A")
@@ -565,8 +614,7 @@ def test_positions_outside_the_list_are_counted():
             week_start=week_start(T0), ranking=("A", "B"), trained_on=0, source="ranked"
         )
     ]
-    table = reapproval_table(conversions)
-    result = simulate(conversions, schedule, table)
+    result = simulate(schedule, reapproval_table(conversions))
     assert result.n_processed == 0
     assert result.n_skipped_out_of_range == 1
     assert result.n_skipped_no_rank == 1
@@ -600,8 +648,7 @@ def test_daily_series_covers_the_full_range(fixture_tables):
 
 def test_daily_series_identity_twin_tracks(fixture_triple, fixture_tables):
     conversions, _, clicks = fixture_tables
-    table = reapproval_table(conversions)
-    result = simulate(conversions, identity_schedule(fixture_triple[0]), table)
+    result = simulate(identity_schedule(fixture_triple[0]), reapproval_table(conversions))
     for row in daily_series(result, clicks):
         assert row["vra"]["income"] == pytest.approx(row["historical"]["income"])
         assert row["vra"]["sales"] == pytest.approx(row["historical"]["sales"])
@@ -666,7 +713,7 @@ def reference_client_outcomes(
 def reference_reapproval_table(
     conversions: Sequence[ConversionRecord],
     min_support: int = DEFAULT_MIN_SUPPORT,
-) -> ReapprovalTable:
+) -> ReapprovalDicts:
     if min_support < 0:
         raise ValueError("min_support must be non-negative")
     outcomes = reference_client_outcomes(conversions)
@@ -726,12 +773,11 @@ def reference_reapproval_table(
         return out
 
     reject_fallback = {m: 1.0 - p for m, p in marginal.items()}
-    return ReapprovalTable(
+    return ReapprovalDicts(
         sale=build(num_sale, den_sale, marginal),
         reject=build(num_reject, den_reject, reject_fallback),
         mean_income=mean_income,
         marginal_lar=marginal,
-        min_support=min_support,
     )
 
 
@@ -773,7 +819,7 @@ def reference_bucket_sums(
 def reference_simulate(
     conversions: Sequence[ConversionRecord],
     schedule: Sequence[WeekEntry],
-    table: ReapprovalTable,
+    table: ReapprovalDicts,
 ) -> tuple[SimulationResult, list[AppOutcome]]:
     """Replay every application against the scheduled rankings.
 
@@ -995,11 +1041,11 @@ def test_client_outcomes_match_the_reference(case):
     )
 
 
-def table_items(table):
+def table_items(table: ReapprovalDicts):
+    """The pairs as dicts; the per-MFI values in their order, first-seen."""
     return (
-        table,
-        list(table.sale.items()),
-        list(table.reject.items()),
+        table.sale,
+        table.reject,
         list(table.mean_income.items()),
         list(table.marginal_lar.items()),
     )
@@ -1010,7 +1056,8 @@ def table_items(table):
 def test_reapproval_table_matches_the_reference(case, min_support):
     _, conversions, _, _ = case
     want = table_items(reference_reapproval_table(conversions, min_support))
-    assert table_items(reapproval_table(conversion_table(conversions), min_support)) == want
+    table = reapproval_table(conversion_table(conversions), min_support)
+    assert table_items(as_dicts(table)) == want
 
 
 @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
@@ -1018,7 +1065,6 @@ def test_reapproval_table_carries_the_client_outcomes(case):
     _, conversions, _, _ = case
     table = reapproval_table(conversion_table(conversions))
     assert table.history.tolist() == client_outcomes(table.codes).tolist()
-    assert table.codes.mfi_ids == tuple(table.marginal_lar)
 
 
 @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
@@ -1027,9 +1073,10 @@ def test_simulate_matches_the_reference(case):
     schedules = replay_schedules(conversions, products, clicks)
     conv_table, _, click_tab = tables(conversions, products, clicks)
     for min_support, (name, schedule) in itertools.product([0, 1, 5], schedules.items()):
-        table = reapproval_table(conv_table, min_support)
-        want, outcomes = reference_simulate(conversions, schedule, table)
-        got = simulate(conv_table, schedule, table)
+        want, outcomes = reference_simulate(
+            conversions, schedule, reference_reapproval_table(conversions, min_support)
+        )
+        got = simulate(schedule, reapproval_table(conv_table, min_support))
         # exact equality: every counter, every float of the totals and of
         # the week and day sums
         assert got == want, (name, min_support)
@@ -1060,14 +1107,14 @@ def test_replay_cases_cover_the_edge_rows():
         (r.client_id, r.mfi_id, r.click_time) for r in conversions if r.status is not Status.PENDING
     )
     assert max(stamps.values()) == 2
-    conv_table = conversion_table(conversions)
-    table = reapproval_table(conv_table)
     schedules = replay_schedules(conversions, products, clicks)
-    assert simulate(conv_table, schedules["gappy"], table).n_skipped_no_week > 0
+    table = reapproval_table(conversion_table(conversions))
+    assert simulate(schedules["gappy"], table).n_skipped_no_week > 0
+    reference = reference_reapproval_table(conversions)
     rules = {
         o.rule
         for schedule in schedules.values()
-        for o in reference_simulate(conversions, schedule, table)[1]
+        for o in reference_simulate(conversions, schedule, reference)[1]
     }
     assert rules == {"identity", "history", "table-sale", "table-reject", "table-pending"}
 
@@ -1088,7 +1135,7 @@ def test_evaluate_ranking_builds_client_outcomes_once(monkeypatch, fixture_table
 def test_a_conversions_table_given_as_the_clicks_is_refused(fixture_tables, stage):
     # It has every column a clicks stage reads, so only the guard stops it.
     conversions, products, _ = fixture_tables
-    result = simulate(conversions, [], reapproval_table(conversions))
+    result = simulate([], reapproval_table(conversions))
     call = {
         "feature_table": lambda: feature_table(conversions, products, conversions),
         "FeaturePrefixes": lambda: FeaturePrefixes(conversions, products, conversions),
@@ -1097,17 +1144,6 @@ def test_a_conversions_table_given_as_the_clicks_is_refused(fixture_tables, stag
     }[stage]
     with pytest.raises(ValueError, match="^expected a clicks table, not conversions$"):
         call()
-
-
-def test_simulate_rejects_a_table_of_other_conversions():
-    records = [capp("A", "c1", rank=1), capp("B", "c2", rank=1)]
-    schedule = identity_schedule(records)
-    conversions = conversion_table(records)
-    with pytest.raises(ValueError, match="reapproval table of these conversions"):
-        simulate(conversions, schedule, reapproval_table(conversion_table(records[:1])))
-    hand_built = ReapprovalTable(sale={}, reject={}, mean_income={}, marginal_lar={}, min_support=5)
-    with pytest.raises(ValueError, match="reapproval table of these conversions"):
-        simulate(conversions, schedule, hand_built)
 
 
 # ---------------------------------------------------------------------------
@@ -1176,11 +1212,11 @@ def test_the_replay_of_a_small_log_matches_the_references(log, min_support):
     conv_table = conversion_table(conversions)
     table = reapproval_table(conv_table, min_support)
     reference = reference_reapproval_table(conversions, min_support)
-    assert table_items(table) == table_items(reference)
+    assert table_items(as_dicts(table)) == table_items(reference)
     assert nested_items(history(conversions)) == nested_items(
         reference_client_outcomes(conversions)
     )
-    got = simulate(conv_table, schedule, table)
+    got = simulate(schedule, table)
     want, outcomes = reference_simulate(conversions, schedule, reference)
     assert got == want
     assert repr(got.to_dict()) == repr(want.to_dict())
@@ -1214,7 +1250,7 @@ def test_replay_sums_add_left_to_right_in_replay_order():
 
     schedule = [WeekEntry(week_start(T0), ("A",), 0, "historical")]
     conversions = conversion_table(records)
-    result = simulate(conversions, schedule, reapproval_table(conversions))
+    result = simulate(schedule, reapproval_table(conversions))
     n = len(incomes)
     assert result.avg_income == left_to_right(incomes) / n
     assert result.historical_avg_income == left_to_right(incomes) / n

@@ -101,7 +101,7 @@ def test_a_subcommand_loads_only_its_stages(workdir, argv, code, modules, numpy)
     assert seen["numpy"] is numpy
     # The Student t tail of the Welch test is the one use of scipy.
     assert seen["scipy"] is (argv is not None and argv[0] == "abtest" and "--fisher" not in argv)
-    # The parser forks its chunk readers itself.
+    # Every reader parses in the one process: none imports multiprocessing.
     assert seen["multiprocessing"] is False
 
 
