@@ -416,13 +416,15 @@ def to_micros(moment: datetime) -> int:
     return (moment - _EPOCH) // _MICROSECOND
 
 
-def from_micros(micros: int) -> datetime:
-    return _EPOCH + timedelta(microseconds=micros)
-
-
 def ordinal_days(micros: np.ndarray) -> np.ndarray:
     """The proleptic ordinal (``date.toordinal``) of each timestamp's date."""
     return micros // _MICROS_PER_DAY + _EPOCH_ORDINAL
+
+
+def day_micros(days: np.ndarray) -> np.ndarray:
+    """The timestamp of 00:00 on each proleptic ordinal day, the inverse of
+    :func:`ordinal_days` on midnights."""
+    return (days - _EPOCH_ORDINAL) * _MICROS_PER_DAY
 
 
 def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,8 @@ scored by a model that saw it.
 Every stage takes the columnar tables of the conversions and clicks
 (:class:`mfirank.data.Table`).  The weekly schedule trains on prefixes
 of the tables in click-time order through one
-:class:`mfirank.features.FeaturePrefixes`.
+:class:`mfirank.features.FeaturePrefixes`.  Its weeks and the days of
+the daily series are one calendar in day ordinals, :func:`replay_calendar`.
 The replay runs on one code table of the conversions
 (:class:`ReplayCodes`), read from the table once by
 :func:`reapproval_table` and carried to :func:`simulate`: integer MFI,
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,12 +48,11 @@ from .data import (
     ProductRecord,
     Status,
     Table,
+    day_micros,
     filter_loan_type,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
     first_seen,
-    from_micros,
     ordinal_days,
     realized,
-    to_micros,
 )
 from .errors import DataError, MfiRankError
 from .features import (
@@ -69,6 +69,26 @@ logger = logging.getLogger(__name__)
 
 # status codes of a conversions table
 _PENDING, _SALE, _REJECTED = map(STATUSES.index, (Status.PENDING, Status.SALE, Status.REJECTED))
+
+MAX_REPLAY_DAYS = 100_000  # the most days a replay spans, first and last included: ~274 years
+
+
+def _monday(day):
+    """The ordinal of the Monday of the week of each ordinal ``day``."""
+    return day - (day + 6) % 7  # date.weekday() is (ordinal + 6) % 7
+
+
+def replay_calendar(first: int, last: int, *, weekly: bool = False) -> np.ndarray:
+    """The ordinals of the days ``first`` to ``last`` of a replay's first and
+    last click_time, or with ``weekly`` the Mondays of their weeks.  A span
+    of more than :data:`MAX_REPLAY_DAYS` days is a DataError naming both."""
+    span = last - first + 1
+    if span > MAX_REPLAY_DAYS:
+        raise DataError(
+            f"click_time {date.fromordinal(first)} to click_time {date.fromordinal(last)} "
+            f"spans {span:,} days, more than the {MAX_REPLAY_DAYS:,} a replay may span"
+        )
+    return np.arange(_monday(first), last + 1, 7) if weekly else np.arange(first, last + 1)
 
 
 def _click_order(times: np.ndarray) -> np.ndarray:
@@ -163,7 +183,7 @@ def replay_codes(conversions: Table) -> ReplayCodes:
         paid=paid,
         order=_click_order(times),
         day=day,
-        week=day - (day + 6) % 7,  # date.weekday() is (ordinal + 6) % 7
+        week=_monday(day),
     )
 
 
@@ -326,34 +346,29 @@ def weekly_schedule(
     it, the schedule trains on every row given (selected by
     ``filter_loan_type``).  A week whose prefixes are those of the last
     week trained on (no row fell in between) keeps that week's outcome
-    and ranks nothing.  A conversion clicked in the last week of year
-    9999 raises DataError before the walk, which could not step past it.
+    and ranks nothing.  The weeks are the :func:`replay_calendar` of the
+    conversions, so a span of more than :data:`MAX_REPLAY_DAYS` days
+    raises DataError before any week is trained.
     """
     if not len(conversions):
         return []
     by_time = conversions.take(np.argsort(conversions.columns["click_time"], kind="stable"))
     clicks = clicks.take(np.argsort(clicks.columns["click_time"], kind="stable"))
     conv_times, click_times = by_time.columns["click_time"], clicks.columns["click_time"]
-    first = week_start(from_micros(int(conv_times[0])))
-    latest = from_micros(int(conv_times[-1]))
-    last = week_start(latest)
-    if last > datetime.max - timedelta(days=7):
-        raise DataError(f"click_time {latest} is too late: the week after it is past year 9999")
+    mondays = replay_calendar(*ordinal_days(conv_times[[0, -1]]).tolist(), weekly=True)
+    cuts = day_micros(mondays)
+    ends = [np.searchsorted(times, cuts).tolist() for times in (conv_times, click_times)]
     prefixes = FeaturePrefixes(
         by_time, products, clicks, features=features, duration_rules=duration_rules
     )
-    fallback = tuple(historical_ranking(conversions))
 
     entries: list[WeekEntry] = []
-    current = fallback
+    current = tuple(historical_ranking(conversions))
     source = "historical"
     trained = (0, 0)
-    monday = first
-    while monday <= last:
-        cut = to_micros(monday)
-        conv_idx = int(np.searchsorted(conv_times, cut))
-        prefix = (conv_idx, int(np.searchsorted(click_times, cut)))
-        if conv_idx and prefix != trained:
+    for monday, prefix in zip(mondays.tolist(), zip(*ends)):
+        start = datetime.fromordinal(monday)
+        if prefix[0] and prefix != trained:
             trained = prefix
             try:
                 table = prefixes.table(*prefix)
@@ -365,11 +380,8 @@ def weekly_schedule(
                 source = "ranked"
             except (ValueError, MfiRankError) as exc:
                 source = "carried" if entries else "historical"
-                logger.info("week %s keeps the previous ranking: %s", monday.date(), exc)
-        entries.append(
-            WeekEntry(week_start=monday, ranking=current, trained_on=conv_idx, source=source)
-        )
-        monday += timedelta(days=7)
+                logger.info("week %s keeps the previous ranking: %s", start.date(), exc)
+        entries.append(WeekEntry(start, current, trained_on=prefix[0], source=source))
     return entries
 
 
@@ -406,7 +418,7 @@ class SimulationResult:
     n_pending_fallback: int
     n_low_support: int
     weeks: dict[datetime, ReplaySums] = field(repr=False)
-    days: dict[date, ReplaySums] = field(repr=False)
+    days: dict[int, ReplaySums] = field(repr=False)  # by the day's proleptic ordinal
 
     def to_dict(self) -> dict:
         return {
@@ -450,10 +462,9 @@ def simulate(schedule: Sequence[WeekEntry], table: ReapprovalTable) -> Simulatio
     code = {m: n for n, m in enumerate(codes.mfi_ids)}
 
     # The served weeks in calendar order, their rankings as MFI codes.
-    served: dict[int, WeekEntry] = {}
-    for entry in schedule:
-        if week_start(entry.week_start) == entry.week_start:
-            served[entry.week_start.toordinal()] = entry
+    served = {
+        e.week_start.toordinal(): e for e in schedule if week_start(e.week_start) == e.week_start
+    }
     mondays = np.array(sorted(served), np.int64)
     entries = [served[m] for m in mondays.tolist()]
     lengths = np.array([len(e.ranking) for e in entries] + [0], np.int64)
@@ -530,63 +541,51 @@ def simulate(schedule: Sequence[WeekEntry], table: ReapprovalTable) -> Simulatio
         n_pending_fallback=int((~copied & (status == _PENDING)).sum()),
         n_low_support=int(low_support.sum()),
         weeks={entries[w].week_start: s for w, s in sums(slot).items()},
-        days={date.fromordinal(d): s for d, s in sums(codes.day[rows]).items()},
+        days=sums(codes.day[rows]),
     )
 
 
 def weekly_totals(result: SimulationResult) -> list[dict]:
     """Per-week aggregates of the replay, weeks in calendar order."""
-    rows = []
-    for week in sorted(result.weeks):
-        n, lar, income, hist_lar, hist_income = result.weeks[week]
-        rows.append(
-            {
-                "week": week.date().isoformat(),
-                "applications": n,
-                "lar": lar / n,
-                "avg_income": income / n,
-                "historical_lar": hist_lar / n,
-                "historical_avg_income": hist_income / n,
-            }
-        )
-    return rows
+    return [
+        {
+            "week": week.date().isoformat(),
+            "applications": n,
+            "lar": lar / n,
+            "avg_income": income / n,
+            "historical_lar": hist_lar / n,
+            "historical_avg_income": hist_income / n,
+        }
+        for week, (n, lar, income, hist_lar, hist_income) in sorted(result.weeks.items())
+    ]
 
 
 def daily_series(result: SimulationResult, clicks: Table) -> list[dict]:
     """Per-day income and sales totals for both algorithms, plus click counts.
 
-    The date range spans every day between the first and last click (or
-    replayed application, whichever is wider); days without traffic emit
-    zero entries so the series always covers the full range.  The
-    "historical" totals are restricted to the replayed applications, so
-    they compare like with like against the "vra" totals.  A day of
-    9999-12-31 raises DataError before the walk, which could not step past it.
+    The days are the :func:`replay_calendar` from the first to the last
+    click or replayed application, days without traffic emitting zero
+    entries; a span of more than :data:`MAX_REPLAY_DAYS` days raises
+    DataError.  The "historical" totals are restricted to the replayed
+    applications, so they compare like with like against the "vra" totals.
     """
     clicks.expect("clicks")
-    days, counts = np.unique(ordinal_days(clicks.columns["click_time"]), return_counts=True)
-    click_days = dict(zip(map(date.fromordinal, days.tolist()), counts.tolist()))
-    sums = result.days
-    all_days = set(click_days) | set(sums)
-    if not all_days:
+    click_days = ordinal_days(clicks.columns["click_time"])
+    bounds = np.concatenate([click_days, np.fromiter(result.days, np.int64, len(result.days))])
+    if not len(bounds):
         return []
-
-    rows = []
-    day = min(all_days)
-    last = max(all_days)
-    if last == date.max:
-        raise DataError(f"click_time on {last} is too late: the day after it is past year 9999")
-    while day <= last:
-        _, sales, income, hist_sales, hist_income = sums.get(day, _NO_SUMS)
-        rows.append(
-            {
-                "date": day.isoformat(),
-                "clicks": click_days.get(day, 0),
-                "historical": {"income": hist_income, "sales": hist_sales},
-                "vra": {"income": income, "sales": sales},
-            }
-        )
-        day += timedelta(days=1)
-    return rows
+    days = replay_calendar(int(bounds.min()), int(bounds.max())).tolist()
+    counts = np.bincount(click_days - days[0], minlength=len(days)).tolist()
+    sums = [result.days.get(day, _NO_SUMS) for day in days]
+    return [
+        {
+            "date": date.fromordinal(day).isoformat(),
+            "clicks": n_clicks,
+            "historical": {"income": s.historical_income, "sales": s.historical_sales},
+            "vra": {"income": s.income, "sales": s.sales},
+        }
+        for day, n_clicks, s in zip(days, counts, sums)
+    ]
 
 
 def evaluate_ranking(

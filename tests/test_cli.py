@@ -479,8 +479,8 @@ def _with_last_click_time(path: Path, stamp: str) -> None:
 
 @pytest.mark.parametrize("dataset", ["conversions", "clicks"])
 def test_a_click_in_the_last_days_of_year_9999_is_a_data_error(tmp_path, capsys, dataset):
-    # No week (no day, for a click) follows 9999-12-31: the replay stops on
-    # the click before it walks a single week.
+    # From the fixture's 2023 to 9999-12-31 is more days than a replay may
+    # span: one data error line before any week (any day, for a click).
     assert main(["fixture", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
     _with_last_click_time(tmp_path / f"{dataset}.csv", "9999-12-31 23:59:59")
     capsys.readouterr()
@@ -492,6 +492,24 @@ def test_a_click_in_the_last_days_of_year_9999_is_a_data_error(tmp_path, capsys,
     assert err.startswith("mfirank: data error: click_time ") and "9999-12-31" in err
     assert err.count("\n") == 1 and err.endswith("\n")
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("dataset", ["conversions", "clicks"])
+def test_a_click_in_the_year_1_is_a_data_error(tmp_path, capsys, dataset):
+    # From 0001-01-01 to the fixture's last day is 738,577 days, far more
+    # than a replay may span: one data error line and exit 2, at once.
+    assert main(["fixture", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    _with_last_click_time(tmp_path / f"{dataset}.csv", "0001-01-01 00:00:00")
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc = main(["evaluate", *dataset_flags(tmp_path), "--out", str(tmp_path / "evaluation.json")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("mfirank: data error: click_time ") and "0001-01-01" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert elapsed < 1.0
+    assert not (tmp_path / "evaluation.json").exists()
 
 
 def test_a_conversion_clicked_in_2200_ranks_each_training_prefix_once(tmp_path):

@@ -9,12 +9,12 @@ import logging
 import math
 import random
 from collections import Counter, defaultdict
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, time, timedelta
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import tables
@@ -31,9 +31,10 @@ from mfirank.data import (
     serialize_conversions,
     validate,
 )
-from mfirank.errors import MfiRankError
+from mfirank.errors import DataError, MfiRankError
 from mfirank.evaluate import (
     DEFAULT_MIN_SUPPORT,
+    MAX_REPLAY_DAYS,
     PairTable,
     ReapprovalTable,
     ReplaySums,
@@ -46,6 +47,7 @@ from mfirank.evaluate import (
     historical_ranking,
     os_contingency,
     reapproval_table,
+    replay_calendar,
     replay_codes,
     sale_incomes,
     simulate,
@@ -676,6 +678,113 @@ def test_evaluate_ranking_round_trip(fixture_triple, fixture_tables):
 
 
 # ---------------------------------------------------------------------------
+# the replay calendar against the datetime walks of weekly_schedule and
+# daily_series it replaced, kept as the reference.  They walked up to the
+# step past their last day, which overflows after 9999-12-31; here that
+# step ends the walk.
+
+
+def reference_mondays(first: datetime, last: datetime) -> list[date]:
+    mondays = []
+    monday, last = week_start(first), week_start(last)
+    while monday <= last:
+        mondays.append(monday.date())
+        try:
+            monday += timedelta(days=7)
+        except OverflowError:
+            break
+    return mondays
+
+
+def reference_days(first: date, last: date) -> list[date]:
+    days = []
+    day = first
+    while day <= last:
+        days.append(day)
+        try:
+            day += timedelta(days=1)
+        except OverflowError:
+            break
+    return days
+
+
+@st.composite
+def calendar_spans(draw):
+    """A first and a last stamp at most MAX_REPLAY_DAYS days apart, first
+    and last day included."""
+    first = draw(st.datetimes(min_value=datetime.min, max_value=datetime.max))
+    latest = first.toordinal() + MAX_REPLAY_DAYS - 1
+    last_day = date.max if latest >= date.max.toordinal() else date.fromordinal(latest)
+    last = draw(st.datetimes(min_value=first, max_value=datetime.combine(last_day, time.max)))
+    return first, last
+
+
+@settings(max_examples=60, deadline=None)
+@given(calendar_spans())
+@example((datetime(1, 1, 1), datetime(1, 3, 1, 12)))
+@example((datetime(1899, 12, 31, 23), datetime(1900, 3, 1)))
+@example((datetime(1999, 12, 31), datetime(2000, 2, 29, 23, 59)))
+@example((datetime(2023, 1, 31, 9), datetime(2023, 3, 1, 9)))
+@example((datetime(2096, 2, 28), datetime(2100, 3, 1)))
+@example((datetime(9999, 12, 27), datetime.max))
+@example((datetime(9999, 12, 31), datetime.max))
+@example((datetime(9726, 3, 18), datetime.max))  # MAX_REPLAY_DAYS, ending in the year 9999
+@example((datetime(1, 1, 1), datetime(274, 10, 16, 23)))  # MAX_REPLAY_DAYS from the year 1
+def test_the_replay_calendar_matches_the_datetime_walks(span):
+    first, last = span
+    days = replay_calendar(first.toordinal(), last.toordinal()).tolist()
+    mondays = replay_calendar(first.toordinal(), last.toordinal(), weekly=True).tolist()
+    assert list(map(date.fromordinal, days)) == reference_days(first.date(), last.date())
+    assert list(map(date.fromordinal, mondays)) == reference_mondays(first, last)
+
+
+@pytest.mark.parametrize(
+    "first", [date(1, 1, 1), date(2023, 1, 5), date.max - timedelta(days=MAX_REPLAY_DAYS)]
+)
+def test_the_replay_calendar_spans_at_most_max_replay_days(first):
+    start = first.toordinal()
+    end = start + MAX_REPLAY_DAYS - 1
+    assert len(replay_calendar(start, end)) == MAX_REPLAY_DAYS
+    mondays = reference_mondays(datetime.combine(first, time()), datetime.fromordinal(end))
+    assert len(replay_calendar(start, end, weekly=True)) == len(mondays)
+    too_late = date.fromordinal(end + 1).isoformat()
+    message = (
+        f"^click_time {first.isoformat()} to click_time {too_late} spans "
+        f"{MAX_REPLAY_DAYS + 1:,} days, more than the {MAX_REPLAY_DAYS:,} a replay may span$"
+    )
+    for weekly in (False, True):
+        with pytest.raises(DataError, match=message):
+            replay_calendar(start, end + 1, weekly=weekly)
+
+
+def test_a_log_in_the_last_week_of_year_9999_is_replayed():
+    # No week and no day follow it; the datetime walks refused it for that.
+    records, products, _ = three_week_dataset()
+    shift = datetime(9999, 12, 27) - week_start(T0)
+
+    def moved(rec):
+        return dataclasses.replace(
+            rec,
+            click_time=rec.click_time + shift,
+            conversion_time=rec.conversion_time + shift,
+            sale_time=rec.sale_time and rec.sale_time + shift,
+        )
+
+    records = [moved(r) for r in records[:12]]  # the first week
+    clicks = [
+        ClickRecord(mfi_id="good", click_time=stamp, client_id="g00", loan_type=LoanType.STANDARD)
+        for stamp in (records[0].click_time, datetime(9999, 12, 31, 23, 59, 59))
+    ]
+    conversions, products, click_tab = tables(records, products, clicks)
+    result, schedule = evaluate_ranking(conversions, products, click_tab)
+    assert [(e.week_start, e.source) for e in schedule] == [(datetime(9999, 12, 27), "historical")]
+    assert result.n_processed == 12
+    rows = daily_series(result, click_tab)
+    assert [r["date"] for r in rows] == [f"9999-12-{d}" for d in range(27, 32)]
+    assert [r["clicks"] for r in rows] == [1, 0, 0, 0, 1]
+
+
+# ---------------------------------------------------------------------------
 # client_outcomes, reapproval_table and simulate as they were before
 # evaluate_ranking shared one client-outcome map between the last two and
 # simulate memoized the week of each calendar day, and the replay sums as
@@ -922,7 +1031,7 @@ def reference_simulate(
         days={
             day: ReplaySums(*sums)
             for day, sums in reference_bucket_sums(
-                outcomes, lambda o: o.click_time.date()
+                outcomes, lambda o: o.click_time.toordinal()
             ).items()
         },
     )
