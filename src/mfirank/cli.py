@@ -138,49 +138,41 @@ _BLOCK_BYTES = 1 << 20
 
 def _dump_ranking(payload: dict, counts: np.ndarray, path: str | None) -> None:
     """Write ``payload`` plus ``"comparison_matrix": counts`` in the bytes
-    :func:`_dump_json` gives for the merged dict, for any non-negative
-    integer matrix.
+    :func:`_dump_json` gives for the merged dict, for a matrix of counts
+    from 0 to 9: a pair's count is its number of distinct features.
 
     The encoder in ``json`` renders a k-by-k integer matrix with indent
     through its pure-Python path, millions of small strings at k = 2000.
-    Here every cell is one line of a fixed width, ``"      N,\n"``, with
-    NUL bytes left of the digits up to the widest value.  A reused byte
-    buffer holds the text of a block of rows, about ``_BLOCK_BYTES``, with
-    the row frames in place: each row opens with ``"    [\n"`` and its
-    last cell ends in ``"\n    ],\n"``.  Per block, one ``np.take`` from
-    a small table of the values' digits fills the digit slots; the NULs
-    (only a matrix with a value above 9 has any) are dropped, and the
-    block is written, without the last row's ``",\n"``.  Memory beyond
-    ``counts`` stays a few blocks, whatever k.  The key must sort before
-    every payload key: the matrix then opens the object and the rest of
-    the payload follows as ``json`` renders it.
+    Here every cell is one line, ``"      N,\n"``.  A reused byte buffer
+    holds the text of a block of rows, about ``_BLOCK_BYTES``, with the
+    row frames in place: each row opens with ``"    [\n"`` and its last
+    cell ends in ``"\n    ],\n"``.  Per block, each count plus ``"0"``
+    fills its digit slot, and the block is written, without the last
+    row's ``",\n"``.  Memory beyond ``counts`` stays a few blocks,
+    whatever k.  The key must sort before every payload key: the matrix
+    then opens the object and the rest of the payload follows as ``json``
+    renders it.
     """
     import numpy as np
 
     if not counts.size:
         _dump_json({**payload, "comparison_matrix": counts.tolist()}, path)
         return
-    top = int(counts.max())
-    width = len(str(top))
-    digits = np.array(
-        [list(str(n).rjust(width, "\0").encode()) for n in range(top + 1)], dtype=np.uint8
-    )
+    if not 0 <= counts.min() <= counts.max() <= 9:
+        raise InternalError(f"comparison counts outside 0-9: {counts.min()} to {counts.max()}")
     n_rows, n_cols = counts.shape
-    cell = b"      " + bytes(width) + b",\n"
+    cell = b"      0,\n"
     row = b"    [\n" + (cell * n_cols)[:-2] + b"\n    ],\n"
     block = np.empty((max(1, _BLOCK_BYTES // len(row)), len(row)), dtype=np.uint8)
     block[:] = np.frombuffer(row, dtype=np.uint8)
-    cells = block[:, 6 : 6 + n_cols * len(cell)].reshape(len(block), n_cols, len(cell))
-    slots = cells[:, :, 6 : 6 + width]
+    slots = block[:, 6 : 6 + n_cols * len(cell)].reshape(len(block), n_cols, len(cell))[:, :, 6]
     rest = _json_text(payload)
     with _output(path) as out:
         out.write('{\n  "comparison_matrix": [\n')
         for start in range(0, n_rows, len(block)):
             rows = counts[start : start + len(block)]
-            np.take(digits, rows, axis=0, out=slots[: len(rows)])
+            np.add(rows, ord("0"), out=slots[: len(rows)], casting="unsafe")
             text = block[: len(rows)].reshape(-1)
-            if width > 1:
-                text = text[text != 0]
             end = len(text) - 2 if start + len(rows) == n_rows else len(text)
             out.write(str(memoryview(text)[:end], "ascii"))
         # ``rest`` opens with "{\n"; its first key continues this object.

@@ -16,18 +16,18 @@ bad mandatory cell drops its row with a ``RowError``; an unparseable
 optional cell becomes empty (None; False for a flag, 0 for a review
 count), and ``nan``, ``inf`` or an overflowing number is unparseable.
 
-Each input is read once, a piece of whole lines at a time, and laid out
-by one of two splitters for one column reader: every cell in one byte
-buffer, followed by one separator byte, and the separators' offsets, a
-row of them per line, the header line first.  A plain input is its own
-buffer, and one mask of its commas and line ends gives the offsets.  An
-input is plain where it is UTF-8 with no ``"``, no NUL and no CR outside
-a CRLF, and every line has the header's number of cells, none over
-``csv.field_size_limit()``, and is no comment and not blank.  Any other
-input is split into rows by the csv module, and the rows are written
-into the same layout a block at a time, so that only a block's cells are
-alive as strings: comment rows are dropped, blank rows keep their
-number, and a short row is padded with absent cells, which read as None.
+Each input is read whole, once, and laid out by one of two splitters
+for one column reader: every cell in one byte buffer, followed by one
+separator byte, and the separators' offsets, a row of them per line, the
+header line first.  A plain input is its own buffer, and one mask of its
+commas and line ends gives the offsets.  An input is plain where it is
+UTF-8 with no ``"``, no NUL and no CR outside a CRLF, and every line has
+the header's number of cells, none over ``csv.field_size_limit()``, and
+is no comment and not blank.  Any other input is split into rows by the
+csv module, and the rows are written into the same layout a block at a
+time, so that only a block's cells are alive as strings: comment rows
+are dropped, blank rows keep their number, and a short row is padded
+with absent cells, which read as None.
 The column reader numbers each column first-seen by its cells' bytes and
 widths, or reads a timestamp column as its microseconds: in the default
 format those are read in bulk, as fixed-width digits, and only the cells
@@ -568,37 +568,6 @@ def _norm_header(name: str) -> str:
     return re.sub(r"[\s\-,]+", "_", name.strip().lower()).strip("_")
 
 
-# The bytes of an input are read this many at a time, and then to the end
-# of the line: each piece is whole lines, decodable on its own.
-_PIECE_BYTES = 1 << 16
-
-
-def _pieces(stream) -> Iterator[bytes | str]:
-    """The input ``stream``, read once, past a leading byte-order mark
-    (which spreadsheet exports put before the header): a text stream's
-    text whole, the bytes of a file or binary stream as pieces of whole
-    lines, each read when it is asked for."""
-    piece = stream.read(_PIECE_BYTES)
-    text = isinstance(piece, str)
-    piece += stream.read() if text else stream.readline()
-    piece = piece.removeprefix("\ufeff" if text else codecs.BOM_UTF8)
-    while piece:
-        yield piece
-        piece = "" if text else stream.read(_PIECE_BYTES) + stream.readline()
-
-
-def _lines(head: list, rest: Iterator) -> Iterator[str]:
-    """The lines of the input pieces in ``head`` and then ``rest`` (see
-    :func:`_pieces`), each piece decoded when its lines are reached and
-    dropped once read, so the first decode or framing fault read wins.
-    newline="" leaves line breaks to the csv module, as its docs ask: a
-    bare CR ends a row instead of failing the whole file."""
-    head.reverse()
-    while head or (head := list(islice(rest, 1))):
-        piece = head.pop()
-        yield from io.StringIO(piece if isinstance(piece, str) else piece.decode(), newline="")
-
-
 def _clean(cell: str | None) -> str | None:
     if cell is None:
         return None
@@ -709,40 +678,39 @@ def _read_header(header: list[str], config: SchemaConfig, dataset: _Dataset) -> 
 
 
 def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> ParseResult:
-    """Read one dataset from a path or an open stream, once, a piece at a
-    time: every row becomes a table row or a RowError.  The pieces are kept
-    while each is plain, and a plain input is split column-wise
-    (:func:`_parse_columns`); from the first piece that is not, the csv
-    module splits the input (:func:`_parse_whole`)."""
+    """Read one dataset from a path or an open stream, whole and once, past
+    a leading byte-order mark (which spreadsheet exports put before the
+    header): every row becomes a table row or a RowError.  A plain input is
+    split column-wise (:func:`_parse_columns`); the csv module splits any
+    other (:func:`_parse_whole`), decoding as it reads, so the first decode
+    or framing fault read wins."""
     config = config or DEFAULT_SCHEMA
     if hasattr(source, "read"):
-        opened = contextlib.nullcontext(source)
+        raw = source.read()
     elif isinstance(source, str) and "\n" in source:
         raise DataError("a CSV source must be a path or an open text stream, not CSV text")
     else:
         try:
-            opened = open(source, "rb")
+            with open(source, "rb") as stream:
+                raw = stream.read()
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc}") from None
-    with opened as stream:
-        pieces = _pieces(stream)
-        head = []
-        for piece in pieces:
-            head.append(piece)
-            if not _plain_piece(piece):
-                break
-        else:
-            if head:
-                buf = _plain_bytes(head)
-                parsed = _parse_columns(buf, config, dataset)
-                if parsed is not None:
-                    return parsed
-                # The same rows for the csv module, decoded as they are read.
-                raw = io.BytesIO(buf[: len(buf) - 8].tobytes())
-                del buf
-                rows = io.TextIOWrapper(raw, "utf-8", newline="")
-                return _parse_whole(csv.reader(rows), config, dataset)
-        return _parse_whole(csv.reader(_lines(head, pieces)), config, dataset)
+    raw = raw.removeprefix("\ufeff" if isinstance(raw, str) else codecs.BOM_UTF8)
+    if raw and _plain(raw):
+        buf = _plain_bytes(raw)
+        del raw  # not alive while the columns are read
+        parsed = _parse_columns(buf, config, dataset)
+        if parsed is not None:
+            return parsed
+        raw = buf[: len(buf) - 8].tobytes()
+        del buf
+    # newline="" leaves line breaks to the csv module, as its docs ask: a
+    # bare CR ends a row instead of failing the whole file.
+    if isinstance(raw, str):
+        rows = io.StringIO(raw, newline="")
+    else:
+        rows = io.TextIOWrapper(io.BytesIO(raw), "utf-8", newline="")
+    return _parse_whole(csv.reader(rows), config, dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,39 +972,34 @@ _MASK_BYTES = 1 << 20
 _ODD_FIRST = np.array([b >= 128 or chr(b) in "#,\n" or chr(b).isspace() for b in range(256)])
 
 
-def _plain_piece(piece: bytes | str) -> bool:
-    """Whether the input piece has no ``"``, no NUL, no CR outside a CRLF
+def _plain(raw: bytes | str) -> bool:
+    """Whether the input ``raw`` has no ``"``, no NUL, no CR outside a CRLF
     and no fault of UTF-8: an undecodable byte comes back from
     "surrogateescape" as a lone surrogate, three bytes long once encoded."""
-    if isinstance(piece, str):
-        piece = piece.encode("utf-8", "surrogatepass")
+    if isinstance(raw, str):
+        raw = raw.encode("utf-8", "surrogatepass")
     return (
-        b'"' not in piece
-        and b"\0" not in piece
-        and (b"\r" not in piece or piece.count(b"\r") == piece.count(b"\r\n"))
-        and (piece.isascii() or len(piece) == len(
-            piece.decode("utf-8", "surrogateescape").encode("utf-8", "surrogatepass")
+        b'"' not in raw
+        and b"\0" not in raw
+        and (b"\r" not in raw or raw.count(b"\r") == raw.count(b"\r\n"))
+        and (raw.isascii() or len(raw) == len(
+            raw.decode("utf-8", "surrogateescape").encode("utf-8", "surrogatepass")
         ))
     )
 
 
-def _plain_bytes(pieces: list) -> np.ndarray:
-    """The plain input ``pieces`` as UTF-8 bytes with LF line ends and a
-    last LF, then eight NULs; each piece is dropped once copied."""
-    if isinstance(pieces[0], str):  # a text stream's one piece
-        pieces[0] = pieces[0].encode("utf-8")
-    buf = np.zeros(sum(map(len, pieces)) + 9, np.uint8)
-    end = 0
-    pieces.reverse()
-    while pieces:
-        piece = pieces.pop()
-        if b"\r" in piece:
-            piece = piece.replace(b"\r\n", b"\n")
-        buf[end : end + len(piece)] = np.frombuffer(piece, np.uint8)
-        end += len(piece)
-    end += int(buf[end - 1] != _NEWLINE)
+def _plain_bytes(raw: bytes | str) -> np.ndarray:
+    """The plain input ``raw`` as UTF-8 bytes with LF line ends and a last
+    LF, then eight NULs."""
+    if isinstance(raw, str):  # a text stream's text
+        raw = raw.encode("utf-8")
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+    end = len(raw) + (not raw.endswith(b"\n"))
+    buf = np.zeros(end + 8, np.uint8)
+    buf[: len(raw)] = np.frombuffer(raw, np.uint8)
     buf[end - 1] = _NEWLINE
-    return buf[: end + 8]
+    return buf
 
 
 def _separators(text: np.ndarray) -> np.ndarray:

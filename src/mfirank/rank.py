@@ -87,12 +87,16 @@ def comparison_matrix(
     pair as a scalar loop would evaluate, so ties at exactly ``tie_eps``
     resolve the same way.  The broadcast goes into one reused k-by-k
     bool buffer and is added to ``uint8`` counts, so the stage holds two
-    bytes per pair while it counts and one once it returns.
+    bytes per pair while it counts and one once it returns.  A feature may
+    be named once, so a count is at most the five features.
     """
     feats = tuple(features) if features is not None else ALL_FEATURES
     unknown = [f for f in feats if f not in ALL_FEATURES]
     if unknown:
         raise ValueError(f"unknown features: {unknown}")
+    repeated = list(dict.fromkeys(f for f in feats if feats.count(f) > 1))
+    if repeated:
+        raise ValueError(f"repeated features: {repeated}")
     if len(vectors) < 2:
         raise ValueError("pairwise comparison needs at least two feature vectors")
     if not tie_eps >= 0.0:

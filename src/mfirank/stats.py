@@ -9,8 +9,9 @@ confidence interval transformed from the log odds ratio.
 
 The CLI imports this module only for ``abtest`` (and ``evaluate``, through
 the replay's 2x2 table type).  scipy is imported only when a Welch test
-needs the Student t tail: its ``scipy.special`` import, 0.3-0.4 s, is
-the largest import an ``abtest`` with incomes still pays.  It stays
+needs the Student t tail: its ``scipy.special`` import, about 0.25-0.3 s
+beyond numpy's on a 2-core Xeon VM, is the largest import an ``abtest``
+with incomes still pays.  It stays
 because a t tail computed without scipy would change the bytes of the
 p-values in ``abtest.json``.
 """

@@ -220,6 +220,16 @@ def test_matrix_rejects_unknown_features(golden_vectors):
         comparison_matrix(golden_vectors, features=("rating", "oops"))
 
 
+def test_matrix_rejects_repeated_features():
+    # 256 repeats of one win would wrap the uint8 count to zero
+    a, b = vec("a", 1.0, 0.1, 2, 100.0, 1.0), vec("b", 2.0, 0.1, 2, 100.0, 1.0)
+    with pytest.raises(ValueError, match=r"repeated features: \['rating'\]"):
+        comparison_matrix([a, b], features=["rating"] * 256)
+    with pytest.raises(ValueError, match=r"repeated features: \['epc', 'lar'\]"):
+        comparison_matrix([a, b], features=("epc", "lar", "rating", "lar", "epc"))
+    assert comparison_matrix([a, b], features=["rating"]).counts.tolist() == [[0, 1], [0, 0]]
+
+
 def test_lower_is_better_for_the_service_period():
     fast = vec("fast", 3.0, 0.1, 2, 100.0, 1.0)
     slow = vec("slow", 3.0, 0.1, 2, 200.0, 1.0)
