@@ -461,45 +461,33 @@ def cmd_abtest(args: argparse.Namespace) -> int:
         if args.os is not None:
             raise ConfigError("--os needs group files, not --fisher counts")
         sales_a, total_a, sales_b, total_b = args.fisher
-        try:
-            p = _stage.fisher_exact_greater((sales_a, total_a), (sales_b, total_b))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        _dump_json(
-            {
-                "config_digest": config.digest(),
-                "rates": {
-                    "group_a": {"sales": sales_a, "total": total_a},
-                    "group_b": {"sales": sales_b, "total": total_b},
-                    "fisher_p_a_greater": p,
-                },
-                "income": None,
-            },
-            args.out,
-        )
-        return 0
-    if not args.group_a or not args.group_b:
-        raise ConfigError("abtest needs --group-a and --group-b, or --fisher counts")
+    else:
+        if not args.group_a or not args.group_b:
+            raise ConfigError("abtest needs --group-a and --group-b, or --fisher counts")
 
-    from . import evaluate as ev
+        from . import evaluate as ev
 
-    group_a = _logged(_parse(_stage.parse_conversions, args.group_a, config), "group-a").table
-    group_b = _logged(_parse(_stage.parse_conversions, args.group_b, config), "group-b").table
-    if not group_a or not group_b:
-        raise DataError("both experiment groups need at least one application")
-
-    sales_a, total_a = ev.group_counts(group_a)
-    sales_b, total_b = ev.group_counts(group_b)
+        group_a = _logged(_parse(_stage.parse_conversions, args.group_a, config), "group-a").table
+        group_b = _logged(_parse(_stage.parse_conversions, args.group_b, config), "group-b").table
+        if not group_a or not group_b:
+            raise DataError("both experiment groups need at least one application")
+        (sales_a, total_a), (sales_b, total_b) = ev.group_counts(group_a), ev.group_counts(group_b)
+    try:
+        p = _stage.fisher_exact_greater((sales_a, total_a), (sales_b, total_b))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     payload: dict = {
         "config_digest": config.digest(),
         "rates": {
             "group_a": {"sales": sales_a, "total": total_a},
             "group_b": {"sales": sales_b, "total": total_b},
-            "fisher_p_a_greater": _stage.fisher_exact_greater(
-                (sales_a, total_a), (sales_b, total_b)
-            ),
+            "fisher_p_a_greater": p,
         },
+        "income": None,
     }
+    if args.fisher is not None:
+        _dump_json(payload, args.out)
+        return 0
 
     incomes_a = ev.sale_incomes(group_a)
     incomes_b = ev.sale_incomes(group_b)
@@ -513,8 +501,6 @@ def cmd_abtest(args: argparse.Namespace) -> int:
             "p_a_greater": welch.p_value,
             "degenerate": welch.degenerate,
         }
-    else:
-        payload["income"] = None
 
     if args.os is not None:
         table = ev.os_contingency((group_a, group_b), args.os)

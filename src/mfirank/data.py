@@ -23,13 +23,14 @@ header line first.  A plain input is its own buffer, and one mask of its
 commas and line ends gives the offsets.  An input is plain where it is
 UTF-8 with no ``"``, no NUL and no CR outside a CRLF, and every line has
 the header's number of cells, none over ``csv.field_size_limit()``, and
-is no comment and not blank.  Any other input is split into rows by the
-csv module, and the rows are written into the same layout a block at a
-time, so that only a block's cells are alive as strings: comment rows
-are dropped, blank rows keep their number, and a short row is padded
-with absent cells, which read as None.
+is no comment and not blank.  Any other input is checked whole for a
+fault of UTF-8, a ``DataError`` that names its line, split into rows by
+the csv module, and written into the same layout a block at a time, so
+that only a block's cells are alive as strings: comment rows are
+dropped, blank rows keep their number, and a short row is padded with
+absent cells, which read as None.
 The column reader numbers each column first-seen by its cells' bytes and
-widths, or reads a timestamp column as its microseconds: in the default
+widths, or reads a timestamp column as ``datetime64[us]``: in the default
 format those are read in bulk, as fixed-width digits, and only the cells
 that do not fit that shape go through the cell parser.  Every cell
 parser and check is a pure function of the cell text, so
@@ -39,7 +40,7 @@ order, numbers the row errors and codes the accepted rows.
 
 The accepted rows fill one columnar :class:`Table` per file, in file
 order: id and text cells as first-seen integer codes, timestamps as
-integer microseconds with a missing mask, numbers as floats with NaN for
+``datetime64[us]`` with NaT for missing, numbers as floats with NaN for
 missing, status and loan type as small integer codes.  The result is the
 one a row-by-row reading gives: records and row errors in row order, and
 the same ``DataError`` where the file has one.
@@ -66,7 +67,7 @@ import re
 from array import array
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from enum import Enum
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -397,34 +398,25 @@ _CLICKS = _Dataset(
 LOAN_TYPES = tuple(LoanType)
 STATUSES = tuple(Status)
 
-_MICROS_PER_DAY = 86_400_000_000
-_EPOCH = datetime(1970, 1, 1)
-_EPOCH_ORDINAL = _EPOCH.toordinal()
-_MICROSECOND = timedelta(microseconds=1)
-_NOT_A_TIME = np.iinfo(np.int64).min  # NaT as a datetime64 integer
+_EPOCH_ORDINAL = datetime(1970, 1, 1).toordinal()
 
 _DTYPES = {
     _ID: np.int32, _TEXT: np.int32, _LOAN_TYPE: np.int8, _STATUS: np.int8,
-    _TIMESTAMP: np.int64, _FLOAT: np.float64, _RATING: np.float64, _RANK: np.float64,
+    _TIMESTAMP: "M8[us]", _FLOAT: np.float64, _RATING: np.float64, _RANK: np.float64,
     _COUNT: np.float64, _BOOL: np.bool_,
 }
 _MEMBERS = {_LOAN_TYPE: LOAN_TYPES, _STATUS: STATUSES}
 
 
-def to_micros(moment: datetime) -> int:
-    """Microseconds from 1970-01-01 00:00 to ``moment``."""
-    return (moment - _EPOCH) // _MICROSECOND
-
-
-def ordinal_days(micros: np.ndarray) -> np.ndarray:
+def ordinal_days(stamps: np.ndarray) -> np.ndarray:
     """The proleptic ordinal (``date.toordinal``) of each timestamp's date."""
-    return micros // _MICROS_PER_DAY + _EPOCH_ORDINAL
+    return stamps.astype("M8[D]").view(np.int64) + _EPOCH_ORDINAL
 
 
-def day_micros(days: np.ndarray) -> np.ndarray:
+def midnights(days: np.ndarray) -> np.ndarray:
     """The timestamp of 00:00 on each proleptic ordinal day, the inverse of
     :func:`ordinal_days` on midnights."""
-    return (days - _EPOCH_ORDINAL) * _MICROS_PER_DAY
+    return (days - _EPOCH_ORDINAL).astype("M8[D]")
 
 
 def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -438,9 +430,10 @@ def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _codes(kind: str, values: Sequence, names: dict) -> list:
-    """The column entry of each parsed value (not a timestamp): id and text
-    values are interned into ``names``, new ones in order; an unmapped loan
-    type (of a rejected row) reads as -1."""
+    """The column entry of each parsed value: id and text values are
+    interned into ``names``, new ones in order; an unmapped loan type (of a
+    rejected row) reads as -1; a timestamp stays as it is (None reads as NaT
+    in its column)."""
     if kind in (_ID, _TEXT):
         fresh = [value for value in dict.fromkeys(values) if value not in names]
         names.update(zip(fresh, range(len(names), len(names) + len(fresh))))
@@ -450,6 +443,8 @@ def _codes(kind: str, values: Sequence, names: dict) -> list:
         return list(map(code.__getitem__, values))
     if kind == _BOOL:
         return list(map(bool, values))
+    if kind == _TIMESTAMP:
+        return list(values)
     return [math.nan if value is None else value for value in values]
 
 
@@ -473,16 +468,14 @@ class Table:
     ``columns`` maps every record field to one array with an entry per
     row.  Id and text fields hold int32 codes into ``names[field]``, their
     distinct values in first-seen order.  Loan type and status hold int8
-    positions in ``LOAN_TYPES`` and ``STATUSES``.  Timestamps hold int64
-    microseconds since 1970-01-01, 0 where ``missing[field]`` marks an
-    empty cell.  Floats, ratings, ranks and review counts hold float64,
-    NaN where empty; flags hold bools.
+    positions in ``LOAN_TYPES`` and ``STATUSES``.  Timestamps hold
+    ``datetime64[us]``, NaT where empty.  Floats, ratings, ranks and review
+    counts hold float64, NaN where empty; flags hold bools.
     """
 
     dataset: _Dataset
     columns: Mapping[str, np.ndarray]
     names: Mapping[str, tuple]
-    missing: Mapping[str, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.columns[self.dataset.columns[0][0]])
@@ -498,7 +491,6 @@ class Table:
             self.dataset,
             {name: column[rows] for name, column in self.columns.items()},
             self.names,
-            {name: mask[rows] for name, mask in self.missing.items()},
         )
 
     def records(self) -> list:
@@ -518,8 +510,7 @@ class Table:
         if kind in _MEMBERS:
             return np.array(_MEMBERS[kind], dtype=object)[column].tolist()
         if kind == _TIMESTAMP:
-            stamps = np.where(self.missing[name], _NOT_A_TIME, column)
-            return stamps.view("M8[us]").astype(object).tolist()  # NaT reads as None
+            return column.astype(object).tolist()  # NaT reads as None
         values = column.tolist()
         if kind == _BOOL:
             return values
@@ -531,16 +522,11 @@ class Table:
 
     @classmethod
     def from_records(cls, records: Sequence, dataset: _Dataset) -> Table:
-        columns, names, missing = {}, {}, {}
+        columns, names = {}, {}
         for name, kind in dataset.columns:
             values = [getattr(r, name) for r in records]
-            if kind == _TIMESTAMP:
-                missing[name] = np.array([v is None for v in values], bool)
-                micros = (0 if v is None else to_micros(v) for v in values)
-                columns[name] = np.fromiter(micros, np.int64, len(values))
-                continue
             columns[name] = np.array(_codes(kind, values, names.setdefault(name, {})), _DTYPES[kind])
-        return cls(dataset, columns, _names(dataset, names), missing)
+        return cls(dataset, columns, _names(dataset, names))
 
 
 def _names(dataset: _Dataset, interned: Mapping[str, dict]) -> dict[str, tuple]:
@@ -681,9 +667,9 @@ def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> Parse
     """Read one dataset from a path or an open stream, whole and once, past
     a leading byte-order mark (which spreadsheet exports put before the
     header): every row becomes a table row or a RowError.  A plain input is
-    split column-wise (:func:`_parse_columns`); the csv module splits any
-    other (:func:`_parse_whole`), decoding as it reads, so the first decode
-    or framing fault read wins."""
+    split column-wise (:func:`_parse_columns`); any other is checked whole
+    for a fault of UTF-8, which names its line and wins over any framing
+    fault, and the csv module splits it (:func:`_parse_whole`)."""
     config = config or DEFAULT_SCHEMA
     if hasattr(source, "read"):
         raw = source.read()
@@ -709,6 +695,13 @@ def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> Parse
     if isinstance(raw, str):
         rows = io.StringIO(raw, newline="")
     else:
+        try:
+            # Only to find a fault: a StringIO of the text would hold it as
+            # 4-byte code points, where the reader decodes a block at a time.
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{dataset.name}: not UTF-8 text: {exc} (line {line})") from None
         rows = io.TextIOWrapper(io.BytesIO(raw), "utf-8", newline="")
     return _parse_whole(csv.reader(rows), config, dataset)
 
@@ -811,10 +804,9 @@ def _bulk_stamps(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _stamps(
     buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, parse: Callable, bulk: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The microseconds since 1970 of each timestamp cell ``buf[start:end]``
-    and the mask of the cells that read as no timestamp, as the cell parser
-    ``parse`` reads them.
+) -> np.ndarray:
+    """Each timestamp cell ``buf[start:end]`` as ``datetime64[us]``, NaT
+    where it reads as no timestamp, as the cell parser ``parse`` reads it.
 
     With ``bulk`` (the default format), a cell of the shape
     ``NNNN-NN-NN NN:NN:NN`` that names a real moment is read arithmetically
@@ -822,27 +814,21 @@ def _stamps(
     Every other non-empty cell goes to ``parse``, once per distinct cell.
     """
     widths = ends - starts
-    micros = np.zeros(len(widths), np.int64)
-    missing = widths <= 0
-    rest = ~missing
+    stamps = np.full(len(widths), np.datetime64("NaT"), "M8[us]")
+    rest = widths > 0
     if bulk:
         rows = np.flatnonzero(widths == _STAMP_WIDTH)
         # Three words hold a cell of the default shape, and 5 bytes past it.
         windows = _words(buf)
         shaped = np.stack([windows[starts[rows] + k] for k in (0, 8, 16)], 1).view(np.uint8)
         ok, read = _bulk_stamps(shaped)
-        micros[rows[ok]] = read[ok]
+        stamps[rows[ok]] = read[ok].view("M8[us]")
         rest[rows[ok]] = False
     rows = np.flatnonzero(rest)
-    memo: dict = {}
-    for j, cell in zip(rows.tolist(), _texts(buf, starts[rows], ends[rows])):
-        if cell not in memo:
-            memo[cell] = parse(cell)
-        if memo[cell] is None:
-            missing[j] = True
-        else:
-            micros[j] = to_micros(memo[cell])
-    return micros, missing
+    cells = _texts(buf, starts[rows], ends[rows])
+    parsed = {cell: parse(cell) for cell in dict.fromkeys(cells)}
+    stamps[rows] = np.array(list(map(parsed.__getitem__, cells)), "M8[us]")
+    return stamps
 
 
 def _column(ends: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -879,7 +865,7 @@ def _read_columns(
         return starts, stops if counts is None else np.where(counts > i, stops, starts - 1)
 
     distinct: dict[str, tuple[list, np.ndarray]] = {}
-    stamps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    stamps: dict[str, np.ndarray] = {}
     for name, kind in dataset.columns:
         s, e = cells(name)
         if kind == _TIMESTAMP:
@@ -904,7 +890,7 @@ def _accept(
     """The table of the accepted rows of ``numbers`` and the row errors of
     the others.  Each column comes as its distinct cells, first-seen, and
     each row's place among them (``distinct``), or a timestamp column as its
-    microseconds and missing mask (``stamps``), ``texts(name, rows)`` giving
+    ``datetime64[us]`` values (``stamps``), ``texts(name, rows)`` giving
     those rows' cells.  A row is rejected by the first of ``dataset.checks``
     it fails; a value of the unique column repeated by a row not rejected up
     to its check is a DataError naming both rows.  Id and text columns are
@@ -916,7 +902,7 @@ def _accept(
     for order, name in enumerate(dataset.checks):
         reject = _REJECTS[kinds[name]]
         if name in stamps:
-            rows = np.flatnonzero(stamps[name][1])
+            rows = np.flatnonzero(np.isnat(stamps[name]))
             failing = zip(rows.tolist(), [reject(None, cell) for cell in texts(name, rows)])
         else:
             cells, place = distinct[name]
@@ -949,7 +935,7 @@ def _accept(
     columns, interned = {}, {}
     for name, kind in dataset.columns:
         if name in stamps:
-            columns[name] = stamps[name][0][accepted]
+            columns[name] = stamps[name][accepted]
             continue
         codes = np.array(_codes(kind, values.pop(name), interned.setdefault(name, {})), _DTYPES[kind])
         columns[name] = codes[distinct[name][1][accepted]]
@@ -958,8 +944,7 @@ def _accept(
         for name, values in names.items():
             kept, columns[name] = first_seen(columns[name])
             names[name] = tuple(map(values.__getitem__, kept.tolist()))
-    missing = {name: mask[accepted] for name, (_, mask) in stamps.items()}
-    return ParseResult(Table(dataset, columns, names, missing), errors)
+    return ParseResult(Table(dataset, columns, names), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,8 +1037,6 @@ def _parse_whole(rows: Iterator[list[str]], config: SchemaConfig, dataset: _Data
             laid_out = _lay_out(rows, dataset)
     except csv.Error as exc:
         raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{dataset.name}: not UTF-8 text: {exc}") from None
     return _read_columns(*laid_out, config, dataset)
 
 
@@ -1214,12 +1197,13 @@ def derive_timeline(record: ConversionRecord) -> Timeline:
     return Timeline(conversion, processing)
 
 
-def _seconds(micros: np.ndarray) -> np.ndarray:
-    """``micros`` in seconds, as ``timedelta.total_seconds`` reads them: a
-    correctly rounded quotient, so beyond 2**53 the integers divide exactly."""
-    seconds = micros / 1e6
-    big = np.flatnonzero(np.abs(micros) > 2**53)
-    seconds[big] = [us / 10**6 for us in micros[big].tolist()]
+def _seconds(delta: np.ndarray) -> np.ndarray:
+    """The ``timedelta64[us]`` values ``delta`` in seconds, NaN for NaT, as
+    ``timedelta.total_seconds`` reads them: a correctly rounded quotient, so
+    beyond 2**53 microseconds the integers divide exactly."""
+    seconds = delta / np.timedelta64(1, "s")
+    big = np.flatnonzero(abs(delta) > np.timedelta64(2**53, "us"))
+    seconds[big] = [moment.total_seconds() for moment in delta[big].tolist()]
     return seconds
 
 
@@ -1228,20 +1212,16 @@ def timeline_columns(conversions: Table) -> tuple[np.ndarray, np.ndarray, np.nda
     conversion and processing periods in seconds, NaN where absent, both
     absent where a negative difference marks the row invalid, and the mask
     of the invalid rows."""
-    columns, missing = conversions.columns, conversions.missing
-    submitted = ~missing["conversion_time"]
-    paid = (
-        submitted
-        & ~missing["sale_time"]
-        & (columns["status"] == STATUSES.index(Status.SALE))
-    )
-    conversion = np.where(submitted, columns["conversion_time"] - columns["click_time"], 0)
-    processing = np.where(paid, columns["sale_time"] - columns["conversion_time"], 0)
-    valid = (conversion >= 0) & (processing >= 0)
+    columns = conversions.columns
+    submitted_at = columns["conversion_time"]
+    conversion = submitted_at - columns["click_time"]  # NaT where not submitted
+    sale = columns["status"] == STATUSES.index(Status.SALE)
+    processing = np.where(sale, columns["sale_time"] - submitted_at, np.timedelta64("NaT"))
+    invalid = (conversion < np.timedelta64(0)) | (processing < np.timedelta64(0))
     return (
-        np.where(submitted & valid, _seconds(conversion), np.nan),
-        np.where(paid & valid, _seconds(processing), np.nan),
-        ~valid,
+        np.where(invalid, np.nan, _seconds(conversion)),
+        np.where(invalid, np.nan, _seconds(processing)),
+        invalid,
     )
 
 
@@ -1298,7 +1278,7 @@ def validate(
 ) -> ValidationReport:
     """Report-only integrity check across the three datasets."""
     clicks.expect("clicks")
-    columns, missing = conversions.columns, conversions.missing
+    columns = conversions.columns
     n = len(conversions)
     sale_code = STATUSES.index(Status.SALE)
     statuses = np.bincount(columns["status"], minlength=len(STATUSES)).tolist()
@@ -1334,13 +1314,14 @@ def validate(
     click, submitted_at, paid_at = (
         columns[name] for name in ("click_time", "conversion_time", "sale_time")
     )
-    submitted, paid = ~missing["conversion_time"], ~missing["sale_time"]
+    paid = ~np.isnat(paid_at)
     sale = columns["status"] == sale_code
     income = columns["income"]
+    # NaT compares False: an empty timestamp is before or after nothing.
     bad_records = Counter({
-        "conversion_time before click_time": int((submitted & (submitted_at < click)).sum()),
+        "conversion_time before click_time": int((submitted_at < click).sum()),
         "sale_time before conversion_time": int(
-            (paid & (paid_at < np.where(submitted, submitted_at, click))).sum()
+            (paid_at < np.where(np.isnat(submitted_at), click, submitted_at)).sum()
         ),
         "sale without sale_time": int((sale & ~paid).sum()),
         "sale without income": int((sale & np.isnan(income)).sum()),

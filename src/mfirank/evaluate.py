@@ -48,9 +48,9 @@ from .data import (
     ProductRecord,
     Status,
     Table,
-    day_micros,
     filter_loan_type,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
     first_seen,
+    midnights,
     ordinal_days,
     realized,
 )
@@ -63,7 +63,7 @@ from .features import (
 )
 from .rank import rank_mfis
 from .stats import TwoByTwo
-from .weeks import week_start
+from .weeks import monday, week_start
 
 logger = logging.getLogger(__name__)
 
@@ -71,11 +71,6 @@ logger = logging.getLogger(__name__)
 _PENDING, _SALE, _REJECTED = map(STATUSES.index, (Status.PENDING, Status.SALE, Status.REJECTED))
 
 MAX_REPLAY_DAYS = 100_000  # the most days a replay spans, first and last included: ~274 years
-
-
-def _monday(day):
-    """The ordinal of the Monday of the week of each ordinal ``day``."""
-    return day - (day + 6) % 7  # date.weekday() is (ordinal + 6) % 7
 
 
 def replay_calendar(first: int, last: int, *, weekly: bool = False) -> np.ndarray:
@@ -88,7 +83,7 @@ def replay_calendar(first: int, last: int, *, weekly: bool = False) -> np.ndarra
             f"click_time {date.fromordinal(first)} to click_time {date.fromordinal(last)} "
             f"spans {span:,} days, more than the {MAX_REPLAY_DAYS:,} a replay may span"
         )
-    return np.arange(_monday(first), last + 1, 7) if weekly else np.arange(first, last + 1)
+    return np.arange(monday(first), last + 1, 7) if weekly else np.arange(first, last + 1)
 
 
 def _click_order(times: np.ndarray) -> np.ndarray:
@@ -183,7 +178,7 @@ def replay_codes(conversions: Table) -> ReplayCodes:
         paid=paid,
         order=_click_order(times),
         day=day,
-        week=_monday(day),
+        week=monday(day),
     )
 
 
@@ -356,7 +351,7 @@ def weekly_schedule(
     clicks = clicks.take(np.argsort(clicks.columns["click_time"], kind="stable"))
     conv_times, click_times = by_time.columns["click_time"], clicks.columns["click_time"]
     mondays = replay_calendar(*ordinal_days(conv_times[[0, -1]]).tolist(), weekly=True)
-    cuts = day_micros(mondays)
+    cuts = midnights(mondays)
     ends = [np.searchsorted(times, cuts).tolist() for times in (conv_times, click_times)]
     prefixes = FeaturePrefixes(
         by_time, products, clicks, features=features, duration_rules=duration_rules
@@ -366,8 +361,8 @@ def weekly_schedule(
     current = tuple(historical_ranking(conversions))
     source = "historical"
     trained = (0, 0)
-    for monday, prefix in zip(mondays.tolist(), zip(*ends)):
-        start = datetime.fromordinal(monday)
+    for day, prefix in zip(mondays.tolist(), zip(*ends)):
+        start = datetime.fromordinal(day)
         if prefix[0] and prefix != trained:
             trained = prefix
             try:

@@ -206,15 +206,20 @@ def test_unreadable_file_is_a_data_error():
 @pytest.mark.parametrize("good_rows", [0, 3000])
 def test_a_file_that_is_not_utf8_is_a_data_error_naming_the_dataset(tmp_path, given, good_rows):
     # Cyrillic status text in cp1251, a common export encoding, after
-    # enough good rows that a streamed read meets it well past the start
+    # enough good rows that a streamed read meets it well past the start;
+    # the message names the line, the header being line 1
     good = "18,standard,2021-03-01 10:00:00,sale,c1\n" * good_rows
     bad = "18,standard,2021-03-01 10:00:00,одобрен,c2\n"
     data = f"{CONV_HEADER}\n{good}".encode() + bad.encode("cp1251")
     path = tmp_path / "conversions.csv"
     path.write_bytes(data)
     source = str(path) if given == "path" else io.BytesIO(data)
-    with pytest.raises(DataError, match="^conversions: not UTF-8 text: 'utf-8' codec can't decode"):
+    prefix = "^conversions: not UTF-8 text: 'utf-8' codec can't decode"
+    with pytest.raises(DataError, match=prefix) as info:
         parse_conversions(source)
+    position = len(data) - len(bad) + bad.index("\u043e")  # one cp1251 byte a letter
+    suffix = f"in position {position}: invalid continuation byte (line {good_rows + 2})"
+    assert str(info.value).endswith(suffix)
 
 
 def test_csv_text_passed_as_a_source_is_a_data_error():
@@ -612,13 +617,18 @@ STAMP_CELLS = [
 ]
 
 
-def cell_stamps(column, parse) -> tuple[list, list]:
-    """(microseconds, missing) of each cell by the cell parser alone."""
-    values = [parse(cell) for cell in column]
-    return (
-        [0 if v is None else mfirank.data.to_micros(v) for v in values],
-        [v is None for v in values],
-    )
+def cell_stamps(column, parse) -> list:
+    """Each cell as the cell parser alone reads it, None for no timestamp."""
+    return [parse(cell) for cell in column]
+
+
+def assert_stamps_match(stamps: np.ndarray, column, parse) -> None:
+    """``stamps`` are ``datetime64[us]``, NaT exactly where the cell parser
+    reads a cell of ``column`` as None, and the parser's moment elsewhere."""
+    expected = cell_stamps(column, parse)
+    assert stamps.dtype == np.dtype("M8[us]")
+    assert np.isnat(stamps).tolist() == [value is None for value in expected]
+    assert stamps.tolist() == expected  # NaT reads back as None
 
 
 def stamp_buffer(column) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -638,8 +648,24 @@ def assert_bulk_stamps_match(column, config=DEFAULT_SCHEMA):
     column = [cell if cell is None else cell.replace("\r\n", "\n") for cell in column]
     parse = _cell_parsers(config)[mfirank.data._TIMESTAMP]
     bulk = config.timestamp_format == TIMESTAMP_FORMAT
-    micros, missing = mfirank.data._stamps(*stamp_buffer(column), parse, bulk)
-    assert (micros.tolist(), missing.tolist()) == cell_stamps(column, parse)
+    assert_stamps_match(mfirank.data._stamps(*stamp_buffer(column), parse, bulk), column, parse)
+
+
+def assert_splitters_match_the_cell_parser(column):
+    """Both splitters read ``column`` as the optional conversion_time of a
+    conversions file as the cell parser reads each cell; the column reader
+    gets the cells that leave the file plain."""
+    parse = _cell_parsers(DEFAULT_SCHEMA)[mfirank.data._TIMESTAMP]
+    column = ["" if cell is None else cell for cell in column]
+    plain = [cell for cell in column if not set(cell) & set('",\r\n\0')]
+    for read, cells in ((csv_path, column), (column_reader, plain)):
+        text = io.StringIO()
+        text.write(CONV_HEADER + ",conversion_time\n")
+        rows = (["18", "standard", "2021-03-01 10:00:00", "sale", f"c{i}", c] for i, c in enumerate(cells))
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        got = read(text.getvalue(), _CONVERSIONS)
+        if cells:
+            assert_stamps_match(got.table.columns["conversion_time"], cells, parse)
 
 
 def test_bulk_timestamps_match_the_cell_parser():
@@ -677,6 +703,7 @@ STAMP_CHARS = st.sampled_from("0123456789-: T+Z.a\u0663")
 )
 def test_bulk_timestamps_match_the_cell_parser_on_drawn_cells(cells):
     assert_bulk_stamps_match(cells)
+    assert_splitters_match_the_cell_parser(cells)
 
 
 @pytest.mark.parametrize("fmt", ["%d.%m.%Y %H:%M", "%Y-%m-%d %H:%M:%S.%f", "%Y-%m-%dT%H:%M:%S"])
@@ -757,10 +784,18 @@ def reference_filter_loan_type(records, loan_type):
 
 def test_loan_type_filters():
     loan_types = [LoanType.STANDARD, LoanType.LONG_TERM, LoanType.STANDARD, LoanType.INTEREST_FREE]
-    conversions = [_app(client_id=f"c{i}", loan_type=t) for i, t in enumerate(loan_types)]
+    submitted = [datetime(2021, 3, 1, 10, 5), None, None, datetime(1, 1, 1)]
+    conversions = [
+        _app(client_id=f"c{i}", loan_type=t, conversion_time=at)
+        for i, (t, at) in enumerate(zip(loan_types, submitted))
+    ]
     clicks = [ClickRecord(r.mfi_id, r.click_time, r.client_id, r.loan_type) for r in conversions]
     products = [ProductRecord("18", f"card-{i}", t) for i, t in enumerate(loan_types)]
     cards = parse_products(io.StringIO(serialize_products(products))).table
+    # A None timestamp is NaT in its column, and reads back as None.
+    stamps = conversion_table(conversions).columns["conversion_time"]
+    assert stamps.dtype == np.dtype("M8[us]")
+    assert np.isnat(stamps).tolist() == [at is None for at in submitted]
     for records, table in (
         (conversions, conversion_table(conversions)),
         (clicks, click_table(clicks)),
@@ -1053,9 +1088,12 @@ def reference_has_click(conversions, clicks):
         np.stack([
             _recoded(conversions, clicks, "mfi_id"),
             _recoded(conversions, clicks, "client_id"),
-            conversions.columns["click_time"],
+            conversions.columns["click_time"].view(np.int64),
         ], axis=1),
-        np.stack([clicks.columns[name] for name in ("mfi_id", "client_id", "click_time")], axis=1),
+        np.stack([
+            clicks.columns["mfi_id"], clicks.columns["client_id"],
+            clicks.columns["click_time"].view(np.int64),
+        ], axis=1),
     ])
     _, key = np.unique(keys, axis=0, return_inverse=True)
     key = key.reshape(-1)
@@ -1226,7 +1264,7 @@ def chunk_texts(draw, name, plain=False):
 
 
 def assert_same_table(got: ParseResult | str, expected: ParseResult | str) -> None:
-    """The same row errors, names, column bytes and missing masks, or the
+    """The same row errors, names and column bytes (NaT included), or the
     same DataError."""
     if isinstance(expected, str):
         assert got == expected
@@ -1238,9 +1276,6 @@ def assert_same_table(got: ParseResult | str, expected: ParseResult | str) -> No
     for name, column in expected.table.columns.items():
         assert got.table.columns[name].dtype == column.dtype
         assert got.table.columns[name].tobytes() == column.tobytes(), name
-    assert got.table.missing.keys() == expected.table.missing.keys()
-    for name, mask in expected.table.missing.items():
-        assert got.table.missing[name].tobytes() == mask.tobytes(), name
 
 
 def stream(raw: str | bytes):
@@ -1253,12 +1288,16 @@ def unmarked(raw: str | bytes) -> str | bytes:
 
 
 def csv_path(raw: str | bytes, dataset) -> ParseResult | str:
-    """The csv module's reading of ``raw``, or its DataError."""
+    """The csv module's reading of ``raw``, or its DataError; bytes that are
+    not UTF-8 are one, naming the line of the fault."""
     raw = unmarked(raw)
-    if isinstance(raw, str):
-        rows = csv.reader(io.StringIO(raw, newline=""))
-    else:
-        rows = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8", newline=""))
+    if not isinstance(raw, str):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            return f"{dataset.name}: not UTF-8 text: {exc} (line {line})"
+    rows = csv.reader(io.StringIO(raw, newline=""))
     return _parsed_or_error(lambda rows: _parse_whole(rows, DEFAULT_SCHEMA, dataset), rows)
 
 
@@ -1490,7 +1529,15 @@ def _piece_bytes(pieces: list) -> np.ndarray:
 def piece_reader(stream, dataset) -> ParseResult:
     """Read one dataset from an open stream, a piece at a time.  The pieces
     are kept while each is plain, and a plain input is split column-wise;
-    from the first piece that is not, the csv module splits the input."""
+    from the first piece that is not, the csv module splits the input, and
+    the first decode or framing fault read wins."""
+    try:
+        return _read_pieces(stream, dataset)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{dataset.name}: not UTF-8 text: {exc}") from None
+
+
+def _read_pieces(stream, dataset) -> ParseResult:
     pieces = _pieces(stream)
     head = []
     for piece in pieces:
@@ -1519,8 +1566,8 @@ def piece_reader(stream, dataset) -> ParseResult:
     tail=st.sampled_from(["", "fault", "huge cell"]),
 )
 def test_an_input_read_whole_reads_as_the_piece_reader_reads_it(data, name, plain, as_bytes, long, tail):
-    # A fault of UTF-8 is the same data error, but its byte position counts
-    # from the block the text layer decodes, not from the piece.
+    # A fault of UTF-8 is the same data error, but it names its line, and its
+    # byte position counts from the start of the input, not from the piece.
     prefix, body = data.draw(chunk_texts(name, plain=plain))
     if long:  # more rows than one piece holds
         rows = body if body.endswith(("\n", "\r")) else body + "\n"
@@ -1535,7 +1582,9 @@ def test_an_input_read_whole_reads_as_the_piece_reader_reads_it(data, name, plai
         raw += "\nод\ud800"  # no fault of UTF-8 in a text: a lone surrogate
 
     def normalized(got):
-        return re.sub(r"position \d+", "position N", got) if isinstance(got, str) else got
+        if not isinstance(got, str):
+            return got
+        return re.sub(r"position \d+", "position N", re.sub(r" \(line \d+\)$", "", got))
 
     expected = _parsed_or_error(lambda source: piece_reader(source, CHUNK_DATASETS[name]), stream(raw))
     got = _parsed_or_error(CHUNK_PARSERS[name], stream(raw))

@@ -59,6 +59,7 @@ from mfirank.features import FeaturePrefixes, LarPrior, feature_table, normalize
 from mfirank.fixtures import FixtureConfig, generate_fixture
 from mfirank.rank import rank_mfis
 from mfirank.stats import TwoByTwo
+from mfirank.weeks import monday
 
 T0 = datetime(2021, 3, 1, 10, 0, 0)  # a Monday
 
@@ -162,6 +163,22 @@ def test_week_start_is_monday_midnight():
     assert week_start(datetime(2021, 3, 3, 15, 30)) == datetime(2021, 3, 1)
     assert week_start(datetime(2021, 3, 1, 0, 0)) == datetime(2021, 3, 1)
     assert week_start(datetime(2021, 3, 7, 23, 59)) == datetime(2021, 3, 1)
+
+
+def reference_week_start(moment: datetime) -> datetime:
+    """The weekday rule that the ordinal rule replaced, kept as the reference."""
+    monday = moment.date() - timedelta(days=moment.weekday())
+    return datetime(monday.year, monday.month, monday.day)
+
+
+@given(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999)))
+@example(datetime(1, 1, 1))
+@example(datetime(9999, 12, 31, 23, 59, 59, 999999))
+def test_the_ordinal_week_rule_matches_the_weekday_rule(moment):
+    assert week_start(moment) == reference_week_start(moment)
+    day = moment.toordinal()
+    assert monday(day) == reference_week_start(moment).toordinal()
+    assert monday(np.array([day, day + 7])).tolist() == [monday(day), monday(day) + 7]
 
 
 def test_historical_ranking_uses_the_latest_stamp():
