@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import gc
 import importlib
 import json
 import logging
@@ -199,23 +198,14 @@ def _logged(result: ParseResult, dataset: str) -> ParseResult:
     return result
 
 
-def _parse(parse, path: str, config: PipelineConfig) -> ParseResult:
-    """``parse(path, config.schema)``, its objects moved out of the
-    collector's reach: a subcommand keeps them until it exits, and every
-    later collection would re-scan them."""
-    result = parse(path, config.schema)
-    gc.freeze()
-    return result
-
-
 def _load_datasets(args: argparse.Namespace, config: PipelineConfig):
     """The conversions and clicks tables and the product cards of
     ``config.loan_type``, then every product card (page constraints may
     name another loan type).  The one place that selects a loan type:
     later stages use every row given."""
-    conversions = _logged(_parse(_stage.parse_conversions, args.conversions, config), "conversions")
-    products = _logged(_parse(_stage.parse_products, args.products, config), "products").table
-    clicks = _logged(_parse(_stage.parse_clicks, args.clicks, config), "clicks")
+    conversions = _logged(_stage.parse_conversions(args.conversions, config.schema), "conversions")
+    products = _logged(_stage.parse_products(args.products, config.schema), "products").table
+    clicks = _logged(_stage.parse_clicks(args.clicks, config.schema), "clicks")
     conversions, cards, clicks = (
         _stage.filter_loan_type(table, config.loan_type)
         for table in (conversions.table, products, clicks.table)
@@ -239,9 +229,9 @@ def _feature_table(args: argparse.Namespace, config: PipelineConfig):
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    conv = _parse(_stage.parse_conversions, args.conversions, config)
-    prod = _parse(_stage.parse_products, args.products, config)
-    clk = _parse(_stage.parse_clicks, args.clicks, config)
+    conv = _stage.parse_conversions(args.conversions, config.schema)
+    prod = _stage.parse_products(args.products, config.schema)
+    clk = _stage.parse_clicks(args.clicks, config.schema)
     report = _stage.validate(conv.table, prod.records, clk.table)
     payload = report.to_dict()
     payload["row_errors"] = {
@@ -467,8 +457,8 @@ def cmd_abtest(args: argparse.Namespace) -> int:
 
         from . import evaluate as ev
 
-        group_a = _logged(_parse(_stage.parse_conversions, args.group_a, config), "group-a").table
-        group_b = _logged(_parse(_stage.parse_conversions, args.group_b, config), "group-b").table
+        group_a = _logged(_stage.parse_conversions(args.group_a, config.schema), "group-a").table
+        group_b = _logged(_stage.parse_conversions(args.group_b, config.schema), "group-b").table
         if not group_a or not group_b:
             raise DataError("both experiment groups need at least one application")
         (sales_a, total_a), (sales_b, total_b) = ev.group_counts(group_a), ev.group_counts(group_b)

@@ -16,19 +16,21 @@ bad mandatory cell drops its row with a ``RowError``; an unparseable
 optional cell becomes empty (None; False for a flag, 0 for a review
 count), and ``nan``, ``inf`` or an overflowing number is unparseable.
 
-Each input is read whole, once, and laid out by one of two splitters
-for one column reader: every cell in one byte buffer, followed by one
-separator byte, and the separators' offsets, a row of them per line, the
-header line first.  A plain input is its own buffer, and one mask of its
-commas and line ends gives the offsets.  An input is plain where it is
-UTF-8 with no ``"``, no NUL and no CR outside a CRLF, and every line has
-the header's number of cells, none over ``csv.field_size_limit()``, and
-is no comment and not blank.  Any other input is checked whole for a
-fault of UTF-8, a ``DataError`` that names its line, split into rows by
-the csv module, and written into the same layout a block at a time, so
-that only a block's cells are alive as strings: comment rows are
-dropped, blank rows keep their number, and a short row is padded with
-absent cells, which read as None.
+Each input is read whole, once, as UTF-8 bytes past a leading byte-order
+mark: a text stream's text is encoded once, a lone surrogate with it, and
+the bytes of a path or a byte stream are checked once for a fault of
+UTF-8, a ``DataError`` that names its line.  One of two splitters lays
+the bytes out for one column reader: every cell in one byte buffer,
+followed by one separator byte, and the separators' offsets, a row of
+them per line, the header line first.  A plain input is its own buffer,
+and one mask of its commas and line ends gives the offsets.  An input is
+plain where it has no ``"``, no NUL and no CR outside a CRLF, and every
+line has the header's number of cells, none over
+``csv.field_size_limit()``, and is no comment and not blank.  The csv
+module splits any other input into rows, written into the same layout a
+block at a time, so that only a block's cells are alive as strings:
+comment rows are dropped, blank rows keep their number, and a short row
+is padded with absent cells, which read as None.
 The column reader numbers each column first-seen by its cells' bytes and
 widths, or reads a timestamp column as ``datetime64[us]``: in the default
 format those are read in bulk, as fixed-width digits, and only the cells
@@ -58,9 +60,7 @@ conversion is performed anywhere in the package.
 from __future__ import annotations
 
 import codecs
-import contextlib
 import csv
-import gc
 import io
 import math
 import re
@@ -448,19 +448,6 @@ def _codes(kind: str, values: Sequence, names: dict) -> list:
     return [math.nan if value is None else value for value in values]
 
 
-@contextlib.contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cycle collector: a parse and a record build make only
-    acyclic objects, and a collection over the growing heap finds nothing."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
-            gc.enable()
-
-
 @dataclass(frozen=True, eq=False)
 class Table:
     """The accepted rows of one dataset as columns, in file order.
@@ -496,10 +483,9 @@ class Table:
     def records(self) -> list:
         """One record per row, assembled a field at a time through the slots."""
         record = self.dataset.record
-        with _collector_paused():
-            new = list(map(object.__new__, repeat(record, len(self))))
-            for name, kind in self.dataset.columns:
-                deque(map(getattr(record, name).__set__, new, self._values(name, kind)), maxlen=0)
+        new = list(map(object.__new__, repeat(record, len(self))))
+        for name, kind in self.dataset.columns:
+            deque(map(getattr(record, name).__set__, new, self._values(name, kind)), maxlen=0)
         return new
 
     def _values(self, name: str, kind: str) -> list:
@@ -664,12 +650,14 @@ def _read_header(header: list[str], config: SchemaConfig, dataset: _Dataset) -> 
 
 
 def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> ParseResult:
-    """Read one dataset from a path or an open stream, whole and once, past
-    a leading byte-order mark (which spreadsheet exports put before the
-    header): every row becomes a table row or a RowError.  A plain input is
-    split column-wise (:func:`_parse_columns`); any other is checked whole
-    for a fault of UTF-8, which names its line and wins over any framing
-    fault, and the csv module splits it (:func:`_parse_whole`)."""
+    """Read one dataset from a path or an open stream, whole and once, as
+    UTF-8 bytes past a leading byte-order mark (which spreadsheet exports
+    put before the header): every row becomes a table row or a RowError.
+    A text stream's text is encoded, a lone surrogate with it; the bytes of
+    a path or byte stream are checked for a fault of UTF-8, which names its
+    line and wins over any other fault.  A plain input is split column-wise
+    (:func:`_parse_columns`), any other by the csv module
+    (:func:`_parse_whole`)."""
     config = config or DEFAULT_SCHEMA
     if hasattr(source, "read"):
         raw = source.read()
@@ -681,7 +669,16 @@ def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> Parse
                 raw = stream.read()
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc}") from None
-    raw = raw.removeprefix("\ufeff" if isinstance(raw, str) else codecs.BOM_UTF8)
+    text = isinstance(raw, str)
+    if text:  # a lone surrogate reads back as itself
+        raw = raw.encode("utf-8", "surrogatepass")
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    if not text and not raw.isascii():
+        try:
+            raw.decode("utf-8")  # only to find a fault
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{dataset.name}: not UTF-8 text: {exc} (line {line})") from None
     if raw and _plain(raw):
         buf = _plain_bytes(raw)
         del raw  # not alive while the columns are read
@@ -692,17 +689,7 @@ def _parse_rows(source, config: SchemaConfig | None, dataset: _Dataset) -> Parse
         del buf
     # newline="" leaves line breaks to the csv module, as its docs ask: a
     # bare CR ends a row instead of failing the whole file.
-    if isinstance(raw, str):
-        rows = io.StringIO(raw, newline="")
-    else:
-        try:
-            # Only to find a fault: a StringIO of the text would hold it as
-            # 4-byte code points, where the reader decodes a block at a time.
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
-            raise DataError(f"{dataset.name}: not UTF-8 text: {exc} (line {line})") from None
-        rows = io.TextIOWrapper(io.BytesIO(raw), "utf-8", newline="")
+    rows = io.TextIOWrapper(io.BytesIO(raw), "utf-8", "surrogatepass", newline="")
     return _parse_whole(csv.reader(rows), config, dataset)
 
 
@@ -837,7 +824,6 @@ def _column(ends: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     return (ends[1:, i - 1] if i else ends[:-1, -1]) + 1, ends[1:, i]
 
 
-@_collector_paused()
 def _read_columns(
     buf: np.ndarray, ends: np.ndarray, numbers: Sequence[int], counts: np.ndarray | None,
     config: SchemaConfig, dataset: _Dataset,
@@ -957,27 +943,19 @@ _MASK_BYTES = 1 << 20
 _ODD_FIRST = np.array([b >= 128 or chr(b) in "#,\n" or chr(b).isspace() for b in range(256)])
 
 
-def _plain(raw: bytes | str) -> bool:
-    """Whether the input ``raw`` has no ``"``, no NUL, no CR outside a CRLF
-    and no fault of UTF-8: an undecodable byte comes back from
-    "surrogateescape" as a lone surrogate, three bytes long once encoded."""
-    if isinstance(raw, str):
-        raw = raw.encode("utf-8", "surrogatepass")
+def _plain(raw: bytes) -> bool:
+    """Whether the input ``raw`` has no ``"``, no NUL and no CR outside a
+    CRLF."""
     return (
         b'"' not in raw
         and b"\0" not in raw
         and (b"\r" not in raw or raw.count(b"\r") == raw.count(b"\r\n"))
-        and (raw.isascii() or len(raw) == len(
-            raw.decode("utf-8", "surrogateescape").encode("utf-8", "surrogatepass")
-        ))
     )
 
 
-def _plain_bytes(raw: bytes | str) -> np.ndarray:
-    """The plain input ``raw`` as UTF-8 bytes with LF line ends and a last
-    LF, then eight NULs."""
-    if isinstance(raw, str):  # a text stream's text
-        raw = raw.encode("utf-8")
+def _plain_bytes(raw: bytes) -> np.ndarray:
+    """The plain input ``raw`` with LF line ends and a last LF, then eight
+    NULs."""
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n")
     end = len(raw) + (not raw.endswith(b"\n"))
@@ -1033,8 +1011,7 @@ def _parse_whole(rows: Iterator[list[str]], config: SchemaConfig, dataset: _Data
     """Read one dataset from its rows, as the csv module splits them, with
     the column reader."""
     try:
-        with _collector_paused():
-            laid_out = _lay_out(rows, dataset)
+        laid_out = _lay_out(rows, dataset)
     except csv.Error as exc:
         raise DataError(f"{dataset.name}: malformed CSV: {exc}") from None
     return _read_columns(*laid_out, config, dataset)

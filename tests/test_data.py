@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import codecs
 import csv
-import gc
 import io
 import math
 import os
 import random
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple
 from datetime import datetime, timedelta
@@ -720,22 +720,6 @@ def test_a_custom_timestamp_format_goes_to_the_cell_parser(fmt):
     assert got.records  # some cells are read under each format
 
 
-def test_a_parse_leaves_the_cycle_collector_as_it_found_it():
-    valid = CONV_HEADER + "\n18,standard,2021-03-01 10:00:00,sale,c1\n"
-    duplicate = "mfi_id,card_id,loan_type\n18,card-1,standard\n20,card-1,standard\n"
-    was_enabled = gc.isenabled()
-    try:
-        for enabled in (True, False):
-            (gc.enable if enabled else gc.disable)()
-            assert len(parse_conversions(io.StringIO(valid)).records) == 1
-            assert gc.isenabled() is enabled
-            with pytest.raises(DataError, match="duplicate card_id"):
-                parse_products(io.StringIO(duplicate))
-            assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
-
-
 def _app(**kwargs) -> ConversionRecord:
     base = dict(
         mfi_id="18",
@@ -1302,8 +1286,10 @@ def csv_path(raw: str | bytes, dataset) -> ParseResult | str:
 
 
 def column_reader(raw: str | bytes, dataset) -> ParseResult | str | None:
-    """The column reader's reading of ``raw``, or its DataError; None where
-    ``raw`` is not plain."""
+    """The column reader's reading of ``raw``, UTF-8 bytes or a text, or its
+    DataError; None where ``raw`` is not plain."""
+    if isinstance(raw, str):
+        raw = raw.encode("utf-8", "surrogatepass")
     raw = unmarked(raw)
     if not raw or not _plain(raw):
         return None
@@ -1385,7 +1371,7 @@ def test_the_column_reader_numbers_each_distinct_cell_once():
     # first words alone would interleave them.
     cells = ["Windows Phone 10", "Windows Phone 8", "", "iOS", "Windows Phone 10 Mobile"] * 40
     random.Random(0).shuffle(cells)
-    buf = _plain_bytes("os\n" + "\n".join(cells))
+    buf = _plain_bytes(("os\n" + "\n".join(cells)).encode())
     ends = mfirank.data._separators(buf[: len(buf) - 8]).reshape(-1, 1)
     starts, ends = mfirank.data._column(ends, 0)
     first, place = mfirank.data._distinct(buf, starts, ends)
@@ -1444,9 +1430,6 @@ PLAIN_ROW = b"18,standard,2021-03-01 10:00:00,sale,"
     pytest.param(PLAIN_CONVERSIONS.replace(b"c1", b"c\r1"), id="lone CR in a cell"),
     pytest.param(PLAIN_CONVERSIONS + PLAIN_ROW + b"c" * (csv.field_size_limit() + 1) + b"\n",
                  id="cell over the field size limit"),
-    pytest.param(PLAIN_CONVERSIONS + PLAIN_ROW + b"\xff\n", id="invalid UTF-8"),
-    pytest.param(PLAIN_CONVERSIONS.replace("c1".encode(), "\ud800".encode("utf-8", "surrogatepass")),
-                 id="encoded surrogate"),
 ])
 def test_an_input_that_is_not_plain_goes_to_the_csv_path(raw, tmp_path):
     assert column_reader(raw, _CONVERSIONS) is None
@@ -1455,6 +1438,51 @@ def test_an_input_that_is_not_plain_goes_to_the_csv_path(raw, tmp_path):
     expected = csv_path(raw, _CONVERSIONS)
     for source in (io.BytesIO(raw), str(path)):
         assert_same_table(_parsed_or_error(parse_conversions, source), expected)
+
+
+@pytest.mark.parametrize("raw, line", [
+    pytest.param(PLAIN_CONVERSIONS + PLAIN_ROW + b"\xff\n", 4, id="invalid UTF-8"),
+    pytest.param(PLAIN_CONVERSIONS.replace("c1".encode(), "\ud800".encode("utf-8", "surrogatepass")),
+                 2, id="encoded surrogate"),
+])
+def test_bytes_that_are_not_utf8_are_refused_at_the_door(raw, line, tmp_path):
+    expected = csv_path(raw, _CONVERSIONS)
+    assert expected.startswith("conversions: not UTF-8 text: ")
+    assert expected.endswith(f" (line {line})")
+    path = tmp_path / "conversions.csv"
+    path.write_bytes(raw)
+    for source in (io.BytesIO(raw), str(path)):
+        assert _parsed_or_error(parse_conversions, source) == expected
+
+
+def test_a_lone_surrogate_in_a_text_stream_takes_the_plain_splitter():
+    text = PLAIN_CONVERSIONS.decode().replace("c1", "\ud800")
+    expected = csv_path(text, _CONVERSIONS)
+    assert column_reader(text, _CONVERSIONS) is not None
+    with mock.patch.object(mfirank.data, "_parse_whole", side_effect=AssertionError("csv path")):
+        got = parse_conversions(io.StringIO(text))
+    assert_same_table(got, expected)
+    assert got.table.names["client_id"] == ("\ud800", "c2")
+
+
+def test_a_text_stream_is_held_as_its_bytes():
+    # Every cell quoted, so the csv module splits the input.  A text costs
+    # its encoded copy over the bytes; a StringIO of it would cost 4 bytes a
+    # character.
+    rows = csv.reader(io.StringIO(serialize_conversions(generate_fixture(0, n_clients=5000)[0])))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+    text = buf.getvalue()
+    assert len(text) >= 1 << 20
+    peaks = []
+    for source in (io.StringIO(text), io.BytesIO(text.encode())):
+        tracemalloc.start()
+        try:
+            parse_conversions(source)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] - peaks[1] < 2 * len(text), (peaks, len(text))
 
 
 def test_a_parse_starts_no_process(tmp_path, monkeypatch):
@@ -1526,6 +1554,22 @@ def _piece_bytes(pieces: list) -> np.ndarray:
     return buf[: end + 8]
 
 
+def _piece_plain(raw: bytes | str) -> bool:
+    """Whether the input ``raw`` has no ``"``, no NUL, no CR outside a CRLF
+    and no fault of UTF-8: an undecodable byte comes back from
+    "surrogateescape" as a lone surrogate, three bytes long once encoded."""
+    if isinstance(raw, str):
+        raw = raw.encode("utf-8", "surrogatepass")
+    return (
+        b'"' not in raw
+        and b"\0" not in raw
+        and (b"\r" not in raw or raw.count(b"\r") == raw.count(b"\r\n"))
+        and (raw.isascii() or len(raw) == len(
+            raw.decode("utf-8", "surrogateescape").encode("utf-8", "surrogatepass")
+        ))
+    )
+
+
 def piece_reader(stream, dataset) -> ParseResult:
     """Read one dataset from an open stream, a piece at a time.  The pieces
     are kept while each is plain, and a plain input is split column-wise;
@@ -1542,7 +1586,7 @@ def _read_pieces(stream, dataset) -> ParseResult:
     head = []
     for piece in pieces:
         head.append(piece)
-        if not _plain(piece):
+        if not _piece_plain(piece):
             break
     else:
         if head:

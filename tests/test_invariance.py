@@ -5,19 +5,25 @@ rewrites every input CSV, and each subcommand that reads them runs in
 process through ``main()``: ``validate``, ``features``, ``rank`` from the
 datasets and from the feature table, ``evaluate --daily-csv``, ``report``
 and ``abtest``.  Every artifact is then compared byte for byte with the run
-on the untransformed inputs.
+on the untransformed inputs.  The BLAS thread count is a transform of the
+environment, run in subprocesses on a feature table of its own.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from mfirank.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 INPUTS = ("conversions.csv", "products.csv", "clicks.csv", "group_a.csv", "group_b.csv")
 ARTIFACTS = (
@@ -147,3 +153,42 @@ def test_a_transformed_input_gives_the_same_bytes(artifacts, transform, artifact
 ])
 def test_shuffled_rows_give_the_same_bytes(artifacts, artifact):
     assert artifacts("row order")[artifact] == artifacts(None)[artifact]
+
+
+def openblas() -> bool:
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"].lower()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="fewer than 2 CPUs")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the direct solve rounds by thread count")
+def test_rank_bytes_do_not_depend_on_the_blas_threads(tmp_path):
+    if not openblas():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    from mfirank.features import FeatureVector, feature_csv
+
+    rng = random.Random(0)
+    table = tmp_path / "features.csv"
+    table.write_text(feature_csv([
+        FeatureVector(
+            mfi_id=f"m{n:05d}", rating_norm=rng.uniform(3.0, 4.5), lar_norm=rng.uniform(0.05, 0.3),
+            fairness=rng.randint(0, 4), service_p90_sec=rng.uniform(1e3, 3e5),
+            epc=rng.uniform(0.5, 6.0),
+        )
+        for n in range(1000)
+    ]), encoding="utf-8")
+    outputs = []
+    for threads in ("1", "2"):  # both explicit, whatever the caller exports
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        subprocess.run(
+            [sys.executable, "-m", "mfirank.cli", "rank", "--features-csv", str(table),
+             "--out", str(out / "ranking.json"), "--pi-csv", str(out / "pi.csv")],
+            env=env, check=True,
+        )
+        outputs.append({name: (out / name).read_bytes() for name in ("ranking.json", "pi.csv")})
+    assert outputs[0] == outputs[1]
