@@ -9,10 +9,11 @@ evaluation, and ``fixture`` writes a synthetic dataset triple.
 
 Exit codes: 0 success, 1 usage or configuration problems (an output
 file that cannot be opened or written included), 2 broken input data
-(a stray ``ValueError`` from library code included), 3 violated
-internal invariants.  All JSON output is sorted and timestamp-free, so
-identical inputs give identical bytes, and every artifact embeds the
-SHA-256 digest of the resolved configuration.
+(a stray ``ValueError`` from library code included) or an input too
+large for the memory at hand, 3 violated internal invariants.  All JSON
+output is sorted and timestamp-free, so identical inputs give identical
+bytes, and every artifact embeds the SHA-256 digest of the resolved
+configuration.
 
 A process loads only the stages its subcommand runs.  Importing this
 module loads no numpy and no stage module: each stage name the
@@ -296,9 +297,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
                 "pass --features matching the table"
             )
 
-    result = _stage.rank_mfis(
-        vectors, features=config.features, damping=config.damping, tie_eps=config.tie_eps
-    )
+    try:
+        result = _stage.rank_mfis(
+            vectors, features=config.features, damping=config.damping, tie_eps=config.tie_eps
+        )
+    except MemoryError:
+        k = len(vectors)
+        raise MemoryError(f"k = {k:,} MFIs; one k x k float64 array is {8 * k * k:,} bytes")
     gap = result.stationary.method_gap
     payload = {
         "config_digest": config.digest(),
@@ -673,6 +678,10 @@ def main(argv: list[str] | None = None) -> int:
         # A library precondition the subcommand did not check first: the
         # input data cannot be processed, so report it as a data error.
         print(f"mfirank: data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = str(exc) or "an allocation failed"
+        print(f"mfirank: out of memory in {args.command}: {detail}", file=sys.stderr)
         return 2
 
 

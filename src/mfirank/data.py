@@ -31,7 +31,7 @@ module splits any other input into rows, written into the same layout a
 block at a time, so that only a block's cells are alive as strings:
 comment rows are dropped, blank rows keep their number, and a short row
 is padded with absent cells, which read as None.
-The column reader numbers each column first-seen by its cells' bytes and
+The column reader numbers each column's distinct cells by their bytes and
 widths, or reads a timestamp column as ``datetime64[us]``: in the default
 format those are read in bulk, as fixed-width digits, and only the cells
 that do not fit that shape go through the cell parser.  Every cell
@@ -40,12 +40,12 @@ parser and check is a pure function of the cell text, so
 row by the first check it fails, finds repeats of a unique column in row
 order, numbers the row errors and codes the accepted rows.
 
-The accepted rows fill one columnar :class:`Table` per file, in file
-order: id and text cells as first-seen integer codes, timestamps as
-``datetime64[us]`` with NaT for missing, numbers as floats with NaN for
-missing, status and loan type as small integer codes.  The result is the
-one a row-by-row reading gives: records and row errors in row order, and
-the same ``DataError`` where the file has one.
+The accepted rows fill one columnar :class:`Table` per file, in an order
+the order of the file's rows does not change (:func:`_canonical`): id and
+text cells as first-seen integer codes, timestamps as ``datetime64[us]``
+with NaT for missing, numbers as floats with NaN for missing, status and
+loan type as small integer codes.  The records, row errors and DataError
+are those a row-by-row reading gives, the records in that order.
 
 Every stage reads the tables, :func:`validate` included: its counts,
 key join and record checks are array reductions.  The frozen slotted
@@ -420,13 +420,14 @@ def midnights(days: np.ndarray) -> np.ndarray:
 
 
 def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``codes`` in first-seen order, and each code renumbered
-    as its place in that order."""
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    place = np.empty(len(distinct), np.int32)
-    place[by_first] = np.arange(len(distinct), dtype=np.int32)
-    return distinct[by_first], place[inverse]
+    """The distinct ``codes`` (none negative) in first-seen order, and each
+    code renumbered as its place in that order."""
+    first = np.full(int(codes.max(initial=-1)) + 1, len(codes), np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    distinct = codes[np.sort(first[first < len(codes)])]
+    place = np.empty(len(first), np.int32)
+    place[distinct] = np.arange(len(distinct), dtype=np.int32)
+    return distinct, place[codes]
 
 
 def _codes(kind: str, values: Sequence, names: dict) -> list:
@@ -450,7 +451,8 @@ def _codes(kind: str, values: Sequence, names: dict) -> list:
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """The accepted rows of one dataset as columns, in file order.
+    """The accepted rows of one dataset as columns, in the row order of
+    :func:`_canonical`: by click time, then by every column.
 
     ``columns`` maps every record field to one array with an entry per
     row.  Id and text fields hold int32 codes into ``names[field]``, their
@@ -473,7 +475,7 @@ class Table:
             raise ValueError(f"expected a {dataset} table, not {self.dataset.name}")
 
     def take(self, rows: np.ndarray) -> Table:
-        """The table of ``rows``: positions, or a mask over the rows."""
+        """The table of ``rows``, a mask or ascending positions: the order kept."""
         return Table(
             self.dataset,
             {name: column[rows] for name, column in self.columns.items()},
@@ -512,14 +514,42 @@ class Table:
         for name, kind in dataset.columns:
             values = [getattr(r, name) for r in records]
             columns[name] = np.array(_codes(kind, values, names.setdefault(name, {})), _DTYPES[kind])
-        return cls(dataset, columns, _names(dataset, names))
+        return _canonical(dataset, columns, names)
 
 
-def _names(dataset: _Dataset, interned: Mapping[str, dict]) -> dict[str, tuple]:
-    """The names of each id and text column, from its interning dict."""
-    return {
-        name: tuple(interned.get(name, ())) for name, kind in dataset.columns if kind in (_ID, _TEXT)
-    }
+def _sort_key(kind: str, values: np.ndarray, names: Sequence) -> np.ndarray:
+    """Entries of a column as the row order sorts them: id and text codes by
+    the rank of their ``names`` among them, None last; floats by their int64
+    bits, so that -0.0, 0.0 and NaN are ordered; the rest (NaT last) as is."""
+    if kind in (_ID, _TEXT):
+        codes, inverse = np.unique(values, return_inverse=True)
+        spelled = [names[code] for code in codes.tolist()]
+        by_name = sorted(range(len(codes)), key=lambda i: (spelled[i] is None, spelled[i] or ""))
+        return np.argsort(by_name)[inverse]  # each code's rank
+    return values.view(np.int64) if values.dtype == np.float64 else values
+
+
+def _canonical(dataset: _Dataset, columns: Mapping, interned: Mapping[str, dict]) -> Table:
+    """The table of ``columns``, each id and text column's codes interned in
+    ``interned``, in the one row order every stage relies on, whatever the
+    order of the rows given: a stable sort by click time (a products table
+    has none: all its rows tie), then of the tied rows by every column in
+    dataset order (:func:`_sort_key`); codes renumbered first-seen in it."""
+    names = {name: tuple(interned[name]) for name, kind in dataset.columns if kind in (_ID, _TEXT)}
+    times = columns.get("click_time", np.zeros(len(columns["mfi_id"]), "M8[us]"))
+    order = np.argsort(times, kind="stable")
+    stamps = times[order].view(np.int64)
+    run = np.cumsum(np.append(True, stamps[1:] != stamps[:-1])[: len(times)])
+    tied = np.flatnonzero(np.bincount(run)[run] > 1)
+    if len(tied):
+        rows = order[tied]
+        keys = [_sort_key(k, columns[name][rows], names.get(name)) for name, k in dataset.columns]
+        order[tied] = rows[np.lexsort([*keys[::-1], run[tied]])]
+    table = {name: column[order] for name, column in columns.items()}
+    for name, spelled in names.items():
+        kept, table[name] = first_seen(table[name])
+        names[name] = tuple(map(spelled.__getitem__, kept.tolist()))
+    return Table(dataset, table, names)
 
 
 def conversion_table(records: Iterable[ConversionRecord]) -> Table:
@@ -743,12 +773,12 @@ def _boundaries(keys: list[np.ndarray], order: np.ndarray) -> np.ndarray:
 
 
 def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The first row of each distinct cell ``buf[start:end]``, in first-seen
-    order, and each row's place in that order.  A cell's key is its bytes
-    as 8-byte words, the bytes past it masked off, and its width, so that a
-    trailing NUL and an absent cell (-1 wide) count; one sort of the first
-    words, or of all keys where one first word opens two cells, puts equal
-    cells side by side."""
+    """The first row of each distinct cell ``buf[start:end]``, in the order of
+    their keys, and each row's place in that order.  A cell's key is its
+    bytes as 8-byte words, the bytes past it masked off, and its width, so
+    that a trailing NUL and an absent cell (-1 wide) count; one sort of the
+    first words, or of all keys where one first word opens two cells, puts
+    equal cells side by side."""
     windows = _words(buf)
     widths = ends - starts
     keys = [
@@ -762,11 +792,7 @@ def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np
         new = _boundaries(keys, order)
     codes = np.empty(len(order), np.int64)
     codes[order] = np.cumsum(new) - 1
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
-    by_first = np.argsort(first)
-    place = np.empty(len(first), np.int32)
-    place[by_first] = np.arange(len(first))
-    return first[by_first], place[codes]
+    return np.minimum.reduceat(order, np.flatnonzero(new)), codes
 
 
 def _bulk_stamps(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -874,13 +900,13 @@ def _accept(
     texts: Callable[[str, np.ndarray], list], numbers: Sequence[int],
 ) -> ParseResult:
     """The table of the accepted rows of ``numbers`` and the row errors of
-    the others.  Each column comes as its distinct cells, first-seen, and
-    each row's place among them (``distinct``), or a timestamp column as its
+    the others.  Each column comes as its distinct cells and each row's
+    place among them (``distinct``), or a timestamp column as its
     ``datetime64[us]`` values (``stamps``), ``texts(name, rows)`` giving
     those rows' cells.  A row is rejected by the first of ``dataset.checks``
     it fails; a value of the unique column repeated by a row not rejected up
-    to its check is a DataError naming both rows.  Id and text columns are
-    coded by the first-seen values of the accepted rows."""
+    to its check is a DataError naming both rows.  The accepted rows are put
+    in the order of :func:`_canonical`."""
     kinds = dict(dataset.columns)
     values = {name: list(map(parsers[kinds[name]], cells)) for name, (cells, _) in distinct.items()}
     # The first failing check of each rejected row: (check, column, message).
@@ -915,9 +941,7 @@ def _accept(
             if failed is None:
                 seen[value] = numbers[j]
     errors = [RowError(numbers[j], column, why) for j, (_, column, why) in sorted(rejected.items())]
-    accepted = slice(None)
-    if rejected:
-        accepted = np.isin(np.arange(len(numbers)), list(rejected), invert=True)
+    accepted = np.isin(np.arange(len(numbers)), list(rejected), invert=True)
     columns, interned = {}, {}
     for name, kind in dataset.columns:
         if name in stamps:
@@ -925,12 +949,7 @@ def _accept(
             continue
         codes = np.array(_codes(kind, values.pop(name), interned.setdefault(name, {})), _DTYPES[kind])
         columns[name] = codes[distinct[name][1][accepted]]
-    names = _names(dataset, interned)
-    if errors:  # drop the names that only rejected rows had
-        for name, values in names.items():
-            kept, columns[name] = first_seen(columns[name])
-            names[name] = tuple(map(values.__getitem__, kept.tolist()))
-    return ParseResult(Table(dataset, columns, names), errors)
+    return ParseResult(_canonical(dataset, columns, interned), errors)
 
 
 # ---------------------------------------------------------------------------

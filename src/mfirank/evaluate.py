@@ -13,24 +13,24 @@ trained on everything strictly before its Monday, so no application is
 scored by a model that saw it.
 
 Every stage takes the columnar tables of the conversions and clicks
-(:class:`mfirank.data.Table`).  The weekly schedule trains on prefixes
-of the tables in click-time order through one
+(:class:`mfirank.data.Table`), whose rows are in one order, by click time
+and then by every column, whatever the order of the input rows.  The
+weekly schedule trains on prefixes of the tables as given through one
 :class:`mfirank.features.FeaturePrefixes`.  Its weeks and the days of
 the daily series are one calendar in day ordinals, :func:`replay_calendar`.
 The replay runs on one code table of the conversions
 (:class:`ReplayCodes`), read from the table once by
 :func:`reapproval_table` and carried to :func:`simulate`: integer MFI,
-client and status codes, the site rank, the realized income, the
-click-time order and the day and week of every row.  The client
-history, the pair counts, the substitutions and the sums are array
-reductions over it.  The reapproval table is held in its MFI codes,
-per-MFI and K x K arrays that :func:`simulate` indexes directly.  The
-tie rule "the latest record wins, the later row on equal click times"
-has one home, :func:`_latest`, which :func:`client_outcomes` and
-:func:`historical_ranking` share.  Every float that reaches an
-artifact, from the feature tables and the replay alike, is a sequential
-sum in input (replay) order, as ``np.bincount`` adds its weights, never
-a pairwise ``np.sum`` or a compensated ``sum``.
+client and status codes, the site rank, the realized income and the day
+and week of every row.  The client history, the pair counts, the
+substitutions and the sums are array reductions over it.  The
+reapproval table is held in its MFI codes, per-MFI and K x K arrays that
+:func:`simulate` indexes directly.  The tie rule "the latest record
+wins" has one home, :func:`_latest`, which :func:`client_outcomes` and
+:func:`historical_ranking` share.  Every float that reaches an artifact,
+from the feature tables and the replay alike, is a sequential sum in
+table order, as ``np.bincount`` adds its weights, never a pairwise
+``np.sum`` or a compensated ``sum``.
 """
 
 from __future__ import annotations
@@ -86,14 +86,6 @@ def replay_calendar(first: int, last: int, *, weekly: bool = False) -> np.ndarra
     return np.arange(monday(first), last + 1, 7) if weekly else np.arange(first, last + 1)
 
 
-def _click_order(times: np.ndarray) -> np.ndarray:
-    """Each row's place among the rows sorted by click time, equal times
-    keeping their input order."""
-    order = np.empty(len(times), np.int64)
-    order[np.argsort(times, kind="stable")] = np.arange(len(times))
-    return order
-
-
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of each run of equal neighbours in ``values``."""
     new = np.ones(len(values), bool)
@@ -102,18 +94,18 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(np.append(starts, len(values)))
 
 
-def _latest(order: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Of each distinct ``key``, in ascending order, the position of its
-    latest row and of its first row.
+def _latest(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of each distinct ``key`` (an entry per row of a table, or of rows
+    taken from it in order), in ascending order, the position of its latest
+    row and of its first row.
 
-    The one home of the tie rule: the latest row is the last in ``order``
-    (:func:`_click_order`), so it clicked later or, on an equal click time,
-    comes later in the input.  The first row is the one with the smallest
-    position.
+    The one home of the tie rule: rows are in table order, by click time
+    and then by every column, so the latest row clicked later or, on an
+    equal click time, sorts last by its columns.
     """
-    by = np.lexsort((order, key))
+    by = np.argsort(key, kind="stable")
     starts, sizes = _runs(key[by])
-    return by[starts + sizes - 1], np.minimum.reduceat(by, starts)
+    return by[starts + sizes - 1], by[starts]
 
 
 def historical_ranking(conversions: Table) -> list[str]:
@@ -125,7 +117,7 @@ def historical_ranking(conversions: Table) -> list[str]:
     mfi_ids = conversions.names["mfi_id"]
     mfi, rank = conversions.columns["mfi_id"], conversions.columns["global_rank"]
     stamped = np.flatnonzero(~np.isnan(rank))
-    rows, _ = _latest(_click_order(conversions.columns["click_time"][stamped]), mfi[stamped])
+    rows, _ = _latest(mfi[stamped])
     latest = {mfi_ids[mfi[i]]: rank[i] for i in stamped[rows].tolist()}
     ranked = sorted(latest, key=lambda m: (latest[m], m))
     tail = sorted({mfi_ids[code] for code in np.unique(mfi).tolist()} - latest.keys())
@@ -138,14 +130,15 @@ def historical_ranking(conversions: Table) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class ReplayCodes:
-    """The conversions of one replay as codes, one entry per row in input order.
+    """The conversions of one replay as codes, one entry per row in table
+    order, which is click-time order.
 
     ``mfi_ids`` names the MFI codes in first-seen order; client codes are
     first-seen too.  ``rank`` is ``global_rank`` (NaN where missing),
     ``income`` what the row realized and ``paid`` marks a sale that
-    carries an income (:func:`mfirank.data.realized`).  ``order`` is the
-    row's click-time order (:func:`_click_order`); ``day`` and ``week``
-    are the proleptic ordinals of its click date and of that week's Monday.
+    carries an income (:func:`mfirank.data.realized`).  ``day`` and
+    ``week`` are the proleptic ordinals of its click date and of that
+    week's Monday.
     """
 
     mfi_ids: tuple[str, ...]
@@ -155,7 +148,6 @@ class ReplayCodes:
     rank: np.ndarray  # float64
     income: np.ndarray  # float64
     paid: np.ndarray  # bool
-    order: np.ndarray  # int64
     day: np.ndarray  # int64
     week: np.ndarray  # int64
 
@@ -166,8 +158,7 @@ def replay_codes(conversions: Table) -> ReplayCodes:
     mfi_codes, mfi = first_seen(columns["mfi_id"])
     _, client = first_seen(columns["client_id"])
     income, paid = realized(conversions)
-    times = columns["click_time"]
-    day = ordinal_days(times)
+    day = ordinal_days(columns["click_time"])
     return ReplayCodes(
         mfi_ids=tuple(map(conversions.names["mfi_id"].__getitem__, mfi_codes.tolist())),
         mfi=mfi,
@@ -176,7 +167,6 @@ def replay_codes(conversions: Table) -> ReplayCodes:
         rank=columns["global_rank"],
         income=income,
         paid=paid,
-        order=_click_order(times),
         day=day,
         week=monday(day),
     )
@@ -228,7 +218,7 @@ def client_outcomes(codes: ReplayCodes) -> np.ndarray:
     final = np.flatnonzero(codes.status != _PENDING)
     client = codes.client[final]
     pair = client.astype(np.int64) * len(codes.mfi_ids) + codes.mfi[final]
-    latest, first = _latest(codes.order[final], pair)
+    latest, first = _latest(pair)
     starts, sizes = _runs(client[latest])
     client_first = np.repeat(np.minimum.reduceat(first, starts), sizes)
     return final[latest[np.lexsort((first, client_first))]]
@@ -333,28 +323,25 @@ def weekly_schedule(
     A week whose training slice cannot produce a ranking (too few MFIs,
     degenerate chain) carries the previous week's list forward.
 
-    The conversions and clicks are put in click-time order once (equal
-    times keeping their input order), and one :class:`FeaturePrefixes`
-    over them gives each week's feature table: that of the rows clicked
-    before the week's Monday.  ``tests/test_evaluate.py`` checks the
-    result against calling :func:`feature_table` on every prefix.  Like
-    it, the schedule trains on every row given (selected by
-    ``filter_loan_type``).  A week whose prefixes are those of the last
-    week trained on (no row fell in between) keeps that week's outcome
-    and ranks nothing.  The weeks are the :func:`replay_calendar` of the
-    conversions, so a span of more than :data:`MAX_REPLAY_DAYS` days
-    raises DataError before any week is trained.
+    The tables are in click-time order (:class:`mfirank.data.Table`), so
+    one :class:`FeaturePrefixes` over them as given gives each week's
+    feature table: that of the rows clicked before the week's Monday.
+    ``tests/test_evaluate.py`` checks the result against calling
+    :func:`feature_table` on every prefix.  Like it, the schedule trains on
+    every row given (selected by ``filter_loan_type``).  A week whose
+    prefixes are those of the last week trained on (no row fell in between)
+    keeps that week's outcome and ranks nothing.  The weeks are the
+    :func:`replay_calendar` of the conversions, so a span of more than
+    :data:`MAX_REPLAY_DAYS` days raises DataError before any week is trained.
     """
     if not len(conversions):
         return []
-    by_time = conversions.take(np.argsort(conversions.columns["click_time"], kind="stable"))
-    clicks = clicks.take(np.argsort(clicks.columns["click_time"], kind="stable"))
-    conv_times, click_times = by_time.columns["click_time"], clicks.columns["click_time"]
+    conv_times, click_times = conversions.columns["click_time"], clicks.columns["click_time"]
     mondays = replay_calendar(*ordinal_days(conv_times[[0, -1]]).tolist(), weekly=True)
     cuts = midnights(mondays)
     ends = [np.searchsorted(times, cuts).tolist() for times in (conv_times, click_times)]
     prefixes = FeaturePrefixes(
-        by_time, products, clicks, features=features, duration_rules=duration_rules
+        conversions, products, clicks, features=features, duration_rules=duration_rules
     )
 
     entries: list[WeekEntry] = []

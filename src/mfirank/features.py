@@ -19,8 +19,8 @@ The features are computed on the columnar tables of the conversions and
 clicks (:class:`mfirank.data.Table`).  :class:`FeaturePrefixes` weighs
 every row once, so each per-MFI count and sum of any prefix of the
 tables (the weekly replay trains on one per week) is one ``np.bincount``
-of the prefix's rows; the service period selects from the MFI's periods
-(``np.partition``).  The formulas are :func:`fairness_score`,
+of the prefix's rows in table order; the service period selects from the
+MFI's periods (``np.partition``).  The formulas are :func:`fairness_score`,
 :func:`service_p90` and :func:`earnings_per_click`.
 """
 
@@ -446,8 +446,8 @@ class FeaturePrefixes:
     table order.  Each row's weights (sold, rejected, realized income,
     submitted, quick, paid, in budget) are computed once, and every
     per-MFI count and sum of a prefix is one ``np.bincount`` of its rows,
-    which adds the weights one at a time in row order, as a loop over the
-    rows would.  The service period reads each MFI's periods in row order
+    which adds the weights one at a time in table order, as a loop over
+    the rows would.  The service period reads each MFI's periods in order
     from one offset per MFI; the processing periods are summed exactly,
     as integers, so each mean is the one ``statistics.fmean`` gives.
 
@@ -617,7 +617,7 @@ def feature_table(
 
     The feature table of all the rows given, of one loan type selected by
     :func:`mfirank.data.filter_loan_type`: :class:`FeaturePrefixes` over
-    the whole tables.  Sale incomes are summed in input order.
+    the whole tables.  Sale incomes are summed in table order.
     """
     prefixes = FeaturePrefixes(
         conversions, products, clicks, features=features, duration_rules=duration_rules

@@ -275,6 +275,50 @@ def test_a_stray_value_error_is_a_one_line_data_error(
     assert capsys.readouterr().err == "mfirank: data error: precondition broken\n"
 
 
+def test_running_out_of_memory_is_one_line(dataset_dir, tmp_path, capsys, monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("mfirank.cli.feature_table", exhaust)
+    out = tmp_path / "features.csv"
+    assert main(["features", *dataset_flags(dataset_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "mfirank: out of memory in features: an allocation failed\n"
+    assert not out.exists()
+
+
+def test_rank_out_of_memory_names_k_in_one_line(tmp_path):
+    # 700 MB of address space cannot hold the direct solve's k x k arrays at
+    # k = 6000.  Only a failed allocation is caught: a kernel OOM kill is not.
+    resource = pytest.importorskip("resource")
+    rng = random.Random(0)
+    table = tmp_path / "features.csv"
+    table.write_text(feature_csv([
+        FeatureVector(
+            mfi_id=f"m{n:05d}", rating_norm=rng.uniform(3.0, 4.5), lar_norm=rng.uniform(0.05, 0.3),
+            fairness=rng.randint(0, 4), service_p90_sec=rng.uniform(1e3, 3e5),
+            epc=rng.uniform(0.5, 6.0),
+        )
+        for n in range(6000)
+    ]), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    limit = 700_000 * 1024
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "mfirank.cli", "rank", "--features-csv", str(table),
+         "--out", str(out / "ranking.json"), "--pi-csv", str(out / "pi.csv")],
+        env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert run.returncode == 2
+    assert run.stderr == (
+        "mfirank: out of memory in rank: k = 6,000 MFIs; "
+        "one k x k float64 array is 288,000,000 bytes\n"
+    )
+    assert not list(out.iterdir())
+
+
 def test_rank_json_is_what_json_dumps_gives(golden_vectors, tmp_path):
     table = tmp_path / "features.csv"
     table.write_text(feature_csv(golden_vectors))

@@ -11,7 +11,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from datetime import datetime, timedelta
 from itertools import islice
 from typing import Iterator, NamedTuple
@@ -41,9 +41,11 @@ from mfirank.data import (
     RowError,
     SchemaConfig,
     Status,
+    Table,
     ValidationReport,
     derive_timeline,
     filter_loan_type,
+    first_seen,
     parse_clicks,
     parse_conversions,
     parse_products,
@@ -507,9 +509,15 @@ DATASETS = (_CONVERSIONS, _PRODUCTS, _CLICKS)
 BLOCK_SIZES = (1, 2, 3, 7, _BLOCK_ROWS)
 
 
+def table_order(records: list, dataset) -> list:
+    """``records`` in the row order of their table, which the parsers give."""
+    return Table.from_records(records, dataset).records()
+
+
 def assert_same_parse(parse, dataset, text: str, as_bytes: bool = False) -> None:
-    """The parser gives the reference's records, row errors or DataError,
-    whatever the block size, from a text stream or a byte stream."""
+    """The parser gives the reference's records, in table order, row errors
+    or DataError, whatever the block size, from a text stream or a byte
+    stream."""
     expected = _parsed_or_error(lambda source: reference_parse_rows(source, None, dataset),
                                 io.StringIO(text))
     for size in BLOCK_SIZES:
@@ -520,11 +528,12 @@ def assert_same_parse(parse, dataset, text: str, as_bytes: bool = False) -> None
             continue
         assert not isinstance(got, str), got
         assert got.errors == expected.errors
+        records = table_order(expected.records, dataset)
         # The names of an id or text column are its values, first-seen.
         for name, values in got.table.names.items():
-            assert values == tuple(dict.fromkeys(getattr(r, name) for r in expected.records))
-        assert len(got.records) == len(expected.records)
-        for a, b in zip(got.records, expected.records):
+            assert values == tuple(dict.fromkeys(getattr(r, name) for r in records))
+        assert len(got.records) == len(records)
+        for a, b in zip(got.records, records):
             assert type(a) is type(b)
             assert repr(a) == repr(b)
             assert a == b and hash(a) == hash(b)
@@ -665,7 +674,10 @@ def assert_splitters_match_the_cell_parser(column):
         csv.writer(text, lineterminator="\n").writerows(rows)
         got = read(text.getvalue(), _CONVERSIONS)
         if cells:
-            assert_stamps_match(got.table.columns["conversion_time"], cells, parse)
+            # Row i is client c{i}; the table puts the rows in its order.
+            rows = [int(r.client_id[1:]) for r in got.records]
+            stamps = got.table.columns["conversion_time"]
+            assert_stamps_match(stamps, [cells[i] for i in rows], parse)
 
 
 def test_bulk_timestamps_match_the_cell_parser():
@@ -716,7 +728,7 @@ def test_a_custom_timestamp_format_goes_to_the_cell_parser(fmt):
     expected = reference_parse_rows(io.StringIO(text), config, _CONVERSIONS)
     got = parse_conversions(io.StringIO(text), config)
     assert got.errors == expected.errors
-    assert repr(got.records) == repr(expected.records)
+    assert repr(got.records) == repr(table_order(expected.records, _CONVERSIONS))
     assert got.records  # some cells are read under each format
 
 
@@ -780,14 +792,10 @@ def test_loan_type_filters():
     stamps = conversion_table(conversions).columns["conversion_time"]
     assert stamps.dtype == np.dtype("M8[us]")
     assert np.isnat(stamps).tolist() == [at is None for at in submitted]
-    for records, table in (
-        (conversions, conversion_table(conversions)),
-        (clicks, click_table(clicks)),
-        (products, cards),
-    ):
+    for table in (conversion_table(conversions), click_table(clicks), cards):
         for loan_type in (*LoanType, None):
             selected = filter_loan_type(table, loan_type)
-            assert selected.records() == reference_filter_loan_type(records, loan_type)
+            assert selected.records() == reference_filter_loan_type(table.records(), loan_type)
 
 
 def test_validate_counts_on_the_fixture(fixture_triple, fixture_tables):
@@ -979,7 +987,7 @@ def test_validate_matches_the_record_reference(log):
     # A table made by ``take`` keeps every name of its parent table.
     every_other = np.arange(0, len(conversions), 2)
     assert validate(conv.table.take(every_other), products, clk.table) == reference_validate(
-        conversions[::2], products, clicks
+        conv.table.records()[::2], products, clicks
     )
 
 
@@ -1115,7 +1123,11 @@ def test_the_key_join_matches_the_row_unique_reference(data):
     ])
     got = _has_click(conversions, clicks)
     assert got.tolist() == reference_has_click(conversions, clicks).tolist()
-    assert got.tolist() == [key in set(click_keys) for key in conv_keys]
+    keys = [
+        (r.mfi_id, r.client_id, int((r.click_time - LOG_T0).total_seconds()))
+        for r in conversions.records()
+    ]
+    assert got.tolist() == [key in set(click_keys) for key in keys]
 
 
 def test_the_key_join_tells_absent_values_apart():
@@ -1318,7 +1330,7 @@ def test_the_column_reader_matches_the_csv_path(data, name, as_bytes):
         assert expected == reference
     else:
         assert expected.errors == reference.errors
-        assert repr(expected.records) == repr(reference.records)
+        assert repr(expected.records) == repr(table_order(reference.records, dataset))
 
 
 @settings(max_examples=100)
@@ -1345,7 +1357,8 @@ def test_a_nul_in_a_cell_and_a_cell_past_the_row_end_are_their_own_values(as_byt
         "18,",
     ])
     got = parse_conversions(stream(text.encode() if as_bytes else text))
-    assert got.table.names["client_id"] == ("c", "c\0", "x\0y", "x")
+    # Equal click times: the rows sort by their cells, client_id first.
+    assert got.table.names["client_id"] == ("c", "c\0", "x", "x\0y")
     assert got.table.names["os"] == ("a\0", "a", None)
     assert got.errors == [
         RowError(5, "loan_type", "unmapped loan type None"),
@@ -1375,8 +1388,9 @@ def test_the_column_reader_numbers_each_distinct_cell_once():
     ends = mfirank.data._separators(buf[: len(buf) - 8]).reshape(-1, 1)
     starts, ends = mfirank.data._column(ends, 0)
     first, place = mfirank.data._distinct(buf, starts, ends)
-    distinct = list(dict.fromkeys(cells))
-    assert [cells[j] for j in first.tolist()] == distinct
+    distinct = [cells[j] for j in first.tolist()]
+    assert sorted(distinct) == sorted(set(cells))
+    assert first.tolist() == [cells.index(cell) for cell in distinct]
     assert [distinct[k] for k in place.tolist()] == cells
 
 
@@ -1633,3 +1647,110 @@ def test_an_input_read_whole_reads_as_the_piece_reader_reads_it(data, name, plai
     expected = _parsed_or_error(lambda source: piece_reader(source, CHUNK_DATASETS[name]), stream(raw))
     got = _parsed_or_error(CHUNK_PARSERS[name], stream(raw))
     assert_same_table(normalized(got), normalized(expected))
+
+
+# ---------------------------------------------------------------------------
+# one row order
+
+
+def reference_first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``np.unique`` form of :func:`first_seen` that the dense count
+    replaced, kept verbatim as the reference."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    place = np.empty(len(distinct), np.int32)
+    place[by_first] = np.arange(len(distinct), dtype=np.int32)
+    return distinct[by_first], place[inverse]
+
+
+@given(st.lists(st.integers(0, 40)), st.sampled_from([np.int32, np.int64]))
+def test_first_seen_matches_the_unique_reference(codes, dtype):
+    codes = np.array(codes, dtype)
+    for got, want in zip(first_seen(codes), reference_first_seen(codes)):
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+
+# Few click times, so that rows tie on them; cells that only a bit pattern
+# tells apart (0.0 and -0.0) or that are absent (NaN ranks, None text).
+TWIN_TIMES = (LOG_T0, LOG_T0 + timedelta(seconds=1), LOG_T0 + timedelta(days=8))
+TWIN_INCOMES = (None, 0.0, -0.0, 2.5)
+
+
+@st.composite
+def twin_rows(draw, which: int) -> list:
+    """Records of one dataset in which rows tie: final twins of another
+    status at the same click time, twins of 0.0 and -0.0, and repeats of
+    whole rows but cards."""
+    records = []
+    for i in range(draw(st.integers(0, 10))):
+        mfi, loan_type = draw(st.sampled_from(["m1", "m2", "m10"])), draw(st.sampled_from(LoanType))
+        if which == 1:
+            records.append(ProductRecord(
+                mfi, f"card{i}", loan_type, region=draw(st.sampled_from([None, "north", "south"])),
+                avg_user_rating=draw(st.sampled_from([None, 4.0])),
+                n_reviews=draw(st.integers(0, 2)), unreliability=draw(st.booleans()),
+                loan_amount_min=draw(st.sampled_from(TWIN_INCOMES)),
+            ))
+            continue
+        common = dict(
+            mfi_id=mfi, loan_type=loan_type, click_time=draw(st.sampled_from(TWIN_TIMES)),
+            client_id=draw(st.sampled_from(["c1", "c2"])),
+            page_rank=draw(st.sampled_from([None, 1, 2])),
+            income=draw(st.sampled_from(TWIN_INCOMES)),
+        )
+        if which == 2:
+            records.append(ClickRecord(**common, card_id=draw(st.sampled_from([None, "k1"]))))
+            continue
+        record = ConversionRecord(
+            **common, status=draw(st.sampled_from(Status)),
+            conversion_time=draw(st.sampled_from([None, *TWIN_TIMES])),
+            os=draw(st.sampled_from([None, "Android", "iOS"])),
+        )
+        records.append(record)
+        if record.status is not Status.PENDING and draw(st.booleans()):
+            flipped = Status.REJECTED if record.status is Status.SALE else Status.SALE
+            records.append(replace(record, status=flipped))
+    for i in draw(st.sets(st.integers(0, len(records) - 1), max_size=3)) if records else ():
+        # a twin whose float cell is the zero of the other sign
+        record, cell = records[i], "loan_amount_min" if which == 1 else "income"
+        if getattr(record, cell) == 0.0:
+            twin = replace(record, **{cell: -getattr(record, cell)})
+            records.append(replace(twin, card_id=twin.card_id + "-") if which == 1 else twin)
+    if records and which != 1:  # a card may not repeat
+        records += draw(st.lists(st.sampled_from(records), max_size=3))
+    return records
+
+
+def ghost_row(which: int) -> ConversionRecord | ProductRecord | ClickRecord:
+    """A record whose row the parser rejects, with names no other row has."""
+    if which == 1:
+        return ProductRecord("ghost", "ghost-card", LoanType.STANDARD, avg_user_rating=9.0)
+    if which == 2:
+        return ClickRecord("ghost", datetime(1, 1, 1), "ghost", LoanType.STANDARD)
+    return ConversionRecord("ghost", LoanType.STANDARD, "ghost", datetime(1, 1, 1), Status.SALE)
+
+
+def assert_same_columns(got: Table, want: Table) -> None:
+    assert got.names == want.names
+    assert got.columns.keys() == want.columns.keys()
+    for name, column in want.columns.items():
+        assert got.columns[name].dtype == column.dtype
+        assert got.columns[name].tobytes() == column.tobytes(), name
+
+
+@settings(max_examples=150)
+@given(data=st.data(), which=st.integers(0, 2))
+def test_a_permutation_of_the_rows_gives_the_same_table(data, which):
+    parse, serialize = PARSERS[which]
+    records = data.draw(twin_rows(which))
+    permuted = data.draw(st.permutations(records))
+    table = Table.from_records(records, DATASETS[which])
+    assert_same_columns(Table.from_records(permuted, DATASETS[which]), table)
+    # The year-1 click time reads as a malformed timestamp: the ghost row is
+    # rejected, and its names go with it.
+    header, *lines = serialize([ghost_row(which), *records]).replace("0001-", "01-").splitlines()
+    for rows in (lines, data.draw(st.permutations(lines))):
+        parsed = parse(io.StringIO("\n".join([header, *rows]) + "\n"))
+        assert len(parsed.errors) == 1
+        assert_same_columns(parsed.table, table)

@@ -86,11 +86,19 @@ def capp(
     )
 
 
+def in_table_order(conversions):
+    """The records in the row order of their table, as the references read
+    them."""
+    return conversion_table(conversions).records()
+
+
 def history(conversions):
     """client -> MFI -> record of :func:`client_outcomes`, in its order."""
+    table = conversion_table(conversions)
+    records = table.records()
     out: dict[str, dict[str, ConversionRecord]] = {}
-    for row in client_outcomes(replay_codes(conversion_table(conversions))).tolist():
-        rec = conversions[row]
+    for row in client_outcomes(replay_codes(table)).tolist():
+        rec = records[row]
         out.setdefault(rec.client_id, {})[rec.mfi_id] = rec
     return out
 
@@ -1163,7 +1171,7 @@ def test_client_outcomes_match_the_reference(case):
     _, conversions, _, _ = case
     # equal values and the same first-seen order of clients and MFIs
     assert nested_items(history(conversions)) == nested_items(
-        reference_client_outcomes(conversions)
+        reference_client_outcomes(in_table_order(conversions))
     )
 
 
@@ -1181,7 +1189,7 @@ def table_items(table: ReapprovalDicts):
 @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
 def test_reapproval_table_matches_the_reference(case, min_support):
     _, conversions, _, _ = case
-    want = table_items(reference_reapproval_table(conversions, min_support))
+    want = table_items(reference_reapproval_table(in_table_order(conversions), min_support))
     table = reapproval_table(conversion_table(conversions), min_support)
     assert table_items(as_dicts(table)) == want
 
@@ -1198,9 +1206,10 @@ def test_simulate_matches_the_reference(case):
     _, conversions, products, clicks = case
     schedules = replay_schedules(conversions, products, clicks)
     conv_table, _, click_tab = tables(conversions, products, clicks)
+    records = conv_table.records()
     for min_support, (name, schedule) in itertools.product([0, 1, 5], schedules.items()):
         want, outcomes = reference_simulate(
-            conversions, schedule, reference_reapproval_table(conversions, min_support)
+            records, schedule, reference_reapproval_table(records, min_support)
         )
         got = simulate(schedule, reapproval_table(conv_table, min_support))
         # exact equality: every counter, every float of the totals and of
@@ -1216,7 +1225,7 @@ def test_simulate_matches_the_reference(case):
 def test_evaluate_ranking_matches_the_reference(case):
     standard = [[r for r in rows if r.loan_type is LoanType.STANDARD] for rows in case[1:]]
     schedule = weekly_schedule(*tables(*standard))
-    conversions = standard[0]
+    conversions = in_table_order(standard[0])
     want, _ = reference_simulate(
         conversions, schedule, reference_reapproval_table(conversions)
     )
@@ -1337,13 +1346,12 @@ def test_the_replay_of_a_small_log_matches_the_references(log, min_support):
     conversions, schedule, clicks = log
     conv_table = conversion_table(conversions)
     table = reapproval_table(conv_table, min_support)
-    reference = reference_reapproval_table(conversions, min_support)
+    records = conv_table.records()
+    reference = reference_reapproval_table(records, min_support)
     assert table_items(as_dicts(table)) == table_items(reference)
-    assert nested_items(history(conversions)) == nested_items(
-        reference_client_outcomes(conversions)
-    )
+    assert nested_items(history(conversions)) == nested_items(reference_client_outcomes(records))
     got = simulate(schedule, table)
-    want, outcomes = reference_simulate(conversions, schedule, reference)
+    want, outcomes = reference_simulate(records, schedule, reference)
     assert got == want
     assert repr(got.to_dict()) == repr(want.to_dict())
     assert repr(weekly_totals(got)) == repr(reference_weekly_totals(outcomes))

@@ -31,6 +31,8 @@ from mfirank.data import (
     LoanType,
     ProductRecord,
     Status,
+    click_table,
+    conversion_table,
     derive_timeline,
 )
 from mfirank.errors import DataError
@@ -877,6 +879,9 @@ def test_accumulator_fed_in_batches_matches_feature_table(seed):
     rng = random.Random(seed)
     rng.shuffle(conversions)
     rng.shuffle(clicks)
+    # A prefix of the rows in table order is in table order: its feature
+    # table sums them as the accumulator, fed in that order, does.
+    conversions, clicks = conversion_table(conversions).records(), click_table(clicks).records()
     conv_cuts = sorted(rng.sample(range(1, len(conversions)), 5)) + [len(conversions)]
     click_cuts = sorted(rng.sample(range(len(clicks)), 5)) + [len(clicks)]
     products = [p for p in products if p.loan_type is LoanType.STANDARD]
@@ -1014,14 +1019,16 @@ def table_outcome(make_table) -> tuple[object, list[str]]:
 def test_feature_prefixes_match_the_reference_at_every_cut(
     by_time, conversions, products, clicks, features, rules, data
 ):
-    # Each cut is a prefix of both tables.  In click-time order these are
-    # the cuts the weekly schedule makes; in the drawn order a prefix is
-    # still the first rows, whatever their click times.
+    # Each cut is a prefix of both tables, the first rows in table order,
+    # whichever order the rows are given in; the accumulator is fed them in
+    # that order.
     if by_time:
         conversions.sort(key=lambda r: r.click_time)
         clicks.sort(key=lambda c: c.click_time)
+    conv_table, _, click_tab = tables(conversions, products, clicks)
+    conversions, clicks = conv_table.records(), click_tab.records()
     prefixes = FeaturePrefixes(
-        *tables(conversions, products, clicks), features=features, duration_rules=rules
+        conv_table, products, click_tab, features=features, duration_rules=rules
     )
     acc = FeatureAccumulator(products, features=features, duration_rules=rules)
     cuts = data.draw(st.lists(st.integers(0, len(conversions)), max_size=4)) + [len(conversions)]
@@ -1044,8 +1051,8 @@ def test_feature_prefixes_match_the_reference_at_every_cut(
 )
 def test_feature_table_matches_the_reference(conversions, products, clicks, features, rules):
     acc = FeatureAccumulator(products, features=features, duration_rules=rules)
-    acc.add_conversions(conversions)
-    acc.add_clicks(clicks)
+    acc.add_conversions(conversion_table(conversions).records())
+    acc.add_clicks(click_table(clicks).records())
     got = table_outcome(
         lambda: feature_table(
             *tables(conversions, products, clicks), features=features, duration_rules=rules
@@ -1113,20 +1120,27 @@ def test_epc_numerator_starts_from_positive_zero():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_epc_numerator_is_the_running_sum_in_input_order(seed):
+def test_epc_numerator_is_the_running_sum_in_table_order(seed):
     # 1e16 + 1.0 rounds back to 1e16, so the order of the additions shows:
-    # a running sum, math.fsum and the pairwise np.sum all differ here
+    # a running sum, math.fsum and the pairwise np.sum all differ here.
+    # The incomes are clicked a second apart, so click time fixes the
+    # table order, and every shuffle of the rows gives the same sum.
     incomes = [1e16] + [1.0] * 8
-    random.Random(seed).shuffle(incomes)
+    rng = random.Random(seed)
+    rng.shuffle(incomes)
     records = [
-        app(client=f"c{i}", conv_sec=60.0, proc_sec=60.0, income=x) for i, x in enumerate(incomes)
+        app(client=f"c{i}", conv_sec=60.0, proc_sec=60.0, income=x, click=T0 + timedelta(seconds=i))
+        for i, x in enumerate(incomes)
     ]
     clicks = [ClickRecord("18", T0, f"k{i}", LoanType.STANDARD) for i in range(3)]
-    (vector,) = feature_table(*tables(records, [card(avg_user_rating=4.0, n_reviews=3)], clicks))
+    cards = [card(avg_user_rating=4.0, n_reviews=3)]
     running = 0.0
     for x in incomes:
         running += x
-    assert vector.epc == running / 3 == epc(records, 3)
+    for _ in range(4):
+        rng.shuffle(records)
+        (vector,) = feature_table(*tables(records, cards, clicks))
+        assert vector.epc == running / 3 == epc(conversion_table(records).records(), 3)
     if incomes[0] == 1e16:
         assert running != math.fsum(incomes) and running != float(np.sum(incomes))
 

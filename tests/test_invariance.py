@@ -69,9 +69,6 @@ TRANSFORMS = {
     "no final newline": lambda text: text.removesuffix("\n"),
     "row order": shuffled_rows,
 }
-# Sums in input order (ROADMAP item 1) still move the last digits of these;
-# the weekly report sums the evaluation's days.
-ROW_ORDER_DEFECT = frozenset({"features.csv", "evaluation.json", "daily.csv", "weekly.csv"})
 
 
 def write_groups(inputs: Path, seed: int) -> None:
@@ -145,12 +142,7 @@ def test_a_transformed_input_gives_the_same_bytes(artifacts, transform, artifact
     assert artifacts(transform)[artifact] == artifacts(None)[artifact]
 
 
-@pytest.mark.parametrize("artifact", [
-    pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: sums in input order"
-    )) if name in ROW_ORDER_DEFECT else name
-    for name in ARTIFACTS
-])
+@pytest.mark.parametrize("artifact", ARTIFACTS)
 def test_shuffled_rows_give_the_same_bytes(artifacts, artifact):
     assert artifacts("row order")[artifact] == artifacts(None)[artifact]
 
