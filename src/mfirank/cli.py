@@ -416,6 +416,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     config = _resolve_config(args)
     conversions, products, clicks, _ = _load_datasets(args, config)
+    if not conversions:
+        raise DataError("no applications left after filtering; nothing to replay")
     result, schedule = ev.evaluate_ranking(
         conversions,
         products,

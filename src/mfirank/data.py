@@ -42,10 +42,12 @@ order, numbers the row errors and codes the accepted rows.
 
 The accepted rows fill one columnar :class:`Table` per file, in an order
 the order of the file's rows does not change (:func:`_canonical`): id and
-text cells as first-seen integer codes, timestamps as ``datetime64[us]``
-with NaT for missing, numbers as floats with NaN for missing, status and
-loan type as small integer codes.  The records, row errors and DataError
-are those a row-by-row reading gives, the records in that order.
+text cells as dense first-seen integer codes into the names its rows
+hold, as in every selection of its rows (:meth:`Table.take`),
+timestamps as ``datetime64[us]`` with NaT for missing, numbers as floats
+with NaN for missing, status and loan type as small integer codes.  The
+records, row errors and DataError are those a row-by-row reading gives,
+the records in that order.
 
 Every stage reads the tables, :func:`validate` included: its counts,
 key join and record checks are array reductions.  The frozen slotted
@@ -456,8 +458,10 @@ class Table:
 
     ``columns`` maps every record field to one array with an entry per
     row.  Id and text fields hold int32 codes into ``names[field]``, their
-    distinct values in first-seen order.  Loan type and status hold int8
-    positions in ``LOAN_TYPES`` and ``STATUSES``.  Timestamps hold
+    distinct values in first-seen order.  The codes are dense: every name
+    is held by a row, in a parsed table, a table of :meth:`from_records`
+    and a :meth:`take` alike (:func:`_dense`).  Loan type and status hold
+    int8 positions in ``LOAN_TYPES`` and ``STATUSES``.  Timestamps hold
     ``datetime64[us]``, NaT where empty.  Floats, ratings, ranks and review
     counts hold float64, NaN where empty; flags hold bools.
     """
@@ -475,11 +479,10 @@ class Table:
             raise ValueError(f"expected a {dataset} table, not {self.dataset.name}")
 
     def take(self, rows: np.ndarray) -> Table:
-        """The table of ``rows``, a mask or ascending positions: the order kept."""
-        return Table(
-            self.dataset,
-            {name: column[rows] for name, column in self.columns.items()},
-            self.names,
+        """The table of ``rows``, a mask or ascending positions: the order
+        kept, codes renumbered first-seen (:func:`_dense`)."""
+        return _dense(
+            self.dataset, {name: column[rows] for name, column in self.columns.items()}, self.names
         )
 
     def records(self) -> list:
@@ -545,11 +548,18 @@ def _canonical(dataset: _Dataset, columns: Mapping, interned: Mapping[str, dict]
         rows = order[tied]
         keys = [_sort_key(k, columns[name][rows], names.get(name)) for name, k in dataset.columns]
         order[tied] = rows[np.lexsort([*keys[::-1], run[tied]])]
-    table = {name: column[order] for name, column in columns.items()}
+    return _dense(dataset, {name: column[order] for name, column in columns.items()}, names)
+
+
+def _dense(dataset: _Dataset, columns: dict, names: Mapping[str, Sequence]) -> Table:
+    """The table of ``columns`` in their row order, each id and text column's
+    codes into ``names`` renumbered first-seen in it, and its names cut to
+    the values its rows hold."""
+    names = dict(names)
     for name, spelled in names.items():
-        kept, table[name] = first_seen(table[name])
+        kept, columns[name] = first_seen(columns[name])
         names[name] = tuple(map(spelled.__getitem__, kept.tolist()))
-    return Table(dataset, table, names)
+    return Table(dataset, columns, names)
 
 
 def conversion_table(records: Iterable[ConversionRecord]) -> Table:
@@ -1238,7 +1248,7 @@ def filter_loan_type(rows: Table, loan_type: LoanType | None) -> Table:
     return rows.take(rows.columns["loan_type"] == LOAN_TYPES.index(loan_type))
 
 
-def _recoded(source: Table, target: Table, name: str) -> np.ndarray:
+def recoded(source: Table, target: Table, name: str) -> np.ndarray:
     """The ``name`` codes of ``source`` as ``target`` numbers the same
     values (each table interns its own), -1 for a value ``target`` lacks."""
     code = {value: n for n, value in enumerate(target.names[name])}
@@ -1256,7 +1266,7 @@ def _has_click(conversions: Table, clicks: Table) -> np.ndarray:
     puts every key in a group of equal keys."""
     span = len(clicks.names["client_id"]) + 1
     pair = np.concatenate([
-        _recoded(conversions, clicks, "mfi_id") * span + _recoded(conversions, clicks, "client_id"),
+        recoded(conversions, clicks, "mfi_id") * span + recoded(conversions, clicks, "client_id"),
         clicks.columns["mfi_id"].astype(np.int64) * span + clicks.columns["client_id"],
     ])
     time = np.concatenate([conversions.columns["click_time"], clicks.columns["click_time"]])
@@ -1278,11 +1288,10 @@ def validate(
     n = len(conversions)
     sale_code = STATUSES.index(Status.SALE)
     statuses = np.bincount(columns["status"], minlength=len(STATUSES)).tolist()
-    mfi_names = conversions.names["mfi_id"]
-    mfis = [mfi_names[code] for code in np.unique(columns["mfi_id"]).tolist()]
+    mfis = conversions.names["mfi_id"]
     report = ValidationReport(
         n_mfis=len(mfis),
-        n_clients=len(np.unique(columns["client_id"])),
+        n_clients=len(conversions.names["client_id"]),
         n_applications=n,
         n_sales=statuses[sale_code],
         status_shares={s.value: count / n for s, count in zip(STATUSES, statuses)} if n else {},

@@ -18,19 +18,19 @@ and then by every column, whatever the order of the input rows.  The
 weekly schedule trains on prefixes of the tables as given through one
 :class:`mfirank.features.FeaturePrefixes`.  Its weeks and the days of
 the daily series are one calendar in day ordinals, :func:`replay_calendar`.
-The replay runs on one code table of the conversions
-(:class:`ReplayCodes`), read from the table once by
-:func:`reapproval_table` and carried to :func:`simulate`: integer MFI,
-client and status codes, the site rank, the realized income and the day
-and week of every row.  The client history, the pair counts, the
-substitutions and the sums are array reductions over it.  The
-reapproval table is held in its MFI codes, per-MFI and K x K arrays that
-:func:`simulate` indexes directly.  The tie rule "the latest record
-wins" has one home, :func:`_latest`, which :func:`client_outcomes` and
-:func:`historical_ranking` share.  Every float that reaches an artifact,
-from the feature tables and the replay alike, is a sequential sum in
-table order, as ``np.bincount`` adds its weights, never a pairwise
-``np.sum`` or a compensated ``sum``.
+The replay reads the conversions table itself, which
+:func:`reapproval_table` carries to :func:`simulate`: like every table,
+a selection included, it holds dense first-seen MFI and client codes
+into names its rows all hold.  The client history, the pair counts, the
+substitutions and the sums are array reductions over its columns, what
+each row realized (:func:`mfirank.data.realized`) and the day and week
+of its click.  The reapproval table is held in the table's MFI codes,
+per-MFI and K x K arrays that :func:`simulate` indexes directly.  The
+tie rule "the latest record wins" has one home, :func:`_latest`, which
+:func:`client_outcomes` and :func:`historical_ranking` share.  Every
+float that reaches an artifact, from the feature tables and the replay
+alike, is a sequential sum in table order, as ``np.bincount`` adds its
+weights, never a pairwise ``np.sum`` or a compensated ``sum``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .data import (
     Status,
     Table,
     filter_loan_type,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
-    first_seen,
     midnights,
     ordinal_days,
     realized,
@@ -120,56 +119,8 @@ def historical_ranking(conversions: Table) -> list[str]:
     rows, _ = _latest(mfi[stamped])
     latest = {mfi_ids[mfi[i]]: rank[i] for i in stamped[rows].tolist()}
     ranked = sorted(latest, key=lambda m: (latest[m], m))
-    tail = sorted({mfi_ids[code] for code in np.unique(mfi).tolist()} - latest.keys())
+    tail = sorted(set(mfi_ids) - latest.keys())
     return ranked + tail
-
-
-# ---------------------------------------------------------------------------
-# the code table
-
-
-@dataclass(frozen=True, eq=False)
-class ReplayCodes:
-    """The conversions of one replay as codes, one entry per row in table
-    order, which is click-time order.
-
-    ``mfi_ids`` names the MFI codes in first-seen order; client codes are
-    first-seen too.  ``rank`` is ``global_rank`` (NaN where missing),
-    ``income`` what the row realized and ``paid`` marks a sale that
-    carries an income (:func:`mfirank.data.realized`).  ``day`` and
-    ``week`` are the proleptic ordinals of its click date and of that
-    week's Monday.
-    """
-
-    mfi_ids: tuple[str, ...]
-    mfi: np.ndarray  # int32
-    client: np.ndarray  # int32
-    status: np.ndarray  # int8: _PENDING, _SALE, _REJECTED
-    rank: np.ndarray  # float64
-    income: np.ndarray  # float64
-    paid: np.ndarray  # bool
-    day: np.ndarray  # int64
-    week: np.ndarray  # int64
-
-
-def replay_codes(conversions: Table) -> ReplayCodes:
-    """The code table of ``conversions``."""
-    columns = conversions.columns
-    mfi_codes, mfi = first_seen(columns["mfi_id"])
-    _, client = first_seen(columns["client_id"])
-    income, paid = realized(conversions)
-    day = ordinal_days(columns["click_time"])
-    return ReplayCodes(
-        mfi_ids=tuple(map(conversions.names["mfi_id"].__getitem__, mfi_codes.tolist())),
-        mfi=mfi,
-        client=client,
-        status=columns["status"],
-        rank=columns["global_rank"],
-        income=income,
-        paid=paid,
-        day=day,
-        week=monday(day),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +140,7 @@ class PairTable(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class ReapprovalTable:
     """Conditional outcome frequencies between pairs of MFIs, in the MFI
-    codes of ``codes``.
+    codes of ``conversions``.
 
     ``sale.p[a, b]`` estimates P(client approved at a | approved at b)
     over the ``sale.support[a, b]`` clients with a final status at both;
@@ -197,12 +148,12 @@ class ReapprovalTable:
     ``min_support`` of :func:`reapproval_table` times, or never, is a
     ``fallback``: its ``p`` is a's marginal approval rate (its rejection
     rate for ``reject``).  ``marginal_lar`` and ``mean_income`` are per
-    MFI code.  ``codes`` is the code table of the conversions the table
-    was counted from, and ``history`` the rows of their
-    :func:`client_outcomes`; the replay reads both.
+    MFI code.  ``conversions`` is the table it was counted from, and
+    ``history`` the rows of its :func:`client_outcomes`; the replay reads
+    both.
     """
 
-    codes: ReplayCodes
+    conversions: Table
     history: np.ndarray
     marginal_lar: np.ndarray  # float64
     mean_income: np.ndarray  # float64
@@ -210,14 +161,15 @@ class ReapprovalTable:
     reject: PairTable
 
 
-def client_outcomes(codes: ReplayCodes) -> np.ndarray:
+def client_outcomes(conversions: Table) -> np.ndarray:
     """Row of the latest final record of each (client, MFI); pending never counts.
 
     Clients and their MFIs keep the order of their first final record.
     """
-    final = np.flatnonzero(codes.status != _PENDING)
-    client = codes.client[final]
-    pair = client.astype(np.int64) * len(codes.mfi_ids) + codes.mfi[final]
+    columns = conversions.columns
+    final = np.flatnonzero(columns["status"] != _PENDING)
+    client = columns["client_id"][final]
+    pair = client.astype(np.int64) * len(conversions.names["mfi_id"]) + columns["mfi_id"][final]
     latest, first = _latest(pair)
     starts, sizes = _runs(client[latest])
     client_first = np.repeat(np.minimum.reduceat(first, starts), sizes)
@@ -253,44 +205,45 @@ def _pair_table(
 def reapproval_table(
     conversions: Table, min_support: int = DEFAULT_MIN_SUPPORT
 ) -> ReapprovalTable:
-    """The reapproval table of ``conversions``, carrying their code table and
+    """The reapproval table of ``conversions``, carrying them and their
     client history."""
     if min_support < 0:
         raise ValueError("min_support must be non-negative")
-    codes = replay_codes(conversions)
-    history = client_outcomes(codes)
-    k = len(codes.mfi_ids)
+    columns = conversions.columns
+    mfi, status = columns["mfi_id"], columns["status"]
+    history = client_outcomes(conversions)
+    k = len(conversions.names["mfi_id"])
 
     # Every ordered pair of one client's latest final records: a is the
     # outcome estimated, b the one conditioned on.
-    i, j = _pairs(codes.client[history])
+    i, j = _pairs(columns["client_id"][history])
     a, b = history[i], history[j]
-    pair = codes.mfi[a].astype(np.int64) * k + codes.mfi[b]
+    pair = mfi[a].astype(np.int64) * k + mfi[b]
     if not len(pair):
         logger.warning(
             "no client dealt with two MFIs; reapproval table is all marginal fallbacks"
         )
 
     # Per-MFI marginals; incomes are summed in input order.
-    sold = codes.status == _SALE
-    apps = np.bincount(codes.mfi, minlength=k).tolist()
-    sales = np.bincount(codes.mfi[sold], minlength=k).tolist()
-    paid_mfi = codes.mfi[codes.paid]
-    income_n = np.bincount(paid_mfi, minlength=k)
-    income_sum = np.bincount(paid_mfi, weights=codes.income[codes.paid], minlength=k)
+    sold = status == _SALE
+    income, paid = realized(conversions)
+    apps = np.bincount(mfi, minlength=k).tolist()
+    sales = np.bincount(mfi[sold], minlength=k).tolist()
+    income_n = np.bincount(mfi[paid], minlength=k)
+    income_sum = np.bincount(mfi[paid], weights=income[paid], minlength=k)
     prior = LarPrior(total_sales=sum(sales), total_apps=len(conversions))
     marginal = np.array([normalize_lar(prior, s, n) for s, n in zip(sales, apps)], np.float64)
 
-    by_sale = codes.status[b] == _SALE
-    by_reject = codes.status[b] == _REJECTED
+    by_sale = status[b] == _SALE
+    by_reject = status[b] == _REJECTED
     return ReapprovalTable(
-        codes=codes,
+        conversions=conversions,
         history=history,
         marginal_lar=marginal,
         mean_income=income_sum / np.maximum(income_n, 1),  # 0.0 without a paid sale
         sale=_pair_table(pair[by_sale], sold[a][by_sale], marginal, min_support),
         reject=_pair_table(
-            pair[by_reject], (codes.status[a] == _REJECTED)[by_reject], 1.0 - marginal, min_support
+            pair[by_reject], (status[a] == _REJECTED)[by_reject], 1.0 - marginal, min_support
         ),
     )
 
@@ -433,15 +386,23 @@ def simulate(schedule: Sequence[WeekEntry], table: ReapprovalTable) -> Simulatio
     without a usable position are skipped and counted, so coverage is
     visible in the result.
 
-    The replayed applications are the rows of ``table.codes``, the
-    conversions the table was counted from.  A week is served by the
-    schedule entry whose ``week_start`` is exactly its Monday 00:00 (the
-    last such entry).  A ranked MFI the conversions lack takes a code past
-    the table's: it has a marginal rate and a mean income of 0, and every
-    pair with it as the target is a fallback.
+    The replayed applications are the rows of ``table.conversions``, the
+    conversions the table was counted from, in their MFI and client codes.
+    A week is served by the schedule entry whose ``week_start`` is exactly
+    the Monday 00:00 of the application's click date (the last such entry).
+    A ranked MFI the conversions lack takes a code past the table's: it has
+    a marginal rate and a mean income of 0, and every pair with it as the
+    target is a fallback.
     """
-    codes, history = table.codes, table.history
-    code = {m: n for n, m in enumerate(codes.mfi_ids)}
+    conversions, history = table.conversions, table.history
+    columns, mfi_ids = conversions.columns, conversions.names["mfi_id"]
+    mfi, client, status, rank = (
+        columns[name] for name in ("mfi_id", "client_id", "status", "global_rank")
+    )
+    realized_income, _ = realized(conversions)
+    day = ordinal_days(columns["click_time"])
+    week = monday(day)
+    code = {m: n for n, m in enumerate(mfi_ids)}
 
     # The served weeks in calendar order, their rankings as MFI codes.
     served = {
@@ -457,23 +418,23 @@ def simulate(schedule: Sequence[WeekEntry], table: ReapprovalTable) -> Simulatio
 
     # Coverage, checked in this order: a rank, a served week, a position
     # inside that week's ranking.  NaN (no rank) fails every comparison.
-    slot = np.searchsorted(mondays, codes.week)
-    has_rank = ~np.isnan(codes.rank)
-    has_week = has_rank & (np.append(mondays, -1)[slot] == codes.week)
-    in_range = has_week & (codes.rank >= 1) & (codes.rank <= lengths[slot])
+    slot = np.searchsorted(mondays, week)
+    has_rank = ~np.isnan(rank)
+    has_week = has_rank & (np.append(mondays, -1)[slot] == week)
+    in_range = has_week & (rank >= 1) & (rank <= lengths[slot])
     rows = np.flatnonzero(in_range)  # replay order
     slot = slot[rows]
-    own = codes.mfi[rows]
-    vra = ranking[slot, codes.rank[rows].astype(np.int64) - 1]
-    status = codes.status[rows]
+    own = mfi[rows]
+    vra = ranking[slot, rank[rows].astype(np.int64) - 1]
+    outcome = status[rows]
 
     # The record copied: the application itself when the substitute is its
     # own MFI, else the client's latest final record with the substitute.
-    keys = codes.client[history].astype(np.int64) * k + codes.mfi[history]
+    keys = client[history].astype(np.int64) * k + mfi[history]
     by_key = np.argsort(keys)
     found_row = np.append(history[by_key], -1)
     keys = keys[by_key]
-    query = codes.client[rows].astype(np.int64) * k + vra
+    query = client[rows].astype(np.int64) * k + vra
     at = np.searchsorted(keys, query)
     found = np.append(keys, -1)[at] == query
     known = np.where(vra == own, rows, np.where(found, found_row[at], -1))
@@ -481,24 +442,24 @@ def simulate(schedule: Sequence[WeekEntry], table: ReapprovalTable) -> Simulatio
 
     # Otherwise the table estimates it, by the application's own status.
     # Rows are padded for the MFIs the table lacks; only a target can be one.
-    extra = (0, k - len(codes.mfi_ids))
+    extra = (0, k - len(mfi_ids))
     marginal = np.pad(table.marginal_lar, extra)
     mean_income = np.pad(table.mean_income, extra)
     p_sale = np.pad(table.sale.p, (extra, (0, 0)))
     flag_sale = np.pad(table.sale.fallback, (extra, (0, 0)), constant_values=True)
     p_reject = np.pad(table.reject.p, (extra, (0, 0)), constant_values=1.0)
     flag_reject = np.pad(table.reject.fallback, (extra, (0, 0)), constant_values=True)
-    is_sale = ~copied & (status == _SALE)
-    is_reject = ~copied & (status == _REJECTED)
+    is_sale = ~copied & (outcome == _SALE)
+    is_reject = ~copied & (outcome == _REJECTED)
     p = np.where(
         is_sale, p_sale[vra, own], np.where(is_reject, 1.0 - p_reject[vra, own], marginal[vra])
     )
     income = mean_income[vra] * p
-    p[copied] = codes.status[known[copied]] == _SALE
-    income[copied] = codes.income[known[copied]]
+    p[copied] = status[known[copied]] == _SALE
+    income[copied] = realized_income[known[copied]]
     low_support = (is_sale & flag_sale[vra, own]) | (is_reject & flag_reject[vra, own])
 
-    values = (p, income, (status == _SALE).astype(np.float64), codes.income[rows])
+    values = (p, income, (outcome == _SALE).astype(np.float64), realized_income[rows])
 
     def sums(bucket: np.ndarray) -> dict[int, ReplaySums]:
         """The sums of each distinct ``bucket`` value, in replay order."""
@@ -520,10 +481,10 @@ def simulate(schedule: Sequence[WeekEntry], table: ReapprovalTable) -> Simulatio
         n_skipped_no_rank=int((~has_rank).sum()),
         n_skipped_out_of_range=int((has_week & ~in_range).sum()),
         n_skipped_no_week=int((has_rank & ~has_week).sum()),
-        n_pending_fallback=int((~copied & (status == _PENDING)).sum()),
+        n_pending_fallback=int((~copied & (outcome == _PENDING)).sum()),
         n_low_support=int(low_support.sum()),
         weeks={entries[w].week_start: s for w, s in sums(slot).items()},
-        days=sums(codes.day[rows]),
+        days=sums(day[rows]),
     )
 
 

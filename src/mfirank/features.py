@@ -47,6 +47,7 @@ from .data import (
     derive_timeline,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
     filter_loan_type,  # noqa: F401  (perfbench/tracer.py counts this lookup site)
     realized,
+    recoded,
     timeline_columns,
 )
 from .errors import DataError
@@ -528,9 +529,8 @@ class FeaturePrefixes:
         ]
 
         # Clicks of an MFI without conversions go to one extra code.
-        code = {m: n for n, m in enumerate(mfi_ids)}
-        click_mfi = np.array([code.get(m, k) for m in clicks.names["mfi_id"]], np.intp)
-        self._clicks = click_mfi[clicks.columns["mfi_id"]]
+        click_mfi = recoded(clicks, conversions, "mfi_id")
+        self._clicks = np.where(click_mfi < 0, k, click_mfi)
 
     def _mean(self, total: int, n: int) -> float | None:
         """The mean of ``n`` processing periods whose exact sum, in units of

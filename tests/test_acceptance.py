@@ -247,7 +247,7 @@ def test_criterion_6_property_bundle_under_budget():
     for seed in range(50):
         convs, _, _ = generate_fixture(seed, n_mfis=4, n_clients=30)
         table = reapproval_table(conversion_table(convs), min_support=1)
-        code = {m: n for n, m in enumerate(table.codes.mfi_ids)}
+        code = {m: n for n, m in enumerate(table.conversions.names["mfi_id"])}
         for target in code:
             for source in code:
                 if target == source:

@@ -180,6 +180,21 @@ def test_features_on_conversions_of_another_loan_type_is_a_data_error(
     assert "no MFIs left after filtering" in capsys.readouterr().err
 
 
+def test_evaluate_of_an_empty_selection_is_a_data_error(dataset_dir, tmp_path, capsys):
+    # The fixture has no long-term rows.  A replay of none would write an
+    # all-zero evaluation without a daily series, which `report` refuses.
+    out, daily = tmp_path / "evaluation.json", tmp_path / "daily.csv"
+    rc = main([
+        "evaluate", *dataset_flags(dataset_dir), "--loan-type", "long-term",
+        "--out", str(out), "--daily-csv", str(daily),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "mfirank: data error: no applications left after filtering; nothing to replay\n"
+    )
+    assert not out.exists() and not daily.exists()
+
+
 def test_features_on_broken_csv_is_a_data_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("name,value\nx,1\n")

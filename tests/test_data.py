@@ -49,6 +49,7 @@ from mfirank.data import (
     parse_clicks,
     parse_conversions,
     parse_products,
+    recoded,
     serialize_clicks,
     serialize_conversions,
     serialize_products,
@@ -63,7 +64,6 @@ from mfirank.data import (
     _parse_whole,
     _plain,
     _plain_bytes,
-    _recoded,
 )
 from mfirank.errors import DataError
 from mfirank.features import feature_table
@@ -796,6 +796,13 @@ def test_loan_type_filters():
         for loan_type in (*LoanType, None):
             selected = filter_loan_type(table, loan_type)
             assert selected.records() == reference_filter_loan_type(table.records(), loan_type)
+            # A selection is a table like any other: dense first-seen codes
+            # into the names its rows hold, as a table of its records has.
+            rebuilt = Table.from_records(selected.records(), table.dataset)
+            assert selected.names == rebuilt.names
+            for name, column in selected.columns.items():
+                assert column.dtype == rebuilt.columns[name].dtype, name
+                assert column.tobytes() == rebuilt.columns[name].tobytes(), name
 
 
 def test_validate_counts_on_the_fixture(fixture_triple, fixture_tables):
@@ -1078,8 +1085,8 @@ def reference_has_click(conversions, clicks):
     click time."""
     keys = np.concatenate([
         np.stack([
-            _recoded(conversions, clicks, "mfi_id"),
-            _recoded(conversions, clicks, "client_id"),
+            recoded(conversions, clicks, "mfi_id"),
+            recoded(conversions, clicks, "client_id"),
             conversions.columns["click_time"].view(np.int64),
         ], axis=1),
         np.stack([

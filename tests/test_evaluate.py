@@ -48,7 +48,6 @@ from mfirank.evaluate import (
     os_contingency,
     reapproval_table,
     replay_calendar,
-    replay_codes,
     sale_incomes,
     simulate,
     week_start,
@@ -97,7 +96,7 @@ def history(conversions):
     table = conversion_table(conversions)
     records = table.records()
     out: dict[str, dict[str, ConversionRecord]] = {}
-    for row in client_outcomes(replay_codes(table)).tolist():
+    for row in client_outcomes(table).tolist():
         rec = records[row]
         out.setdefault(rec.client_id, {})[rec.mfi_id] = rec
     return out
@@ -126,7 +125,7 @@ class ReapprovalDicts:
 def as_dicts(table: ReapprovalTable) -> ReapprovalDicts:
     """The pairs of ``table`` with support, keyed by (target, source) MFI
     ids, and its per-MFI values in code (first-seen) order."""
-    ids = table.codes.mfi_ids
+    ids = table.conversions.names["mfi_id"]
 
     def pairs(arrays: PairTable) -> dict[tuple[str, str], PairStats]:
         return {
@@ -813,7 +812,7 @@ def test_a_log_in_the_last_week_of_year_9999_is_replayed():
 # client_outcomes, reapproval_table and simulate as they were before
 # evaluate_ranking shared one client-outcome map between the last two and
 # simulate memoized the week of each calendar day, and the replay sums as
-# they were before the replay moved onto the code table, kept as the
+# they were before the replay became array reductions, kept as the
 # references of the differential tests below.  The reference simulate
 # keeps one record per replayed application (AppOutcome) and sums them
 # one at a time in replay order.
@@ -1198,7 +1197,7 @@ def test_reapproval_table_matches_the_reference(case, min_support):
 def test_reapproval_table_carries_the_client_outcomes(case):
     _, conversions, _, _ = case
     table = reapproval_table(conversion_table(conversions))
-    assert table.history.tolist() == client_outcomes(table.codes).tolist()
+    assert table.history.tolist() == client_outcomes(table.conversions).tolist()
 
 
 @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
@@ -1257,9 +1256,9 @@ def test_replay_cases_cover_the_edge_rows():
 def test_evaluate_ranking_builds_client_outcomes_once(monkeypatch, fixture_tables):
     calls = []
 
-    def counted(codes):
-        calls.append(len(codes.mfi))
-        return client_outcomes(codes)
+    def counted(conversions):
+        calls.append(len(conversions))
+        return client_outcomes(conversions)
 
     monkeypatch.setattr(mfirank.evaluate, "client_outcomes", counted)
     evaluate_ranking(*fixture_tables)

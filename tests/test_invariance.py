@@ -6,7 +6,9 @@ process through ``main()``: ``validate``, ``features``, ``rank`` from the
 datasets and from the feature table, ``evaluate --daily-csv``, ``report``
 and ``abtest``.  Every artifact is then compared byte for byte with the run
 on the untransformed inputs.  The BLAS thread count is a transform of the
-environment, run in subprocesses on a feature table of its own.
+environment, run in subprocesses on a feature table of its own.  Rows of
+another loan type, added to the three dataset CSVs only, must leave every
+artifact of the selected loan type as it was.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from mfirank.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-INPUTS = ("conversions.csv", "products.csv", "clicks.csv", "group_a.csv", "group_b.csv")
+DATASETS = ("conversions.csv", "products.csv", "clicks.csv")
+INPUTS = (*DATASETS, "group_a.csv", "group_b.csv")
 ARTIFACTS = (
     "validation.json", "features.csv", "ranking.json", "pi.csv", "table-ranking.json",
     "table-pi.csv", "evaluation.json", "daily.csv", "weekly.csv", "abtest.json",
@@ -69,6 +72,26 @@ TRANSFORMS = {
     "no final newline": lambda text: text.removesuffix("\n"),
     "row order": shuffled_rows,
 }
+
+
+def interest_free_copies(text: str) -> str:
+    """After each row, a copy of it as an interest-free row of an MFI,
+    client and card of its own (``x``-prefixed ids)."""
+    header, *rows = rows_of(text)
+    ids = [i for i, name in enumerate(header) if name in ("mfi_id", "client_id", "card_id")]
+    loan_type = header.index("loan_type")
+    out = [header]
+    for row in rows:
+        copy = list(row)
+        for i in ids:
+            copy[i] = "x" + copy[i]
+        copy[loan_type] = "interest-free"
+        out += [row, copy]
+    return written(out)
+
+
+# Transforms of the dataset CSVs only; the abtest groups are left alone.
+DATASET_TRANSFORMS = {"interest-free copies": interest_free_copies}
 
 
 def write_groups(inputs: Path, seed: int) -> None:
@@ -123,7 +146,11 @@ def artifacts(tmp_path_factory):
             workdir = tmp_path_factory.mktemp("transformed")
             for csv_name in INPUTS:
                 text = (plain / csv_name).read_text(encoding="utf-8")
-                (workdir / csv_name).write_bytes(TRANSFORMS[name](text).encode("utf-8"))
+                if name in TRANSFORMS:
+                    text = TRANSFORMS[name](text)
+                elif csv_name in DATASETS:
+                    text = DATASET_TRANSFORMS[name](text)
+                (workdir / csv_name).write_bytes(text.encode("utf-8"))
             runs[name] = run_all(workdir)
         return runs[name]
 
@@ -145,6 +172,17 @@ def test_a_transformed_input_gives_the_same_bytes(artifacts, transform, artifact
 @pytest.mark.parametrize("artifact", ARTIFACTS)
 def test_shuffled_rows_give_the_same_bytes(artifacts, artifact):
     assert artifacts("row order")[artifact] == artifacts(None)[artifact]
+
+
+# validation.json counts the rows of every loan type by design, and the
+# abtest groups are not transformed.
+@pytest.mark.parametrize(
+    "artifact", [name for name in ARTIFACTS if name not in ("validation.json", "abtest.json")]
+)
+def test_rows_of_another_loan_type_give_the_same_bytes(artifacts, artifact):
+    # The selected tables drop the other loan type's MFIs, clients and
+    # cards (Table.take), so every code and name is as without them.
+    assert artifacts("interest-free copies")[artifact] == artifacts(None)[artifact]
 
 
 def openblas() -> bool:

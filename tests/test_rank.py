@@ -700,6 +700,30 @@ def test_epc_rescaling_never_changes_the_ranking(vectors, scale):
     assert rescaled.ranking == base.ranking
 
 
+# Each row of the chain is normalized by its sum, so raising one MFI on one
+# feature also changes how the others' mass splits: the ranking is not
+# monotone in a single feature.  Features are (rating, lar, fairness,
+# service s, epc).
+
+
+def rank_of(table: dict[str, tuple]):
+    return rank_mfis([vec(mfi, *values) for mfi, values in table.items()])
+
+
+def test_a_better_rating_can_lower_the_stationary_mass():
+    before = {"A": (5, 4, 0, 500, 0), "B": (5, 2, 4, 800, 0), "C": (4, 1, 3, 500, 1)}
+    after = {**before, "C": (5, 1, 3, 500, 1)}
+    pi = [rank_of(table).stationary.as_dict()["C"] for table in (before, after)]
+    assert pi == pytest.approx([25 / 68, 15 / 41], rel=1e-12)
+
+
+def test_a_better_fairness_can_lower_the_rank():
+    before = {"A": (2, 0, 2, 700, 1), "B": (3, 1, 0, 800, 3), "C": (2, 0, 1, 900, 2)}
+    after = {**before, "B": (3, 1, 1, 800, 3)}
+    assert rank_of(before).ranking == ["B", "A", "C"]
+    assert rank_of(after).ranking == ["A", "B", "C"]
+
+
 # ---------------------------------------------------------------------------
 # page filtering
 
